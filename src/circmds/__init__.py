@@ -6,13 +6,14 @@ pairs behind the semi-properties, and verifies the trace relations between
 those diagonals and the MDS property by exhaustive and seeded-random scans.
 """
 
-from .circulant import build, interleaved_sums, is_circulant, row_sum
+from .circulant import build, interleaved_sums, inverse_row, is_circulant, row_sum
 from .field import GF2m, get_field
 from .matgf import det, diag_trace, identity, inverse, mat_mul, sandwich, submatrix, trace, transpose
 from .props import (
     Classification,
     DiagonalPair,
     MdsVerdict,
+    circulant_semi_pair,
     classify,
     diagonal_scaling_solve,
     is_involutory,
@@ -36,12 +37,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2m", "get_field",
-    "build", "is_circulant", "row_sum", "interleaved_sums",
+    "build", "is_circulant", "row_sum", "interleaved_sums", "inverse_row",
     "mat_mul", "transpose", "identity", "inverse", "det", "submatrix",
     "trace", "diag_trace", "sandwich",
     "MdsVerdict", "DiagonalPair", "Classification",
     "is_mds", "is_involutory", "is_orthogonal",
     "diagonal_scaling_solve", "semi_orthogonal_check", "semi_involutory_check",
+    "circulant_semi_pair",
     "power_scalar", "is_nonperiodic", "classify",
     "ScanConfig", "ScanReport", "run_suite", "oracle_semi_search",
     "verify_example", "verification_plan",

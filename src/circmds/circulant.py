@@ -5,10 +5,17 @@ entry rule C[i][j] = c_{(j-i) mod n}; row 1 therefore reads
 (c_{n-1}, c_0, ..., c_{n-2}).  The all-ones vector is always an
 eigenvector with eigenvalue equal to the first-row sum, so a zero row sum
 forces singularity.
+
+Circulants of order n multiply like polynomials modulo x^n - 1, with the
+first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
+`inverse_row` inverts one in that ring instead of as a dense matrix.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
+from .field import GF2m
 from .matgf import Matrix, require_square
 
 
@@ -33,6 +40,55 @@ def row_sum(first_row) -> int:
     for c in first_row:
         s ^= c
     return s
+
+
+def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:
+    """First row of circulant(first_row)^-1, or None when it is singular.
+
+    Computes a(x)^-1 mod x^n - 1 by the extended Euclidean algorithm over
+    GF(2^m)[x]: O(n^2) field operations and no n x n matrix.  Polynomials
+    are coefficient lists, lowest degree first, without trailing zeros;
+    products of nonzero coefficients go through the field's log tables.
+    """
+    if row_sum(first_row) == 0:
+        return None  # x - 1 divides a(x)
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    n = len(first_row)
+    r0 = [1] + [0] * (n - 1) + [1]  # x^n - 1 == x^n + 1 in characteristic 2
+    r1 = _trimmed(first_row)
+    s0: list[int] = []
+    s1 = [1]
+    while len(r1) > 1:
+        # divide r0 by r1; each quotient term f*x^shift also goes into s0 + quot*s1
+        deg = len(r1) - 1
+        rem = list(r0)
+        s2 = s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
+        lead_inv = q1 - log[r1[-1]]
+        r1_logs = [(i, log[v]) for i, v in enumerate(r1) if v]
+        s1_logs = [(i, log[v]) for i, v in enumerate(s1) if v]
+        for shift in range(len(r0) - len(r1), -1, -1):
+            top = rem[shift + deg]
+            if top:
+                f = (log[top] + lead_inv) % q1
+                for i, lv in r1_logs:
+                    rem[shift + i] ^= exp[f + lv]
+                for i, lv in s1_logs:
+                    s2[shift + i] ^= exp[f + lv]
+        r0, r1 = r1, _trimmed(rem[:deg])
+        s0, s1 = s1, _trimmed(s2)
+    if not r1:
+        return None  # gcd(a(x), x^n - 1) has positive degree
+    scale = q1 - log[r1[0]]
+    out = [exp[scale + log[v]] if v else 0 for v in s1]
+    return tuple(out + [0] * (n - len(s1)))
+
+
+def _trimmed(coeffs) -> list[int]:
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
 
 
 def interleaved_sums(first_row) -> tuple[int, int]:

@@ -13,8 +13,7 @@ import argparse
 import json
 import sys
 
-from . import props, verify
-from .circulant import build
+from . import props
 from .field import FieldError, GF2m, get_field
 from .matgf import DimensionMismatch
 from .props import classification_json, classify, is_involutory, is_orthogonal, matrix_properties_json
@@ -24,8 +23,6 @@ from .verify import (
     DEFAULT_SEED,
     EXHAUSTIVE,
     RANDOM,
-    BudgetExceeded,
-    IncompatibleSuite,
     ScanConfig,
     SplitMix64,
     _RowContext,
@@ -112,6 +109,15 @@ def _split_csv(values) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _validated(config: ScanConfig) -> ScanConfig:
+    """`config` once `ScanConfig.validate` accepts it; a rejection is a usage error."""
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return config
+
+
 def cmd_scan(args) -> int:
     gf = parse_field(args.field)
     suites = _split_csv(args.suite)
@@ -129,10 +135,7 @@ def cmd_scan(args) -> int:
         worker_count=args.jobs,
         budget=args.budget,
     )
-    try:
-        report = run_suite(config)
-    except (BudgetExceeded, IncompatibleSuite) as exc:
-        raise UsageError(str(exc)) from None
+    report = run_suite(_validated(config))
     emit(report.to_dict())
     return 0 if report.ok() else 1
 
@@ -184,6 +187,8 @@ def cmd_search(args) -> int:
             raise UsageError(
                 f"unknown predicate {name!r}; choose from {', '.join(_SEARCH_PREDICATES)}"
             )
+    if args.samples < 0:
+        raise UsageError(f"sample count must not be negative, got {args.samples}")
     n = args.order
     q = gf.order
     space = q ** n
@@ -213,6 +218,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    configs = [_validated(c) for c in verification_plan(args.scale, worker_count=args.jobs)]
     records = []
     all_ok = True
     for example_id in (1, 2):
@@ -227,7 +233,7 @@ def cmd_verify_paper(args) -> int:
             all_ok = False
 
     scans = []
-    for config in verification_plan(args.scale, worker_count=args.jobs):
+    for config in configs:
         report = run_suite(config)
         ok = report.ok()
         if "SO-ODD-EXIST" in config.suites:

@@ -112,7 +112,10 @@ class GF2m:
     `poly` is the reduction polynomial as a bit pattern with bit m set.
     Multiplication uses log/antilog tables built on a primitive element;
     `mul_raw` is the shift-and-reduce reference used to build the tables
-    and kept separate so the two strategies can be cross-checked.
+    and kept separate so the two strategies can be cross-checked.  The
+    tables are public for loops that multiply many nonzero elements:
+    `exp_table[i]` is generator^i for 0 <= i < 2(q-1), so the product of
+    nonzero a and b is `exp_table[log_table[a] + log_table[b]]`.
     """
 
     def __init__(self, m: int, poly: int, trust: bool = False):
@@ -143,8 +146,8 @@ class GF2m:
             log[v] = i
             v = self.mul_raw(v, g)
         self.generator = g
-        self._exp = exp
-        self._log = log
+        self.exp_table = exp
+        self.log_table = log
 
     def _find_generator(self) -> int:
         q1 = self._mult_order
@@ -187,12 +190,12 @@ class GF2m:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self._exp[self._log[a] + self._log[b]]
+        return self.exp_table[self.log_table[a] + self.log_table[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        return self._exp[self._mult_order - self._log[a]]
+        return self.exp_table[self._mult_order - self.log_table[a]]
 
     def pow(self, a: int, k: int) -> int:
         """a^k for k >= 0, with 0^0 = 1."""
@@ -200,7 +203,7 @@ class GF2m:
             raise ValueError("exponent must be non-negative")
         if a == 0:
             return 1 if k == 0 else 0
-        return self._exp[self._log[a] * k % self._mult_order]
+        return self.exp_table[self.log_table[a] * k % self._mult_order]
 
     def element_order(self, a: int) -> int:
         """Order of a in the multiplicative group."""
@@ -208,7 +211,7 @@ class GF2m:
             raise ZeroInverse("0 is not in the multiplicative group")
         from math import gcd
 
-        return self._mult_order // gcd(self._log[a], self._mult_order)
+        return self._mult_order // gcd(self.log_table[a], self._mult_order)
 
     def x_is_primitive(self) -> bool:
         """Whether the residue class of x (the element 0x2) generates the unit group."""

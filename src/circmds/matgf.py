@@ -70,10 +70,6 @@ def mat_mul(gf: GF2m, A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def mat_equal(A: Matrix, B: Matrix) -> bool:
-    return A == B
-
-
 def trace(A: Matrix) -> int:
     """XOR of the main diagonal (field addition in characteristic 2)."""
     n = require_square(A)

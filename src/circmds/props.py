@@ -12,15 +12,24 @@ row index is normalized to 1.  On a connected pattern the full solution
 set is exactly the one-parameter orbit {(c*D1, c^-1*D2)}, so the
 trace-zero, nonperiodicity, and scalar-power predicates reported here do
 not depend on the anchor choice.
+
+Circulants take a shortcut (`circulant_semi_pair`).  If B = D1*A*D2 with A
+and B circulant and A of full support, then d1_i*d2_j = B[i][j]/A[i][j]
+depends only on j - i, so d1_{i+1}/d1_i = d2_j/d2_{j+1} is one constant
+whose n-th power is 1: both diagonals are geometric, and the relation
+becomes a polynomial identity on the first row.  The dense inverse and
+the generic solver remain the reference, and run for explicit matrices
+and for circulants with a zero entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import gcd
 from typing import Optional
 
-from .circulant import build, interleaved_sums, is_circulant
+from .circulant import build, inverse_row, is_circulant
 from .field import GF2m
 from .matgf import (
     DimensionMismatch,
@@ -29,10 +38,8 @@ from .matgf import (
     det,
     diag_trace,
     dims,
-    identity,
     inverse,
     require_square,
-    sandwich,
     submatrix,
     transpose,
 )
@@ -228,6 +235,70 @@ def diagonal_scaling_solve(
     return DiagonalPair(tuple(d_full), tuple(e_full), tuple(sorted(anchors)))
 
 
+def circulant_semi_pair(gf: GF2m, first_row, relation: str) -> Optional[DiagonalPair]:
+    """Canonical pair with A^-1 == D1*A*D2 (`relation` "involutory") or
+    A^-T == D1*A*D2 ("orthogonal") for A = circulant(first_row), or None.
+
+    The result equals `diagonal_scaling_solve` on the dense A and its
+    inverse (or transposed inverse); a singular A gives None.  On a
+    full-support row the diagonals are geometric, d1 = (mu^-i) and
+    d2 = (k^-1 * mu^j), and the relation holds iff
+    c(x)*a(mu*x) == k != 0 mod x^n - 1 for an n-th root of unity mu, where
+    c = a(x) for A^-1 and c = a(x^-1) for A^-T.  The n-th roots of unity are
+    the gcd(n, q-1) powers of g^((q-1)/gcd(n, q-1)) for the field generator
+    g.  Rows with a zero entry go to the generic solver once the Euclidean
+    inverse exists and has the zero pattern of A.
+    """
+    # the reflected rows are lists: a scan makes millions of them, and as
+    # tuples of new sizes they would fill the interpreter's per-size tuple
+    # free lists and raise peak memory
+    a = tuple(first_row)
+    if relation == "involutory":
+        c = a
+    elif relation == "orthogonal":
+        c = [a[-j] for j in range(len(a))]  # first row of A^T: c_j = a_{-j}
+    else:
+        raise ValueError(f"unknown relation {relation!r}")
+    if all(a):
+        return _geometric_pair(gf, a, c)
+    b = inverse_row(gf, a)
+    if b is None:
+        return None
+    if relation == "orthogonal":
+        b = [b[-j] for j in range(len(b))]  # first row of A^-T
+    if any((x == 0) != (y == 0) for x, y in zip(a, b)):
+        return None
+    return diagonal_scaling_solve(gf, build(a), build(b))
+
+
+def _geometric_pair(gf: GF2m, a, c) -> Optional[DiagonalPair]:
+    # every entry is nonzero, so products are sums of discrete logs
+    exp, log = gf.exp_table, gf.log_table
+    n = len(a)
+    q1 = gf.order - 1
+    log_a = [log[v] for v in a]
+    log_c = [log[v] for v in c]
+    for s in range(0, q1, q1 // gcd(n, q1)):  # mu = g^s
+        log_am = [(v + j * s) % q1 for j, v in enumerate(log_a)]  # a(mu*x)
+        # coefficient t of c(x)*a(mu*x) mod x^n - 1 (a negative index wraps
+        # around); the non-constant ones first, where most mu fail
+        for t in chain(range(1, n), (0,)):
+            k = 0
+            for i in range(n):
+                k ^= exp[log_c[i] + log_am[t - i]]
+            if t and k:
+                break
+        else:
+            if k:
+                log_k = log[k]
+                return DiagonalPair(
+                    tuple(exp[-i * s % q1] for i in range(n)),
+                    tuple(exp[(j * s - log_k) % q1] for j in range(n)),
+                    (0,),
+                )
+    return None
+
+
 def semi_orthogonal_check(gf: GF2m, A: Matrix) -> Optional[DiagonalPair]:
     """Diagonal pair with A^-T == D1*A*D2, or None.  Raises Singular."""
     return diagonal_scaling_solve(gf, A, transpose(inverse(gf, A)))
@@ -310,9 +381,7 @@ def classify(gf: GF2m, first_row) -> Classification:
     n = len(row)
     A = build(row)
     category = order_category(n)
-    try:
-        Ainv = inverse(gf, A)
-    except Singular:
+    if inverse_row(gf, row) is None:
         return Classification(
             order=n,
             category=category,
@@ -326,8 +395,8 @@ def classify(gf: GF2m, first_row) -> Classification:
             nonperiodic_d1=None,
             nonperiodic_d2=None,
         )
-    si = _semi_report(gf, n, diagonal_scaling_solve(gf, A, Ainv))
-    so = _semi_report(gf, n, diagonal_scaling_solve(gf, A, transpose(Ainv)))
+    si = _semi_report(gf, n, circulant_semi_pair(gf, row, "involutory"))
+    so = _semi_report(gf, n, circulant_semi_pair(gf, row, "orthogonal"))
     np1 = np2 = None
     if n % 2 == 0 and so.found:
         np1 = is_nonperiodic(so.pair.d1)

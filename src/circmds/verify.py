@@ -48,8 +48,10 @@ from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
 from .matgf import Singular, diag_trace, inverse, sandwich, transpose
 from .props import (
+    SCHEMA_VERSION,
     DiagonalPair,
     MdsVerdict,
+    circulant_semi_pair,
     diagonal_scaling_solve,
     is_involutory,
     is_mds,
@@ -66,8 +68,6 @@ DEFAULT_BUDGET = 1 << 24
 DEFAULT_SAMPLES = 4096
 DEFAULT_SEED = 0x5EED
 CHUNK = 16384
-
-SCHEMA_VERSION = 1
 
 
 class BudgetExceeded(ValueError):
@@ -130,8 +130,7 @@ class _RowContext:
     """Caches the expensive per-candidate computations across suites."""
 
     __slots__ = (
-        "gf", "row", "n", "A", "_ainv", "_ainv_done", "_so", "_so_done",
-        "_si", "_si_done", "_mds", "side_power_checked",
+        "gf", "row", "n", "_A", "_pairs", "_mds", "side_power_checked",
         "side_power_failures", "side_inter_checked", "side_inter_failures",
     )
 
@@ -139,55 +138,36 @@ class _RowContext:
         self.gf = gf
         self.row = row
         self.n = len(row)
-        self.A = build(row)
-        self._ainv = None
-        self._ainv_done = False
-        self._so = None
-        self._so_done = False
-        self._si = None
-        self._si_done = False
+        self._A = None
+        self._pairs: dict[str, Optional[DiagonalPair]] = {}
         self._mds: Optional[MdsVerdict] = None
         self.side_power_checked = 0
         self.side_power_failures: list[tuple[str, str]] = []
         self.side_inter_checked = 0
         self.side_inter_failures = 0
 
-    def ainv(self):
-        if not self._ainv_done:
-            self._ainv_done = True
-            if row_xor(self.row) != 0:  # zero row sum forces singularity
-                try:
-                    self._ainv = inverse(self.gf, self.A)
-                except Singular:
-                    self._ainv = None
-        return self._ainv
+    @property
+    def A(self):
+        """The dense circulant, built on first use: the semi pairs need only the row."""
+        if self._A is None:
+            self._A = build(self.row)
+        return self._A
 
-    def _check_pair(self, relation: str, pair: DiagonalPair) -> None:
-        self.side_power_checked += 2
-        if power_scalar(self.gf, pair.d1, self.n) is None:
-            self.side_power_failures.append((relation, "d1"))
-        if power_scalar(self.gf, pair.d2, self.n) is None:
-            self.side_power_failures.append((relation, "d2"))
+    def _pair(self, relation: str) -> Optional[DiagonalPair]:
+        if relation not in self._pairs:
+            pair = self._pairs[relation] = circulant_semi_pair(self.gf, self.row, relation)
+            if pair is not None:
+                self.side_power_checked += 2
+                for diag, d in (("d1", pair.d1), ("d2", pair.d2)):
+                    if power_scalar(self.gf, d, self.n) is None:
+                        self.side_power_failures.append(("semi-" + relation, diag))
+        return self._pairs[relation]
 
     def so_pair(self) -> Optional[DiagonalPair]:
-        if not self._so_done:
-            self._so_done = True
-            ainv = self.ainv()
-            if ainv is not None:
-                self._so = diagonal_scaling_solve(self.gf, self.A, transpose(ainv))
-                if self._so is not None:
-                    self._check_pair("semi-orthogonal", self._so)
-        return self._so
+        return self._pair("orthogonal")
 
     def si_pair(self) -> Optional[DiagonalPair]:
-        if not self._si_done:
-            self._si_done = True
-            ainv = self.ainv()
-            if ainv is not None:
-                self._si = diagonal_scaling_solve(self.gf, self.A, ainv)
-                if self._si is not None:
-                    self._check_pair("semi-involutory", self._si)
-        return self._si
+        return self._pair("involutory")
 
     def mds(self) -> MdsVerdict:
         if self._mds is None:
@@ -198,13 +178,6 @@ class _RowContext:
                 if even == 0 or odd == 0:
                     self.side_inter_failures += 1
         return self._mds
-
-
-def row_xor(row) -> int:
-    s = 0
-    for v in row:
-        s ^= v
-    return s
 
 
 # -- suite definitions ---------------------------------------------------------
@@ -320,6 +293,10 @@ class ScanConfig:
     def validate(self) -> None:
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.worker_count < 1:
+            raise ValueError(f"worker count must be at least 1, got {self.worker_count}")
+        if self.sample_count < 0:
+            raise ValueError(f"sample count must not be negative, got {self.sample_count}")
         if not self.suites:
             raise IncompatibleSuite("at least one suite required")
         for name in self.suites:

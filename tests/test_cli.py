@@ -145,6 +145,34 @@ def test_scan_random_with_included_row(capsys):
     assert doc["suites"]["SO-ODD-EXIST"]["extras"]["nonzero_trace"] >= 1
 
 
+def test_scan_include_row_wrong_length_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "scan", "--field", "2:0x7", "--order", "3",
+                             "--suite", "INV-NONE", "--include-row", "0x1,0x2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "order 3" in err
+
+
+SCAN_GF4_N3 = ("scan", "--field", "2:0x7", "--order", "3", "--suite", "INV-NONE")
+
+
+@pytest.mark.parametrize("argv", [
+    SCAN_GF4_N3 + ("--jobs", "0"),
+    SCAN_GF4_N3 + ("--jobs", "-3"),
+    SCAN_GF4_N3 + ("--mode", "random", "--samples", "-5"),
+    ("search", "--field", "2:0x7", "--order", "3", "--require", "mds",
+     "--mode", "random", "--samples", "-5"),
+    ("verify-paper", "--scale", "small", "--jobs", "0"),
+    ("verify-paper", "--scale", "small", "--jobs", "-3"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 # -- search --------------------------------------------------------------------------------
 
 

@@ -1,10 +1,12 @@
 """Decision procedures: MDS, identity checks, diagonal solving, classification."""
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
-from circmds.circulant import OddOrder, build
+from circmds.circulant import OddOrder, build, inverse_row
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -21,6 +23,7 @@ from circmds.props import (
     MOD4_ZERO,
     ODD,
     POW2,
+    circulant_semi_pair,
     classification_json,
     classify,
     diagonal_scaling_solve,
@@ -360,3 +363,61 @@ def test_gf4_n2_solver_agrees_with_oracle():
             slow_so = oracle_semi_search(GF4, A, "orthogonal")
             assert (fast_si is None) == (slow_si is None)
             assert (fast_so is None) == (slow_so is None)
+
+
+# -- circulant fast path against the dense reference ---------------------------------------
+
+AGREEMENT_SPACES = (
+    [(2, 0x7, n) for n in range(2, 8)]
+    + [(3, 0xB, n) for n in range(2, 6)]
+    + [(4, 0x13, 3)]
+)
+
+
+def _agreement_census(space):
+    """Check `inverse_row` and `circulant_semi_pair` against the dense inverse
+    and the generic solver on every first row of one (m, poly, n) space, and
+    count the branch behind each outcome on a nonsingular row."""
+    m, poly, n = space
+    gf = get_field(m, poly)
+    census = Counter()
+    for row in product(range(gf.order), repeat=n):
+        A = build(row)
+        try:
+            Ainv = inverse(gf, A)
+        except Singular:
+            Ainv = None
+        assert inverse_row(gf, row) == (None if Ainv is None else tuple(Ainv[0]))
+        for relation in ("involutory", "orthogonal"):
+            pair = circulant_semi_pair(gf, row, relation)
+            if Ainv is None:
+                assert pair is None
+                continue
+            target = Ainv if relation == "involutory" else transpose(Ainv)
+            assert pair == diagonal_scaling_solve(gf, A, target), (space, row, relation)
+            if all(row):
+                if pair is not None:
+                    census[relation, "mu=1" if set(pair.d1) == {1} else "mu!=1"] += 1
+            elif any((x == 0) != (y == 0) for x, y in zip(row, target[0])):
+                census[relation, "pattern-reject"] += 1
+            elif pair is not None:
+                census[relation, "solver-found"] += 1
+    return census
+
+
+def test_circulant_semi_pair_agrees_with_dense_path_exhaustively():
+    census = {space: _agreement_census(space) for space in AGREEMENT_SPACES}
+    total = sum(census.values(), Counter())
+    for relation in ("involutory", "orthogonal"):
+        for branch in ("mu=1", "pattern-reject", "solver-found"):
+            assert total[relation, branch] > 0, (relation, branch)
+    # semi-orthogonal pairs with a nontrivial root of unity
+    assert census[2, 0x7, 6]["orthogonal", "mu!=1"] == 108
+    assert census[4, 0x13, 3]["orthogonal", "mu!=1"] == 360
+    assert (census[2, 0x7, 6]["involutory", "solver-found"]
+            + census[2, 0x7, 6]["orthogonal", "solver-found"]) == 336
+
+
+def test_circulant_semi_pair_rejects_unknown_relation():
+    with pytest.raises(ValueError):
+        circulant_semi_pair(GF4, (1, 2), "sideways")

@@ -102,6 +102,17 @@ def test_bad_extra_rows_rejected():
                              extra_rows=((1, 2, 9),)))
 
 
+@pytest.mark.parametrize("changes", [
+    {"worker_count": 0}, {"worker_count": -3}, {"mode": RANDOM, "sample_count": -5},
+])
+def test_out_of_range_counts_rejected(changes):
+    config = ScanConfig(field=GF4, order=3, suites=("INV-NONE",), **changes)
+    with pytest.raises(ValueError):
+        config.validate()
+    with pytest.raises(ValueError):
+        run_suite(config)
+
+
 # -- small scans ----------------------------------------------------------------------
 
 
