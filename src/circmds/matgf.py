@@ -95,61 +95,35 @@ def det(gf: GF2m, A: Matrix) -> int:
     """Determinant by forward elimination; 0 iff singular.
 
     Char-2 spares the sign bookkeeping of row swaps, and the pivot is
-    simply the first nonzero entry (no magnitude ordering exists).
+    simply the first nonzero entry (no magnitude ordering exists).  The
+    elimination runs on discrete logs: clearing entry f below pivot p adds
+    (f/p)*v for each nonzero v of the pivot row, that is
+    exp[log f - log p + log v].  The index lies in (-(q-1), 2(q-1)), where
+    the doubled `exp_table` reads correctly, negative indices included.
     """
     n = require_square(A)
-    mul = gf.mul
-    inv = gf.inv
+    exp, log = gf.exp_table, gf.log_table
     M = [row[:] for row in A]
-    d = 1
+    log_d = 0
     for col in range(n):
-        piv = None
         for r in range(col, n):
             if M[r][col]:
-                piv = r
                 break
-        if piv is None:
+        else:
             return 0
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-        pivot = M[col][col]
-        d = mul(d, pivot)
-        pinv = inv(pivot)
-        prow = M[col]
-        for j in range(col, n):
-            prow[j] = mul(pinv, prow[j])
-        for r in range(col + 1, n):
-            f = M[r][col]
+        prow = M[r]
+        if r != col:
+            M[col], M[r] = prow, M[col]
+        log_p = log[prow[col]]
+        log_d += log_p
+        tail = [(j, log[prow[j]]) for j in range(col + 1, n) if prow[j]]
+        for rrow in M[col + 1:]:
+            f = rrow[col]
             if f:
-                rrow = M[r]
-                for j in range(col, n):
-                    rrow[j] ^= mul(f, prow[j])
-    return d
-
-
-def rank(gf: GF2m, A: Matrix) -> int:
-    mul = gf.mul
-    inv = gf.inv
-    M = [row[:] for row in A]
-    nrows, ncols = dims(A)
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rk, nrows):
-            if M[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[rk], M[piv] = M[piv], M[rk]
-        pinv = inv(M[rk][col])
-        M[rk] = [mul(pinv, v) for v in M[rk]]
-        for r in range(nrows):
-            if r != rk and M[r][col]:
-                f = M[r][col]
-                M[r] = [v ^ mul(f, w) for v, w in zip(M[r], M[rk])]
-        rk += 1
-    return rk
+                s = log[f] - log_p
+                for j, lv in tail:
+                    rrow[j] ^= exp[s + lv]
+    return exp[log_d % (gf.order - 1)]
 
 
 def inverse(gf: GF2m, A: Matrix) -> Matrix:
@@ -184,15 +158,6 @@ def inverse(gf: GF2m, A: Matrix) -> Matrix:
 # -- diagonal matrices ------------------------------------------------------
 
 Diagonal = list  # list[int], the main diagonal
-
-
-def diag_to_matrix(d: Diagonal) -> Matrix:
-    n = len(d)
-    return [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def diag_power(gf: GF2m, d: Diagonal, k: int) -> Diagonal:
-    return [gf.pow(v, k) for v in d]
 
 
 def diag_trace(d: Diagonal) -> int:

@@ -40,7 +40,7 @@ from .matgf import (
     dims,
     inverse,
     require_square,
-    submatrix,
+    submatrix,  # unused here; perfbench/tracing.py wraps props.submatrix by name
     transpose,
 )
 
@@ -91,24 +91,46 @@ class DiagonalPair:
 def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
-    Scans minors in increasing size with lexicographic row/column index
-    sets and stops at the first singular one; the 1x1 and 2x2 layers kill
-    almost every non-MDS candidate, which is what scan throughput lives on.
+    The witness is the first singular minor in (size, rows, cols) order,
+    with rows and columns as increasing index tuples in lexicographic
+    order; it is None when A is MDS.
+
+    A circulant needs only the minors whose row set contains 0.  As
+    A[i+s][j+s] == A[i][j] (indices mod n), minor(R+s, C+s) is minor(R, C)
+    with its rows and columns permuted, so it has the same determinant
+    (every sign is 1 in characteristic 2).  Every singular minor therefore
+    has a translate with 0 among its rows, and since `combinations` lists
+    the row sets that contain 0 first, the first singular minor in that
+    order is one of them: skipping the rest leaves the witness unchanged.
     """
     n = require_square(A)
     for i in range(n):
         for j in range(n):
             if A[i][j] == 0:
                 return MdsVerdict(False, ((i,), (j,)))
-    mul = gf.mul
+    # row sets whose first row is past `last` are translates of earlier ones
+    last = 0 if is_circulant(A) else n - 1
+    # every entry is nonzero: rows i, j have a singular 2x2 minor on columns
+    # k < l iff A[i][k]/A[j][k] == A[i][l]/A[j][l], a repeated log difference
+    q1 = gf.order - 1
+    log = gf.log_table
+    logs = [[log[v] for v in row] for row in A]
     for i, j in combinations(range(n), 2):
-        for k, l in combinations(range(n), 2):
-            if mul(A[i][k], A[j][l]) == mul(A[i][l], A[j][k]):
-                return MdsVerdict(False, ((i, j), (k, l)))
+        if i > last:
+            break
+        ratios = [(x - y) % q1 for x, y in zip(logs[i], logs[j])]
+        if len(set(ratios)) < n:
+            for k, r in enumerate(ratios):
+                if r in ratios[k + 1:]:
+                    return MdsVerdict(False, ((i, j), (k, ratios.index(r, k + 1))))
     for size in range(3, n + 1):
+        col_sets = list(combinations(range(n), size))
         for rows in combinations(range(n), size):
-            for cols in combinations(range(n), size):
-                if det(gf, submatrix(A, rows, cols)) == 0:
+            if rows[0] > last:
+                break
+            sub = [A[i] for i in rows]
+            for cols in col_sets:
+                if det(gf, [[row[c] for c in cols] for row in sub]) == 0:
                     return MdsVerdict(False, (rows, cols))
     return MdsVerdict(True, None)
 
@@ -235,7 +257,9 @@ def diagonal_scaling_solve(
     return DiagonalPair(tuple(d_full), tuple(e_full), tuple(sorted(anchors)))
 
 
-def circulant_semi_pair(gf: GF2m, first_row, relation: str) -> Optional[DiagonalPair]:
+def circulant_semi_pair(
+    gf: GF2m, first_row, relation: str, inv_row=None
+) -> Optional[DiagonalPair]:
     """Canonical pair with A^-1 == D1*A*D2 (`relation` "involutory") or
     A^-T == D1*A*D2 ("orthogonal") for A = circulant(first_row), or None.
 
@@ -247,7 +271,9 @@ def circulant_semi_pair(gf: GF2m, first_row, relation: str) -> Optional[Diagonal
     c = a(x) for A^-1 and c = a(x^-1) for A^-T.  The n-th roots of unity are
     the gcd(n, q-1) powers of g^((q-1)/gcd(n, q-1)) for the field generator
     g.  Rows with a zero entry go to the generic solver once the Euclidean
-    inverse exists and has the zero pattern of A.
+    inverse exists and has the zero pattern of A.  `inv_row`, when given,
+    returns that inverse (`inverse_row(gf, first_row)`) and is called only
+    on such rows, so a caller can share one inverse between both relations.
     """
     # the reflected rows are lists: a scan makes millions of them, and as
     # tuples of new sizes they would fill the interpreter's per-size tuple
@@ -261,7 +287,7 @@ def circulant_semi_pair(gf: GF2m, first_row, relation: str) -> Optional[Diagonal
         raise ValueError(f"unknown relation {relation!r}")
     if all(a):
         return _geometric_pair(gf, a, c)
-    b = inverse_row(gf, a)
+    b = inv_row() if inv_row is not None else inverse_row(gf, a)
     if b is None:
         return None
     if relation == "orthogonal":
@@ -381,7 +407,8 @@ def classify(gf: GF2m, first_row) -> Classification:
     n = len(row)
     A = build(row)
     category = order_category(n)
-    if inverse_row(gf, row) is None:
+    inv = inverse_row(gf, row)
+    if inv is None:
         return Classification(
             order=n,
             category=category,
@@ -395,8 +422,8 @@ def classify(gf: GF2m, first_row) -> Classification:
             nonperiodic_d1=None,
             nonperiodic_d2=None,
         )
-    si = _semi_report(gf, n, circulant_semi_pair(gf, row, "involutory"))
-    so = _semi_report(gf, n, circulant_semi_pair(gf, row, "orthogonal"))
+    si = _semi_report(gf, n, circulant_semi_pair(gf, row, "involutory", lambda: inv))
+    so = _semi_report(gf, n, circulant_semi_pair(gf, row, "orthogonal", lambda: inv))
     np1 = np2 = None
     if n % 2 == 0 and so.found:
         np1 = is_nonperiodic(so.pair.d1)

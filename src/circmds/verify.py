@@ -44,7 +44,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Optional
 
-from .circulant import build, interleaved_sums
+from .circulant import build, interleaved_sums, inverse_row
 from .field import GF2m, get_field
 from .matgf import Singular, diag_trace, inverse, sandwich, transpose
 from .props import (
@@ -126,11 +126,14 @@ def row_to_index(row, q: int) -> int:
 # -- per-candidate lazy evaluation --------------------------------------------
 
 
+_UNSET = object()
+
+
 class _RowContext:
     """Caches the expensive per-candidate computations across suites."""
 
     __slots__ = (
-        "gf", "row", "n", "_A", "_pairs", "_mds", "side_power_checked",
+        "gf", "row", "n", "_A", "_inv", "_pairs", "_mds", "side_power_checked",
         "side_power_failures", "side_inter_checked", "side_inter_failures",
     )
 
@@ -139,6 +142,7 @@ class _RowContext:
         self.row = row
         self.n = len(row)
         self._A = None
+        self._inv = _UNSET
         self._pairs: dict[str, Optional[DiagonalPair]] = {}
         self._mds: Optional[MdsVerdict] = None
         self.side_power_checked = 0
@@ -153,9 +157,17 @@ class _RowContext:
             self._A = build(self.row)
         return self._A
 
+    def inv_row(self) -> Optional[tuple[int, ...]]:
+        """First row of A^-1 (None when singular), by one Euclidean inverse on
+        first use; only rows with a zero entry ask for it."""
+        if self._inv is _UNSET:
+            self._inv = inverse_row(self.gf, self.row)
+        return self._inv
+
     def _pair(self, relation: str) -> Optional[DiagonalPair]:
         if relation not in self._pairs:
-            pair = self._pairs[relation] = circulant_semi_pair(self.gf, self.row, relation)
+            pair = self._pairs[relation] = circulant_semi_pair(
+                self.gf, self.row, relation, self.inv_row)
             if pair is not None:
                 self.side_power_checked += 2
                 for diag, d in (("d1", pair.d1), ("d2", pair.d2)):

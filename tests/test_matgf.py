@@ -11,13 +11,10 @@ from circmds.matgf import (
     DimensionMismatch,
     Singular,
     det,
-    diag_power,
-    diag_to_matrix,
     diag_trace,
     identity,
     inverse,
     mat_mul,
-    rank,
     sandwich,
     submatrix,
     trace,
@@ -38,6 +35,43 @@ def random_nonsingular(rng, gf, n):
         A = random_matrix(rng, gf, n)
         if det(gf, A) != 0:
             return A
+
+
+def cofactor_det(gf, A):
+    """Laplace expansion along the first row with `mul_raw` only (no log
+    tables); every sign is 1 in characteristic 2."""
+    if not A:
+        return 1
+    d = 0
+    for j, a in enumerate(A[0]):
+        if a:
+            d ^= gf.mul_raw(a, cofactor_det(gf, [row[:j] + row[j + 1:] for row in A[1:]]))
+    return d
+
+
+def rank(gf, A):
+    """Row rank by Gauss-Jordan elimination."""
+    M = [row[:] for row in A]
+    nrows, ncols = len(A), len(A[0]) if A else 0
+    rk = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rk, nrows) if M[r][col]), None)
+        if piv is None:
+            continue
+        M[rk], M[piv] = M[piv], M[rk]
+        pinv = gf.inv(M[rk][col])
+        M[rk] = [gf.mul(pinv, v) for v in M[rk]]
+        for r in range(nrows):
+            if r != rk and M[r][col]:
+                f = M[r][col]
+                M[r] = [v ^ gf.mul(f, w) for v, w in zip(M[r], M[rk])]
+        rk += 1
+    return rk
+
+
+def diag_to_matrix(d):
+    n = len(d)
+    return [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # -- product / transpose / identity ---------------------------------------------
@@ -122,6 +156,28 @@ def test_det_2x2_circulant_cofactor_oracle():
             for b in gf.elements():
                 expect = gf.mul(a ^ b, a ^ b)
                 assert det(gf, build((a, b))) == expect
+
+
+def test_det_matches_cofactor_expansion():
+    # random k x k matrices, plus variants that are singular (the last row a
+    # combination of the first two) or that need a row swap (A[0][0] = 0)
+    rng = random.Random(12)
+    singular = swapped = 0
+    for gf in (GF4, GF8, F11D):
+        for k in range(1, 6):
+            for _ in range(12):
+                A = random_matrix(rng, gf, k)
+                variants = [A, [[0] + A[0][1:]] + A[1:]]
+                if k >= 2:
+                    c = rng.randrange(1, gf.order)
+                    last = [x ^ gf.mul_raw(c, y) for x, y in zip(A[0], A[1])]
+                    variants.append(A[:-1] + [last])
+                for M in variants:
+                    expect = cofactor_det(gf, M)
+                    assert det(gf, M) == expect, (gf.m, M)
+                    singular += expect == 0
+                    swapped += M[0][0] == 0 and expect != 0
+    assert singular >= 100 and swapped >= 100
 
 
 def test_det_zero_row_sum_circulant():
@@ -216,11 +272,6 @@ def test_trace_identity_is_parity():
 
 def test_trace_three_equal_entries():
     assert diag_trace([0xE2, 0xE2, 0xE2]) == 0xE2
-
-
-def test_diag_power_scalar_matrix():
-    d = [0x05] * 4
-    assert diag_power(GF8, d, 4) == [GF8.pow(0x05, 4)] * 4
 
 
 def test_diag_to_matrix_multiplication_agrees_with_sandwich():

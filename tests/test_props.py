@@ -2,11 +2,11 @@
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from circmds.circulant import OddOrder, build, inverse_row
+from circmds.circulant import OddOrder, build, inverse_row, is_circulant
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -23,6 +23,7 @@ from circmds.props import (
     MOD4_ZERO,
     ODD,
     POW2,
+    MdsVerdict,
     circulant_semi_pair,
     classification_json,
     classify,
@@ -95,6 +96,73 @@ def test_mds_invariant_under_transpose_and_diagonal_scaling():
         d1 = [rng.randrange(1, GF8.order) for _ in range(n)]
         d2 = [rng.randrange(1, GF8.order) for _ in range(n)]
         assert is_mds(GF8, sandwich(GF8, d1, A, d2)).is_mds is verdict
+
+
+def minor_dets(gf, A):
+    """Every square minor's determinant in (size, rows, cols) order, with row
+    and column sets as increasing tuples in lexicographic order.  A minor is
+    expanded along its first row over the minors one size smaller, with
+    `mul_raw` only (every sign is 1 in characteristic 2)."""
+    n = len(A)
+    dets = {((), ()): 1}
+    for size in range(1, n + 1):
+        for rows in combinations(range(n), size):
+            for cols in combinations(range(n), size):
+                d = 0
+                for idx, c in enumerate(cols):
+                    d ^= gf.mul_raw(A[rows[0]][c], dets[rows[1:], cols[:idx] + cols[idx + 1:]])
+                dets[rows, cols] = d
+                yield (rows, cols), d
+
+
+def reference_is_mds(gf, A):
+    """The MDS definition: the first singular minor is the witness."""
+    for witness, d in minor_dets(gf, A):
+        if d == 0:
+            return MdsVerdict(False, witness)
+    return MdsVerdict(True, None)
+
+
+def _mds_outcome(verdict):
+    if verdict.is_mds:
+        return "pass"
+    return {1: "1x1", 2: "2x2"}.get(len(verdict.witness[0]), "kxk")
+
+
+def test_is_mds_matches_definition_and_witness():
+    rng = random.Random(40)
+    cases = []
+    for gf, orders in ((GF4, range(2, 7)), (GF8, range(2, 5))):
+        for n in orders:
+            cases += [(gf, build(row)) for row in product(range(gf.order), repeat=n)]
+    for n in (5, 6, 7):
+        for _ in range(6):
+            cases.append((F11D, build([rng.randrange(F11D.order) for _ in range(n)])))
+    for gf, n, count in ((GF8, 4, 80), (F11D, 3, 40), (F11D, 5, 20)):
+        for _ in range(count):
+            cases.append((gf, random_matrix(rng, gf, n)))
+    census = Counter()
+    for gf, A in cases:
+        verdict = is_mds(gf, A)
+        assert verdict == reference_is_mds(gf, A), (gf.m, A)
+        census[is_circulant(A), _mds_outcome(verdict)] += 1
+    for outcome in ("1x1", "2x2", "kxk", "pass"):
+        assert census[True, outcome] > 0, outcome
+    for outcome in ("2x2", "kxk", "pass"):
+        assert census[False, outcome] > 0, outcome
+
+
+def test_is_mds_checks_every_row_set_of_a_non_circulant():
+    # the singular minors of A all avoid row 0, so the circulant shortcut
+    # (row sets through row 0 only) would wrongly pass it
+    rng = random.Random(41)
+    while True:
+        A = random_matrix(rng, F11D, 4)
+        singular = [w for w, d in minor_dets(F11D, A) if d == 0]
+        if singular and all(rows[0] != 0 for rows, _ in singular):
+            break
+    assert not is_circulant(A)
+    assert is_mds(F11D, A) == MdsVerdict(False, singular[0])
 
 
 # -- involutory / orthogonal ----------------------------------------------------------

@@ -4,10 +4,16 @@ import json
 
 import pytest
 
+from circmds import props, verify
 from circmds.field import get_field
-from circmds.circulant import build
+from circmds.circulant import build, inverse_row
 from circmds.matgf import Singular, diag_trace, sandwich
-from circmds.props import semi_involutory_check, semi_orthogonal_check
+from circmds.props import (
+    circulant_semi_pair,
+    classify,
+    semi_involutory_check,
+    semi_orthogonal_check,
+)
 from circmds.verify import (
     EXAMPLES,
     EXHAUSTIVE,
@@ -114,6 +120,32 @@ def test_out_of_range_counts_rejected(changes):
 
 
 # -- small scans ----------------------------------------------------------------------
+
+
+def test_one_euclidean_inverse_per_row(monkeypatch):
+    # both relations share one inverse on a row with a zero entry, a
+    # full-support row never runs it, and classify reuses its singularity test
+    zero_row, full_row = (1, 0, 2, 4), (1, 2, 3, 5)
+    rows = (zero_row, full_row)
+    assert all(inverse_row(GF8, row) is not None for row in rows)
+    want = {row: (circulant_semi_pair(GF8, row, "orthogonal"),
+                  circulant_semi_pair(GF8, row, "involutory")) for row in rows}
+    calls = []
+
+    def counting(gf, row):
+        calls.append(tuple(row))
+        return inverse_row(gf, row)
+
+    monkeypatch.setattr(props, "inverse_row", counting)
+    monkeypatch.setattr(verify, "inverse_row", counting)
+    for row in rows:
+        ctx = verify._RowContext(GF8, row)
+        assert (ctx.so_pair(), ctx.si_pair()) == want[row]
+    assert calls == [zero_row]
+    calls.clear()
+    for row in rows:
+        classify(GF8, row)
+    assert calls == [zero_row, full_row]
 
 
 def test_so_pow2_gf4_order4_exhaustive():
