@@ -13,6 +13,7 @@ from .props import (
     Classification,
     DiagonalPair,
     MdsVerdict,
+    Properties,
     circulant_semi_pair,
     classify,
     diagonal_scaling_solve,
@@ -40,7 +41,7 @@ __all__ = [
     "build", "is_circulant", "row_sum", "interleaved_sums", "inverse_row",
     "mat_mul", "transpose", "identity", "inverse", "det", "submatrix",
     "trace", "diag_trace", "sandwich",
-    "MdsVerdict", "DiagonalPair", "Classification",
+    "MdsVerdict", "DiagonalPair", "Classification", "Properties",
     "is_mds", "is_involutory", "is_orthogonal",
     "diagonal_scaling_solve", "semi_orthogonal_check", "semi_involutory_check",
     "circulant_semi_pair",

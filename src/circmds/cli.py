@@ -16,7 +16,7 @@ import sys
 from . import props
 from .field import FieldError, GF2m, get_field
 from .matgf import DimensionMismatch
-from .props import classification_json, classify, is_involutory, is_orthogonal, matrix_properties_json
+from .props import Properties, classification_json, classify, matrix_properties_json
 from .verify import (
     DEFAULT_BUDGET,
     DEFAULT_SAMPLES,
@@ -25,7 +25,6 @@ from .verify import (
     RANDOM,
     ScanConfig,
     SplitMix64,
-    _RowContext,
     index_to_row,
     run_suite,
     verification_plan,
@@ -92,8 +91,8 @@ def cmd_check(args) -> int:
         return 0
     entries = parse_row(gf, args.matrix)
     r, c = args.rows, args.cols
-    if r is None or c is None or r * c != len(entries):
-        raise UsageError("--matrix needs --rows and --cols matching the entry count")
+    if r is None or c is None or r < 1 or c < 1 or r * c != len(entries):
+        raise UsageError("--matrix needs positive --rows and --cols matching the entry count")
     A = [list(entries[i * c:(i + 1) * c]) for i in range(r)]
     try:
         emit(matrix_properties_json(gf, A))
@@ -140,55 +139,39 @@ def cmd_scan(args) -> int:
     return 0 if report.ok() else 1
 
 
-_SEARCH_PREDICATES = (
-    "mds", "involutory", "orthogonal", "semi-involutory", "semi-orthogonal",
-    "nonzero-trace",
-)
-
-
-def _row_matches(gf: GF2m, ctx: _RowContext, wanted: tuple[str, ...]) -> bool:
-    for name in ("semi-orthogonal", "semi-involutory", "involutory",
-                 "orthogonal", "mds"):
-        if name not in wanted:
-            continue
-        if name == "semi-orthogonal" and ctx.so_pair() is None:
-            return False
-        if name == "semi-involutory" and ctx.si_pair() is None:
-            return False
-        if name == "involutory" and not is_involutory(gf, ctx.A):
-            return False
-        if name == "orthogonal" and not is_orthogonal(gf, ctx.A):
-            return False
-        if name == "mds" and not ctx.mds().is_mds:
-            return False
-    if "nonzero-trace" in wanted:
-        pairs = []
-        if "semi-orthogonal" in wanted:
-            pairs.append(ctx.so_pair())
-        if "semi-involutory" in wanted:
-            pairs.append(ctx.si_pair())
-        if not pairs:
-            pairs = [ctx.so_pair(), ctx.si_pair()]
-        from .matgf import diag_trace
-
-        if not any(
-            p is not None and (diag_trace(p.d1) != 0 or diag_trace(p.d2) != 0)
-            for p in pairs
-        ):
-            return False
-    return True
+# --require name -> test of a row's Properties, cheapest first, as a row stops
+# at its first false test.  "nonzero-trace" looks at the pairs of the semi
+# relations that --require names, or of both when it names neither.
+_SEARCH_PREDICATES = {
+    "semi-orthogonal": lambda p, relations: p.semi("orthogonal").found,
+    "semi-involutory": lambda p, relations: p.semi("involutory").found,
+    "involutory": lambda p, relations: p.involutory(),
+    "orthogonal": lambda p, relations: p.orthogonal(),
+    "mds": lambda p, relations: p.mds().is_mds,
+    "nonzero-trace": lambda p, relations: any(
+        p.semi(r).trace_d1 or p.semi(r).trace_d2 for r in relations),
+}
 
 
 def cmd_search(args) -> int:
     gf = parse_field(args.field)
     wanted = _split_csv(args.require)
+    if not wanted:
+        raise UsageError("at least one --require predicate required")
     for name in wanted:
         if name not in _SEARCH_PREDICATES:
             raise UsageError(
                 f"unknown predicate {name!r}; choose from {', '.join(_SEARCH_PREDICATES)}"
             )
+    if args.order < 1:
+        raise UsageError(f"order must be at least 1, got {args.order}")
+    if args.limit < 0:
+        raise UsageError(f"limit must not be negative, got {args.limit}")
     if args.samples < 0:
         raise UsageError(f"sample count must not be negative, got {args.samples}")
+    tests = [test for name, test in _SEARCH_PREDICATES.items() if name in wanted]
+    relations = tuple(r for r in ("orthogonal", "involutory") if "semi-" + r in wanted)
+    relations = relations or ("orthogonal", "involutory")
     n = args.order
     q = gf.order
     space = q ** n
@@ -208,11 +191,10 @@ def cmd_search(args) -> int:
     for row in candidates:
         if found >= args.limit:
             break
-        ctx = _RowContext(gf, row)
-        if not _row_matches(gf, ctx, wanted):
-            continue
-        emit(classification_json(gf, classify(gf, row)))
-        found += 1
+        p = Properties(gf, row)
+        if all(test(p, relations) for test in tests):
+            emit(classification_json(gf, p.classification()))
+            found += 1
     print(f"found {found} matching first rows", file=sys.stderr)
     return 0
 

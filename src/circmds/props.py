@@ -4,7 +4,9 @@ Covers the MDS test (all square minors nonsingular), the involutory and
 orthogonal identity checks, detection of the generalized forms
 A^-1 = D1*A*D2 (semi-involutory) and A^-T = D1*A*D2 (semi-orthogonal)
 with recovery of the diagonal pair, and the order-based four-way
-classification of circulants.
+classification of circulants.  `Properties` runs that battery on one
+circulant first row or explicit matrix, lazily, and is what `classify`,
+`check`, the scan suites and `search` read.
 
 A recovered pair is canonical: within each connected component of the
 bipartite nonzero-pattern graph, the d-entry at the component's smallest
@@ -29,7 +31,7 @@ from itertools import chain, combinations
 from math import gcd
 from typing import Optional
 
-from .circulant import build, inverse_row, is_circulant
+from .circulant import OddOrder, build, inverse_row, is_circulant
 from .field import GF2m
 from .matgf import (
     DimensionMismatch,
@@ -350,8 +352,6 @@ def power_scalar(gf: GF2m, d, n: int) -> Optional[int]:
 
 def is_nonperiodic(d) -> bool:
     """For order 2h: every opposite pair differs (d_i != d_{i+h})."""
-    from .circulant import OddOrder
-
     n = len(d)
     if n % 2 != 0:
         raise OddOrder(f"nonperiodicity needs an even order, got {n}")
@@ -371,13 +371,17 @@ class SemiReport:
     trace_d2: Optional[int] = None
 
 
+# one instance for every relation without a pair, as a scan asks on every row
+_NOT_FOUND = SemiReport(found=False)
+
+
 @dataclass(frozen=True)
 class Classification:
-    """Everything `check` reports about one circulant first row."""
+    """Everything `check` reports about one square matrix."""
 
     order: int
     category: str
-    first_row: tuple[int, ...]
+    first_row: Optional[tuple[int, ...]]  # None for a matrix that is not circulant
     singular: bool
     mds: MdsVerdict
     involutory: bool
@@ -388,59 +392,133 @@ class Classification:
     nonperiodic_d2: Optional[bool]
 
 
-def _semi_report(gf: GF2m, order: int, pair: Optional[DiagonalPair]) -> SemiReport:
-    if pair is None:
-        return SemiReport(found=False)
-    return SemiReport(
-        found=True,
-        pair=pair,
-        k1=power_scalar(gf, pair.d1, order),
-        k2=power_scalar(gf, pair.d2, order),
-        trace_d1=diag_trace(pair.d1),
-        trace_d2=diag_trace(pair.d2),
-    )
+_UNSET = object()
+
+
+class Properties:
+    """The property battery of one square matrix, each property evaluated on
+    first use and cached.
+
+    Built from a circulant first row (`Properties(gf, row)`) or from an
+    explicit matrix (`Properties(gf, matrix=A)`).  Only `inverse` and `semi`
+    compute by different means: a row takes the circulant fast path, with
+    one Euclidean inverse shared by both relations, and a matrix takes the
+    dense inverse and the generic solver.  `semi_reports` (relation -> SemiReport) and
+    `mds_verdict` hold what has been evaluated so far, in evaluation order;
+    a scan tallies its side invariants from them, so a property nothing
+    asked for is never counted.
+    """
+
+    __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_involutory",
+                 "_orthogonal", "mds_verdict", "semi_reports")
+
+    def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
+        if (row is None) == (matrix is None):
+            raise TypeError("give exactly one of row and matrix")
+        self.gf = gf
+        if row is not None:
+            self.row = tuple(row)
+            self.n = len(self.row)
+        else:
+            self.row = None
+            self.n = require_square(matrix)
+        self._matrix = matrix
+        self._inverse = _UNSET
+        self._involutory = self._orthogonal = self.mds_verdict = None
+        self.semi_reports: dict[str, SemiReport] = {}
+
+    @property
+    def matrix(self) -> Matrix:
+        """The dense matrix; a row builds it on first use, as the semi pairs
+        of a row need only the row."""
+        if self._matrix is None:
+            self._matrix = build(self.row)
+        return self._matrix
+
+    def inverse(self):
+        """The first row of A^-1 for a row, the dense A^-1 for a matrix;
+        None when A is singular."""
+        if self._inverse is _UNSET:
+            if self.row is not None:
+                self._inverse = inverse_row(self.gf, self.row)
+            else:
+                try:
+                    self._inverse = inverse(self.gf, self._matrix)
+                except Singular:
+                    self._inverse = None
+        return self._inverse
+
+    def semi(self, relation: str) -> SemiReport:
+        """The pair with A^-1 == D1*A*D2 (`relation` "involutory") or
+        A^-T == D1*A*D2 ("orthogonal"), with its scalar powers and traces."""
+        reports = self.semi_reports
+        if relation not in reports:
+            if self.row is not None:
+                pair = circulant_semi_pair(self.gf, self.row, relation, self.inverse)
+            else:
+                inv = self.inverse()
+                if inv is not None and relation == "orthogonal":
+                    inv = transpose(inv)
+                pair = None if inv is None else diagonal_scaling_solve(
+                    self.gf, self._matrix, inv)
+            reports[relation] = _NOT_FOUND if pair is None else SemiReport(
+                found=True,
+                pair=pair,
+                k1=power_scalar(self.gf, pair.d1, self.n),
+                k2=power_scalar(self.gf, pair.d2, self.n),
+                trace_d1=diag_trace(pair.d1),
+                trace_d2=diag_trace(pair.d2),
+            )
+        return reports[relation]
+
+    def mds(self) -> MdsVerdict:
+        if self.mds_verdict is None:
+            self.mds_verdict = is_mds(self.gf, self.matrix)
+        return self.mds_verdict
+
+    def involutory(self) -> bool:
+        if self._involutory is None:
+            self._involutory = is_involutory(self.gf, self.matrix)
+        return self._involutory
+
+    def orthogonal(self) -> bool:
+        if self._orthogonal is None:
+            self._orthogonal = is_orthogonal(self.gf, self.matrix)
+        return self._orthogonal
+
+    def nonperiodic(self) -> tuple[Optional[bool], Optional[bool]]:
+        """Nonperiodicity of D1 and D2 of the semi-orthogonal pair; None at
+        odd order or without a pair."""
+        so = self.semi("orthogonal")
+        if self.n % 2 or not so.found:
+            return None, None
+        return is_nonperiodic(so.pair.d1), is_nonperiodic(so.pair.d2)
+
+    def classification(self) -> Classification:
+        # a singular matrix is never involutory, orthogonal or semi-anything,
+        # so it needs no branch of its own
+        row = self.row
+        if row is None and is_circulant(self.matrix):
+            row = tuple(self.matrix[0])
+        np1, np2 = self.nonperiodic()
+        return Classification(
+            order=self.n,
+            category=order_category(self.n),
+            first_row=row,
+            singular=self.inverse() is None,
+            mds=self.mds(),
+            involutory=self.involutory(),
+            orthogonal=self.orthogonal(),
+            semi_involutory=self.semi("involutory"),
+            semi_orthogonal=self.semi("orthogonal"),
+            nonperiodic_d1=np1,
+            nonperiodic_d2=np2,
+        )
 
 
 def classify(gf: GF2m, first_row) -> Classification:
     """Run the full property battery on circulant(first_row)."""
-    row = tuple(first_row)
-    n = len(row)
-    A = build(row)
-    category = order_category(n)
-    inv = inverse_row(gf, row)
-    if inv is None:
-        return Classification(
-            order=n,
-            category=category,
-            first_row=row,
-            singular=True,
-            mds=is_mds(gf, A),
-            involutory=False,
-            orthogonal=False,
-            semi_involutory=SemiReport(found=False),
-            semi_orthogonal=SemiReport(found=False),
-            nonperiodic_d1=None,
-            nonperiodic_d2=None,
-        )
-    si = _semi_report(gf, n, circulant_semi_pair(gf, row, "involutory", lambda: inv))
-    so = _semi_report(gf, n, circulant_semi_pair(gf, row, "orthogonal", lambda: inv))
-    np1 = np2 = None
-    if n % 2 == 0 and so.found:
-        np1 = is_nonperiodic(so.pair.d1)
-        np2 = is_nonperiodic(so.pair.d2)
-    return Classification(
-        order=n,
-        category=category,
-        first_row=row,
-        singular=False,
-        mds=is_mds(gf, A),
-        involutory=is_involutory(gf, A),
-        orthogonal=is_orthogonal(gf, A),
-        semi_involutory=si,
-        semi_orthogonal=so,
-        nonperiodic_d1=np1,
-        nonperiodic_d2=np2,
-    )
+    return Properties(gf, first_row).classification()
 
 
 def _semi_json(gf: GF2m, rep: SemiReport) -> dict:
@@ -459,16 +537,22 @@ def _semi_json(gf: GF2m, rep: SemiReport) -> dict:
     }
 
 
-def classification_json(gf: GF2m, cls: Classification) -> dict:
+def classification_json(gf: GF2m, cls: Classification, matrix: Optional[Matrix] = None) -> dict:
+    """`check` output.  Given the explicit `matrix`, the record also says
+    whether it is circulant and lists its entries."""
     fmt = gf.format_element
     witness = None
     if cls.mds.witness is not None:
         witness = {"rows": list(cls.mds.witness[0]), "cols": list(cls.mds.witness[1])}
+    shape = {"first_row": None if cls.first_row is None else [fmt(v) for v in cls.first_row]}
+    if matrix is not None:
+        shape = {"circulant": cls.first_row is not None, **shape,
+                 "matrix": [[fmt(v) for v in row] for row in matrix]}
     return {
         "schema_version": SCHEMA_VERSION,
         "field": {"m": gf.m, "poly": f"0x{gf.poly:X}"},
         "order": cls.order,
-        "first_row": [fmt(v) for v in cls.first_row],
+        **shape,
         "singular": cls.singular,
         "mds": cls.mds.is_mds,
         "mds_witness": witness,
@@ -484,44 +568,4 @@ def classification_json(gf: GF2m, cls: Classification) -> dict:
 
 def matrix_properties_json(gf: GF2m, A: Matrix) -> dict:
     """`check` output for an explicit (not necessarily circulant) matrix."""
-    n = require_square(A)
-    fmt = gf.format_element
-    try:
-        Ainv = inverse(gf, A)
-        singular = False
-    except Singular:
-        Ainv = None
-        singular = True
-    mds = is_mds(gf, A)
-    if singular:
-        si = SemiReport(found=False)
-        so = SemiReport(found=False)
-    else:
-        si = _semi_report(gf, n, diagonal_scaling_solve(gf, A, Ainv))
-        so = _semi_report(gf, n, diagonal_scaling_solve(gf, A, transpose(Ainv)))
-    np1 = np2 = None
-    if n % 2 == 0 and so.found:
-        np1 = is_nonperiodic(so.pair.d1)
-        np2 = is_nonperiodic(so.pair.d2)
-    witness = None
-    if mds.witness is not None:
-        witness = {"rows": list(mds.witness[0]), "cols": list(mds.witness[1])}
-    circ = is_circulant(A)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "field": {"m": gf.m, "poly": f"0x{gf.poly:X}"},
-        "order": n,
-        "circulant": circ,
-        "first_row": [fmt(v) for v in A[0]] if circ else None,
-        "matrix": [[fmt(v) for v in row] for row in A],
-        "singular": singular,
-        "mds": mds.is_mds,
-        "mds_witness": witness,
-        "involutory": False if singular else is_involutory(gf, A),
-        "orthogonal": False if singular else is_orthogonal(gf, A),
-        "semi_involutory": _semi_json(gf, si),
-        "semi_orthogonal": _semi_json(gf, so),
-        "category": order_category(n),
-        "nonperiodic_d1": np1,
-        "nonperiodic_d2": np2,
-    }
+    return classification_json(gf, Properties(gf, matrix=A).classification(), matrix=A)

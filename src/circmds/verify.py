@@ -44,22 +44,19 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Optional
 
-from .circulant import build, interleaved_sums, inverse_row
+from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
 from .matgf import Singular, diag_trace, inverse, sandwich, transpose
 from .props import (
     SCHEMA_VERSION,
     DiagonalPair,
-    MdsVerdict,
-    circulant_semi_pair,
+    Properties,
     diagonal_scaling_solve,
-    is_involutory,
     is_mds,
-    is_nonperiodic,
-    is_orthogonal,
     is_power_of_two,
-    power_scalar,
 )
+# unused here; perfbench/tracing.py wraps these verify attributes by name
+from .props import is_involutory, is_orthogonal, power_scalar
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -123,135 +120,48 @@ def row_to_index(row, q: int) -> int:
     return idx
 
 
-# -- per-candidate lazy evaluation --------------------------------------------
-
-
-_UNSET = object()
-
-
-class _RowContext:
-    """Caches the expensive per-candidate computations across suites."""
-
-    __slots__ = (
-        "gf", "row", "n", "_A", "_inv", "_pairs", "_mds", "side_power_checked",
-        "side_power_failures", "side_inter_checked", "side_inter_failures",
-    )
-
-    def __init__(self, gf: GF2m, row: tuple[int, ...]):
-        self.gf = gf
-        self.row = row
-        self.n = len(row)
-        self._A = None
-        self._inv = _UNSET
-        self._pairs: dict[str, Optional[DiagonalPair]] = {}
-        self._mds: Optional[MdsVerdict] = None
-        self.side_power_checked = 0
-        self.side_power_failures: list[tuple[str, str]] = []
-        self.side_inter_checked = 0
-        self.side_inter_failures = 0
-
-    @property
-    def A(self):
-        """The dense circulant, built on first use: the semi pairs need only the row."""
-        if self._A is None:
-            self._A = build(self.row)
-        return self._A
-
-    def inv_row(self) -> Optional[tuple[int, ...]]:
-        """First row of A^-1 (None when singular), by one Euclidean inverse on
-        first use; only rows with a zero entry ask for it."""
-        if self._inv is _UNSET:
-            self._inv = inverse_row(self.gf, self.row)
-        return self._inv
-
-    def _pair(self, relation: str) -> Optional[DiagonalPair]:
-        if relation not in self._pairs:
-            pair = self._pairs[relation] = circulant_semi_pair(
-                self.gf, self.row, relation, self.inv_row)
-            if pair is not None:
-                self.side_power_checked += 2
-                for diag, d in (("d1", pair.d1), ("d2", pair.d2)):
-                    if power_scalar(self.gf, d, self.n) is None:
-                        self.side_power_failures.append(("semi-" + relation, diag))
-        return self._pairs[relation]
-
-    def so_pair(self) -> Optional[DiagonalPair]:
-        return self._pair("orthogonal")
-
-    def si_pair(self) -> Optional[DiagonalPair]:
-        return self._pair("involutory")
-
-    def mds(self) -> MdsVerdict:
-        if self._mds is None:
-            self._mds = is_mds(self.gf, self.A)
-            if self._mds.is_mds and self.n % 2 == 0:
-                self.side_inter_checked += 1
-                even, odd = interleaved_sums(self.row)
-                if even == 0 or odd == 0:
-                    self.side_inter_failures += 1
-        return self._mds
-
-
 # -- suite definitions ---------------------------------------------------------
+#
+# A runner takes a row's `Properties` and returns (hypothesis, conclusion,
+# extras).  Each evaluates its hypothesis left to right and stops at the
+# first false part, MDS last: the side-invariant counts follow what the
+# runners evaluated, so this order is part of the report.
 
 
-def _run_inv_none(ctx: _RowContext):
-    hyp = is_involutory(ctx.gf, ctx.A) and ctx.mds().is_mds
-    return hyp, False, None
+def _run_inv_none(p: Properties):
+    return p.involutory() and p.mds().is_mds, False, None
 
 
-def _run_orth_none(ctx: _RowContext):
-    hyp = is_orthogonal(ctx.gf, ctx.A) and ctx.mds().is_mds
-    return hyp, False, None
+def _run_orth_none(p: Properties):
+    return p.orthogonal() and p.mds().is_mds, False, None
 
 
-def _run_so_pow2(ctx: _RowContext):
-    pair = ctx.so_pair()
-    if pair is None:
+def _traces_zero(relation: str, needs_mds: bool):
+    """Runner: every `relation` pair (on an MDS row if `needs_mds`) has both traces zero."""
+    def run(p: Properties):
+        rep = p.semi(relation)
+        if not rep.found or needs_mds and not p.mds().is_mds:
+            return False, False, None
+        return True, rep.trace_d1 == 0 and rep.trace_d2 == 0, None
+    return run
+
+
+def _run_so_mod2(p: Properties):
+    rep = p.semi("orthogonal")
+    if not rep.found or not p.mds().is_mds:
         return False, False, None
-    return True, diag_trace(pair.d1) == 0 and diag_trace(pair.d2) == 0, None
-
-
-def _run_si_pow2(ctx: _RowContext):
-    pair = ctx.si_pair()
-    if pair is None:
-        return False, False, None
-    return True, diag_trace(pair.d1) == 0 and diag_trace(pair.d2) == 0, None
-
-
-def _run_so_mod4(ctx: _RowContext):
-    pair = ctx.so_pair()
-    if pair is None or not ctx.mds().is_mds:
-        return False, False, None
-    return True, diag_trace(pair.d1) == 0 and diag_trace(pair.d2) == 0, None
-
-
-def _run_so_mod2(ctx: _RowContext):
-    pair = ctx.so_pair()
-    if pair is None or not ctx.mds().is_mds:
-        return False, False, None
-    np1 = is_nonperiodic(pair.d1)
-    np2 = is_nonperiodic(pair.d2)
+    np1, np2 = p.nonperiodic()
     if not (np1 or np2):
         return False, False, None
-    ok = (not np1 or diag_trace(pair.d1) == 0) and (not np2 or diag_trace(pair.d2) == 0)
-    return True, ok, None
+    return True, (not np1 or rep.trace_d1 == 0) and (not np2 or rep.trace_d2 == 0), None
 
 
-def _run_si_gen(ctx: _RowContext):
-    pair = ctx.si_pair()
-    if pair is None or not ctx.mds().is_mds:
+def _run_so_odd_exist(p: Properties):
+    rep = p.semi("orthogonal")
+    if not rep.found or not p.mds().is_mds:
         return False, False, None
-    return True, diag_trace(pair.d1) == 0 and diag_trace(pair.d2) == 0, None
-
-
-def _run_so_odd_exist(ctx: _RowContext):
-    pair = ctx.so_pair()
-    if pair is None or not ctx.mds().is_mds:
-        return False, False, None
-    nonzero = diag_trace(pair.d1) != 0 or diag_trace(pair.d2) != 0
-    extras = {"nonzero_trace": 1} if nonzero else {"zero_trace": 1}
-    return True, True, extras
+    nonzero = rep.trace_d1 != 0 or rep.trace_d2 != 0
+    return True, True, {"nonzero_trace": 1} if nonzero else {"zero_trace": 1}
 
 
 def _order_pow2(n: int) -> bool:
@@ -263,7 +173,7 @@ class SuiteDef:
     name: str
     order_ok: object  # callable(n) -> bool
     order_note: str
-    run: object  # callable(_RowContext) -> (hyp, ok, extras)
+    run: object  # callable(Properties) -> (hyp, ok, extras)
     implication: bool = True
 
 
@@ -273,14 +183,18 @@ SUITES: dict[str, SuiteDef] = {
         SuiteDef("INV-NONE", lambda n: n >= 3, "order >= 3", _run_inv_none),
         SuiteDef("ORTH-NONE", lambda n: n >= 4 and is_power_of_two(n),
                  "order 2^d with d >= 2", _run_orth_none),
-        SuiteDef("SO-POW2", _order_pow2, "order a power of two", _run_so_pow2),
-        SuiteDef("SI-POW2", _order_pow2, "order a power of two", _run_si_pow2),
+        SuiteDef("SO-POW2", _order_pow2, "order a power of two",
+                 _traces_zero("orthogonal", needs_mds=False)),
+        SuiteDef("SI-POW2", _order_pow2, "order a power of two",
+                 _traces_zero("involutory", needs_mds=False)),
         SuiteDef("SO-MOD4", lambda n: n % 4 == 0 and not is_power_of_two(n),
-                 "order == 0 mod 4, not a power of two", _run_so_mod4),
+                 "order == 0 mod 4, not a power of two",
+                 _traces_zero("orthogonal", needs_mds=True)),
         SuiteDef("SO-MOD2", lambda n: n % 4 == 2 and n >= 6,
                  "order == 2 mod 4, >= 6", _run_so_mod2),
         SuiteDef("SI-GEN", lambda n: n >= 3 and not is_power_of_two(n),
-                 "order >= 3, not a power of two", _run_si_gen),
+                 "order >= 3, not a power of two",
+                 _traces_zero("involutory", needs_mds=True)),
         SuiteDef("SO-ODD-EXIST", lambda n: n >= 3 and n % 2 == 1, "odd order >= 3",
                  _run_so_odd_exist, implication=False),
     )
@@ -433,9 +347,9 @@ def _scan_chunk(args):
 
     for row in rows:
         examined += 1
-        ctx = _RowContext(gf, row)
+        p = Properties(gf, row)
         for name, run in runners:
-            hyp, ok, extras = run(ctx)
+            hyp, ok, extras = run(p)
             if not hyp:
                 continue
             slot = agg[name]
@@ -447,12 +361,19 @@ def _scan_chunk(args):
             if extras:
                 for key, inc in extras.items():
                     slot["extras"][key] = slot["extras"].get(key, 0) + inc
-        power_checked += ctx.side_power_checked
-        for rel, diag in ctx.side_power_failures:
-            power_failures.append((rel, diag, row))
-        inter_checked += ctx.side_inter_checked
-        if ctx.side_inter_failures:
-            inter_failures.append(row)
+        # side invariants, on what the suites evaluated
+        for relation, rep in p.semi_reports.items():
+            if rep.found:
+                power_checked += 2
+                for diag, k in (("d1", rep.k1), ("d2", rep.k2)):
+                    if k is None:
+                        power_failures.append(("semi-" + relation, diag, row))
+        verdict = p.mds_verdict
+        if verdict is not None and verdict.is_mds and len(row) % 2 == 0:
+            inter_checked += 1
+            even, odd = interleaved_sums(row)
+            if even == 0 or odd == 0:
+                inter_failures.append(row)
 
     return {
         "suites": agg,

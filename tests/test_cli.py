@@ -165,6 +165,11 @@ SCAN_GF4_N3 = ("scan", "--field", "2:0x7", "--order", "3", "--suite", "INV-NONE"
      "--mode", "random", "--samples", "-5"),
     ("verify-paper", "--scale", "small", "--jobs", "0"),
     ("verify-paper", "--scale", "small", "--jobs", "-3"),
+    ("search", "--field", "2:0x7", "--order", "0", "--require", "mds"),
+    ("search", "--field", "2:0x7", "--order", "-1", "--require", "mds"),
+    ("check", "--field", "2:0x7", "--matrix", "1,2,3,1", "--rows", "-2", "--cols", "-2"),
+    ("search", "--field", "2:0x7", "--order", "3", "--require", ",,,"),
+    ("search", "--field", "2:0x7", "--order", "3", "--require", "mds", "--limit", "-1"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -32,6 +32,7 @@ from circmds.props import (
     is_mds,
     is_nonperiodic,
     is_orthogonal,
+    matrix_properties_json,
     order_category,
     power_scalar,
     semi_involutory_check,
@@ -411,6 +412,23 @@ def test_classify_even_order_fills_nonperiodic_flags():
                 assert cls.nonperiodic_d1 in (True, False)
                 assert cls.nonperiodic_d2 in (True, False)
     assert seen
+
+
+def test_row_and_matrix_records_agree_exhaustively():
+    # the two inputs of the property evaluator, record for record: the
+    # circulant fast path of a first row against the dense path of its matrix
+    with_flags = 0
+    for gf, orders in ((GF4, range(1, 6)), (GF8, range(1, 5))):
+        for n in orders:
+            for row in product(range(gf.order), repeat=n):
+                want = classification_json(gf, classify(gf, row))
+                got = matrix_properties_json(gf, build(row))
+                assert got.pop("circulant") is True
+                assert got.pop("matrix") == [[gf.format_element(v) for v in r]
+                                             for r in build(row)]
+                assert got == want, (gf.m, row)
+                with_flags += want["nonperiodic_d1"] is not None
+    assert with_flags == 1060
 
 
 # -- exhaustive cross-check against the brute-force oracle (small) ----------------------------

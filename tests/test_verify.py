@@ -9,6 +9,7 @@ from circmds.field import get_field
 from circmds.circulant import build, inverse_row
 from circmds.matgf import Singular, diag_trace, sandwich
 from circmds.props import (
+    Properties,
     circulant_semi_pair,
     classify,
     semi_involutory_check,
@@ -137,10 +138,9 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
         return inverse_row(gf, row)
 
     monkeypatch.setattr(props, "inverse_row", counting)
-    monkeypatch.setattr(verify, "inverse_row", counting)
     for row in rows:
-        ctx = verify._RowContext(GF8, row)
-        assert (ctx.so_pair(), ctx.si_pair()) == want[row]
+        p = Properties(GF8, row)
+        assert (p.semi("orthogonal").pair, p.semi("involutory").pair) == want[row]
     assert calls == [zero_row]
     calls.clear()
     for row in rows:
@@ -233,16 +233,14 @@ def test_report_payload_shape():
 
 
 def test_side_invariant_wiring_on_even_order_mds():
-    # an even-order MDS instance seen by a scan context must trigger the
-    # interleaved-sums side check and pass it
-    from circmds.verify import _RowContext
-
-    ctx = _RowContext(GF4, (1, 2))
-    assert ctx.mds().is_mds
-    assert ctx.side_inter_checked == 1
-    assert ctx.side_inter_failures == 0
-    ctx.mds()  # cached: no double counting
-    assert ctx.side_inter_checked == 1
+    # an even-order MDS instance seen by a scan must trigger the
+    # interleaved-sums side check and pass it, once per row even though
+    # both suites ask for MDS (the suites' order gates are not applied here)
+    part = verify._scan_chunk((2, 0x7, ("SO-MOD4", "SI-GEN"), ("rows", ((1, 2),))))
+    assert part["suites"]["SO-MOD4"]["hyp"] == part["suites"]["SI-GEN"]["hyp"] == 1
+    assert part["inter_checked"] == 1
+    assert part["inter_failures"] == []
+    assert part["power_checked"] == 4
 
 
 # -- brute-force oracle ------------------------------------------------------------------
