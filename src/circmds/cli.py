@@ -2,7 +2,8 @@
 
 All commands print JSON to stdout and diagnostics to stderr.  Exit codes:
 0 success / all assertions pass, 1 counterexample or assertion failure,
-2 usage error.  Randomized commands take an explicit --seed and fall back
+2 usage error (including an MDS test too large to run), 141 stdout closed
+by its reader.  Randomized commands take an explicit --seed and fall back
 to a fixed documented default (never entropy), so every run is
 reproducible; report timing fields are the only non-deterministic output.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import props
@@ -303,10 +305,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except UsageError as exc:
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except (UsageError, props.MinorLayerTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): exit 128 + SIGPIPE, and point
+        # stdout at /dev/null so the interpreter's last flush cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

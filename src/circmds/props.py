@@ -27,6 +27,7 @@ and for circulants with a zero entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, combinations
 from math import gcd
 from typing import Optional
@@ -37,7 +38,7 @@ from .matgf import (
     DimensionMismatch,
     Matrix,
     Singular,
-    det,
+    det,  # unused here; perfbench/tracing.py wraps props.det by name
     diag_trace,
     dims,
     inverse,
@@ -90,6 +91,25 @@ class DiagonalPair:
     anchors: tuple[int, ...] = (0,)
 
 
+class MinorLayerTooLarge(ValueError):
+    """An MDS test would keep more than MAX_LAYER_MINORS minors at once."""
+
+
+# Most minors `is_mds` keeps for one size: 2^24 logs, about 130 MB of list slots
+MAX_LAYER_MINORS = 1 << 24
+
+
+@cache
+def _expansion(n: int, size: int) -> tuple:
+    """(cols, ((c, rank of cols - c), ...)) for each size-`size` column set
+    of range(n), both listed in lexicographic order."""
+    rank = {cols: i for i, cols in enumerate(combinations(range(n), size - 1))}
+    return tuple(
+        (cols, tuple((c, rank[cols[:i] + cols[i + 1:]]) for i, c in enumerate(cols)))
+        for cols in combinations(range(n), size)
+    )
+
+
 def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
@@ -97,43 +117,60 @@ def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
     with rows and columns as increasing index tuples in lexicographic
     order; it is None when A is MDS.
 
+    The minors are built size by size from the ones a size smaller, by
+    expansion along the last row r of the row set R:
+    det(R, C) = sum over c in C of A[r][c] * det(R - r, C - c), with every
+    sign 1 in characteristic 2.  Size k is reached only when every smaller
+    minor is nonzero, so those are kept as discrete logs, and each term is
+    one `exp_table` lookup at the sum of two logs.  Each kept row set has
+    one list of minor logs, indexed by column-set rank; a row set is kept
+    only when a larger one extends it (its last row is below n-1).  Row
+    sets and column sets are both visited in lexicographic order, so the
+    first zero met is the witness.
+
     A circulant needs only the minors whose row set contains 0.  As
     A[i+s][j+s] == A[i][j] (indices mod n), minor(R+s, C+s) is minor(R, C)
-    with its rows and columns permuted, so it has the same determinant
-    (every sign is 1 in characteristic 2).  Every singular minor therefore
-    has a translate with 0 among its rows, and since `combinations` lists
-    the row sets that contain 0 first, the first singular minor in that
-    order is one of them: skipping the rest leaves the witness unchanged.
+    with its rows and columns permuted, so it has the same determinant.
+    Every singular minor therefore has a translate with 0 among its rows,
+    and those row sets come first, so the witness is among them.  Removing
+    the last row keeps row 0, so the recurrence starts from row 0 alone.
+
+    One size keeps C(n-2, k-1)*C(n, k) minors of a circulant and
+    C(n-1, k)*C(n, k) of any other matrix.  MinorLayerTooLarge is raised
+    before that exceeds MAX_LAYER_MINORS, which can happen from order 15
+    (16 for a circulant), and only when every smaller minor is nonzero.
     """
     n = require_square(A)
     for i in range(n):
         for j in range(n):
             if A[i][j] == 0:
                 return MdsVerdict(False, ((i,), (j,)))
-    # row sets whose first row is past `last` are translates of earlier ones
-    last = 0 if is_circulant(A) else n - 1
-    # every entry is nonzero: rows i, j have a singular 2x2 minor on columns
-    # k < l iff A[i][k]/A[j][k] == A[i][l]/A[j][l], a repeated log difference
-    q1 = gf.order - 1
-    log = gf.log_table
+    exp, log = gf.exp_table, gf.log_table
     logs = [[log[v] for v in row] for row in A]
-    for i, j in combinations(range(n), 2):
-        if i > last:
-            break
-        ratios = [(x - y) % q1 for x, y in zip(logs[i], logs[j])]
-        if len(set(ratios)) < n:
-            for k, r in enumerate(ratios):
-                if r in ratios[k + 1:]:
-                    return MdsVerdict(False, ((i, j), (k, ratios.index(r, k + 1))))
-    for size in range(3, n + 1):
-        col_sets = list(combinations(range(n), size))
-        for rows in combinations(range(n), size):
-            if rows[0] > last:
-                break
-            sub = [A[i] for i in rows]
-            for cols in col_sets:
-                if det(gf, [[row[c] for c in cols] for row in sub]) == 0:
-                    return MdsVerdict(False, (rows, cols))
+    # (row set, logs of its minors by column-set rank), in lexicographic order
+    layer = [((i,), logs[i]) for i in ((0,) if is_circulant(A) else range(n - 1))]
+    for size in range(2, n + 1):
+        table = _expansion(n, size)
+        kept = sum(n - 2 - rows[-1] for rows, _ in layer) * len(table)
+        if kept > MAX_LAYER_MINORS:
+            raise MinorLayerTooLarge(
+                f"the MDS test of an order-{n} matrix would keep {kept} minors of "
+                f"size {size}, above the limit of {MAX_LAYER_MINORS}")
+        grown = []
+        for rows, prev in layer:
+            for r in range(rows[-1] + 1, n):
+                last = logs[r]
+                minors = []
+                for cols, terms in table:
+                    d = 0
+                    for c, s in terms:
+                        d ^= exp[last[c] + prev[s]]
+                    if not d:
+                        return MdsVerdict(False, (rows + (r,), cols))
+                    minors.append(log[d])
+                if r < n - 1:
+                    grown.append((rows + (r,), minors))
+        layer = grown
     return MdsVerdict(True, None)
 
 

@@ -39,7 +39,6 @@ nonzero; failures of these side invariants are reported separately.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 from typing import Optional
@@ -415,6 +414,9 @@ def run_suite(config: ScanConfig) -> ScanReport:
     args = [(gf.m, gf.poly, config.suites, spec) for spec in specs]
 
     if config.worker_count > 1 and len(args) > 1:
+        # imported here: it loads multiprocessing, which a 1-worker scan never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
             partials = list(pool.map(_scan_chunk, args))
     else:

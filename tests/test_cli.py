@@ -1,10 +1,17 @@
 """Command-line interface: flags, JSON output, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circmds
+from circmds import props
 from circmds.cli import main
+from circmds.field import get_field
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +108,18 @@ def test_check_matrix_needs_consistent_shape(capsys):
     assert code == 2
 
 
+def test_check_refuses_an_mds_test_above_the_minor_limit(capsys, monkeypatch):
+    # a 4x4 Cauchy matrix, whose largest layer keeps 18 minors
+    gf = get_field(8, 0x11D)
+    entries = ",".join(f"{gf.inv(x ^ y):X}" for x in range(4) for y in range(4, 8))
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 17)
+    code, out, err = run_cli(capsys, "check", "--field", "8:0x11D",
+                             "--matrix", entries, "--rows", "4", "--cols", "4")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_check_element_out_of_range(capsys):
     code, _, err = run_cli(capsys, "check", "--field", "2:0x7",
                            "--circulant", "0x9,0x1")
@@ -187,6 +206,20 @@ def test_search_limit_zero(capsys):
     assert code == 0
     assert out == ""
     assert "found 0" in err
+
+
+def test_search_into_a_closed_pipe_exits_141_quietly():
+    # the reader stops after 100 bytes of about 900 matches, as `| head -c 100` does
+    env = {**os.environ, "PYTHONPATH": str(Path(circmds.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circmds.cli", "search", "--field", "3:0xB",
+         "--order", "4", "--require", "semi-orthogonal", "--limit", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_search_orthogonal_mds_order4_finds_nothing(capsys):

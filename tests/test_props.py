@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from circmds import props
 from circmds.circulant import OddOrder, build, inverse_row, is_circulant
 from circmds.field import get_field
 from circmds.matgf import (
@@ -24,6 +25,7 @@ from circmds.props import (
     ODD,
     POW2,
     MdsVerdict,
+    MinorLayerTooLarge,
     circulant_semi_pair,
     classification_json,
     classify,
@@ -130,6 +132,23 @@ def _mds_outcome(verdict):
     return {1: "1x1", 2: "2x2"}.get(len(verdict.witness[0]), "kxk")
 
 
+def cauchy_matrix(gf, xs, ys):
+    """1/(x_i + y_j): MDS whenever the xs and ys are 2n distinct elements."""
+    return [[gf.inv(x ^ y) for y in ys] for x in xs]
+
+
+# GF(2^8)/0x11D first rows whose first singular minor is large: witness size
+# 4 and 6 at order 7, and 5 and 8 at order 8, then one MDS row of each order
+LARGE_WITNESS_ROWS = (
+    (0x5A, 0xA1, 0x6B, 0x78, 0x20, 0xBA, 0xBF),
+    (0xB1, 0xEA, 0xE6, 0x94, 0x47, 0x3C, 0x39),
+    (0x37, 0xAD, 0xBB, 0x8B, 0x7A, 0xB7, 0x3F, 0x50),
+    (0x3C, 0x23, 0xAF, 0x57, 0x23, 0x27, 0x77, 0x94),
+    (0x05, 0xF9, 0xDE, 0x43, 0xD9, 0x82, 0x52),
+    (0x38, 0xE5, 0x33, 0xC9, 0x64, 0x2E, 0x84, 0xDA),
+)
+
+
 def test_is_mds_matches_definition_and_witness():
     rng = random.Random(40)
     cases = []
@@ -139,18 +158,27 @@ def test_is_mds_matches_definition_and_witness():
     for n in (5, 6, 7):
         for _ in range(6):
             cases.append((F11D, build([rng.randrange(F11D.order) for _ in range(n)])))
+    whirlpool = build((0x01, 0x01, 0x04, 0x01, 0x08, 0x05, 0x02, 0x09))
+    cauchy = cauchy_matrix(F11D, range(6), range(6, 12))
+    assert is_mds(F11D, whirlpool) and is_mds(F11D, cauchy)
+    cases += [(F11D, whirlpool), (F11D, cauchy)]
+    cases += [(F11D, build(row)) for row in LARGE_WITNESS_ROWS]
     for gf, n, count in ((GF8, 4, 80), (F11D, 3, 40), (F11D, 5, 20)):
         for _ in range(count):
             cases.append((gf, random_matrix(rng, gf, n)))
     census = Counter()
+    witness_sizes = set()
     for gf, A in cases:
         verdict = is_mds(gf, A)
         assert verdict == reference_is_mds(gf, A), (gf.m, A)
         census[is_circulant(A), _mds_outcome(verdict)] += 1
+        if verdict.witness is not None:
+            witness_sizes.add(len(verdict.witness[0]))
     for outcome in ("1x1", "2x2", "kxk", "pass"):
         assert census[True, outcome] > 0, outcome
     for outcome in ("2x2", "kxk", "pass"):
         assert census[False, outcome] > 0, outcome
+    assert {4, 5, 6, 8} <= witness_sizes
 
 
 def test_is_mds_checks_every_row_set_of_a_non_circulant():
@@ -164,6 +192,17 @@ def test_is_mds_checks_every_row_set_of_a_non_circulant():
             break
     assert not is_circulant(A)
     assert is_mds(F11D, A) == MdsVerdict(False, singular[0])
+
+
+def test_is_mds_refuses_a_layer_above_the_limit(monkeypatch):
+    # the largest layer of a non-circulant 4x4 keeps C(3, 2)*C(4, 2) = 18
+    # minors of size 2
+    A = cauchy_matrix(F11D, range(4), range(4, 8))
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 18)
+    assert is_mds(F11D, A).is_mds
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 17)
+    with pytest.raises(MinorLayerTooLarge, match="size 2"):
+        is_mds(F11D, A)
 
 
 # -- involutory / orthogonal ----------------------------------------------------------

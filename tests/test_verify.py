@@ -1,9 +1,14 @@
 """Scan engine: configuration, determinism, suites, oracle, golden instances."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import circmds
 from circmds import props, verify
 from circmds.field import get_field
 from circmds.circulant import build, inverse_row
@@ -173,6 +178,15 @@ def test_semi_instances_get_power_scalar_checked():
     checked_pairs = so.hypothesis_count + si.hypothesis_count
     assert report.power_scalar_checked == 2 * checked_pairs
     assert report.power_scalar_failures == []
+
+
+def test_import_does_not_load_multiprocessing():
+    # only a scan with more than one worker needs the process pool
+    code = "import sys, circmds; print('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(circmds.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out == "False\n"
 
 
 def test_report_identical_across_worker_counts():
