@@ -8,7 +8,9 @@ forces singularity.
 
 Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
-`inverse_row` inverts one in that ring instead of as a dense matrix.
+`inverse_row` inverts one in that ring instead of as a dense matrix, and
+`is_involutory_row` and `is_orthogonal_row` decide A^2 == I and
+A*A^T == I as identities in it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,47 @@ def row_sum(first_row) -> int:
     for c in first_row:
         s ^= c
     return s
+
+
+def is_involutory_row(first_row) -> bool:
+    """Whether circulant(first_row)^2 == I, without field arithmetic.
+
+    In characteristic 2, a(x)^2 == sum of a_j^2 * x^(2j), and squaring is
+    injective on the field, so a(x)^2 == 1 mod x^n - 1 exactly when, for
+    every t, the a_j with 2j == t (mod n) sum to 1 at t == 0 and to 0
+    elsewhere.
+    """
+    n = len(first_row)
+    sums = [0] * n
+    for j, v in enumerate(first_row):
+        sums[2 * j % n] ^= v
+    return sums[0] == 1 and not any(sums[1:])
+
+
+def is_orthogonal_row(gf: GF2m, first_row) -> bool:
+    """Whether circulant(first_row) * circulant(first_row)^T == I.
+
+    A^T has the first row of a(x^-1), so this is a(x)*a(x^-1) == 1 mod
+    x^n - 1, whose coefficient at shift s is the autocorrelation
+    sum of a_j*a_(j+s).  At s == 0 that is the sum of the squares, the
+    square of the row sum, so the row sum must be 1.  Shift n - s repeats
+    shift s, and at s == n/2 every product appears twice and cancels, so
+    only the shifts 1 .. (n-1)//2 remain to be zero.
+    """
+    if row_sum(first_row) != 1:
+        return False
+    exp, log = gf.exp_table, gf.log_table
+    n = len(first_row)
+    terms = [(j, log[v]) for j, v in enumerate(first_row) if v]
+    for s in range(1, (n - 1) // 2 + 1):
+        c = 0
+        for j, lv in terms:
+            w = first_row[(j + s) % n]
+            if w:
+                c ^= exp[lv + log[w]]
+        if c:
+            return False
+    return True
 
 
 def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:

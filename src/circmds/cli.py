@@ -26,8 +26,8 @@ from .verify import (
     EXHAUSTIVE,
     RANDOM,
     ScanConfig,
-    SplitMix64,
-    index_to_row,
+    exhaustive_rows,
+    random_rows,
     run_suite,
     verification_plan,
     verify_example,
@@ -183,12 +183,9 @@ def cmd_search(args) -> int:
                 f"exhaustive space {space} exceeds budget {args.budget}; "
                 "use --mode random or raise --budget"
             )
-        candidates = (index_to_row(i, q, n) for i in range(space))
+        candidates = exhaustive_rows(q, n, 0, space)
     else:
-        rng = SplitMix64(args.seed)
-        candidates = (
-            index_to_row(rng.next_below(space), q, n) for _ in range(args.samples)
-        )
+        candidates = random_rows(args.seed, q, n, 0, args.samples)
     found = 0
     for row in candidates:
         if found >= args.limit:

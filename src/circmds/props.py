@@ -15,13 +15,16 @@ set is exactly the one-parameter orbit {(c*D1, c^-1*D2)}, so the
 trace-zero, nonperiodicity, and scalar-power predicates reported here do
 not depend on the anchor choice.
 
-Circulants take a shortcut (`circulant_semi_pair`).  If B = D1*A*D2 with A
-and B circulant and A of full support, then d1_i*d2_j = B[i][j]/A[i][j]
-depends only on j - i, so d1_{i+1}/d1_i = d2_j/d2_{j+1} is one constant
-whose n-th power is 1: both diagonals are geometric, and the relation
-becomes a polynomial identity on the first row.  The dense inverse and
-the generic solver remain the reference, and run for explicit matrices
-and for circulants with a zero entry.
+Circulants take a shortcut (`circulant_semi_pair`).  Let B = D1*A*D2 with A
+and B circulant, and let S be the support of A's first row.  For s in S,
+d1_i*d2_(i+s) = b_s/a_s does not depend on i, so d2_(k+s-s')/d2_k is one
+constant for every k and every s, s' in S.  When the differences S - S
+generate Z_n (the nonzero pattern is connected), d2_(k+1)/d2_k is then one
+constant whose n-th power is 1: both diagonals are geometric, and the
+relation becomes a polynomial identity on the first row.  A full-support
+row is the commonest case.  The dense inverse and the generic solver
+remain the reference, and run for explicit matrices and for circulants
+whose support lies in a coset of a proper subgroup of Z_n.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ from itertools import chain, combinations
 from math import gcd
 from typing import Optional
 
-from .circulant import OddOrder, build, inverse_row, is_circulant
+from .circulant import (
+    OddOrder,
+    build,
+    inverse_row,
+    is_circulant,
+    is_involutory_row,
+    is_orthogonal_row,
+)
 from .field import GF2m
 from .matgf import (
     DimensionMismatch,
@@ -303,54 +313,63 @@ def circulant_semi_pair(
     A^-T == D1*A*D2 ("orthogonal") for A = circulant(first_row), or None.
 
     The result equals `diagonal_scaling_solve` on the dense A and its
-    inverse (or transposed inverse); a singular A gives None.  On a
-    full-support row the diagonals are geometric, d1 = (mu^-i) and
-    d2 = (k^-1 * mu^j), and the relation holds iff
+    inverse (or transposed inverse); a singular A gives None.  When the
+    support S of the row has gcd(n, s - s0 for s in S) == 1, the nonzero
+    pattern of A is connected and the diagonals are geometric,
+    d1 = (mu^-i) and d2 = (k^-1 * mu^j); the relation then holds iff
     c(x)*a(mu*x) == k != 0 mod x^n - 1 for an n-th root of unity mu, where
-    c = a(x) for A^-1 and c = a(x^-1) for A^-T.  The n-th roots of unity are
-    the gcd(n, q-1) powers of g^((q-1)/gcd(n, q-1)) for the field generator
-    g.  Rows with a zero entry go to the generic solver once the Euclidean
-    inverse exists and has the zero pattern of A.  `inv_row`, when given,
-    returns that inverse (`inverse_row(gf, first_row)`) and is called only
-    on such rows, so a caller can share one inverse between both relations.
+    c = a(x) for A^-1 and c = a(x^-1) for A^-T (the reflected support,
+    connected exactly when S is).  The n-th roots of unity are the
+    gcd(n, q-1) powers of g^((q-1)/gcd(n, q-1)) for the field generator g.
+    A support in a coset of a proper subgroup goes to the generic solver
+    once the Euclidean inverse exists and has the zero pattern of A.
+    `inv_row`, when given, returns that inverse
+    (`inverse_row(gf, first_row)`) and is called only on such rows, so a
+    caller can share one inverse between both relations.
     """
-    # the reflected rows are lists: a scan makes millions of them, and as
-    # tuples of new sizes they would fill the interpreter's per-size tuple
-    # free lists and raise peak memory
     a = tuple(first_row)
-    if relation == "involutory":
-        c = a
-    elif relation == "orthogonal":
-        c = [a[-j] for j in range(len(a))]  # first row of A^T: c_j = a_{-j}
-    else:
+    if relation not in ("involutory", "orthogonal"):
         raise ValueError(f"unknown relation {relation!r}")
-    if all(a):
-        return _geometric_pair(gf, a, c)
+    n = len(a)
+    log = gf.log_table
+    a_logs = [(j, log[v]) for j, v in enumerate(a) if v]
+    if not a_logs:
+        return None
+    s0 = a_logs[0][0]
+    if len(a_logs) == n or gcd(n, *[j - s0 for j, _ in a_logs]) == 1:
+        # c_j = a_{-j} is the first row of A^T
+        c_logs = a_logs if relation == "involutory" else [(-j % n, v) for j, v in a_logs]
+        return _geometric_pair(gf, n, a_logs, c_logs)
     b = inv_row() if inv_row is not None else inverse_row(gf, a)
     if b is None:
         return None
     if relation == "orthogonal":
-        b = [b[-j] for j in range(len(b))]  # first row of A^-T
+        # the reflected row is a list: a scan makes many, and as tuples of new
+        # sizes they would fill the interpreter's per-size tuple free lists
+        # and raise peak memory
+        b = [b[-j] for j in range(n)]  # first row of A^-T
     if any((x == 0) != (y == 0) for x, y in zip(a, b)):
         return None
     return diagonal_scaling_solve(gf, build(a), build(b))
 
 
-def _geometric_pair(gf: GF2m, a, c) -> Optional[DiagonalPair]:
-    # every entry is nonzero, so products are sums of discrete logs
+def _geometric_pair(gf: GF2m, n: int, a_logs, c_logs) -> Optional[DiagonalPair]:
+    """The geometric pair of `circulant_semi_pair`, or None, from the
+    (index, discrete log) pairs of the nonzero entries of a and c."""
     exp, log = gf.exp_table, gf.log_table
-    n = len(a)
     q1 = gf.order - 1
-    log_a = [log[v] for v in a]
-    log_c = [log[v] for v in c]
+    log_am: list = [None] * n  # logs of a(mu*x); None at a zero entry
     for s in range(0, q1, q1 // gcd(n, q1)):  # mu = g^s
-        log_am = [(v + j * s) % q1 for j, v in enumerate(log_a)]  # a(mu*x)
+        for j, v in a_logs:
+            log_am[j] = (v + j * s) % q1
         # coefficient t of c(x)*a(mu*x) mod x^n - 1 (a negative index wraps
         # around); the non-constant ones first, where most mu fail
         for t in chain(range(1, n), (0,)):
             k = 0
-            for i in range(n):
-                k ^= exp[log_c[i] + log_am[t - i]]
+            for i, lc in c_logs:
+                la = log_am[t - i]
+                if la is not None:
+                    k ^= exp[lc + la]
             if t and k:
                 break
         else:
@@ -437,13 +456,15 @@ class Properties:
     first use and cached.
 
     Built from a circulant first row (`Properties(gf, row)`) or from an
-    explicit matrix (`Properties(gf, matrix=A)`).  Only `inverse` and `semi`
-    compute by different means: a row takes the circulant fast path, with
-    one Euclidean inverse shared by both relations, and a matrix takes the
-    dense inverse and the generic solver.  `semi_reports` (relation -> SemiReport) and
-    `mds_verdict` hold what has been evaluated so far, in evaluation order;
-    a scan tallies its side invariants from them, so a property nothing
-    asked for is never counted.
+    explicit matrix (`Properties(gf, matrix=A)`).  A row decides everything
+    but MDS from the row itself: the involutory and orthogonal identities
+    and the inverse in GF(2^m)[x]/(x^n - 1), the semi pairs by
+    `circulant_semi_pair`, with at most one Euclidean inverse shared by
+    both relations.  Only `mds` builds the dense matrix of a row.  A matrix
+    takes the dense checks, the dense inverse and the generic solver.
+    `semi_reports` (relation -> SemiReport) and `mds_verdict` hold what has
+    been evaluated so far, in evaluation order; a scan tallies its side
+    invariants from them, so a property nothing asked for is never counted.
     """
 
     __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_involutory",
@@ -466,8 +487,8 @@ class Properties:
 
     @property
     def matrix(self) -> Matrix:
-        """The dense matrix; a row builds it on first use, as the semi pairs
-        of a row need only the row."""
+        """The dense matrix; a row builds it on first use, as only the MDS
+        test of a row needs it."""
         if self._matrix is None:
             self._matrix = build(self.row)
         return self._matrix
@@ -515,12 +536,14 @@ class Properties:
 
     def involutory(self) -> bool:
         if self._involutory is None:
-            self._involutory = is_involutory(self.gf, self.matrix)
+            self._involutory = (is_involutory(self.gf, self._matrix) if self.row is None
+                                else is_involutory_row(self.row))
         return self._involutory
 
     def orthogonal(self) -> bool:
         if self._orthogonal is None:
-            self._orthogonal = is_orthogonal(self.gf, self.matrix)
+            self._orthogonal = (is_orthogonal(self.gf, self._matrix) if self.row is None
+                                else is_orthogonal_row(self.gf, self.row))
         return self._orthogonal
 
     def nonperiodic(self) -> tuple[Optional[bool], Optional[bool]]:

@@ -11,9 +11,9 @@ Determinism contract: given equal (field, order, suites, mode, seed,
 sample_count, extra_rows), the report payload is bit-identical across runs
 and across worker counts.  Candidates are enumerated as base-q counters
 with c_0 in the least significant position, split into fixed-size chunks
-that are merged in order; random mode draws rows from a SplitMix64 stream
-seeded once up front.  Wall-clock time and worker count live outside the
-deterministic payload.
+that are merged in order; random mode draws rows from one seeded
+SplitMix64 stream, each chunk from its own span of it.  Wall-clock time and
+worker count live outside the deterministic payload.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -77,25 +77,30 @@ class IncompatibleSuite(ValueError):
 # -- seeded candidate stream --------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
-    """SplitMix64 stream: same seed gives the same u64 sequence everywhere."""
+    """SplitMix64 stream: same seed gives the same u64 sequence everywhere.
+
+    The state advances by a fixed step per output, so output k of seed s
+    is the first output of seed s + k * 0x9E3779B97F4A7C15 (mod 2^64).
+    """
 
     def __init__(self, seed: int):
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
-        """Uniform draw in [0, bound) by rejection (bound <= 2^64)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform draw in [0, bound) by rejection (0 < bound <= 2^64)."""
+        if not 0 < bound <= _MASK64 + 1:
+            raise ValueError(f"bound must be in [1, 2^64], got {bound}")
         limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
         while True:
             r = self.next_u64()
@@ -110,6 +115,47 @@ def index_to_row(index: int, q: int, n: int) -> tuple[int, ...]:
         index, digit = divmod(index, q)
         row.append(digit)
     return tuple(row)
+
+
+def exhaustive_rows(q: int, n: int, start: int, end: int):
+    """index_to_row(i, q, n) for i in range(start, end), in that order.
+
+    The rows come in blocks of q^low that share their high digits: the low
+    digits (c_0 fastest) are one `product` listed once, and each block
+    appends the high digits to them.  `low` is the most digits whose block
+    size is at most CHUNK and divides both ends, so every row is a
+    concatenation and none is a digit loop.
+    """
+    low = n
+    while q ** low > CHUNK or start % q ** low or end % q ** low:
+        low -= 1
+    block = q ** low
+    lows = [digits[::-1] for digits in product(range(q), repeat=low)]
+    for high in range(start // block, end // block):
+        top = index_to_row(high, q, n - low)
+        for bottom in lows:
+            yield bottom + top
+
+
+def random_rows(seed: int, q: int, n: int, start: int, end: int):
+    """Draws start .. end-1 of the seeded row stream of a q^n space.
+
+    q^n is a power of two, so a draw is ceil(log2(q^n) / 64) outputs of
+    SplitMix64(seed), low word first, masked to log2(q^n) bits; no draw is
+    rejected.  Draw k therefore starts at state seed + k * words * gamma,
+    and a chunk starts its own stream there.  For q^n <= 2^64 a draw is one
+    output masked, which is what `next_below(q^n)` returns.
+    """
+    bits = (q ** n).bit_length() - 1
+    words = -(-bits // 64)
+    mask = (1 << bits) - 1
+    rng = SplitMix64(seed + start * words * _GAMMA)
+    draw = rng.next_u64
+    for _ in range(start, end):
+        r = draw()
+        for w in range(1, words):
+            r |= draw() << (64 * w)
+        yield index_to_row(r & mask, q, n)
 
 
 def row_to_index(row, q: int) -> int:
@@ -338,11 +384,11 @@ def _scan_chunk(args):
 
     kind = chunk[0]
     if kind == "range":
-        _, q, n, start, end = chunk
-        rows = (index_to_row(i, q, n) for i in range(start, end))
+        rows = exhaustive_rows(*chunk[1:])
+    elif kind == "random":
+        rows = random_rows(*chunk[1:])
     else:
-        _, row_list = chunk
-        rows = iter(row_list)
+        rows = chunk[1]
 
     for row in rows:
         examined += 1
@@ -385,23 +431,20 @@ def _scan_chunk(args):
 
 
 def _chunk_specs(config: ScanConfig) -> list:
-    gf = config.field
-    q = gf.order
+    """The chunks in merge order: the forced rows, then spans of the
+    enumeration ("range", q, n, start, end) or of the seeded stream
+    ("random", seed, q, n, start, end), each of at most CHUNK rows."""
+    q = config.field.order
     n = config.order
     specs = []
     if config.extra_rows:
         specs.append(("rows", tuple(config.extra_rows)))
     if config.mode == EXHAUSTIVE:
-        space = q ** n
-        for start in range(0, space, CHUNK):
-            specs.append(("range", q, n, start, min(start + CHUNK, space)))
+        total, head = q ** n, ("range", q, n)
     else:
-        rng = SplitMix64(config.seed)
-        space = q ** n
-        drawn = [index_to_row(rng.next_below(space), q, n)
-                 for _ in range(config.sample_count)]
-        for start in range(0, len(drawn), CHUNK):
-            specs.append(("rows", tuple(drawn[start:start + CHUNK])))
+        total, head = config.sample_count, ("random", config.seed, q, n)
+    for start in range(0, total, CHUNK):
+        specs.append(head + (start, min(start + CHUNK, total)))
     return specs
 
 

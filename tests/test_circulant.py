@@ -1,13 +1,22 @@
 """Circulant construction, recognition, and structural sums."""
 
 import random
+from itertools import product
 
 import pytest
 
-from circmds.circulant import OddOrder, build, interleaved_sums, is_circulant, row_sum
+from circmds.circulant import (
+    OddOrder,
+    build,
+    interleaved_sums,
+    is_circulant,
+    is_involutory_row,
+    is_orthogonal_row,
+    row_sum,
+)
 from circmds.field import get_field
 from circmds.matgf import det, identity, mat_mul, transpose
-from circmds.props import is_mds
+from circmds.props import is_involutory, is_mds, is_orthogonal
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
@@ -48,6 +57,24 @@ def test_row_sum_examples():
     assert det(GF4, build((1, 1))) == 0
     assert row_sum((0x02, 0x03, 0x01, 0x01)) == 0x01
     assert row_sum((7,)) == 7
+
+
+def test_first_row_identities_match_dense_checks_exhaustively():
+    # A^2 == I and A*A^T == I decided from the first row, against the dense
+    # n^3 checks on every first row of each space
+    rows = involutory = orthogonal = 0
+    for (m, poly), top in (((1, 0x3), 10), ((2, 0x7), 7), ((3, 0xB), 5), ((4, 0x13), 4)):
+        gf = get_field(m, poly)
+        for n in range(1, top + 1):
+            for row in product(range(gf.order), repeat=n):
+                A = build(row)
+                inv, orth = is_involutory(gf, A), is_orthogonal(gf, A)
+                assert is_involutory_row(row) == inv, (m, row)
+                assert is_orthogonal_row(gf, row) == orth, (m, row)
+                rows += 1
+                involutory += inv
+                orthogonal += orth
+    assert (rows, involutory, orthogonal) == (131242, 504, 1068)
 
 
 def test_interleaved_sums_aes():

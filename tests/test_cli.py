@@ -244,6 +244,16 @@ def test_search_finds_nonzero_trace_semi_orthogonal_instance(capsys):
     assert "found 1" in err
 
 
+def test_search_random_above_two_to_the_64_rows_finishes(capsys):
+    # 256^9 = 2^72 candidate rows: each draw takes two words of the stream
+    argv = ("search", "--field", "8:0x11D", "--order", "9", "--require", "orthogonal",
+            "--mode", "random", "--samples", "50", "--seed", "3")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == ""
+    assert "found 0" in err
+
+
 def test_search_unknown_predicate(capsys):
     code, _, err = run_cli(capsys, "search", "--field", "2:0x7", "--order", "2",
                            "--require", "shiny")

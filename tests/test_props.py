@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -493,7 +494,8 @@ def test_gf4_n2_solver_agrees_with_oracle():
 # -- circulant fast path against the dense reference ---------------------------------------
 
 AGREEMENT_SPACES = (
-    [(2, 0x7, n) for n in range(2, 8)]
+    [(1, 0x3, n) for n in range(1, 11)]
+    + [(2, 0x7, n) for n in range(2, 8)]
     + [(3, 0xB, n) for n in range(2, 6)]
     + [(4, 0x13, 3)]
 )
@@ -502,7 +504,10 @@ AGREEMENT_SPACES = (
 def _agreement_census(space):
     """Check `inverse_row` and `circulant_semi_pair` against the dense inverse
     and the generic solver on every first row of one (m, poly, n) space, and
-    count the branch behind each outcome on a nonsingular row."""
+    count the branch behind each outcome on a nonsingular row: a geometric
+    pair on a full-support row (by its mu) or on a connected support with a
+    zero entry, and on a disconnected support a pattern mismatch or a
+    solver pair."""
     m, poly, n = space
     gf = get_field(m, poly)
     census = Counter()
@@ -513,6 +518,8 @@ def _agreement_census(space):
         except Singular:
             Ainv = None
         assert inverse_row(gf, row) == (None if Ainv is None else tuple(Ainv[0]))
+        support = [j for j, v in enumerate(row) if v]
+        connected = bool(support) and gcd(n, *(j - support[0] for j in support)) == 1
         for relation in ("involutory", "orthogonal"):
             pair = circulant_semi_pair(gf, row, relation)
             if Ainv is None:
@@ -523,6 +530,9 @@ def _agreement_census(space):
             if all(row):
                 if pair is not None:
                     census[relation, "mu=1" if set(pair.d1) == {1} else "mu!=1"] += 1
+            elif connected:
+                if pair is not None:
+                    census[relation, "geometric-zero"] += 1
             elif any((x == 0) != (y == 0) for x, y in zip(row, target[0])):
                 census[relation, "pattern-reject"] += 1
             elif pair is not None:
@@ -534,13 +544,15 @@ def test_circulant_semi_pair_agrees_with_dense_path_exhaustively():
     census = {space: _agreement_census(space) for space in AGREEMENT_SPACES}
     total = sum(census.values(), Counter())
     for relation in ("involutory", "orthogonal"):
-        for branch in ("mu=1", "pattern-reject", "solver-found"):
+        for branch in ("mu=1", "geometric-zero", "pattern-reject", "solver-found"):
             assert total[relation, branch] > 0, (relation, branch)
     # semi-orthogonal pairs with a nontrivial root of unity
     assert census[2, 0x7, 6]["orthogonal", "mu!=1"] == 108
     assert census[4, 0x13, 3]["orthogonal", "mu!=1"] == 360
-    assert (census[2, 0x7, 6]["involutory", "solver-found"]
-            + census[2, 0x7, 6]["orthogonal", "solver-found"]) == 336
+    # pairs on rows with a zero entry, from either branch
+    assert sum(census[2, 0x7, 6][relation, branch]
+               for relation in ("involutory", "orthogonal")
+               for branch in ("geometric-zero", "solver-found")) == 336
 
 
 def test_circulant_semi_pair_rejects_unknown_relation():

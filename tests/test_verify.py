@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from circmds.props import (
     semi_orthogonal_check,
 )
 from circmds.verify import (
+    CHUNK,
     EXAMPLES,
     EXHAUSTIVE,
     RANDOM,
@@ -28,8 +31,10 @@ from circmds.verify import (
     IncompatibleSuite,
     ScanConfig,
     SplitMix64,
+    exhaustive_rows,
     index_to_row,
     oracle_semi_search,
+    random_rows,
     row_to_index,
     run_suite,
     verification_plan,
@@ -66,6 +71,40 @@ def test_next_below_in_range():
         assert 0 <= g.next_below(7) < 7
 
 
+def test_next_below_refuses_bounds_above_two_to_the_64():
+    assert SplitMix64(9).next_below(1 << 64) == SplitMix64(9).next_u64()
+    for bound in (0, (1 << 64) + 1):
+        with pytest.raises(ValueError):
+            SplitMix64(9).next_below(bound)
+
+
+def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
+    # up to 2^64 rows a draw is the rejection draw of `next_below`; above, it
+    # takes more words, and the high word reaches the last entries
+    for q, n in ((8, 3), (4, 12), (256, 8), (256, 9), (1 << 16, 9)):
+        rows = list(random_rows(99, q, n, 0, 40))
+        assert all(len(row) == n and max(row) < q for row in rows)
+        if q ** n <= 1 << 64:
+            rng = SplitMix64(99)
+            assert rows == [index_to_row(rng.next_below(q ** n), q, n) for _ in range(40)]
+        else:
+            assert any(row[-1] for row in rows)
+        assert list(random_rows(99, q, n, 13, 40)) == rows[13:]
+
+
+def test_random_scan_above_two_to_the_64_rows_finishes():
+    # 256^9 = 2^72 rows; the forced row makes a second chunk, so two workers
+    # start the pool
+    payloads = []
+    for workers in (1, 2):
+        report = run_suite(ScanConfig(field=F11D, order=9, suites=("SO-ODD-EXIST",),
+                                      mode=RANDOM, seed=5, sample_count=3,
+                                      extra_rows=((1,) * 9,), worker_count=workers))
+        payloads.append(json.dumps(report.payload(), sort_keys=True))
+    assert payloads[0] == payloads[1]
+    assert report.examined == 4 and report.space_size == 1 << 72
+
+
 # -- candidate enumeration --------------------------------------------------------
 
 
@@ -73,6 +112,13 @@ def test_index_row_round_trip():
     for idx in range(64):
         row = index_to_row(idx, 4, 3)
         assert row_to_index(row, 4) == idx
+
+
+def test_exhaustive_rows_follow_the_index_order():
+    for q, n, start, end in ((2, 3, 0, 8), (4, 7, 0, 4 ** 7), (8, 6, CHUNK, 3 * CHUNK),
+                             (256, 3, 2 * CHUNK, 3 * CHUNK), (8, 1, 0, 8)):
+        assert list(exhaustive_rows(q, n, start, end)) == [
+            index_to_row(i, q, n) for i in range(start, end)]
 
 
 def test_enumeration_order_least_significant_first():
@@ -129,13 +175,16 @@ def test_out_of_range_counts_rejected(changes):
 
 
 def test_one_euclidean_inverse_per_row(monkeypatch):
-    # both relations share one inverse on a row with a zero entry, a
-    # full-support row never runs it, and classify reuses its singularity test
-    zero_row, full_row = (1, 0, 2, 4), (1, 2, 3, 5)
-    rows = (zero_row, full_row)
+    # a row whose support is disconnected (in a coset of a proper subgroup of
+    # Z_n) runs one inverse shared by both relations; a connected support,
+    # with or without a zero entry, never runs it; classify reuses the
+    # singularity test of the one inverse it needs
+    zero_row, split_row, full_row = (1, 0, 2, 4), (1, 0, 2, 0), (1, 2, 3, 5)
+    rows = (zero_row, split_row, full_row)
     assert all(inverse_row(GF8, row) is not None for row in rows)
     want = {row: (circulant_semi_pair(GF8, row, "orthogonal"),
                   circulant_semi_pair(GF8, row, "involutory")) for row in rows}
+    assert all(pair is not None for pair in want[split_row])
     calls = []
 
     def counting(gf, row):
@@ -146,11 +195,34 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
     for row in rows:
         p = Properties(GF8, row)
         assert (p.semi("orthogonal").pair, p.semi("involutory").pair) == want[row]
-    assert calls == [zero_row]
+    assert calls == [split_row]
     calls.clear()
     for row in rows:
         classify(GF8, row)
-    assert calls == [zero_row, full_row]
+    assert calls == list(rows)
+
+
+def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
+    # the dense matrix of a scanned row is built for `is_mds` alone; the only
+    # other builds are the two matrices that the generic solver gets on a
+    # row with a disconnected support
+    counts = {"build": 0, "is_mds": 0, "diagonal_scaling_solve": 0}
+    for name in counts:
+        def counting(*args, _name=name, _fn=getattr(props, name)):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(props, name, counting)
+    report = run_suite(ScanConfig(field=GF8, order=4, suites=(
+        "INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2")))
+    assert report.ok()
+    assert counts["is_mds"] > 0 and counts["diagonal_scaling_solve"] > 0
+    assert counts["build"] == counts["is_mds"] + 2 * counts["diagonal_scaling_solve"]
+    # at most one solver call per relation on each disconnected support
+    disconnected = 0
+    for row in product(range(8), repeat=4):
+        support = [j for j, v in enumerate(row) if v]
+        disconnected += bool(support) and gcd(4, *(j - support[0] for j in support)) > 1
+    assert counts["diagonal_scaling_solve"] <= 2 * disconnected
 
 
 def test_so_pow2_gf4_order4_exhaustive():
