@@ -118,14 +118,14 @@ class GF2m:
     nonzero a and b is `exp_table[log_table[a] + log_table[b]]`.
     """
 
-    def __init__(self, m: int, poly: int, trust: bool = False):
+    def __init__(self, m: int, poly: int):
         if not 1 <= m <= MAX_DEGREE:
             raise DegreeMismatch(f"extension degree must be 1..{MAX_DEGREE}, got {m}")
         if poly >> m != 1:
             raise DegreeMismatch(
                 f"polynomial 0x{poly:X} does not have degree exactly {m}"
             )
-        if not trust and not is_irreducible(poly, m):
+        if not is_irreducible(poly, m):
             raise Reducible(f"0x{poly:X} is reducible over GF(2)")
         self.m = m
         self.poly = poly

@@ -215,17 +215,14 @@ def is_orthogonal(gf: GF2m, A: Matrix) -> bool:
     return True
 
 
-def diagonal_scaling_solve(
-    gf: GF2m, A: Matrix, B: Matrix, anchor_pick=min
-) -> Optional[DiagonalPair]:
+def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalPair]:
     """Find nonsingular diagonal D1, D2 with B == D1*A*D2, or None.
 
     The zero patterns of A and B must coincide.  On nonzero positions the
     ratio B[i][j]/A[i][j] must factor as d_i*e_j; the factorization is
-    recovered by spanning-tree propagation over the bipartite
-    row/column graph and then verified on every position.  `anchor_pick`
-    chooses the anchored row among each component's rows (min by default)
-    and exists so tests can exercise the scalar freedom.
+    recovered by spanning-tree propagation over the bipartite row/column
+    graph, with d = 1 at the first row of each component, and then
+    verified on every position.
     """
     n = require_square(A)
     if dims(B) != (n, n):
@@ -250,35 +247,12 @@ def diagonal_scaling_solve(
     d: list[Optional[int]] = [None] * n
     e: list[Optional[int]] = [None] * n
     anchors = []
-    seen_rows = [False] * n
     for start in range(n):
-        if seen_rows[start]:
+        if d[start] is not None:
             continue
-        # collect the rows of this component first so the anchor choice
-        # does not depend on traversal order
-        comp_rows = [start]
-        comp_cols: list[int] = []
-        seen_rows[start] = True
-        seen_cols = set()
-        frontier = [("r", start)]
-        while frontier:
-            kind, idx = frontier.pop()
-            if kind == "r":
-                for j in row_adj[idx]:
-                    if j not in seen_cols:
-                        seen_cols.add(j)
-                        comp_cols.append(j)
-                        frontier.append(("c", j))
-            else:
-                for i in col_adj[idx]:
-                    if not seen_rows[i]:
-                        seen_rows[i] = True
-                        comp_rows.append(i)
-                        frontier.append(("r", i))
-        anchor = anchor_pick(comp_rows)
-        anchors.append(anchor)
-        d[anchor] = 1
-        queue = [("r", anchor)]
+        anchors.append(start)
+        d[start] = 1
+        queue = [("r", start)]
         while queue:
             kind, idx = queue.pop()
             if kind == "r":
@@ -294,16 +268,15 @@ def diagonal_scaling_solve(
                         d[i] = mul(ratio[i][idx], inv(ej))
                         queue.append(("r", i))
 
-    # isolated all-zero rows/columns leave free entries; pin them to 1
-    d_full = [v if v is not None else 1 for v in d]
+    # all-zero columns leave free entries; pin them to 1
     e_full = [v if v is not None else 1 for v in e]
 
     # verify every nonzero position (covers all non-tree edges)
     for i in range(n):
         for j in row_adj[i]:
-            if mul(d_full[i], e_full[j]) != ratio[i][j]:
+            if mul(d[i], e_full[j]) != ratio[i][j]:
                 return None
-    return DiagonalPair(tuple(d_full), tuple(e_full), tuple(sorted(anchors)))
+    return DiagonalPair(tuple(d), tuple(e_full), tuple(anchors))
 
 
 def circulant_semi_pair(

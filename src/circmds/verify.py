@@ -10,10 +10,12 @@ produces an empty counterexample list.
 Determinism contract: given equal (field, order, suites, mode, seed,
 sample_count, extra_rows), the report payload is bit-identical across runs
 and across worker counts.  Candidates are enumerated as base-q counters
-with c_0 in the least significant position, split into fixed-size chunks
-that are merged in order; random mode draws rows from one seeded
-SplitMix64 stream, each chunk from its own span of it.  Wall-clock time and
-worker count live outside the deterministic payload.
+with c_0 in the least significant position; random mode draws them from
+one seeded SplitMix64 stream.  A chunk is the config's forced rows or a
+(start, end) span of at most CHUNK rows of the config's own enumeration or
+stream; each chunk returns a partial `ScanReport`, and the partials are
+merged in order, forced rows first.  Wall-clock time and worker count live
+outside the deterministic payload.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -158,13 +160,6 @@ def random_rows(seed: int, q: int, n: int, start: int, end: int):
         yield index_to_row(r & mask, q, n)
 
 
-def row_to_index(row, q: int) -> int:
-    idx = 0
-    for digit in reversed(list(row)):
-        idx = idx * q + digit
-    return idx
-
-
 # -- suite definitions ---------------------------------------------------------
 #
 # A runner takes a row's `Properties` and returns (hypothesis, conclusion,
@@ -261,6 +256,10 @@ class ScanConfig:
     worker_count: int = 1
     budget: int = DEFAULT_BUDGET
 
+    @property
+    def space_size(self) -> int:
+        return self.field.order ** self.order
+
     def validate(self) -> None:
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -278,10 +277,9 @@ class ScanConfig:
                 raise IncompatibleSuite(
                     f"suite {name} needs {suite.order_note}, got order {self.order}"
                 )
-        space = self.field.order ** self.order
-        if self.mode == EXHAUSTIVE and space > self.budget:
+        if self.mode == EXHAUSTIVE and self.space_size > self.budget:
             raise BudgetExceeded(
-                f"exhaustive space {space} exceeds budget {self.budget}"
+                f"exhaustive space {self.space_size} exceeds budget {self.budget}"
             )
         for row in self.extra_rows:
             if len(row) != self.order:
@@ -301,15 +299,39 @@ class SuiteResult:
 
 @dataclass
 class ScanReport:
+    """The tallies of a scan, or of one chunk of it: `run_suite` merges the
+    chunks' partial reports in order into the report of the whole scan."""
+
     config: ScanConfig
-    space_size: int
-    examined: int
-    suites: dict
-    power_scalar_checked: int
-    power_scalar_failures: list
-    interleaved_checked: int
-    interleaved_failures: list
-    elapsed_seconds: float
+    examined: int = 0
+    power_scalar_checked: int = 0
+    power_scalar_failures: list = dc_field(default_factory=list)
+    interleaved_checked: int = 0
+    interleaved_failures: list = dc_field(default_factory=list)
+    elapsed_seconds: float = 0.0
+    suites: dict = dc_field(init=False)
+
+    def __post_init__(self):
+        self.suites = {name: SuiteResult(name) for name in self.config.suites}
+
+    @property
+    def space_size(self) -> int:
+        return self.config.space_size
+
+    def merge(self, other: ScanReport) -> None:
+        """Add the tallies of the next chunk: counts add, lists extend."""
+        self.examined += other.examined
+        self.power_scalar_checked += other.power_scalar_checked
+        self.power_scalar_failures += other.power_scalar_failures
+        self.interleaved_checked += other.interleaved_checked
+        self.interleaved_failures += other.interleaved_failures
+        for name, part in other.suites.items():
+            res = self.suites[name]
+            res.hypothesis_count += part.hypothesis_count
+            res.conclusion_count += part.conclusion_count
+            res.counterexamples += part.counterexamples
+            for key, inc in part.extras.items():
+                res.extras[key] = res.extras.get(key, 0) + inc
 
     def ok(self) -> bool:
         for res in self.suites.values():
@@ -368,93 +390,65 @@ class ScanReport:
 # -- scan execution -------------------------------------------------------------
 
 
-def _scan_chunk(args):
-    m, poly, suite_names, chunk = args
-    gf = get_field(m, poly)
-    runners = [(name, SUITES[name].run) for name in suite_names]
-    agg = {
-        name: {"hyp": 0, "concl": 0, "cex": [], "extras": {}}
-        for name in suite_names
-    }
-    power_checked = 0
-    power_failures = []
-    inter_checked = 0
-    inter_failures = []
-    examined = 0
-
-    kind = chunk[0]
-    if kind == "range":
-        rows = exhaustive_rows(*chunk[1:])
-    elif kind == "random":
-        rows = random_rows(*chunk[1:])
+def _scan_chunk(args) -> ScanReport:
+    """The partial report of one chunk: the config's forced rows (span None)
+    or rows start .. end-1 of its enumeration or seeded stream."""
+    config, span = args
+    gf = config.field
+    n = config.order
+    if span is None:
+        rows = config.extra_rows
+    elif config.mode == EXHAUSTIVE:
+        rows = exhaustive_rows(gf.order, n, *span)
     else:
-        rows = chunk[1]
-
+        rows = random_rows(config.seed, gf.order, n, *span)
+    part = ScanReport(config)
+    runners = [(SUITES[name].run, part.suites[name]) for name in config.suites]
     for row in rows:
-        examined += 1
+        part.examined += 1
         p = Properties(gf, row)
-        for name, run in runners:
+        for run, res in runners:
             hyp, ok, extras = run(p)
             if not hyp:
                 continue
-            slot = agg[name]
-            slot["hyp"] += 1
+            res.hypothesis_count += 1
             if ok:
-                slot["concl"] += 1
+                res.conclusion_count += 1
             else:
-                slot["cex"].append(row)
+                res.counterexamples.append(row)
             if extras:
                 for key, inc in extras.items():
-                    slot["extras"][key] = slot["extras"].get(key, 0) + inc
+                    res.extras[key] = res.extras.get(key, 0) + inc
         # side invariants, on what the suites evaluated
         for relation, rep in p.semi_reports.items():
             if rep.found:
-                power_checked += 2
+                part.power_scalar_checked += 2
                 for diag, k in (("d1", rep.k1), ("d2", rep.k2)):
                     if k is None:
-                        power_failures.append(("semi-" + relation, diag, row))
+                        part.power_scalar_failures.append(("semi-" + relation, diag, row))
         verdict = p.mds_verdict
-        if verdict is not None and verdict.is_mds and len(row) % 2 == 0:
-            inter_checked += 1
+        if verdict is not None and verdict.is_mds and n % 2 == 0:
+            part.interleaved_checked += 1
             even, odd = interleaved_sums(row)
             if even == 0 or odd == 0:
-                inter_failures.append(row)
-
-    return {
-        "suites": agg,
-        "examined": examined,
-        "power_checked": power_checked,
-        "power_failures": power_failures,
-        "inter_checked": inter_checked,
-        "inter_failures": inter_failures,
-    }
+                part.interleaved_failures.append(row)
+    return part
 
 
-def _chunk_specs(config: ScanConfig) -> list:
-    """The chunks in merge order: the forced rows, then spans of the
-    enumeration ("range", q, n, start, end) or of the seeded stream
-    ("random", seed, q, n, start, end), each of at most CHUNK rows."""
-    q = config.field.order
-    n = config.order
-    specs = []
-    if config.extra_rows:
-        specs.append(("rows", tuple(config.extra_rows)))
-    if config.mode == EXHAUSTIVE:
-        total, head = q ** n, ("range", q, n)
-    else:
-        total, head = config.sample_count, ("random", config.seed, q, n)
-    for start in range(0, total, CHUNK):
-        specs.append(head + (start, min(start + CHUNK, total)))
-    return specs
+def _chunk_spans(config: ScanConfig) -> list:
+    """The chunks in merge order: None for the forced rows, then (start, end)
+    spans of at most CHUNK rows of the enumeration or the seeded stream."""
+    total = config.sample_count if config.mode == RANDOM else config.space_size
+    spans = [None] if config.extra_rows else []
+    spans += [(start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
+    return spans
 
 
 def run_suite(config: ScanConfig) -> ScanReport:
     """Run every configured suite in a single pass over the candidates."""
     config.validate()
-    gf = config.field
     started = time.perf_counter()
-    specs = _chunk_specs(config)
-    args = [(gf.m, gf.poly, config.suites, spec) for spec in specs]
+    args = [(config, span) for span in _chunk_spans(config)]
 
     if config.worker_count > 1 and len(args) > 1:
         # imported here: it loads multiprocessing, which a 1-worker scan never uses
@@ -465,37 +459,11 @@ def run_suite(config: ScanConfig) -> ScanReport:
     else:
         partials = [_scan_chunk(a) for a in args]
 
-    suites = {name: SuiteResult(name) for name in config.suites}
-    examined = 0
-    power_checked = 0
-    power_failures = []
-    inter_checked = 0
-    inter_failures = []
+    report = ScanReport(config)
     for part in partials:
-        examined += part["examined"]
-        power_checked += part["power_checked"]
-        power_failures.extend(part["power_failures"])
-        inter_checked += part["inter_checked"]
-        inter_failures.extend(part["inter_failures"])
-        for name, slot in part["suites"].items():
-            res = suites[name]
-            res.hypothesis_count += slot["hyp"]
-            res.conclusion_count += slot["concl"]
-            res.counterexamples.extend(slot["cex"])
-            for key, inc in slot["extras"].items():
-                res.extras[key] = res.extras.get(key, 0) + inc
-
-    return ScanReport(
-        config=config,
-        space_size=gf.order ** config.order,
-        examined=examined,
-        suites=suites,
-        power_scalar_checked=power_checked,
-        power_scalar_failures=power_failures,
-        interleaved_checked=inter_checked,
-        interleaved_failures=inter_failures,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+        report.merge(part)
+    report.elapsed_seconds = time.perf_counter() - started
+    return report
 
 
 # -- brute-force oracle for the semi-property definitions ------------------------

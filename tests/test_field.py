@@ -46,11 +46,6 @@ def test_degree_mismatch():
         GF2m(17, (1 << 17) | 1)
 
 
-def test_trust_skips_the_irreducibility_check():
-    gf = GF2m(8, 0x11D, trust=True)
-    assert gf.mul(0x02, 0x03) == 0x06
-
-
 @pytest.mark.parametrize("m,poly,expect", [
     (8, 0x11D, True),
     (8, 0x11B, True),

@@ -314,12 +314,15 @@ def test_reanchoring_gives_constant_quotient():
         d2 = [rng.randrange(1, GF8.order) for _ in range(n)]
         B = sandwich(GF8, d1, A, d2)
         low = diagonal_scaling_solve(GF8, A, B)
-        high = diagonal_scaling_solve(GF8, A, B, anchor_pick=max)
-        quotients = {GF8.mul(h, GF8.inv(l)) for h, l in zip(high.d1, low.d1)}
+        # anchored at the last row: reverse the rows, then reverse d1 back
+        rev = diagonal_scaling_solve(GF8, A[::-1], B[::-1])
+        high_d1, high_d2 = rev.d1[::-1], rev.d2
+        assert high_d1[-1] == 1
+        quotients = {GF8.mul(h, GF8.inv(l)) for h, l in zip(high_d1, low.d1)}
         assert len(quotients) == 1
         c = quotients.pop()
         cinv = GF8.inv(c)
-        assert all(h == GF8.mul(cinv, l) for h, l in zip(high.d2, low.d2))
+        assert all(h == GF8.mul(cinv, l) for h, l in zip(high_d2, low.d2))
 
 
 # -- semi checks on singular input ----------------------------------------------------------

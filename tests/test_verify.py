@@ -30,12 +30,12 @@ from circmds.verify import (
     BudgetExceeded,
     IncompatibleSuite,
     ScanConfig,
+    ScanReport,
     SplitMix64,
     exhaustive_rows,
     index_to_row,
     oracle_semi_search,
     random_rows,
-    row_to_index,
     run_suite,
     verification_plan,
     verify_example,
@@ -106,12 +106,6 @@ def test_random_scan_above_two_to_the_64_rows_finishes():
 
 
 # -- candidate enumeration --------------------------------------------------------
-
-
-def test_index_row_round_trip():
-    for idx in range(64):
-        row = index_to_row(idx, 4, 3)
-        assert row_to_index(row, 4) == idx
 
 
 def test_exhaustive_rows_follow_the_index_order():
@@ -322,11 +316,65 @@ def test_side_invariant_wiring_on_even_order_mds():
     # an even-order MDS instance seen by a scan must trigger the
     # interleaved-sums side check and pass it, once per row even though
     # both suites ask for MDS (the suites' order gates are not applied here)
-    part = verify._scan_chunk((2, 0x7, ("SO-MOD4", "SI-GEN"), ("rows", ((1, 2),))))
-    assert part["suites"]["SO-MOD4"]["hyp"] == part["suites"]["SI-GEN"]["hyp"] == 1
-    assert part["inter_checked"] == 1
-    assert part["inter_failures"] == []
-    assert part["power_checked"] == 4
+    config = ScanConfig(field=GF4, order=2, suites=("SO-MOD4", "SI-GEN"), extra_rows=((1, 2),))
+    part = verify._scan_chunk((config, None))
+    assert part.suites["SO-MOD4"].hypothesis_count == part.suites["SI-GEN"].hypothesis_count == 1
+    assert part.interleaved_checked == 1
+    assert part.interleaved_failures == []
+    assert part.power_scalar_checked == 4
+
+
+def test_merge_adds_counts_and_concatenates_lists_in_order():
+    config = ScanConfig(field=GF4, order=2, suites=("SO-POW2", "SI-POW2"))
+    first, second = ScanReport(config), ScanReport(config)
+    for part, rows, extras in ((first, [(1, 0), (2, 0)], {"a": 1, "b": 2}),
+                               (second, [(3, 0)], {"b": 5, "c": 1})):
+        part.examined = 10 * len(rows)
+        part.power_scalar_checked = 2 * len(rows)
+        part.power_scalar_failures = [("semi-orthogonal", "d1", r) for r in rows]
+        part.interleaved_checked = len(rows)
+        part.interleaved_failures = list(rows)
+        res = part.suites["SO-POW2"]
+        res.hypothesis_count = 3 * len(rows)
+        res.conclusion_count = len(rows)
+        res.counterexamples = list(rows)
+        res.extras = dict(extras)
+    first.merge(second)
+    assert first.examined == 30
+    assert first.power_scalar_checked == 6 and first.interleaved_checked == 3
+    assert [r for _, _, r in first.power_scalar_failures] == [(1, 0), (2, 0), (3, 0)]
+    assert first.interleaved_failures == [(1, 0), (2, 0), (3, 0)]
+    res = first.suites["SO-POW2"]
+    assert (res.hypothesis_count, res.conclusion_count) == (9, 3)
+    assert res.counterexamples == [(1, 0), (2, 0), (3, 0)]
+    assert res.extras == {"a": 1, "b": 7, "c": 1}
+    untouched = first.suites["SI-POW2"]
+    assert (untouched.hypothesis_count, untouched.counterexamples, untouched.extras) == (0, [], {})
+    # the merged-in report is left as it was
+    assert second.examined == 10 and second.suites["SO-POW2"].counterexamples == [(3, 0)]
+
+
+def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
+    # GF(4) n = 8 is 4 chunks; the runner fails on rows with at most one
+    # nonzero entry: 22 of them in the first chunk, one in each later chunk,
+    # and the forced row, which the enumeration meets again in the last chunk
+    def run(p):
+        fails = sum(1 for v in p.row if v) <= 1
+        return True, not fails, {"seen": 1}
+
+    monkeypatch.setitem(verify.SUITES, "INV-NONE", verify.SuiteDef(
+        "INV-NONE", lambda n: True, "any order", run))
+    forced = (0,) * 7 + (3,)
+    report = run_suite(ScanConfig(field=GF4, order=8, suites=("INV-NONE",),
+                                  extra_rows=(forced,)))
+    failing = [i for i in range(4 ** 8) if sum(1 for v in index_to_row(i, 4, 8) if v) <= 1]
+    assert [i // CHUNK for i in failing] == [0] * 22 + [1, 2, 3]
+    res = report.suites["INV-NONE"]
+    assert res.counterexamples == [forced] + [index_to_row(i, 4, 8) for i in failing]
+    assert report.examined == res.hypothesis_count == 4 ** 8 + 1
+    assert res.conclusion_count == 4 ** 8 - len(failing)
+    assert res.extras == {"seen": 4 ** 8 + 1}
+    assert not report.ok()
 
 
 # -- brute-force oracle ------------------------------------------------------------------
