@@ -6,9 +6,9 @@ pairs behind the semi-properties, and verifies the trace relations between
 those diagonals and the MDS property by exhaustive and seeded-random scans.
 """
 
-from .circulant import build, interleaved_sums, inverse_row, is_circulant, row_sum
+from .circulant import build, interleaved_sums, inverse_row, is_circulant
 from .field import GF2m, get_field
-from .matgf import det, diag_trace, identity, inverse, mat_mul, sandwich, submatrix, trace, transpose
+from .matgf import det, diag_trace, identity, inverse, mat_mul, sandwich, submatrix, transpose
 from .props import (
     Classification,
     DiagonalPair,
@@ -22,13 +22,10 @@ from .props import (
     is_nonperiodic,
     is_orthogonal,
     power_scalar,
-    semi_involutory_check,
-    semi_orthogonal_check,
 )
 from .verify import (
     ScanConfig,
     ScanReport,
-    oracle_semi_search,
     run_suite,
     verification_plan,
     verify_example,
@@ -38,14 +35,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2m", "get_field",
-    "build", "is_circulant", "row_sum", "interleaved_sums", "inverse_row",
+    "build", "is_circulant", "interleaved_sums", "inverse_row",
     "mat_mul", "transpose", "identity", "inverse", "det", "submatrix",
-    "trace", "diag_trace", "sandwich",
+    "diag_trace", "sandwich",
     "MdsVerdict", "DiagonalPair", "Classification", "Properties",
     "is_mds", "is_involutory", "is_orthogonal",
-    "diagonal_scaling_solve", "semi_orthogonal_check", "semi_involutory_check",
-    "circulant_semi_pair",
+    "diagonal_scaling_solve", "circulant_semi_pair",
     "power_scalar", "is_nonperiodic", "classify",
-    "ScanConfig", "ScanReport", "run_suite", "oracle_semi_search",
-    "verify_example", "verification_plan",
+    "ScanConfig", "ScanReport", "run_suite", "verify_example", "verification_plan",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .field import GF2m
-from .matgf import Matrix, require_square
+from .matgf import Matrix, diag_trace, require_square
 
 
 class OddOrder(ValueError):
@@ -35,13 +35,6 @@ def is_circulant(A: Matrix) -> bool:
     n = require_square(A)
     first = A[0]
     return all(A[i][j] == first[(j - i) % n] for i in range(1, n) for j in range(n))
-
-
-def row_sum(first_row) -> int:
-    s = 0
-    for c in first_row:
-        s ^= c
-    return s
 
 
 def is_involutory_row(first_row) -> bool:
@@ -69,7 +62,7 @@ def is_orthogonal_row(gf: GF2m, first_row) -> bool:
     shift s, and at s == n/2 every product appears twice and cancels, so
     only the shifts 1 .. (n-1)//2 remain to be zero.
     """
-    if row_sum(first_row) != 1:
+    if diag_trace(first_row) != 1:
         return False
     exp, log = gf.exp_table, gf.log_table
     n = len(first_row)
@@ -93,7 +86,7 @@ def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:
     are coefficient lists, lowest degree first, without trailing zeros;
     products of nonzero coefficients go through the field's log tables.
     """
-    if row_sum(first_row) == 0:
+    if diag_trace(first_row) == 0:
         return None  # x - 1 divides a(x)
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1

@@ -168,11 +168,6 @@ class GF2m:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Coefficient-wise XOR (characteristic 2)."""
-        return a ^ b
-
     def mul_raw(self, a: int, b: int) -> int:
         """Shift-and-reduce multiplication, independent of the log tables."""
         top = self.order
@@ -219,13 +214,7 @@ class GF2m:
             return False  # x reduces to a constant in GF(2)
         return self.element_order(2) == self._mult_order
 
-    # -- ranges and I/O -----------------------------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
-
-    def nonzero_elements(self) -> range:
-        return range(1, self.order)
+    # -- I/O ----------------------------------------------------------------
 
     def parse_element(self, text: str) -> int:
         s = text.strip()

@@ -5,7 +5,7 @@ diagonal matrix is the list of its diagonal entries.  Functions never
 mutate their arguments and always return fresh matrices, so values can be
 shared freely between scan workers.  Operations that need field
 multiplication take the owning `GF2m` as their first argument; the ones
-that only add (trace) or only rearrange (transpose, submatrix) do not.
+that only add (diag_trace) or only rearrange (transpose, submatrix) do not.
 """
 
 from __future__ import annotations
@@ -68,15 +68,6 @@ def mat_mul(gf: GF2m, A: Matrix, B: Matrix) -> Matrix:
             row.append(s)
         out.append(row)
     return out
-
-
-def trace(A: Matrix) -> int:
-    """XOR of the main diagonal (field addition in characteristic 2)."""
-    n = require_square(A)
-    t = 0
-    for i in range(n):
-        t ^= A[i][i]
-    return t
 
 
 def submatrix(A: Matrix, rows, cols) -> Matrix:
@@ -161,6 +152,7 @@ Diagonal = list  # list[int], the main diagonal
 
 
 def diag_trace(d: Diagonal) -> int:
+    """XOR of the entries: a diagonal's trace, or a first row's sum."""
     t = 0
     for v in d:
         t ^= v

@@ -22,9 +22,10 @@ constant for every k and every s, s' in S.  When the differences S - S
 generate Z_n (the nonzero pattern is connected), d2_(k+1)/d2_k is then one
 constant whose n-th power is 1: both diagonals are geometric, and the
 relation becomes a polynomial identity on the first row.  A full-support
-row is the commonest case.  The dense inverse and the generic solver
-remain the reference, and run for explicit matrices and for circulants
-whose support lies in a coset of a proper subgroup of Z_n.
+row is the commonest case.  The dense inverse and the generic solver run
+for explicit matrices and for circulants whose support lies in a coset of
+a proper subgroup of Z_n; the tests check the shortcut against them and
+them against a brute-force search over diagonal pairs.
 """
 
 from __future__ import annotations
@@ -90,15 +91,10 @@ class MdsVerdict:
 
 @dataclass(frozen=True)
 class DiagonalPair:
-    """Associated diagonal pair (D1, D2), all entries nonzero.
-
-    `anchors` lists the row index normalized to d1 == 1 in each connected
-    component of the nonzero pattern (one entry per component).
-    """
+    """Associated diagonal pair (D1, D2), all entries nonzero."""
 
     d1: tuple[int, ...]
     d2: tuple[int, ...]
-    anchors: tuple[int, ...] = (0,)
 
 
 class MinorLayerTooLarge(ValueError):
@@ -246,11 +242,9 @@ def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalP
 
     d: list[Optional[int]] = [None] * n
     e: list[Optional[int]] = [None] * n
-    anchors = []
     for start in range(n):
         if d[start] is not None:
             continue
-        anchors.append(start)
         d[start] = 1
         queue = [("r", start)]
         while queue:
@@ -276,7 +270,7 @@ def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalP
         for j in row_adj[i]:
             if mul(d[i], e_full[j]) != ratio[i][j]:
                 return None
-    return DiagonalPair(tuple(d), tuple(e_full), tuple(anchors))
+    return DiagonalPair(tuple(d), tuple(e_full))
 
 
 def circulant_semi_pair(
@@ -351,19 +345,8 @@ def _geometric_pair(gf: GF2m, n: int, a_logs, c_logs) -> Optional[DiagonalPair]:
                 return DiagonalPair(
                     tuple(exp[-i * s % q1] for i in range(n)),
                     tuple(exp[(j * s - log_k) % q1] for j in range(n)),
-                    (0,),
                 )
     return None
-
-
-def semi_orthogonal_check(gf: GF2m, A: Matrix) -> Optional[DiagonalPair]:
-    """Diagonal pair with A^-T == D1*A*D2, or None.  Raises Singular."""
-    return diagonal_scaling_solve(gf, A, transpose(inverse(gf, A)))
-
-
-def semi_involutory_check(gf: GF2m, A: Matrix) -> Optional[DiagonalPair]:
-    """Diagonal pair with A^-1 == D1*A*D2, or None.  Raises Singular."""
-    return diagonal_scaling_solve(gf, A, inverse(gf, A))
 
 
 def power_scalar(gf: GF2m, d, n: int) -> Optional[int]:

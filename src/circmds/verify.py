@@ -14,8 +14,9 @@ with c_0 in the least significant position; random mode draws them from
 one seeded SplitMix64 stream.  A chunk is the config's forced rows or a
 (start, end) span of at most CHUNK rows of the config's own enumeration or
 stream; each chunk returns a partial `ScanReport`, and the partials are
-merged in order, forced rows first.  Wall-clock time and worker count live
-outside the deterministic payload.
+merged in order, forced rows first.  A pool runs the chunks in at most
+min(workers, chunks, CPUs) processes.  Wall-clock time and worker count
+live outside the deterministic payload.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -40,17 +41,16 @@ nonzero; failures of these side invariants are reported separately.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import product
-from typing import Optional
 
 from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
 from .matgf import Singular, diag_trace, inverse, sandwich, transpose
 from .props import (
     SCHEMA_VERSION,
-    DiagonalPair,
     Properties,
     diagonal_scaling_solve,
     is_mds,
@@ -99,16 +99,6 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def next_below(self, bound: int) -> int:
-        """Uniform draw in [0, bound) by rejection (0 < bound <= 2^64)."""
-        if not 0 < bound <= _MASK64 + 1:
-            raise ValueError(f"bound must be in [1, 2^64], got {bound}")
-        limit = _MASK64 + 1 - ((_MASK64 + 1) % bound)
-        while True:
-            r = self.next_u64()
-            if r < limit:
-                return r % bound
-
 
 def index_to_row(index: int, q: int, n: int) -> tuple[int, ...]:
     """Base-q digits of index, least significant digit = c_0."""
@@ -146,7 +136,7 @@ def random_rows(seed: int, q: int, n: int, start: int, end: int):
     SplitMix64(seed), low word first, masked to log2(q^n) bits; no draw is
     rejected.  Draw k therefore starts at state seed + k * words * gamma,
     and a chunk starts its own stream there.  For q^n <= 2^64 a draw is one
-    output masked, which is what `next_below(q^n)` returns.
+    output masked.
     """
     bits = (q ** n).bit_length() - 1
     words = -(-bits // 64)
@@ -449,12 +439,14 @@ def run_suite(config: ScanConfig) -> ScanReport:
     config.validate()
     started = time.perf_counter()
     args = [(config, span) for span in _chunk_spans(config)]
+    # the pool forks every worker at once: no more than there are chunks or CPUs
+    workers = min(config.worker_count, len(args), os.cpu_count() or 1)
 
-    if config.worker_count > 1 and len(args) > 1:
+    if workers > 1:
         # imported here: it loads multiprocessing, which a 1-worker scan never uses
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, args))
     else:
         partials = [_scan_chunk(a) for a in args]
@@ -464,54 +456,6 @@ def run_suite(config: ScanConfig) -> ScanReport:
         report.merge(part)
     report.elapsed_seconds = time.perf_counter() - started
     return report
-
-
-# -- brute-force oracle for the semi-property definitions ------------------------
-
-ORACLE_MAX_Q = 8
-ORACLE_MAX_N = 3
-
-
-def oracle_semi_search(gf: GF2m, A, relation: str) -> Optional[DiagonalPair]:
-    """Decide a semi-property by trying every nonzero diagonal pair.
-
-    `relation` is "involutory" (target A^-1) or "orthogonal" (target A^-T).
-    Independent of the ratio-propagation solver: for each of the (q-1)^n
-    left diagonals, each right-diagonal entry is tested against every row
-    of its column.  Kept to q <= 8, n <= 3, where (q-1)^(2n) is desk-sized.
-    """
-    n = len(A)
-    q = gf.order
-    if q > ORACLE_MAX_Q or n > ORACLE_MAX_N:
-        raise BudgetExceeded(
-            f"oracle limited to q <= {ORACLE_MAX_Q}, n <= {ORACLE_MAX_N}"
-        )
-    B = inverse(gf, A)  # raises Singular: the semi-properties need A^-1
-    if relation == "orthogonal":
-        B = transpose(B)
-    elif relation != "involutory":
-        raise ValueError(f"unknown relation {relation!r}")
-    mul = gf.mul
-    nonzero = range(1, q)
-    a_cols = [[A[i][j] for i in range(n)] for j in range(n)]
-    b_cols = [[B[i][j] for i in range(n)] for j in range(n)]
-    rows_idx = range(n)
-    for d in product(nonzero, repeat=n):
-        pick = []
-        for j in range(n):
-            ac = a_cols[j]
-            bc = b_cols[j]
-            found = None
-            for e in nonzero:
-                if all(mul(mul(d[i], ac[i]), e) == bc[i] for i in rows_idx):
-                    found = e
-                    break
-            if found is None:
-                break
-            pick.append(found)
-        else:
-            return DiagonalPair(tuple(d), tuple(pick), anchors=())
-    return None
 
 
 # -- golden reference instances ---------------------------------------------------
@@ -564,22 +508,24 @@ class ExampleRecord:
         }
 
 
-def verify_example(example_id: int, poly: int = REFERENCE_POLY) -> ExampleRecord:
-    """Re-derive one golden instance and check all six stated assertions.
+def verify_example(example_id: int) -> ExampleRecord:
+    """Re-derive one golden instance over GF(2^8)/REFERENCE_POLY and check
+    all six stated assertions.
 
     (a) nonsingular, (b) MDS, (c) semi-orthogonal, (d) the recorded pair
     satisfies A^-T == D1*A*D2 verbatim, (e) the solver's canonical pair is
     a scalar multiple of the recorded one, (f) both recorded diagonals have
-    nonzero trace.  The `poly` override exists as a negative control: the
-    recorded pairs are tied to 0x11D and must fail (d) elsewhere.
+    nonzero trace.  REFERENCE_POLY is read at call time, so a test can
+    swap the field as a negative control: the recorded pairs are tied to
+    0x11D and fail (d) elsewhere.
     """
     spec = EXAMPLES[example_id]
-    gf = get_field(8, poly)
+    gf = get_field(8, REFERENCE_POLY)
     row = spec["row"]
     d1p = spec["d1"]
     d2p = spec["d2"]
     A = build(row)
-    record = ExampleRecord(example_id, gf.m, poly, [])
+    record = ExampleRecord(example_id, gf.m, gf.poly, [])
     asserts = record.assertions
 
     try:

@@ -1,0 +1,107 @@
+"""Brute-force and dense references that the tests compare the package against.
+
+None of this runs in a command or a scan: each function is the slow,
+obvious form of something the package decides faster.
+"""
+
+from itertools import product
+from typing import Optional
+
+from circmds.matgf import inverse, transpose
+from circmds.props import DiagonalPair, diagonal_scaling_solve
+from circmds.verify import BudgetExceeded
+
+ORACLE_MAX_Q = 8
+ORACLE_MAX_N = 3
+
+_TWO_TO_THE_64 = 1 << 64
+
+
+def _target(gf, A, relation: str):
+    """A^-1 for `relation` "involutory", A^-T for "orthogonal".  Raises
+    Singular: the semi-properties need A^-1."""
+    B = inverse(gf, A)
+    if relation == "orthogonal":
+        return transpose(B)
+    if relation != "involutory":
+        raise ValueError(f"unknown relation {relation!r}")
+    return B
+
+
+def dense_semi_pair(gf, A, relation: str) -> Optional[DiagonalPair]:
+    """The generic solver's pair with A^-1 == D1*A*D2 (`relation`
+    "involutory") or A^-T == D1*A*D2 ("orthogonal"), from the dense
+    inverse; None without a pair.  Raises Singular."""
+    return diagonal_scaling_solve(gf, A, _target(gf, A, relation))
+
+
+def oracle_semi_search(gf, A, relation: str) -> Optional[DiagonalPair]:
+    """Decide a semi-property by trying every nonzero diagonal pair.
+
+    `relation` is "involutory" (target A^-1) or "orthogonal" (target A^-T).
+    Independent of the ratio-propagation solver: for each of the (q-1)^n
+    left diagonals, each right-diagonal entry is tested against every row
+    of its column.  Kept to q <= 8, n <= 3, where (q-1)^(2n) is desk-sized.
+    """
+    n = len(A)
+    q = gf.order
+    if q > ORACLE_MAX_Q or n > ORACLE_MAX_N:
+        raise BudgetExceeded(
+            f"oracle limited to q <= {ORACLE_MAX_Q}, n <= {ORACLE_MAX_N}"
+        )
+    B = _target(gf, A, relation)
+    mul = gf.mul
+    nonzero = range(1, q)
+    a_cols = [[A[i][j] for i in range(n)] for j in range(n)]
+    b_cols = [[B[i][j] for i in range(n)] for j in range(n)]
+    rows_idx = range(n)
+    for d in product(nonzero, repeat=n):
+        pick = []
+        for j in range(n):
+            ac = a_cols[j]
+            bc = b_cols[j]
+            found = None
+            for e in nonzero:
+                if all(mul(mul(d[i], ac[i]), e) == bc[i] for i in rows_idx):
+                    found = e
+                    break
+            if found is None:
+                break
+            pick.append(found)
+        else:
+            return DiagonalPair(tuple(d), tuple(pick))
+    return None
+
+
+def next_below(rng, bound: int) -> int:
+    """Uniform draw in [0, bound) from a SplitMix64 stream by rejection
+    (0 < bound <= 2^64)."""
+    if not 0 < bound <= _TWO_TO_THE_64:
+        raise ValueError(f"bound must be in [1, 2^64], got {bound}")
+    limit = _TWO_TO_THE_64 - _TWO_TO_THE_64 % bound
+    while True:
+        r = rng.next_u64()
+        if r < limit:
+            return r % bound
+
+
+def component_first_rows(A) -> list:
+    """The smallest row index of each connected component of the bipartite
+    row/column graph of A's nonzero entries, in increasing order."""
+    n = len(A)
+    seen = set()
+    firsts = []
+    for start in range(n):
+        if start in seen:
+            continue
+        firsts.append(start)
+        seen.add(start)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            # rows i and k share a component when some column is nonzero in both
+            for k in range(n):
+                if k not in seen and any(A[i][j] and A[k][j] for j in range(n)):
+                    seen.add(k)
+                    stack.append(k)
+    return firsts

@@ -60,24 +60,11 @@ def test_is_irreducible(m, poly, expect):
     assert is_irreducible(poly, m) is expect
 
 
-# -- addition ------------------------------------------------------------------
-
-
-def test_add_examples():
-    assert GF2m.add(0x02, 0x03) == 0x01
-    assert GF2m.add(0xE2, GF2m.add(0xE2, 0xE2)) == 0xE2
-
-
-def test_add_self_cancels():
-    for a in F11D.elements():
-        assert GF2m.add(a, a) == 0
-
-
 # -- multiplication --------------------------------------------------------------
 
 
 def test_mul_identity():
-    for a in GF8.elements():
+    for a in range(GF8.order):
         assert GF8.mul(a, 0x01) == a
 
 
@@ -93,8 +80,8 @@ def test_mul_x_times_x_plus_1():
 
 @pytest.mark.parametrize("gf", [GF4, GF8, GF16])
 def test_mul_matches_shift_reduce_exhaustively(gf):
-    for a in gf.elements():
-        for b in gf.elements():
+    for a in range(gf.order):
+        for b in range(gf.order):
             assert gf.mul(a, b) == gf.mul_raw(a, b)
 
 
@@ -124,7 +111,7 @@ def test_inv_one():
 
 def test_inv_x_in_aes_field_vs_scan_oracle():
     # oracle: the unique c with mul_raw(0x02, c) == 1 among all 255 candidates
-    matches = [c for c in F11B.nonzero_elements() if F11B.mul_raw(0x02, c) == 1]
+    matches = [c for c in range(1, F11B.order) if F11B.mul_raw(0x02, c) == 1]
     assert matches == [0x8D]
     assert F11B.inv(0x02) == 0x8D
 
@@ -136,7 +123,7 @@ def test_inv_zero_raises():
 
 @pytest.mark.parametrize("gf", [GF4, GF8, GF16, F11D, F11B])
 def test_inv_round_trip(gf):
-    for a in gf.nonzero_elements():
+    for a in range(1, gf.order):
         assert gf.mul(a, gf.inv(a)) == 1
 
 
@@ -149,7 +136,7 @@ def test_pow_zero_exponent():
 
 
 def test_pow_group_order():
-    for a in GF16.nonzero_elements():
+    for a in range(1, GF16.order):
         assert GF16.pow(a, GF16.order - 1) == 1
 
 
@@ -164,7 +151,7 @@ def test_pow_x_eighth_vs_repeated_mul():
 @pytest.mark.parametrize("gf", [GF4, GF8, GF16])
 def test_pow_frobenius_fixed_points(gf):
     # a^(2^m) == a for every a
-    for a in gf.elements():
+    for a in range(gf.order):
         assert gf.pow(a, gf.order) == a
 
 
@@ -184,10 +171,10 @@ def test_axioms_f11d(a, b, c):
     gf = F11D
     assert gf.mul(a, b) == gf.mul(b, a)
     assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-    assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
-    assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+    assert (a ^ b) ^ c == a ^ (b ^ c)
+    assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
     # Frobenius: squaring is additive in characteristic 2
-    assert gf.pow(gf.add(a, b), 2) == gf.add(gf.pow(a, 2), gf.pow(b, 2))
+    assert gf.pow(a ^ b, 2) == gf.pow(a, 2) ^ gf.pow(b, 2)
     if a != 0:
         assert gf.mul(a, gf.inv(a)) == 1
 
@@ -217,7 +204,7 @@ def test_parse_bad_syntax():
 
 @pytest.mark.parametrize("gf", [GF4, GF8, F11D])
 def test_round_trip_all_elements(gf):
-    for a in gf.elements():
+    for a in range(gf.order):
         assert gf.parse_element(gf.format_element(a)) == a
 
 
@@ -240,7 +227,6 @@ def test_x_primitivity():
 def test_gf2_edge_field():
     gf = get_field(1, 0x3)
     assert gf.mul(1, 1) == 1
-    assert gf.add(1, 1) == 0
     assert gf.inv(1) == 1
 
 

@@ -13,7 +13,6 @@ from circmds.field import get_field
 from circmds.matgf import (
     Singular,
     det,
-    diag_trace,
     identity,
     inverse,
     sandwich,
@@ -38,9 +37,8 @@ from circmds.props import (
     matrix_properties_json,
     order_category,
     power_scalar,
-    semi_involutory_check,
-    semi_orthogonal_check,
 )
+from reference import component_first_rows, dense_semi_pair, oracle_semi_search
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
@@ -70,8 +68,8 @@ def test_identity_not_mds_with_1x1_witness():
 
 def test_gf4_2x2_exhaustive_against_definition():
     # independent characterization: MDS iff a != 0, b != 0, a != b
-    for a in GF4.elements():
-        for b in GF4.elements():
+    for a in range(GF4.order):
+        for b in range(GF4.order):
             expect = a != 0 and b != 0 and a != b
             assert is_mds(GF4, build((a, b))).is_mds is expect
 
@@ -223,7 +221,7 @@ def test_aes_matrix_neither_involutory_nor_orthogonal():
 def test_swap_matrix_involutory_with_identity_pair():
     A = [[0, 1], [1, 0]]
     assert is_involutory(GF4, A)
-    pair = semi_involutory_check(GF4, A)
+    pair = dense_semi_pair(GF4, A, "involutory")
     assert pair is not None
     assert pair.d1 == (1, 1) and pair.d2 == (1, 1)
 
@@ -232,7 +230,7 @@ def test_orthogonal_implies_semi_orthogonal_with_identity_pair():
     # circulant(a, a+1) with a+b = 1 is orthogonal at order 2
     A = build((2, 3))
     assert is_orthogonal(GF4, A)
-    pair = semi_orthogonal_check(GF4, A)
+    pair = dense_semi_pair(GF4, A, "orthogonal")
     assert pair is not None
     assert pair.d1 == (1, 1) and pair.d2 == (1, 1)
 
@@ -244,7 +242,9 @@ def test_solve_identity_to_identity():
     pair = diagonal_scaling_solve(GF8, identity(3), identity(3))
     assert pair.d1 == (1, 1, 1)
     assert pair.d2 == (1, 1, 1)
-    assert pair.anchors == (0, 1, 2)  # one component per diagonal position
+    # one component per diagonal position, each anchored at its row
+    assert component_first_rows(identity(3)) == [0, 1, 2]
+    assert all(pair.d1[r] == 1 for r in component_first_rows(identity(3)))
 
 
 def test_solve_zero_pattern_mismatch():
@@ -277,16 +277,17 @@ def test_solve_rejects_non_factorable_ratio():
 
 def test_example1_canonical_pair_frozen():
     A = build(EX1_ROW)
-    pair = semi_orthogonal_check(F11D, A)
+    pair = dense_semi_pair(F11D, A, "orthogonal")
     assert pair.d1 == (1, 1, 1)
     # canonical d2 entry = (first stated d1 entry) * (stated d2 entry) = E2 * 5A
     assert pair.d2 == (0x3E, 0x3E, 0x3E)
-    assert pair.anchors == (0,)
+    assert component_first_rows(A) == [0]  # full support: one component
+    assert all(pair.d1[r] == 1 for r in component_first_rows(A))
 
 
 def test_example1_matches_stated_pair_up_to_scalar():
     A = build(EX1_ROW)
-    pair = semi_orthogonal_check(F11D, A)
+    pair = dense_semi_pair(F11D, A, "orthogonal")
     scale = F11D.mul(pair.d1[0], F11D.inv(0xE2))
     inv_scale = F11D.inv(scale)
     for i in range(3):
@@ -329,11 +330,12 @@ def test_reanchoring_gives_constant_quotient():
 
 
 def test_semi_checks_raise_singular():
-    A = build((1, 1, 0))  # zero row sum
-    with pytest.raises(Singular):
-        semi_orthogonal_check(GF4, A)
-    with pytest.raises(Singular):
-        semi_involutory_check(GF4, A)
+    # the dense path raises; the first-row path reports no pair
+    row = (1, 1, 0)  # zero row sum
+    for relation in ("orthogonal", "involutory"):
+        with pytest.raises(Singular):
+            dense_semi_pair(GF4, build(row), relation)
+        assert circulant_semi_pair(GF4, row, relation) is None
 
 
 # -- power_scalar -----------------------------------------------------------------------------
@@ -350,7 +352,7 @@ def test_power_scalar_example1_stated_pair():
 
 def test_power_scalar_order2_forces_equal_entries():
     # squaring is injective in characteristic 2, so d^2 all-equal means d constant
-    for a in GF8.nonzero_elements():
+    for a in range(1, GF8.order):
         result = power_scalar(GF8, [1, a], 2)
         assert (result is not None) is (a == 1)
 
@@ -447,8 +449,8 @@ def test_classification_json_shape():
 def test_classify_even_order_fills_nonperiodic_flags():
     # scan GF(4) order 2 for a semi-orthogonal instance and check the flags
     seen = False
-    for a in GF4.elements():
-        for b in GF4.elements():
+    for a in range(GF4.order):
+        for b in range(GF4.order):
             cls = classify(GF4, (a, b))
             if cls.semi_orthogonal.found:
                 seen = True
@@ -478,20 +480,22 @@ def test_row_and_matrix_records_agree_exhaustively():
 
 
 def test_gf4_n2_solver_agrees_with_oracle():
-    from circmds.verify import oracle_semi_search
-
-    for a in GF4.elements():
-        for b in GF4.elements():
+    checked = agreements = 0
+    for a in range(GF4.order):
+        for b in range(GF4.order):
             A = build((a, b))
             try:
-                fast_si = semi_involutory_check(GF4, A)
-                fast_so = semi_orthogonal_check(GF4, A)
+                fast_si = dense_semi_pair(GF4, A, "involutory")
+                fast_so = dense_semi_pair(GF4, A, "orthogonal")
             except Singular:
                 continue
             slow_si = oracle_semi_search(GF4, A, "involutory")
             slow_so = oracle_semi_search(GF4, A, "orthogonal")
-            assert (fast_si is None) == (slow_si is None)
-            assert (fast_so is None) == (slow_so is None)
+            checked += 1
+            agreements += (fast_si is None) == (slow_si is None)
+            agreements += (fast_so is None) == (slow_so is None)
+    assert checked == 12  # circulant(a, b) is singular iff a == b: det = (a + b)^2
+    assert agreements == 2 * checked
 
 
 # -- circulant fast path against the dense reference ---------------------------------------

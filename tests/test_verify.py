@@ -1,4 +1,4 @@
-"""Scan engine: configuration, determinism, suites, oracle, golden instances."""
+"""Scan engine: configuration, determinism, suites, oracle, golden instances, package surface."""
 
 import json
 import os
@@ -15,13 +15,7 @@ from circmds import props, verify
 from circmds.field import get_field
 from circmds.circulant import build, inverse_row
 from circmds.matgf import Singular, diag_trace, sandwich
-from circmds.props import (
-    Properties,
-    circulant_semi_pair,
-    classify,
-    semi_involutory_check,
-    semi_orthogonal_check,
-)
+from circmds.props import Properties, circulant_semi_pair, classify
 from circmds.verify import (
     CHUNK,
     EXAMPLES,
@@ -34,12 +28,12 @@ from circmds.verify import (
     SplitMix64,
     exhaustive_rows,
     index_to_row,
-    oracle_semi_search,
     random_rows,
     run_suite,
     verification_plan,
     verify_example,
 )
+from reference import dense_semi_pair, next_below, oracle_semi_search
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
@@ -60,22 +54,22 @@ def test_splitmix64_reference_vectors():
 def test_splitmix64_same_seed_same_stream():
     a = SplitMix64(123456789)
     b = SplitMix64(123456789)
-    assert [a.next_below(1000) for _ in range(50)] == [
-        b.next_below(1000) for _ in range(50)
+    assert [next_below(a, 1000) for _ in range(50)] == [
+        next_below(b, 1000) for _ in range(50)
     ]
 
 
 def test_next_below_in_range():
     g = SplitMix64(42)
     for _ in range(200):
-        assert 0 <= g.next_below(7) < 7
+        assert 0 <= next_below(g, 7) < 7
 
 
 def test_next_below_refuses_bounds_above_two_to_the_64():
-    assert SplitMix64(9).next_below(1 << 64) == SplitMix64(9).next_u64()
+    assert next_below(SplitMix64(9), 1 << 64) == SplitMix64(9).next_u64()
     for bound in (0, (1 << 64) + 1):
         with pytest.raises(ValueError):
-            SplitMix64(9).next_below(bound)
+            next_below(SplitMix64(9), bound)
 
 
 def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
@@ -86,7 +80,7 @@ def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
         assert all(len(row) == n and max(row) < q for row in rows)
         if q ** n <= 1 << 64:
             rng = SplitMix64(99)
-            assert rows == [index_to_row(rng.next_below(q ** n), q, n) for _ in range(40)]
+            assert rows == [index_to_row(next_below(rng, q ** n), q, n) for _ in range(40)]
         else:
             assert any(row[-1] for row in rows)
         assert list(random_rows(99, q, n, 13, 40)) == rows[13:]
@@ -265,6 +259,49 @@ def test_report_identical_across_worker_counts():
     assert payloads[0] == payloads[1] == payloads[2]
 
 
+def test_pool_never_larger_than_chunks_or_cpus(monkeypatch):
+    # a stand-in pool records its size and maps in-process: no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    gf2 = get_field(1, 0x3)
+    two_chunks = {"field": gf2, "order": 15, "suites": ("INV-NONE",)}
+    four_chunks = {"field": gf2, "order": 16, "suites": ("INV-NONE",)}
+    serial = {
+        15: json.dumps(run_suite(ScanConfig(**two_chunks)).payload(), sort_keys=True),
+        16: json.dumps(run_suite(ScanConfig(**four_chunks)).payload(), sort_keys=True),
+    }
+    assert sizes == []
+    for cpus, kw, workers, expect in (
+        (64, two_chunks, 100_000, [2]),  # capped by the chunks
+        (3, four_chunks, 100_000, [3]),  # capped by the CPUs
+        (64, four_chunks, 2, [2]),  # below both caps: as asked
+        (1, four_chunks, 4, []),  # one CPU: in-process
+        (None, four_chunks, 100_000, []),  # CPU count unknown: in-process
+    ):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        report = run_suite(ScanConfig(worker_count=workers, **kw))
+        assert sizes == expect, (cpus, kw["order"], workers)
+        assert json.dumps(report.payload(), sort_keys=True) == serial[kw["order"]]
+        assert report.to_dict()["worker_count"] == workers
+
+
 def test_random_mode_reproducible_and_seed_sensitive():
     def payload(seed):
         report = run_suite(ScanConfig(field=GF8, order=3, suites=("SO-ODD-EXIST",),
@@ -420,7 +457,7 @@ def test_oracle_agrees_with_solver_gf8_sample():
         row = index_to_row(idx, 8, 3)
         A = build(row)
         try:
-            fast = semi_involutory_check(GF8, A)
+            fast = dense_semi_pair(GF8, A, "involutory")
         except Singular:
             continue
         slow = oracle_semi_search(GF8, A, "involutory")
@@ -459,8 +496,10 @@ def test_example2_stated_traces_are_zero():
     assert diag_trace(EXAMPLES[2]["d2"]) == 0
 
 
-def test_example1_negative_control_in_aes_field():
-    record = verify_example(1, poly=0x11B)
+def test_example1_negative_control_in_aes_field(monkeypatch):
+    monkeypatch.setattr(verify, "REFERENCE_POLY", 0x11B)
+    record = verify_example(1)
+    assert record.field_poly == 0x11B
     outcomes = {name: ok for name, ok, _ in record.assertions}
     assert not outcomes["stated_pair_verbatim"]
     assert not record.ok
@@ -488,6 +527,17 @@ def test_injected_multiplication_fault_surfaces(monkeypatch):
 
     monkeypatch.setattr(GF2m, "mul", flaky)
     assert not verify_example(1).ok
+
+
+# -- package surface ---------------------------------------------------------------------------
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from circmds import *", namespace)
+    assert len(set(circmds.__all__)) == len(circmds.__all__)
+    for name in circmds.__all__:
+        assert namespace[name] is getattr(circmds, name)
 
 
 # -- bundled plan -----------------------------------------------------------------------------
