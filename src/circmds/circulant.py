@@ -8,9 +8,10 @@ forces singularity.
 
 Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
-`inverse_row` inverts one in that ring instead of as a dense matrix, and
-`is_involutory_row` and `is_orthogonal_row` decide A^2 == I and
-A*A^T == I as identities in it.
+`inverse_row` inverts one in that ring instead of as a dense matrix,
+`scalar_square_root` decides whether A^2 is a scalar matrix (A^2 == I
+among them), and `is_orthogonal_row` decides A*A^T == I, as identities
+in it.
 """
 
 from __future__ import annotations
@@ -37,19 +38,25 @@ def is_circulant(A: Matrix) -> bool:
     return all(A[i][j] == first[(j - i) % n] for i in range(1, n) for j in range(n))
 
 
-def is_involutory_row(first_row) -> bool:
-    """Whether circulant(first_row)^2 == I, without field arithmetic.
+def scalar_square_root(first_row) -> int:
+    """The r with circulant(first_row)^2 == r^2 * I, or 0 when that square
+    is not a nonzero scalar matrix; A is involutory exactly when r == 1.
 
-    In characteristic 2, a(x)^2 == sum of a_j^2 * x^(2j), and squaring is
-    injective on the field, so a(x)^2 == 1 mod x^n - 1 exactly when, for
-    every t, the a_j with 2j == t (mod n) sum to 1 at t == 0 and to 0
-    elsewhere.
+    In characteristic 2, a(x)^2 == sum of a_j^2 * x^(2j) mod x^n - 1, so
+    its coefficient at t is r_t^2, where r_t is the sum (XOR) of the a_j
+    with 2j == t (mod n): the square is the constant r_0^2 exactly when
+    r_t == 0 for every t != 0, and it is nonzero exactly when r_0 is.  The
+    fold needs no field arithmetic and takes the shape of j -> 2j mod n.
+    At odd n that map is a bijection, so r_t is a single a_j and the row
+    must be (r, 0, ..., 0).  At even n = 2h, r_t is 0 at odd t and
+    a_i + a_(i+h) at t = 2i, so a_i == a_(i+h) for 0 < i < h and
+    r = a_0 + a_h.
     """
     n = len(first_row)
-    sums = [0] * n
-    for j, v in enumerate(first_row):
-        sums[2 * j % n] ^= v
-    return sums[0] == 1 and not any(sums[1:])
+    h = n >> 1
+    if n & 1:
+        return 0 if any(first_row[1:]) else first_row[0]
+    return first_row[0] ^ first_row[h] if first_row[1:h] == first_row[h + 1:] else 0
 
 
 def is_orthogonal_row(gf: GF2m, first_row) -> bool:

@@ -20,12 +20,23 @@ and B circulant, and let S be the support of A's first row.  For s in S,
 d1_i*d2_(i+s) = b_s/a_s does not depend on i, so d2_(k+s-s')/d2_k is one
 constant for every k and every s, s' in S.  When the differences S - S
 generate Z_n (the nonzero pattern is connected), d2_(k+1)/d2_k is then one
-constant whose n-th power is 1: both diagonals are geometric, and the
+constant mu whose n-th power is 1: both diagonals are geometric, and the
 relation becomes a polynomial identity on the first row.  A full-support
-row is the commonest case.  The dense inverse and the generic solver run
-for explicit matrices and for circulants whose support lies in a coset of
-a proper subgroup of Z_n; the tests check the shortcut against them and
-them against a brute-force search over diagonal pairs.
+row is the commonest case.
+
+For A^-1 = D1*A*D2 that identity is a(x)*a(mu*x) == k, and on a
+connected support mu == 1: with sigma(x) = mu*x,
+sigma(a)*sigma^2(a) == k == a*sigma(a) gives sigma^2(a) == a; mu has odd
+order, so sigma(a) == a, that is mu^s == 1 for every s in S, and the
+differences S - S generate Z_n.  So the relation is A^2 == k*I, which one
+XOR fold over the first row decides, and the semi-involutory pair is
+settled in this order: a scalar square gives the pair (1, ..., 1),
+(k^-1, ..., k^-1) on any support; otherwise a connected support has none;
+only a disconnected support goes on.  For A^-T the gcd(n, q-1) roots of
+unity are tried.  The dense inverse and the generic solver run for
+explicit matrices and for the circulants that go on, whose support lies
+in a coset of a proper subgroup of Z_n; the tests check the shortcut
+against them and them against a brute-force search over diagonal pairs.
 """
 
 from __future__ import annotations
@@ -41,8 +52,8 @@ from .circulant import (
     build,
     inverse_row,
     is_circulant,
-    is_involutory_row,
     is_orthogonal_row,
+    scalar_square_root,
 )
 from .field import GF2m
 from .matgf import (
@@ -274,7 +285,7 @@ def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalP
 
 
 def circulant_semi_pair(
-    gf: GF2m, first_row, relation: str, inv_row=None
+    gf: GF2m, first_row, relation: str, inv_row=None, square_root=None
 ) -> Optional[DiagonalPair]:
     """Canonical pair with A^-1 == D1*A*D2 (`relation` "involutory") or
     A^-T == D1*A*D2 ("orthogonal") for A = circulant(first_row), or None.
@@ -286,27 +297,49 @@ def circulant_semi_pair(
     d1 = (mu^-i) and d2 = (k^-1 * mu^j); the relation then holds iff
     c(x)*a(mu*x) == k != 0 mod x^n - 1 for an n-th root of unity mu, where
     c = a(x) for A^-1 and c = a(x^-1) for A^-T (the reflected support,
-    connected exactly when S is).  The n-th roots of unity are the
-    gcd(n, q-1) powers of g^((q-1)/gcd(n, q-1)) for the field generator g.
-    A support in a coset of a proper subgroup goes to the generic solver
-    once the Euclidean inverse exists and has the zero pattern of A.
-    `inv_row`, when given, returns that inverse
+    connected exactly when S is).
+
+    For A^-1 that root is 1 (see the module docstring), so the relation
+    is a(x)^2 == k, which `scalar_square_root` decides by one fold, and it
+    is settled in this order:
+    1. a scalar square A^2 == k*I gives A^-1 == k^-1*A, the pair
+       d1 = (1, ..., 1), d2 = (k^-1, ..., k^-1), on any support, as every
+       component of the pattern is anchored at a 1;
+    2. otherwise a connected support (a full one among them) has no pair;
+    3. only a disconnected support goes on, as below.
+    For A^-T the n-th roots of unity are tried: the gcd(n, q-1) powers of
+    g^((q-1)/gcd(n, q-1)) for the field generator g.
+
+    A disconnected support (in a coset of a proper subgroup of Z_n) goes
+    to the generic solver once the Euclidean inverse exists and has the
+    zero pattern of A.  `inv_row`, when given, returns that inverse
     (`inverse_row(gf, first_row)`) and is called only on such rows, so a
-    caller can share one inverse between both relations.
+    caller can share one inverse between both relations; `square_root`,
+    when given, returns `scalar_square_root(first_row)`, so a caller can
+    share the fold with its involutory test.
     """
     a = tuple(first_row)
-    if relation not in ("involutory", "orthogonal"):
-        raise ValueError(f"unknown relation {relation!r}")
     n = len(a)
-    log = gf.log_table
-    a_logs = [(j, log[v]) for j, v in enumerate(a) if v]
-    if not a_logs:
-        return None
-    s0 = a_logs[0][0]
-    if len(a_logs) == n or gcd(n, *[j - s0 for j, _ in a_logs]) == 1:
-        # c_j = a_{-j} is the first row of A^T
-        c_logs = a_logs if relation == "involutory" else [(-j % n, v) for j, v in a_logs]
-        return _geometric_pair(gf, n, a_logs, c_logs)
+    if relation == "involutory":
+        r = scalar_square_root(a) if square_root is None else square_root()
+        if r:
+            k_inv = gf.exp_table[-2 * gf.log_table[r] % (gf.order - 1)]
+            return DiagonalPair((1,) * n, (k_inv,) * n)
+        if 0 not in a:
+            return None
+        support = [j for j, v in enumerate(a) if v]
+        if not support or gcd(n, *[j - support[0] for j in support]) == 1:
+            return None
+    elif relation == "orthogonal":
+        log = gf.log_table
+        a_logs = [(j, log[v]) for j, v in enumerate(a) if v]
+        if not a_logs:
+            return None
+        s0 = a_logs[0][0]
+        if len(a_logs) == n or gcd(n, *[j - s0 for j, _ in a_logs]) == 1:
+            return _geometric_pair(gf, n, a_logs)
+    else:
+        raise ValueError(f"unknown relation {relation!r}")
     b = inv_row() if inv_row is not None else inverse_row(gf, a)
     if b is None:
         return None
@@ -320,11 +353,12 @@ def circulant_semi_pair(
     return diagonal_scaling_solve(gf, build(a), build(b))
 
 
-def _geometric_pair(gf: GF2m, n: int, a_logs, c_logs) -> Optional[DiagonalPair]:
-    """The geometric pair of `circulant_semi_pair`, or None, from the
-    (index, discrete log) pairs of the nonzero entries of a and c."""
+def _geometric_pair(gf: GF2m, n: int, a_logs) -> Optional[DiagonalPair]:
+    """The geometric pair of `circulant_semi_pair` for A^-T, or None, from
+    the (index, discrete log) pairs of the nonzero entries of a."""
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
+    c_logs = [(-j % n, v) for j, v in a_logs]  # c = a(x^-1), the first row of A^T
     log_am: list = [None] * n  # logs of a(mu*x); None at a zero entry
     for s in range(0, q1, q1 // gcd(n, q1)):  # mu = g^s
         for j, v in a_logs:
@@ -415,16 +449,18 @@ class Properties:
     explicit matrix (`Properties(gf, matrix=A)`).  A row decides everything
     but MDS from the row itself: the involutory and orthogonal identities
     and the inverse in GF(2^m)[x]/(x^n - 1), the semi pairs by
-    `circulant_semi_pair`, with at most one Euclidean inverse shared by
-    both relations.  Only `mds` builds the dense matrix of a row.  A matrix
-    takes the dense checks, the dense inverse and the generic solver.
+    `circulant_semi_pair`, with one fold (`scalar_square_root`) shared by
+    the involutory test and the semi-involutory pair, and at most one
+    Euclidean inverse shared by both relations.  Only `mds` builds the
+    dense matrix of a row.  A matrix takes the dense checks, the dense
+    inverse and the generic solver.
     `semi_reports` (relation -> SemiReport) and `mds_verdict` hold what has
     been evaluated so far, in evaluation order; a scan tallies its side
     invariants from them, so a property nothing asked for is never counted.
     """
 
     __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_involutory",
-                 "_orthogonal", "mds_verdict", "semi_reports")
+                 "_orthogonal", "_root", "mds_verdict", "semi_reports")
 
     def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
         if (row is None) == (matrix is None):
@@ -438,7 +474,7 @@ class Properties:
             self.n = require_square(matrix)
         self._matrix = matrix
         self._inverse = _UNSET
-        self._involutory = self._orthogonal = self.mds_verdict = None
+        self._involutory = self._orthogonal = self._root = self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
 
     @property
@@ -468,7 +504,8 @@ class Properties:
         reports = self.semi_reports
         if relation not in reports:
             if self.row is not None:
-                pair = circulant_semi_pair(self.gf, self.row, relation, self.inverse)
+                pair = circulant_semi_pair(self.gf, self.row, relation, self.inverse,
+                                           self._scalar_root)
             else:
                 inv = self.inverse()
                 if inv is not None and relation == "orthogonal":
@@ -490,10 +527,17 @@ class Properties:
             self.mds_verdict = is_mds(self.gf, self.matrix)
         return self.mds_verdict
 
+    def _scalar_root(self) -> int:
+        """`scalar_square_root` of the row, folded once for both the
+        involutory test and the semi-involutory pair."""
+        if self._root is None:
+            self._root = scalar_square_root(self.row)
+        return self._root
+
     def involutory(self) -> bool:
         if self._involutory is None:
             self._involutory = (is_involutory(self.gf, self._matrix) if self.row is None
-                                else is_involutory_row(self.row))
+                                else self._scalar_root() == 1)
         return self._involutory
 
     def orthogonal(self) -> bool:

@@ -113,20 +113,25 @@ def exhaustive_rows(q: int, n: int, start: int, end: int):
     """index_to_row(i, q, n) for i in range(start, end), in that order.
 
     The rows come in blocks of q^low that share their high digits: the low
-    digits (c_0 fastest) are one `product` listed once, and each block
-    appends the high digits to them.  `low` is the most digits whose block
-    size is at most CHUNK and divides both ends, so every row is a
-    concatenation and none is a digit loop.
+    digits (c_0 fastest) are one `product`, listed while the first block
+    is yielded, and each later block appends its high digits to that list.
+    `low` is the most digits whose block size is at most CHUNK and divides
+    both ends, so every row is a concatenation and none is a digit loop.
     """
     low = n
     while q ** low > CHUNK or start % q ** low or end % q ** low:
         low -= 1
     block = q ** low
-    lows = [digits[::-1] for digits in product(range(q), repeat=low)]
+    lows = []
     for high in range(start // block, end // block):
         top = index_to_row(high, q, n - low)
-        for bottom in lows:
-            yield bottom + top
+        if lows:
+            for bottom in lows:
+                yield bottom + top
+        else:
+            for digits in product(range(q), repeat=low):
+                lows.append(digits[::-1])
+                yield lows[-1] + top
 
 
 def random_rows(seed: int, q: int, n: int, start: int, end: int):

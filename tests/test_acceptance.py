@@ -367,6 +367,14 @@ def test_c11e_report_determinism_across_workers():
         rand_payloads.append(json.dumps(report.payload(), sort_keys=True))
     assert rand_payloads[0] == rand_payloads[1]
 
+    # two chunks of 16,384 rows: two workers run them in a process pool
+    pooled = []
+    for workers in (1, 2):
+        report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
+                                      worker_count=workers))
+        pooled.append(json.dumps(report.payload(), sort_keys=True))
+    assert pooled[0] == pooled[1]
+
 
 def test_c11f_example1_inverse_identity():
     # A * A^-1 == I and A^-T == D1*A*D2 for the recorded pair, bit-exact

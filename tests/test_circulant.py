@@ -10,8 +10,8 @@ from circmds.circulant import (
     build,
     interleaved_sums,
     is_circulant,
-    is_involutory_row,
     is_orthogonal_row,
+    scalar_square_root,
 )
 from circmds.field import get_field
 from circmds.matgf import det, diag_trace, identity, mat_mul, transpose
@@ -69,12 +69,36 @@ def test_first_row_identities_match_dense_checks_exhaustively():
             for row in product(range(gf.order), repeat=n):
                 A = build(row)
                 inv, orth = is_involutory(gf, A), is_orthogonal(gf, A)
-                assert is_involutory_row(row) == inv, (m, row)
+                assert (scalar_square_root(row) == 1) == inv, (m, row)
                 assert is_orthogonal_row(gf, row) == orth, (m, row)
                 rows += 1
                 involutory += inv
                 orthogonal += orth
     assert (rows, involutory, orthogonal) == (131242, 504, 1068)
+
+
+def test_scalar_square_root_matches_the_dense_square_exhaustively():
+    # A^2 == r^2 * I exactly when the fold returns r != 0, on every first row
+    # of each space, rows with zero entries and singular rows among them
+    scalars = 0
+    for (m, poly), top in (((2, 0x7), 6), ((3, 0xB), 4), ((4, 0x13), 3)):
+        gf = get_field(m, poly)
+        for n in range(1, top + 1):
+            for row in product(range(gf.order), repeat=n):
+                A = build(row)
+                r = scalar_square_root(row)
+                square = mat_mul(gf, A, A)
+                k = square[0][0]
+                scalar = k != 0 and square == [
+                    [k if i == j else 0 for j in range(n)] for i in range(n)]
+                assert bool(r) == scalar, (m, row)
+                if r:
+                    assert gf.mul(r, r) == k, (m, row)
+                    scalars += 1
+    # at odd n only the rows (c, 0, ..., 0); at even n the rows with
+    # a_i == a_(i+n/2) for 0 < i < n/2 and a_0 != a_(n/2): q^(n/2) * (q-1);
+    # that is 261 over GF(4), 518 over GF(8) and 270 over GF(16)
+    assert scalars == 261 + 518 + 270
 
 
 def test_interleaved_sums_aes():

@@ -15,6 +15,7 @@ from circmds.matgf import (
     det,
     identity,
     inverse,
+    mat_mul,
     sandwich,
     submatrix,
     transpose,
@@ -514,7 +515,8 @@ def _agreement_census(space):
     count the branch behind each outcome on a nonsingular row: a geometric
     pair on a full-support row (by its mu) or on a connected support with a
     zero entry, and on a disconnected support a pattern mismatch or a
-    solver pair."""
+    solver pair.  Every involutory pair on a connected support must be
+    d1 = (1, ..., 1) with A^2 == k*I for k = d2[0]^-1: its mu is 1."""
     m, poly, n = space
     gf = get_field(m, poly)
     census = Counter()
@@ -534,6 +536,11 @@ def _agreement_census(space):
                 continue
             target = Ainv if relation == "involutory" else transpose(Ainv)
             assert pair == diagonal_scaling_solve(gf, A, target), (space, row, relation)
+            if relation == "involutory" and connected and pair is not None:
+                assert pair.d1 == (1,) * n, (space, row)
+                k = gf.inv(pair.d2[0])
+                assert mat_mul(gf, A, A) == [[k if i == j else 0 for j in range(n)]
+                                             for i in range(n)], (space, row)
             if all(row):
                 if pair is not None:
                     census[relation, "mu=1" if set(pair.d1) == {1} else "mu!=1"] += 1
@@ -553,6 +560,9 @@ def test_circulant_semi_pair_agrees_with_dense_path_exhaustively():
     for relation in ("involutory", "orthogonal"):
         for branch in ("mu=1", "geometric-zero", "pattern-reject", "solver-found"):
             assert total[relation, branch] > 0, (relation, branch)
+    # a semi-involutory pair never has a nontrivial root of unity
+    for space in AGREEMENT_SPACES:
+        assert census[space]["involutory", "mu!=1"] == 0, space
     # semi-orthogonal pairs with a nontrivial root of unity
     assert census[2, 0x7, 6]["orthogonal", "mu!=1"] == 108
     assert census[4, 0x13, 3]["orthogonal", "mu!=1"] == 360

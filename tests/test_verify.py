@@ -13,8 +13,8 @@ import pytest
 import circmds
 from circmds import props, verify
 from circmds.field import get_field
-from circmds.circulant import build, inverse_row
-from circmds.matgf import Singular, diag_trace, sandwich
+from circmds.circulant import build, inverse_row, scalar_square_root
+from circmds.matgf import Singular, diag_trace, mat_mul, sandwich
 from circmds.props import Properties, circulant_semi_pair, classify
 from circmds.verify import (
     CHUNK,
@@ -109,6 +109,24 @@ def test_exhaustive_rows_follow_the_index_order():
             index_to_row(i, q, n) for i in range(start, end)]
 
 
+def test_exhaustive_rows_yield_the_first_row_before_listing_the_block(monkeypatch):
+    # the low digits are listed while the first block is yielded, so the
+    # first row costs one `product` tuple, not q^low of them
+    taken = []
+
+    def counting(*args, **kwargs):
+        for digits in product(*args, **kwargs):
+            taken.append(digits)
+            yield digits
+
+    monkeypatch.setattr(verify, "product", counting)
+    rows = exhaustive_rows(4, 7, 0, 4 ** 7)  # one block of 4^7 rows
+    assert next(rows) == index_to_row(0, 4, 7)
+    assert len(taken) <= 1
+    assert [next(rows) for _ in range(5)] == [index_to_row(i, 4, 7) for i in range(1, 6)]
+    assert len(taken) <= 6
+
+
 def test_enumeration_order_least_significant_first():
     assert index_to_row(0, 8, 3) == (0, 0, 0)
     assert index_to_row(1, 8, 3) == (1, 0, 0)
@@ -164,7 +182,8 @@ def test_out_of_range_counts_rejected(changes):
 
 def test_one_euclidean_inverse_per_row(monkeypatch):
     # a row whose support is disconnected (in a coset of a proper subgroup of
-    # Z_n) runs one inverse shared by both relations; a connected support,
+    # Z_n) runs at most one inverse for both relations (split_row's square
+    # is scalar, so only its orthogonal relation asks); a connected support,
     # with or without a zero entry, never runs it; classify reuses the
     # singularity test of the one inverse it needs
     zero_row, split_row, full_row = (1, 0, 2, 4), (1, 0, 2, 0), (1, 2, 3, 5)
@@ -188,6 +207,45 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
     for row in rows:
         classify(GF8, row)
     assert calls == list(rows)
+
+
+def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypatch):
+    # INV-NONE and SI-GEN share one fold per row; no mu is tried for the
+    # involutory relation, and the Euclidean inverse runs only on a
+    # disconnected support whose square is not scalar
+    calls = {"fold": 0, "geometric": 0, "inverse": []}
+
+    def fold(row):
+        calls["fold"] += 1
+        return scalar_square_root(row)
+
+    def geometric(*args):
+        calls["geometric"] += 1
+        return real_geometric(*args)
+
+    def euclid(gf, row):
+        calls["inverse"].append(tuple(row))
+        return inverse_row(gf, row)
+
+    real_geometric = props._geometric_pair
+    monkeypatch.setattr(props, "scalar_square_root", fold)
+    monkeypatch.setattr(props, "_geometric_pair", geometric)
+    monkeypatch.setattr(props, "inverse_row", euclid)
+    report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
+    assert report.ok() and report.examined == 8 ** 5
+    assert calls["fold"] == report.examined
+    assert calls["geometric"] == 0
+    expected = []
+    for row in exhaustive_rows(8, 5, 0, 8 ** 5):
+        support = [j for j, v in enumerate(row) if v]
+        if support and gcd(5, *(j - support[0] for j in support)) > 1:
+            A = build(row)
+            square = mat_mul(GF8, A, A)
+            k = square[0][0]
+            if not k or square != [[k * (i == j) for j in range(5)] for i in range(5)]:
+                expected.append(row)
+    # the rows c*x^s with s != 0: 7 scalars times 4 shifts
+    assert calls["inverse"] == expected and len(expected) == 28
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
@@ -257,6 +315,14 @@ def test_report_identical_across_worker_counts():
                                       worker_count=workers))
         payloads.append(json.dumps(report.payload(), sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
+    # 8^5 rows are two chunks, so two workers start the pool
+    pooled = []
+    for workers in (1, 2):
+        report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
+                                      worker_count=workers))
+        pooled.append(json.dumps(report.payload(), sort_keys=True))
+    assert len(verify._chunk_spans(report.config)) == 2
+    assert pooled[0] == pooled[1]
 
 
 def test_pool_never_larger_than_chunks_or_cpus(monkeypatch):
