@@ -10,8 +10,8 @@ Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
 `inverse_row` inverts one in that ring instead of as a dense matrix,
 `scalar_square_root` decides whether A^2 is a scalar matrix (A^2 == I
-among them), and `is_orthogonal_row` decides A*A^T == I, as identities
-in it.
+among them), and `scalar_gram_root` whether A*A^T is one (A*A^T == I
+among them), as identities in it.
 """
 
 from __future__ import annotations
@@ -59,18 +59,20 @@ def scalar_square_root(first_row) -> int:
     return first_row[0] ^ first_row[h] if first_row[1:h] == first_row[h + 1:] else 0
 
 
-def is_orthogonal_row(gf: GF2m, first_row) -> bool:
-    """Whether circulant(first_row) * circulant(first_row)^T == I.
+def scalar_gram_root(gf: GF2m, first_row) -> int:
+    """The t with A*A^T == t^2 * I for A = circulant(first_row), or 0 when
+    that product is not a nonzero scalar matrix; A is orthogonal exactly
+    when t == 1.
 
-    A^T has the first row of a(x^-1), so this is a(x)*a(x^-1) == 1 mod
-    x^n - 1, whose coefficient at shift s is the autocorrelation
-    sum of a_j*a_(j+s).  At s == 0 that is the sum of the squares, the
-    square of the row sum, so the row sum must be 1.  Shift n - s repeats
-    shift s, and at s == n/2 every product appears twice and cancels, so
-    only the shifts 1 .. (n-1)//2 remain to be zero.
+    A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod x^n - 1,
+    whose coefficient at shift s is the autocorrelation sum of a_j*a_(j+s).
+    At s == 0 that is the sum of the squares, the square of the row sum t.
+    Shift n - s repeats shift s, and at s == n/2 every product appears
+    twice and cancels, so only the shifts 1 .. (n-1)//2 remain to be zero.
     """
-    if diag_trace(first_row) != 1:
-        return False
+    t = diag_trace(first_row)
+    if not t:
+        return 0
     exp, log = gf.exp_table, gf.log_table
     n = len(first_row)
     terms = [(j, log[v]) for j, v in enumerate(first_row) if v]
@@ -81,8 +83,8 @@ def is_orthogonal_row(gf: GF2m, first_row) -> bool:
             if w:
                 c ^= exp[lv + log[w]]
         if c:
-            return False
-    return True
+            return 0
+    return t
 
 
 def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:

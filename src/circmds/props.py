@@ -52,7 +52,7 @@ from .circulant import (
     build,
     inverse_row,
     is_circulant,
-    is_orthogonal_row,
+    scalar_gram_root,
     scalar_square_root,
 )
 from .field import GF2m
@@ -449,18 +449,18 @@ class Properties:
     explicit matrix (`Properties(gf, matrix=A)`).  A row decides everything
     but MDS from the row itself: the involutory and orthogonal identities
     and the inverse in GF(2^m)[x]/(x^n - 1), the semi pairs by
-    `circulant_semi_pair`, with one fold (`scalar_square_root`) shared by
-    the involutory test and the semi-involutory pair, and at most one
-    Euclidean inverse shared by both relations.  Only `mds` builds the
-    dense matrix of a row.  A matrix takes the dense checks, the dense
-    inverse and the generic solver.
+    `circulant_semi_pair`, with one fold (`square_root`) shared by the
+    involutory test and the semi-involutory pair, one `gram_root` behind
+    the orthogonal test, and at most one Euclidean inverse shared by both
+    relations.  Only `mds` builds the dense matrix of a row.  A matrix
+    takes the dense checks, the dense inverse and the generic solver.
     `semi_reports` (relation -> SemiReport) and `mds_verdict` hold what has
     been evaluated so far, in evaluation order; a scan tallies its side
     invariants from them, so a property nothing asked for is never counted.
     """
 
     __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_involutory",
-                 "_orthogonal", "_root", "mds_verdict", "semi_reports")
+                 "_orthogonal", "_root", "_gram", "mds_verdict", "semi_reports")
 
     def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
         if (row is None) == (matrix is None):
@@ -474,7 +474,8 @@ class Properties:
             self.n = require_square(matrix)
         self._matrix = matrix
         self._inverse = _UNSET
-        self._involutory = self._orthogonal = self._root = self.mds_verdict = None
+        self._involutory = self._orthogonal = self._root = self._gram = None
+        self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
 
     @property
@@ -505,7 +506,7 @@ class Properties:
         if relation not in reports:
             if self.row is not None:
                 pair = circulant_semi_pair(self.gf, self.row, relation, self.inverse,
-                                           self._scalar_root)
+                                           self.square_root)
             else:
                 inv = self.inverse()
                 if inv is not None and relation == "orthogonal":
@@ -527,23 +528,30 @@ class Properties:
             self.mds_verdict = is_mds(self.gf, self.matrix)
         return self.mds_verdict
 
-    def _scalar_root(self) -> int:
-        """`scalar_square_root` of the row, folded once for both the
-        involutory test and the semi-involutory pair."""
+    def square_root(self) -> int:
+        """`scalar_square_root` of the row, folded once for the involutory
+        test, the semi-involutory pair and a scan's scalar selector."""
         if self._root is None:
             self._root = scalar_square_root(self.row)
         return self._root
 
+    def gram_root(self) -> int:
+        """`scalar_gram_root` of the row, computed once for the orthogonal
+        test and a scan's scalar selector."""
+        if self._gram is None:
+            self._gram = scalar_gram_root(self.gf, self.row)
+        return self._gram
+
     def involutory(self) -> bool:
         if self._involutory is None:
             self._involutory = (is_involutory(self.gf, self._matrix) if self.row is None
-                                else self._scalar_root() == 1)
+                                else self.square_root() == 1)
         return self._involutory
 
     def orthogonal(self) -> bool:
         if self._orthogonal is None:
             self._orthogonal = (is_orthogonal(self.gf, self._matrix) if self.row is None
-                                else is_orthogonal_row(self.gf, self.row))
+                                else self.gram_root() == 1)
         return self._orthogonal
 
     def nonperiodic(self) -> tuple[Optional[bool], Optional[bool]]:

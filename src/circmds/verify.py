@@ -13,10 +13,45 @@ and across worker counts.  Candidates are enumerated as base-q counters
 with c_0 in the least significant position; random mode draws them from
 one seeded SplitMix64 stream.  A chunk is the config's forced rows or a
 (start, end) span of at most CHUNK rows of the config's own enumeration or
-stream; each chunk returns a partial `ScanReport`, and the partials are
-merged in order, forced rows first.  A pool runs the chunks in at most
+stream, or of at most CHUNK representatives in a scan by scalar classes
+(below); each chunk returns a partial `ScanReport`, and the partials are
+merged in order, forced rows first.  A scan by classes meets its failing
+rows out of enumeration order, so `run_suite` sorts its merged span lists
+(counterexamples, power-scalar and interleaved failures) by enumeration
+index, stably, which keeps the entries of one row in the order they were
+found; the forced rows' entries stay first, unsorted.  Every payload thus
+equals the row-by-row scan's.  A pool runs the chunks in at most
 min(workers, chunks, CPUs) processes.  Wall-clock time and worker count
 live outside the deterministic payload.
+
+Scalar classes.  Take A = circulant(a), c != 0, and the member c*a:
+  MDS          every k x k minor of cA is c^k times the minor of A, so the
+               MDS verdict and the witness are the same for every member.
+  semi pairs   (cA)^-1 == D1*(cA)*(c^-2*D2) when A^-1 == D1*A*D2, and the
+               same holds for A^-T; so `found`, d1, k1 is None,
+               trace(d1) == 0 and nonperiodicity are the same for every
+               member, and d2 only scales by c^-2, which keeps whether
+               k2 is None and whether trace(d2) == 0.
+  interleaved  both sums scale by c, so whether one is zero is the same.
+  involutory   with r = scalar_square_root(a), (cA)^2 == c^2*r^2*I, so only
+               c = r^-1 can be involutory, and none can when r == 0.
+  orthogonal   with t = scalar_gram_root(a), (cA)*(cA)^T == c^2*t^2*I, so
+               only c = t^-1 can be orthogonal, and none can when t == 0.
+Each `SuiteDef` declares in `scalars` how its runner behaves on the
+members, a property of its theorem: ALL when the runner's result, and
+everything it evaluates, is the same on every member; or a selector,
+(Properties of the representative) -> scalars c, that returns a superset
+of the members on which the hypothesis can hold, where on every other
+member the runner's hypothesis fails before it evaluates a semi pair or
+MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An exhaustive scan over
+q > 2 whose suites all declare one enumerates the classes: the zero row
+on its own, and the representatives whose first nonzero entry is 1.
+Each selected member c*a gets the row-by-row tally of every suite, from
+its own `Properties`; the representative stands for the other scalars,
+with their number as weight, on the ALL suites alone and from a
+`Properties` that no selected member shared, as the side invariants count
+what the runners evaluated.  A config with an undeclared suite scans row
+by row, and so does q == 2, where the only scalar is 1.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -155,6 +190,46 @@ def random_rows(seed: int, q: int, n: int, start: int, end: int):
         yield index_to_row(r & mask, q, n)
 
 
+def class_count(q: int, n: int) -> int:
+    """Scalar classes of the q^n rows: (q^n - 1)/(q - 1), and the zero row."""
+    return (q ** n - 1) // (q - 1) + 1
+
+
+def class_rows(q: int, n: int, start: int, end: int):
+    """Representatives start .. end-1 of the scalar classes of q^n rows.
+
+    For p = 0 .. n-1 in turn come the q^(n-1-p) rows whose first nonzero
+    entry a_p is 1, (0,)*p + (1,) + tail, with their tails in index order;
+    the zero row comes last.  Block p starts at a multiple of q^(n-1-p),
+    so the spans of `_chunk_spans` keep `exhaustive_rows` on whole blocks.
+    """
+    base = 0
+    for p in range(n):
+        size = q ** (n - 1 - p)
+        lo, hi = max(start, base), min(end, base + size)
+        if lo < hi:
+            head = (0,) * p + (1,)
+            for tail in exhaustive_rows(q, n - 1 - p, lo - base, hi - base):
+                yield head + tail
+        base += size
+    if start <= base < end:
+        yield (0,) * n
+
+
+def _scaled(gf: GF2m, c: int, row) -> tuple[int, ...]:
+    """The row c*row."""
+    if c == 1:
+        return row
+    exp, log = gf.exp_table, gf.log_table
+    lc = log[c]
+    return tuple(exp[lc + log[v]] if v else 0 for v in row)
+
+
+def _index_key(row):
+    """Sort key of the enumeration index: c_0 is the least significant digit."""
+    return row[::-1]
+
+
 # -- suite definitions ---------------------------------------------------------
 #
 # A runner takes a row's `Properties` and returns (hypothesis, conclusion,
@@ -203,6 +278,23 @@ def _order_pow2(n: int) -> bool:
     return n >= 2 and is_power_of_two(n)
 
 
+def _involutory_scalars(p: Properties):
+    """The c with c*A involutory: r^-1 for A^2 == r^2*I, r != 0."""
+    r = p.square_root()
+    return (p.gf.inv(r),) if r else ()
+
+
+def _orthogonal_scalars(p: Properties):
+    """The c with c*A orthogonal: t^-1 for A*A^T == t^2*I, t != 0."""
+    t = p.gram_root()
+    return (p.gf.inv(t),) if t else ()
+
+
+# a `SuiteDef.scalars`: the runner's result, and all it evaluates, is the
+# same on every nonzero multiple of a row
+ALL = "all"
+
+
 @dataclass(frozen=True)
 class SuiteDef:
     name: str
@@ -210,28 +302,32 @@ class SuiteDef:
     order_note: str
     run: object  # callable(Properties) -> (hyp, ok, extras)
     implication: bool = True
+    # behaviour on the multiples c*a (see the module docstring): None
+    # (undeclared), ALL, or callable(Properties) -> scalars c
+    scalars: object = None
 
 
 SUITES: dict[str, SuiteDef] = {
     s.name: s
     for s in (
-        SuiteDef("INV-NONE", lambda n: n >= 3, "order >= 3", _run_inv_none),
+        SuiteDef("INV-NONE", lambda n: n >= 3, "order >= 3", _run_inv_none,
+                 scalars=_involutory_scalars),
         SuiteDef("ORTH-NONE", lambda n: n >= 4 and is_power_of_two(n),
-                 "order 2^d with d >= 2", _run_orth_none),
+                 "order 2^d with d >= 2", _run_orth_none, scalars=_orthogonal_scalars),
         SuiteDef("SO-POW2", _order_pow2, "order a power of two",
-                 _traces_zero("orthogonal", needs_mds=False)),
+                 _traces_zero("orthogonal", needs_mds=False), scalars=ALL),
         SuiteDef("SI-POW2", _order_pow2, "order a power of two",
-                 _traces_zero("involutory", needs_mds=False)),
+                 _traces_zero("involutory", needs_mds=False), scalars=ALL),
         SuiteDef("SO-MOD4", lambda n: n % 4 == 0 and not is_power_of_two(n),
                  "order == 0 mod 4, not a power of two",
-                 _traces_zero("orthogonal", needs_mds=True)),
+                 _traces_zero("orthogonal", needs_mds=True), scalars=ALL),
         SuiteDef("SO-MOD2", lambda n: n % 4 == 2 and n >= 6,
-                 "order == 2 mod 4, >= 6", _run_so_mod2),
+                 "order == 2 mod 4, >= 6", _run_so_mod2, scalars=ALL),
         SuiteDef("SI-GEN", lambda n: n >= 3 and not is_power_of_two(n),
                  "order >= 3, not a power of two",
-                 _traces_zero("involutory", needs_mds=True)),
+                 _traces_zero("involutory", needs_mds=True), scalars=ALL),
         SuiteDef("SO-ODD-EXIST", lambda n: n >= 3 and n % 2 == 1, "odd order >= 3",
-                 _run_so_odd_exist, implication=False),
+                 _run_so_odd_exist, implication=False, scalars=ALL),
     )
 }
 
@@ -275,6 +371,11 @@ class ScanConfig:
         if self.mode == EXHAUSTIVE and self.space_size > self.budget:
             raise BudgetExceeded(
                 f"exhaustive space {self.space_size} exceeds budget {self.budget}"
+            )
+        if self.mode == RANDOM and self.sample_count > self.budget:
+            raise BudgetExceeded(
+                f"random sample count {self.sample_count} exceeds budget "
+                f"{self.budget}; raise --budget to draw more"
             )
         for row in self.extra_rows:
             if len(row) != self.order:
@@ -327,6 +428,15 @@ class ScanReport:
             res.counterexamples += part.counterexamples
             for key, inc in part.extras.items():
                 res.extras[key] = res.extras.get(key, 0) + inc
+
+    def sort_by_index(self) -> None:
+        """Put the failure lists in enumeration order, which is the order of
+        the reversed rows; the sort is stable, so one row's entries keep
+        their order."""
+        self.power_scalar_failures.sort(key=lambda failure: _index_key(failure[2]))
+        self.interleaved_failures.sort(key=_index_key)
+        for res in self.suites.values():
+            res.counterexamples.sort(key=_index_key)
 
     def ok(self) -> bool:
         for res in self.suites.values():
@@ -384,56 +494,100 @@ class ScanReport:
 
 # -- scan execution -------------------------------------------------------------
 
+_ONE = (1,)
+
+
+def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE) -> None:
+    """Add the runners' verdicts on `p`, and the side invariants of what they
+    evaluated, once for each row c*p.row with c in `scalars`: the counts add
+    the weight len(scalars), and a failure lists each of those rows."""
+    weight = len(scalars)
+    part.examined += weight
+    failed = []  # (list, entry prefix or None), in the order they failed
+    for run, res in runners:
+        hyp, ok, extras = run(p)
+        if not hyp:
+            continue
+        res.hypothesis_count += weight
+        if ok:
+            res.conclusion_count += weight
+        else:
+            failed.append((res.counterexamples, None))
+        if extras:
+            for key, inc in extras.items():
+                res.extras[key] = res.extras.get(key, 0) + inc * weight
+    # side invariants, on what the suites evaluated
+    for relation, rep in p.semi_reports.items():
+        if rep.found:
+            part.power_scalar_checked += 2 * weight
+            for diag, k in (("d1", rep.k1), ("d2", rep.k2)):
+                if k is None:
+                    failed.append((part.power_scalar_failures, ("semi-" + relation, diag)))
+    verdict = p.mds_verdict
+    if verdict is not None and verdict.is_mds and p.n % 2 == 0:
+        part.interleaved_checked += weight
+        even, odd = interleaved_sums(p.row)
+        if even == 0 or odd == 0:
+            failed.append((part.interleaved_failures, None))
+    if failed:
+        rows = [_scaled(p.gf, c, p.row) for c in scalars]
+        for entries, prefix in failed:
+            entries += rows if prefix is None else [prefix + (row,) for row in rows]
+
+
+def _by_class(config: ScanConfig) -> bool:
+    """Whether the scan enumerates scalar classes: an exhaustive scan over
+    q > 2 whose every suite declares its `scalars`."""
+    return (config.mode == EXHAUSTIVE and config.field.order > 2
+            and all(SUITES[name].scalars is not None for name in config.suites))
+
 
 def _scan_chunk(args) -> ScanReport:
     """The partial report of one chunk: the config's forced rows (span None)
-    or rows start .. end-1 of its enumeration or seeded stream."""
+    or rows start .. end-1 of its enumeration or seeded stream, or its
+    scalar classes start .. end-1 in a scan by classes."""
     config, span = args
     gf = config.field
     n = config.order
+    part = ScanReport(config)
+    runners = [(SUITES[name].run, part.suites[name]) for name in config.suites]
+    if span is not None and _by_class(config):
+        declared = [SUITES[name].scalars for name in config.suites]
+        invariant = [r for r, scalars in zip(runners, declared) if scalars == ALL]
+        selectors = [scalars for scalars in declared if scalars != ALL]
+        nonzero = tuple(range(1, gf.order))
+        for rep in class_rows(gf.order, n, *span):
+            p = Properties(gf, rep)
+            if not any(rep):  # the zero row is a class of its own
+                _tally(part, runners, p)
+                continue
+            chosen = sorted({c for select in selectors for c in select(p)})
+            for c in chosen:
+                _tally(part, runners, Properties(gf, _scaled(gf, c, rep)))
+            rest = [c for c in nonzero if c not in chosen] if chosen else nonzero
+            _tally(part, invariant, p, rest)
+        return part
     if span is None:
         rows = config.extra_rows
     elif config.mode == EXHAUSTIVE:
         rows = exhaustive_rows(gf.order, n, *span)
     else:
         rows = random_rows(config.seed, gf.order, n, *span)
-    part = ScanReport(config)
-    runners = [(SUITES[name].run, part.suites[name]) for name in config.suites]
     for row in rows:
-        part.examined += 1
-        p = Properties(gf, row)
-        for run, res in runners:
-            hyp, ok, extras = run(p)
-            if not hyp:
-                continue
-            res.hypothesis_count += 1
-            if ok:
-                res.conclusion_count += 1
-            else:
-                res.counterexamples.append(row)
-            if extras:
-                for key, inc in extras.items():
-                    res.extras[key] = res.extras.get(key, 0) + inc
-        # side invariants, on what the suites evaluated
-        for relation, rep in p.semi_reports.items():
-            if rep.found:
-                part.power_scalar_checked += 2
-                for diag, k in (("d1", rep.k1), ("d2", rep.k2)):
-                    if k is None:
-                        part.power_scalar_failures.append(("semi-" + relation, diag, row))
-        verdict = p.mds_verdict
-        if verdict is not None and verdict.is_mds and n % 2 == 0:
-            part.interleaved_checked += 1
-            even, odd = interleaved_sums(row)
-            if even == 0 or odd == 0:
-                part.interleaved_failures.append(row)
+        _tally(part, runners, Properties(gf, row))
     return part
 
 
 def _chunk_spans(config: ScanConfig) -> list:
     """The chunks in merge order: None for the forced rows, then (start, end)
-    spans of at most CHUNK rows of the enumeration or the seeded stream."""
-    total = config.sample_count if config.mode == RANDOM else config.space_size
+    spans of at most CHUNK rows of the enumeration or the seeded stream, or
+    of CHUNK scalar classes."""
+    if config.mode == RANDOM:
+        total = config.sample_count
+    elif _by_class(config):
+        total = class_count(config.field.order, config.order)
+    else:
+        total = config.space_size
     spans = [None] if config.extra_rows else []
     spans += [(start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
     return spans
@@ -457,8 +611,14 @@ def run_suite(config: ScanConfig) -> ScanReport:
         partials = [_scan_chunk(a) for a in args]
 
     report = ScanReport(config)
+    if config.extra_rows:
+        report.merge(partials.pop(0))
+    spans = ScanReport(config)
     for part in partials:
-        report.merge(part)
+        spans.merge(part)
+    if _by_class(config):
+        spans.sort_by_index()
+    report.merge(spans)
     report.elapsed_seconds = time.perf_counter() - started
     return report
 

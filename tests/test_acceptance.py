@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from circmds import verify
 from circmds.circulant import build
 from circmds.field import get_field
 from circmds.matgf import Singular, diag_trace, inverse, sandwich, transpose
@@ -367,12 +368,14 @@ def test_c11e_report_determinism_across_workers():
         rand_payloads.append(json.dumps(report.payload(), sort_keys=True))
     assert rand_payloads[0] == rand_payloads[1]
 
-    # two chunks of 16,384 rows: two workers run them in a process pool
+    # 8^6 rows are 37,450 scalar classes, three chunks of at most 16,384:
+    # two workers run them in a process pool
     pooled = []
     for workers in (1, 2):
-        report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
+        report = run_suite(ScanConfig(field=GF8, order=6, suites=("SO-MOD2", "SI-GEN"),
                                       worker_count=workers))
         pooled.append(json.dumps(report.payload(), sort_keys=True))
+    assert len(verify._chunk_spans(report.config)) == 3
     assert pooled[0] == pooled[1]
 
 

@@ -10,7 +10,7 @@ from circmds.circulant import (
     build,
     interleaved_sums,
     is_circulant,
-    is_orthogonal_row,
+    scalar_gram_root,
     scalar_square_root,
 )
 from circmds.field import get_field
@@ -70,7 +70,7 @@ def test_first_row_identities_match_dense_checks_exhaustively():
                 A = build(row)
                 inv, orth = is_involutory(gf, A), is_orthogonal(gf, A)
                 assert (scalar_square_root(row) == 1) == inv, (m, row)
-                assert is_orthogonal_row(gf, row) == orth, (m, row)
+                assert (scalar_gram_root(gf, row) == 1) == orth, (m, row)
                 rows += 1
                 involutory += inv
                 orthogonal += orth
@@ -99,6 +99,29 @@ def test_scalar_square_root_matches_the_dense_square_exhaustively():
     # a_i == a_(i+n/2) for 0 < i < n/2 and a_0 != a_(n/2): q^(n/2) * (q-1);
     # that is 261 over GF(4), 518 over GF(8) and 270 over GF(16)
     assert scalars == 261 + 518 + 270
+
+
+def test_scalar_gram_root_matches_the_dense_gram_exhaustively():
+    # A*A^T == t^2 * I exactly when the helper returns t != 0, on every first
+    # row of each space, rows with zero entries and singular rows among them
+    scalars = 0
+    for (m, poly), top in (((2, 0x7), 6), ((3, 0xB), 4), ((4, 0x13), 3)):
+        gf = get_field(m, poly)
+        for n in range(1, top + 1):
+            for row in product(range(gf.order), repeat=n):
+                A = build(row)
+                t = scalar_gram_root(gf, row)
+                gram = mat_mul(gf, A, transpose(A))
+                k = gram[0][0]
+                scalar = k != 0 and gram == [
+                    [k if i == j else 0 for j in range(n)] for i in range(n)]
+                assert bool(t) == scalar, (m, row)
+                if t:
+                    assert gf.mul(t, t) == k and t == diag_trace(row), (m, row)
+                    scalars += 1
+    # every t has a square root, so these are q - 1 times the orthogonal
+    # rows: 3 * 113 over GF(4), 7 * 146 over GF(8) and 15 * 32 over GF(16)
+    assert scalars == 339 + 1022 + 480
 
 
 def test_interleaved_sums_aes():

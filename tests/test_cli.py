@@ -153,6 +153,39 @@ def test_scan_budget_guard(capsys):
     assert "budget" in err
 
 
+def test_scan_random_samples_above_the_budget_are_refused(capsys, monkeypatch):
+    # 2^40 samples would list 2^26 chunk spans before reading a row; the
+    # config is refused first, and a scan that started anyway fails here
+    # instead of allocating them
+    import tracemalloc
+
+    from circmds import cli
+
+    def started(config):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(cli, "run_suite", started)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "scan", "--field", "3:0xB", "--order", "12",
+                                 "--suite", "SO-MOD4", "--mode", "random",
+                                 "--samples", str(1 << 40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--budget" in lines[0]
+    assert "Traceback" not in err
+    assert peak < 1 << 20
+    # within the budget the same scan runs
+    monkeypatch.undo()
+    code, doc, _ = run_json(capsys, "scan", "--field", "3:0xB", "--order", "12",
+                            "--suite", "SO-MOD4", "--mode", "random", "--samples", "8",
+                            "--budget", "8")
+    assert code == 0 and doc["examined"] == 8
+
+
 def test_scan_random_with_included_row(capsys):
     code, doc, _ = run_json(capsys, "scan", "--field", "8:0x11D", "--order", "3",
                             "--suite", "SO-ODD-EXIST", "--mode", "random",

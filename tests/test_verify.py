@@ -1,5 +1,6 @@
 """Scan engine: configuration, determinism, suites, oracle, golden instances, package surface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -15,8 +16,15 @@ from circmds import props, verify
 from circmds.field import get_field
 from circmds.circulant import build, inverse_row, scalar_square_root
 from circmds.matgf import Singular, diag_trace, mat_mul, sandwich
-from circmds.props import Properties, circulant_semi_pair, classify
+from circmds.props import (
+    Properties,
+    circulant_semi_pair,
+    classify,
+    is_involutory,
+    is_orthogonal,
+)
 from circmds.verify import (
+    ALL,
     CHUNK,
     EXAMPLES,
     EXHAUSTIVE,
@@ -26,6 +34,8 @@ from circmds.verify import (
     ScanConfig,
     ScanReport,
     SplitMix64,
+    class_count,
+    class_rows,
     exhaustive_rows,
     index_to_row,
     random_rows,
@@ -37,6 +47,7 @@ from reference import dense_semi_pair, next_below, oracle_semi_search
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
+GF16 = get_field(4, 0x13)
 F11D = get_field(8, 0x11D)
 
 
@@ -210,9 +221,10 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
 
 
 def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypatch):
-    # INV-NONE and SI-GEN share one fold per row; no mu is tried for the
-    # involutory relation, and the Euclidean inverse runs only on a
-    # disconnected support whose square is not scalar
+    # the scan goes by scalar classes: INV-NONE's selector and SI-GEN share
+    # one fold per representative, and the one selected member gets its own;
+    # no mu is tried for the involutory relation, and the Euclidean inverse
+    # runs only on a disconnected support whose square is not scalar
     calls = {"fold": 0, "geometric": 0, "inverse": []}
 
     def fold(row):
@@ -233,10 +245,13 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     monkeypatch.setattr(props, "inverse_row", euclid)
     report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
     assert report.ok() and report.examined == 8 ** 5
-    assert calls["fold"] == report.examined
+    classes = class_count(8, 5)
+    # at odd n only the rows (r, 0, 0, 0, 0) have a scalar square, so the one
+    # selected member is the representative (1, 0, 0, 0, 0) itself
+    assert classes == 4682 and calls["fold"] == classes + 1
     assert calls["geometric"] == 0
     expected = []
-    for row in exhaustive_rows(8, 5, 0, 8 ** 5):
+    for row in class_rows(8, 5, 0, classes):
         support = [j for j, v in enumerate(row) if v]
         if support and gcd(5, *(j - support[0] for j in support)) > 1:
             A = build(row)
@@ -244,8 +259,9 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
             k = square[0][0]
             if not k or square != [[k * (i == j) for j in range(5)] for i in range(5)]:
                 expected.append(row)
-    # the rows c*x^s with s != 0: 7 scalars times 4 shifts
-    assert calls["inverse"] == expected and len(expected) == 28
+    # the representatives x^s with s != 0: 4 shifts, each standing for its
+    # 7 scalar multiples
+    assert calls["inverse"] == expected and len(expected) == 4
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
@@ -315,13 +331,14 @@ def test_report_identical_across_worker_counts():
                                       worker_count=workers))
         payloads.append(json.dumps(report.payload(), sort_keys=True))
     assert payloads[0] == payloads[1] == payloads[2]
-    # 8^5 rows are two chunks, so two workers start the pool
+    # 4^8 rows are 21,846 scalar classes, two chunks, so two workers start
+    # the pool
     pooled = []
     for workers in (1, 2):
-        report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
-                                      worker_count=workers))
+        report = run_suite(ScanConfig(field=GF4, order=8, suites=(
+            "INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2"), worker_count=workers))
         pooled.append(json.dumps(report.payload(), sort_keys=True))
-    assert len(verify._chunk_spans(report.config)) == 2
+    assert verify._chunk_spans(report.config) == [(0, CHUNK), (CHUNK, 21846)]
     assert pooled[0] == pooled[1]
 
 
@@ -478,6 +495,146 @@ def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
     assert res.conclusion_count == 4 ** 8 - len(failing)
     assert res.extras == {"seen": 4 ** 8 + 1}
     assert not report.ok()
+
+
+# -- scalar classes ------------------------------------------------------------------------
+
+
+def _plain(monkeypatch):
+    """Undeclare every suite's scalars, so that scans go row by row."""
+    for name, suite in list(verify.SUITES.items()):
+        monkeypatch.setitem(verify.SUITES, name, dataclasses.replace(suite, scalars=None))
+
+
+def _payloads(monkeypatch, config):
+    """(by classes, row by row) payloads of `config`, as JSON."""
+    reduced = json.dumps(run_suite(config).payload(), sort_keys=True)
+    with monkeypatch.context() as m:
+        _plain(m)
+        plain = json.dumps(run_suite(config).payload(), sort_keys=True)
+    return reduced, plain
+
+
+def test_class_rows_cover_every_row_once():
+    # the nonzero multiples of the representatives, and the zero row, are
+    # every row once; a span of the classes is a slice of them
+    for gf, n in ((GF4, 1), (GF4, 3), (GF4, 8), (GF8, 4), (GF16, 3)):
+        q = gf.order
+        total = class_count(q, n)
+        reps = list(class_rows(q, n, 0, total))
+        assert len(reps) == total == (q ** n - 1) // (q - 1) + 1
+        assert reps[-1] == (0,) * n
+        assert all(next(v for v in rep if v) == 1 for rep in reps[:-1])
+        members = [tuple(gf.mul(c, v) for v in rep) for rep in reps[:-1] for c in range(1, q)]
+        assert sorted(members + reps[-1:]) == list(product(range(q), repeat=n))
+        for start, end in ((0, 1), (1, total - 1), (total - 2, total), (5, 5), (CHUNK, total)):
+            assert list(class_rows(q, n, start, end)) == reps[start:end]
+
+
+def test_suites_declare_their_scalars():
+    declared = {name: suite.scalars for name, suite in verify.SUITES.items()}
+    assert {name for name, s in declared.items() if s == ALL} == {
+        "SO-POW2", "SI-POW2", "SO-MOD4", "SO-MOD2", "SI-GEN", "SO-ODD-EXIST"}
+    assert callable(declared["INV-NONE"]) and callable(declared["ORTH-NONE"])
+    by_class = ScanConfig(field=GF8, order=4, suites=("INV-NONE", "SO-POW2"))
+    assert verify._by_class(by_class)
+    for config in (dataclasses.replace(by_class, mode=RANDOM),
+                   dataclasses.replace(by_class, field=get_field(1, 0x3))):
+        assert not verify._by_class(config)
+
+
+def test_scan_by_classes_equals_the_row_by_row_scan(monkeypatch):
+    configs = list(verification_plan("small"))
+    configs += [
+        ScanConfig(field=GF16, order=3, suites=("INV-NONE", "SI-GEN")),
+        ScanConfig(field=get_field(1, 0x3), order=10, suites=("INV-NONE",)),
+        ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
+                   extra_rows=((1, 0, 2, 0, 3), (0, 0, 0, 0, 0))),
+    ]
+    for config in configs:
+        for workers in (1, 2):
+            reduced, plain = _payloads(monkeypatch, dataclasses.replace(
+                config, worker_count=workers))
+            assert reduced == plain, (config.field, config.order, config.suites, workers)
+
+
+def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
+    # every list populated, over five class chunks and a forced row: a probe
+    # suite declared ALL evaluates MDS on every row and fails on rows with at
+    # most one nonzero entry, every even-order MDS row fails its interleaved
+    # sums, and every semi pair fails its scalar powers; INV-NONE and
+    # ORTH-NONE select members, so both tallies feed the lists
+    def probe(p):
+        p.mds()
+        return True, sum(1 for v in p.row if v) > 1, {"seen": 1}
+
+    monkeypatch.setitem(verify.SUITES, "PROBE", verify.SuiteDef(
+        "PROBE", lambda n: True, "any order", probe, scalars=ALL))
+    monkeypatch.setattr(verify, "interleaved_sums", lambda row: (0, 0))
+    monkeypatch.setattr(props, "power_scalar", lambda gf, d, n: None)
+    monkeypatch.setattr(verify, "CHUNK", 1024)
+    forced = (0, 0, 5, 0)
+    config = ScanConfig(field=GF16, order=4, extra_rows=(forced,),
+                        suites=("INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2", "PROBE"))
+    assert len(verify._chunk_spans(config)) == 1 + 5
+    with monkeypatch.context() as m:
+        _plain(m)
+        plain = run_suite(config)
+    want = plain.suites["PROBE"]
+    assert len(want.counterexamples) == 1 + 1 + 4 * 15 and want.counterexamples[0] == forced
+    assert len(plain.power_scalar_failures) > 1000 and len(plain.interleaved_failures) > 1000
+    for workers in (1, 2):
+        reduced = run_suite(dataclasses.replace(config, worker_count=workers))
+        res = reduced.suites["PROBE"]
+        assert res.counterexamples == want.counterexamples
+        assert reduced.power_scalar_failures == plain.power_scalar_failures
+        assert reduced.interleaved_failures == plain.interleaved_failures
+        assert (res.hypothesis_count, res.conclusion_count, res.extras) == (
+            want.hypothesis_count, want.conclusion_count, want.extras)
+        assert reduced.payload() == plain.payload()
+
+
+def _dense_scalars(gf, row, test):
+    return {c for c in range(1, gf.order) if test(gf, build([gf.mul(c, v) for v in row]))}
+
+
+def test_scalar_selectors_are_exact():
+    # the scalars INV-NONE and ORTH-NONE select are exactly the members whose
+    # dense square, or dense A*A^T, is I
+    select_inv = verify.SUITES["INV-NONE"].scalars
+    select_orth = verify.SUITES["ORTH-NONE"].scalars
+    selected = 0
+    for gf, top in ((GF4, 6), (GF8, 4), (GF16, 3)):
+        for n in range(1, top + 1):
+            for row in product(range(gf.order), repeat=n):
+                if not any(row):
+                    continue
+                p = Properties(gf, row)
+                inv, orth = set(select_inv(p)), set(select_orth(p))
+                assert inv == _dense_scalars(gf, row, is_involutory), (gf.m, row)
+                assert orth == _dense_scalars(gf, row, is_orthogonal), (gf.m, row)
+                selected += len(inv) + len(orth)
+    # the nonzero scalar squares (261 + 518 + 270) and the scalar-orthogonal
+    # rows (339 + 1,022 + 480) of these spaces
+    assert selected == 1049 + 1841
+
+
+@pytest.mark.parametrize("relation", ["involutory", "orthogonal"])
+def test_selected_members_carry_the_relation(monkeypatch, relation):
+    # INV-NONE and ORTH-NONE never meet their hypothesis, so a suite that
+    # asks the relation alone, with the real selector, shows that no member
+    # on which it holds is left out
+    suite = {"involutory": "INV-NONE", "orthogonal": "ORTH-NONE"}[relation]
+    monkeypatch.setitem(verify.SUITES, "PROBE", verify.SuiteDef(
+        "PROBE", lambda n: True, "any order",
+        lambda p: (getattr(p, relation)(), True, None),
+        scalars=verify.SUITES[suite].scalars))
+    for field, order in ((GF4, 6), (GF8, 4), (GF16, 3)):
+        config = ScanConfig(field=field, order=order, suites=("PROBE",))
+        assert verify._by_class(config)
+        reduced, plain = _payloads(monkeypatch, config)
+        assert reduced == plain, (field.m, order)
+        assert json.loads(reduced)["suites"]["PROBE"]["hypothesis_count"] > 0
 
 
 # -- brute-force oracle ------------------------------------------------------------------
