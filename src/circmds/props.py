@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, combinations
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from .circulant import (
@@ -167,12 +167,14 @@ def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
     # (row set, logs of its minors by column-set rank), in lexicographic order
     layer = [((i,), logs[i]) for i in ((0,) if is_circulant(A) else range(n - 1))]
     for size in range(2, n + 1):
-        table = _expansion(n, size)
-        kept = sum(n - 2 - rows[-1] for rows, _ in layer) * len(table)
+        # bound first: the table of a refused size can be large (450 MiB at
+        # n = 200, size 3), and the cache would keep it
+        kept = sum(n - 2 - rows[-1] for rows, _ in layer) * comb(n, size)
         if kept > MAX_LAYER_MINORS:
             raise MinorLayerTooLarge(
                 f"the MDS test of an order-{n} matrix would keep {kept} minors of "
                 f"size {size}, above the limit of {MAX_LAYER_MINORS}")
+        table = _expansion(n, size)
         grown = []
         for rows, prev in layer:
             for r in range(rows[-1] + 1, n):

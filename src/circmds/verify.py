@@ -13,9 +13,9 @@ and across worker counts.  Candidates are enumerated as base-q counters
 with c_0 in the least significant position; random mode draws them from
 one seeded SplitMix64 stream.  A chunk is the config's forced rows or a
 (start, end) span of at most CHUNK rows of the config's own enumeration or
-stream, or of at most CHUNK representatives in a scan by scalar classes
+stream, or of at most CHUNK class representatives in a scan by orbits
 (below); each chunk returns a partial `ScanReport`, and the partials are
-merged in order, forced rows first.  A scan by classes meets its failing
+merged in order, forced rows first.  A scan by orbits meets its failing
 rows out of enumeration order, so `run_suite` sorts its merged span lists
 (counterexamples, power-scalar and interleaved failures) by enumeration
 index, stably, which keeps the entries of one row in the order they were
@@ -37,21 +37,41 @@ Scalar classes.  Take A = circulant(a), c != 0, and the member c*a:
                c = r^-1 can be involutory, and none can when r == 0.
   orthogonal   with t = scalar_gram_root(a), (cA)*(cA)^T == c^2*t^2*I, so
                only c = t^-1 can be orthogonal, and none can when t == 0.
+
+Frobenius.  sigma(v) = v^2 is an automorphism of GF(2^m) that fixes 0 and
+1; take B = sigma(A) entrywise, the circulant of sigma(a):
+  MDS          every minor of B is sigma of the minor of A, so the MDS
+               verdict and the witness are the same.
+  semi pairs   B^-1 == sigma(A^-1), so (sigma(D1), sigma(D2)) is B's pair,
+               still canonical as sigma(1) == 1; `found`, k is None,
+               trace == 0 and nonperiodicity are kept, and so is whether
+               an interleaved sum is zero.
+  selectors    B^2 == sigma(r)^2*I and B*B^T == sigma(t)^2*I, so both
+               selectors below are equivariant: select(sigma(a)) ==
+               sigma(select(a)).
+A class representative (first nonzero entry 1) maps to one, so sigma acts
+on the representatives; its orbit has m/s distinct images sigma^f(a),
+where s is the number of f < m with sigma^f(a) == a.
+
 Each `SuiteDef` declares in `scalars` how its runner behaves on the
-members, a property of its theorem: ALL when the runner's result, and
-everything it evaluates, is the same on every member; or a selector,
+orbit of a row under the group a -> c*sigma^f(a), c != 0, a property of
+its theorem: ALL when the runner's result, and everything it evaluates,
+is the same on every row of the orbit; or an equivariant selector,
 (Properties of the representative) -> scalars c, that returns a superset
-of the members on which the hypothesis can hold, where on every other
-member the runner's hypothesis fails before it evaluates a semi pair or
-MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An exhaustive scan over
-q > 2 whose suites all declare one enumerates the classes: the zero row
-on its own, and the representatives whose first nonzero entry is 1.
-Each selected member c*a gets the row-by-row tally of every suite, from
-its own `Properties`; the representative stands for the other scalars,
-with their number as weight, on the ALL suites alone and from a
-`Properties` that no selected member shared, as the side invariants count
-what the runners evaluated.  A config with an undeclared suite scans row
-by row, and so does q == 2, where the only scalar is 1.
+of the members c*a on which the hypothesis can hold, where on every other
+row of the orbit the runner's hypothesis fails before it evaluates a semi
+pair or MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An exhaustive scan
+over q > 2 whose suites all declare one enumerates the classes: the zero
+row on its own, and the representatives whose first nonzero entry is 1,
+of which it evaluates only the least of each sigma-orbit in enumeration
+order (`frobenius_orbits`).  Each selected member c*a gets the
+row-by-row tally of every suite, from its own `Properties`, with the
+orbit size as weight; the representative stands for the other scalars,
+with their number times the orbit size as weight, on the ALL suites
+alone and from a `Properties` that no selected member shared, as the
+side invariants count what the runners evaluated.  A failure lists the
+rows sigma^f(c*a).  A config with an undeclared suite scans row by row,
+and so does q == 2, where the only scalar is 1 and sigma is the identity.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -225,6 +245,53 @@ def _scaled(gf: GF2m, c: int, row) -> tuple[int, ...]:
     return tuple(exp[lc + log[v]] if v else 0 for v in row)
 
 
+def _frobenius(gf: GF2m, f: int, row) -> tuple[int, ...]:
+    """The row sigma^f(row), each entry v raised to 2^f."""
+    if not f:
+        return row
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    return tuple(exp[(log[v] << f) % q1] if v else 0 for v in row)
+
+
+def frobenius_orbits(gf: GF2m):
+    """orbit(row): the number of distinct rows sigma^f(row), f < m, when
+    row is the least of them in enumeration order, and 0 otherwise.
+
+    The digits are read from the top, a_(n-1) first, as the index compares
+    them, and bit f of `tied` stays set while sigma^f(row) agrees with row
+    on the digits read: a tied f that maps a digit lower shows that row is
+    not least, and one that maps it higher is dropped.  When no f is left
+    the m images differ; the f left at the end fix row, and with f = 0
+    they are its stabilizer.  Most rows are decided by their top digit.
+    """
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    m = gf.m
+    every = (1 << m) - 2  # f = 1 .. m-1
+    lower = [0] * gf.order  # bit f: sigma^f(v) < v
+    fixed = [every] + [0] * q1  # bit f: sigma^f(v) == v
+    for v in range(1, gf.order):
+        for f in range(1, m):
+            w = exp[(log[v] << f) % q1]
+            if w < v:
+                lower[v] |= 1 << f
+            elif w == v:
+                fixed[v] |= 1 << f
+
+    def orbit(row) -> int:
+        tied = every
+        for v in reversed(row):
+            if tied & lower[v]:
+                return 0
+            tied &= fixed[v]
+            if not tied:
+                return m
+        return m // (1 + tied.bit_count())
+
+    return orbit
+
+
 def _index_key(row):
     """Sort key of the enumeration index: c_0 is the least significant digit."""
     return row[::-1]
@@ -291,7 +358,7 @@ def _orthogonal_scalars(p: Properties):
 
 
 # a `SuiteDef.scalars`: the runner's result, and all it evaluates, is the
-# same on every nonzero multiple of a row
+# same on every row c*sigma^f(a) of a row's orbit
 ALL = "all"
 
 
@@ -302,8 +369,11 @@ class SuiteDef:
     order_note: str
     run: object  # callable(Properties) -> (hyp, ok, extras)
     implication: bool = True
-    # behaviour on the multiples c*a (see the module docstring): None
-    # (undeclared), ALL, or callable(Properties) -> scalars c
+    # behaviour on the orbit c*sigma^f(a) of a row under nonzero scalars c
+    # and the Frobenius map (see the module docstring): None (undeclared),
+    # ALL, or an equivariant callable(Properties) -> scalars c, with
+    # select(sigma(a)) == sigma(select(a)); a declaration promises the
+    # whole group, not the scalars alone
     scalars: object = None
 
 
@@ -497,11 +567,12 @@ class ScanReport:
 _ONE = (1,)
 
 
-def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE) -> None:
+def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1) -> None:
     """Add the runners' verdicts on `p`, and the side invariants of what they
-    evaluated, once for each row c*p.row with c in `scalars`: the counts add
-    the weight len(scalars), and a failure lists each of those rows."""
-    weight = len(scalars)
+    evaluated, once for each row sigma^f(c*p.row) with c in `scalars` and
+    f < `orbit`: the counts add the weight len(scalars)*orbit, and a
+    failure lists each of those rows."""
+    weight = len(scalars) * orbit
     part.examined += weight
     failed = []  # (list, entry prefix or None), in the order they failed
     for run, res in runners:
@@ -530,22 +601,24 @@ def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE) -> None:
         if even == 0 or odd == 0:
             failed.append((part.interleaved_failures, None))
     if failed:
-        rows = [_scaled(p.gf, c, p.row) for c in scalars]
+        rows = [_frobenius(p.gf, f, _scaled(p.gf, c, p.row))
+                for c in scalars for f in range(orbit)]
         for entries, prefix in failed:
             entries += rows if prefix is None else [prefix + (row,) for row in rows]
 
 
 def _by_class(config: ScanConfig) -> bool:
-    """Whether the scan enumerates scalar classes: an exhaustive scan over
-    q > 2 whose every suite declares its `scalars`."""
+    """Whether the scan enumerates orbits of scalar classes: an exhaustive
+    scan over q > 2 whose every suite declares its `scalars`."""
     return (config.mode == EXHAUSTIVE and config.field.order > 2
             and all(SUITES[name].scalars is not None for name in config.suites))
 
 
 def _scan_chunk(args) -> ScanReport:
     """The partial report of one chunk: the config's forced rows (span None)
-    or rows start .. end-1 of its enumeration or seeded stream, or its
-    scalar classes start .. end-1 in a scan by classes."""
+    or rows start .. end-1 of its enumeration or seeded stream, or the
+    orbits whose least representative is among its scalar classes
+    start .. end-1 in a scan by orbits."""
     config, span = args
     gf = config.field
     n = config.order
@@ -556,16 +629,20 @@ def _scan_chunk(args) -> ScanReport:
         invariant = [r for r, scalars in zip(runners, declared) if scalars == ALL]
         selectors = [scalars for scalars in declared if scalars != ALL]
         nonzero = tuple(range(1, gf.order))
+        orbit = frobenius_orbits(gf)
         for rep in class_rows(gf.order, n, *span):
+            size = orbit(rep)
+            if not size:  # a smaller image stands for this one
+                continue
             p = Properties(gf, rep)
-            if not any(rep):  # the zero row is a class of its own
+            if not any(rep):  # the zero row is an orbit of its own
                 _tally(part, runners, p)
                 continue
             chosen = sorted({c for select in selectors for c in select(p)})
             for c in chosen:
-                _tally(part, runners, Properties(gf, _scaled(gf, c, rep)))
+                _tally(part, runners, Properties(gf, _scaled(gf, c, rep)), orbit=size)
             rest = [c for c in nonzero if c not in chosen] if chosen else nonzero
-            _tally(part, invariant, p, rest)
+            _tally(part, invariant, p, rest, size)
         return part
     if span is None:
         rows = config.extra_rows

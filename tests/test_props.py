@@ -205,6 +205,25 @@ def test_is_mds_refuses_a_layer_above_the_limit(monkeypatch):
         is_mds(F11D, A)
 
 
+def test_is_mds_refuses_a_layer_before_building_its_table(monkeypatch):
+    # an 8x8 MDS matrix keeps C(7, k)*C(8, k) minors of size k: 588, 1,960
+    # and 2,450 for k = 2, 3, 4; the expansion table of the refused size 4
+    # is never asked for, so the cache cannot keep it
+    A = cauchy_matrix(F11D, range(8), range(8, 16))
+    built = []
+
+    def expansion(n, size):
+        built.append((n, size))
+        return real(n, size)
+
+    real = props._expansion
+    monkeypatch.setattr(props, "_expansion", expansion)
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 1960)
+    with pytest.raises(MinorLayerTooLarge, match="2450 minors of size 4"):
+        is_mds(F11D, A)
+    assert built == [(8, 2), (8, 3)]
+
+
 # -- involutory / orthogonal ----------------------------------------------------------
 
 

@@ -49,6 +49,20 @@ GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
 GF16 = get_field(4, 0x13)
 F11D = get_field(8, 0x11D)
+GF32 = get_field(5, 0x25)
+
+
+def _images(gf, row):
+    """The rows sigma^f(row), f < m: each entry squared f times."""
+    images = [tuple(row)]
+    for _ in range(gf.m - 1):
+        images.append(tuple(gf.mul(v, v) for v in images[-1]))
+    return images
+
+
+def _least_image(gf, row):
+    """The image of row that comes first in enumeration order."""
+    return min(_images(gf, row), key=lambda image: image[::-1])
 
 
 # -- deterministic random stream ------------------------------------------------
@@ -221,10 +235,10 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
 
 
 def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypatch):
-    # the scan goes by scalar classes: INV-NONE's selector and SI-GEN share
-    # one fold per representative, and the one selected member gets its own;
-    # no mu is tried for the involutory relation, and the Euclidean inverse
-    # runs only on a disconnected support whose square is not scalar
+    # the scan goes by orbits: INV-NONE's selector and SI-GEN share one fold
+    # per evaluated representative, and the one selected member gets its
+    # own; no mu is tried for the involutory relation, and the Euclidean
+    # inverse runs only on a disconnected support whose square is not scalar
     calls = {"fold": 0, "geometric": 0, "inverse": []}
 
     def fold(row):
@@ -246,12 +260,14 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
     assert report.ok() and report.examined == 8 ** 5
     classes = class_count(8, 5)
-    # at odd n only the rows (r, 0, 0, 0, 0) have a scalar square, so the one
-    # selected member is the representative (1, 0, 0, 0, 0) itself
-    assert classes == 4682 and calls["fold"] == classes + 1
+    kept = [row for row in class_rows(8, 5, 0, classes) if row == _least_image(GF8, row)]
+    # 1,581 nonzero orbits and the zero row; at odd n only the rows
+    # (r, 0, 0, 0, 0) have a scalar square, so the one selected member is
+    # the representative (1, 0, 0, 0, 0) itself
+    assert classes == 4682 and len(kept) == 1582 and calls["fold"] == len(kept) + 1
     assert calls["geometric"] == 0
     expected = []
-    for row in class_rows(8, 5, 0, classes):
+    for row in kept:
         support = [j for j, v in enumerate(row) if v]
         if support and gcd(5, *(j - support[0] for j in support)) > 1:
             A = build(row)
@@ -259,8 +275,8 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
             k = square[0][0]
             if not k or square != [[k * (i == j) for j in range(5)] for i in range(5)]:
                 expected.append(row)
-    # the representatives x^s with s != 0: 4 shifts, each standing for its
-    # 7 scalar multiples
+    # the representatives x^s with s != 0: 4 shifts, each its own sigma-orbit
+    # and standing for its 7 scalar multiples
     assert calls["inverse"] == expected and len(expected) == 4
 
 
@@ -497,7 +513,7 @@ def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
     assert not report.ok()
 
 
-# -- scalar classes ------------------------------------------------------------------------
+# -- scalar-Frobenius orbits -------------------------------------------------------------
 
 
 def _plain(monkeypatch):
@@ -547,6 +563,8 @@ def test_scan_by_classes_equals_the_row_by_row_scan(monkeypatch):
     configs = list(verification_plan("small"))
     configs += [
         ScanConfig(field=GF16, order=3, suites=("INV-NONE", "SI-GEN")),
+        ScanConfig(field=GF16, order=4, suites=("INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2")),
+        ScanConfig(field=GF32, order=3, suites=("INV-NONE", "SI-GEN")),
         ScanConfig(field=get_field(1, 0x3), order=10, suites=("INV-NONE",)),
         ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
                    extra_rows=((1, 0, 2, 0, 3), (0, 0, 0, 0, 0))),
@@ -592,6 +610,67 @@ def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
         assert (res.hypothesis_count, res.conclusion_count, res.extras) == (
             want.hypothesis_count, want.conclusion_count, want.extras)
         assert reduced.payload() == plain.payload()
+
+
+# every class representative of these spaces, the zero row last
+_ORBIT_SPACES = [(gf, n) for gf, top in ((GF4, 6), (GF8, 4), (GF16, 3), (GF32, 3))
+                 for n in range(1, top + 1)]
+
+
+def test_frobenius_orbits_match_the_explicit_images():
+    # the orbit test keeps exactly the representatives that are least among
+    # their m images, gives each the number of distinct images, and the
+    # kept orbits times their q - 1 scalars, with the zero row, are every row
+    for gf, n in _ORBIT_SPACES:
+        q = gf.order
+        orbit = verify.frobenius_orbits(gf)
+        covered = 1
+        for rep in class_rows(q, n, 0, class_count(q, n) - 1):
+            size = orbit(rep)
+            least = rep == _least_image(gf, rep)
+            assert bool(size) == least, (gf.m, rep)
+            if least:
+                assert size == len(set(_images(gf, rep))), (gf.m, rep)
+                covered += (q - 1) * size
+        assert covered == q ** n, (gf.m, n)
+        assert orbit((0,) * n) == 1
+
+
+def test_scalar_selectors_are_frobenius_equivariant():
+    # select(sigma(a)) == sigma(select(a)) on every nonzero row, which lets
+    # a kept representative stand for the selected members of its images
+    sigma = {gf: [gf.mul(v, v) for v in range(gf.order)] for gf, _ in _ORBIT_SPACES}
+    selected = 0
+    for gf, n in _ORBIT_SPACES:
+        square = sigma[gf]
+        for row in product(range(gf.order), repeat=n):
+            if not any(row):
+                continue
+            image = tuple(square[v] for v in row)
+            for suite in ("INV-NONE", "ORTH-NONE"):
+                select = verify.SUITES[suite].scalars
+                chosen = select(Properties(gf, row))
+                assert set(select(Properties(gf, image))) == {square[c] for c in chosen}, (
+                    suite, gf.m, row)
+                selected += len(chosen)
+    assert selected > 0
+
+
+def test_a_cyclic_shift_keeps_semi_orthogonal_but_not_semi_involutory():
+    # A*P for the cyclic shift P: on a connected support the semi-involutory
+    # relation is A^2 == k*I, and (AP)^2 == k*P^2 is not scalar for n >= 3;
+    # the semi-orthogonal relation survives, since P*P^T == I.  So a shift
+    # reduction may serve the semi-orthogonal suites only
+    for gf, n, si_rows, so_rows in ((GF4, 6, 192, 360), (GF8, 4, 448, 896)):
+        counts = {"involutory": 0, "orthogonal": 0}
+        for row in product(range(gf.order), repeat=n):
+            shifted = row[-1:] + row[:-1]
+            for relation in counts:
+                if Properties(gf, row).semi(relation).found:
+                    counts[relation] += 1
+                    kept = Properties(gf, shifted).semi(relation).found
+                    assert kept == (relation == "orthogonal"), (gf.m, row, relation)
+        assert counts == {"involutory": si_rows, "orthogonal": so_rows}, (gf.m, n)
 
 
 def _dense_scalars(gf, row, test):
