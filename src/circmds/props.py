@@ -286,11 +286,9 @@ def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalP
     return DiagonalPair(tuple(d), tuple(e_full))
 
 
-def circulant_semi_pair(
-    gf: GF2m, first_row, relation: str, inv_row=None, square_root=None
-) -> Optional[DiagonalPair]:
+def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
     """Canonical pair with A^-1 == D1*A*D2 (`relation` "involutory") or
-    A^-T == D1*A*D2 ("orthogonal") for A = circulant(first_row), or None.
+    A^-T == D1*A*D2 ("orthogonal") for A = circulant(p.row), or None.
 
     The result equals `diagonal_scaling_solve` on the dense A and its
     inverse (or transposed inverse); a singular A gives None.  When the
@@ -302,8 +300,8 @@ def circulant_semi_pair(
     connected exactly when S is).
 
     For A^-1 that root is 1 (see the module docstring), so the relation
-    is a(x)^2 == k, which `scalar_square_root` decides by one fold, and it
-    is settled in this order:
+    is a(x)^2 == k, which the fold `p.square_root()` decides, and it is
+    settled in this order:
     1. a scalar square A^2 == k*I gives A^-1 == k^-1*A, the pair
        d1 = (1, ..., 1), d2 = (k^-1, ..., k^-1), on any support, as every
        component of the pattern is anchored at a 1;
@@ -313,17 +311,14 @@ def circulant_semi_pair(
     g^((q-1)/gcd(n, q-1)) for the field generator g.
 
     A disconnected support (in a coset of a proper subgroup of Z_n) goes
-    to the generic solver once the Euclidean inverse exists and has the
-    zero pattern of A.  `inv_row`, when given, returns that inverse
-    (`inverse_row(gf, first_row)`) and is called only on such rows, so a
-    caller can share one inverse between both relations; `square_root`,
-    when given, returns `scalar_square_root(first_row)`, so a caller can
-    share the fold with its involutory test.
+    to the generic solver once the Euclidean inverse `p.inverse()` exists
+    and has the zero pattern of A.  Only such rows ask for the inverse, and
+    `p` caches it and the fold, so both relations and the involutory test
+    share them.
     """
-    a = tuple(first_row)
-    n = len(a)
+    gf, a, n = p.gf, p.row, p.n
     if relation == "involutory":
-        r = scalar_square_root(a) if square_root is None else square_root()
+        r = p.square_root()
         if r:
             k_inv = gf.exp_table[-2 * gf.log_table[r] % (gf.order - 1)]
             return DiagonalPair((1,) * n, (k_inv,) * n)
@@ -342,7 +337,7 @@ def circulant_semi_pair(
             return _geometric_pair(gf, n, a_logs)
     else:
         raise ValueError(f"unknown relation {relation!r}")
-    b = inv_row() if inv_row is not None else inverse_row(gf, a)
+    b = p.inverse()
     if b is None:
         return None
     if relation == "orthogonal":
@@ -455,14 +450,16 @@ class Properties:
     involutory test and the semi-involutory pair, one `gram_root` behind
     the orthogonal test, and at most one Euclidean inverse shared by both
     relations.  Only `mds` builds the dense matrix of a row.  A matrix
-    takes the dense checks, the dense inverse and the generic solver.
+    takes the dense inverse, the generic solver and the dense involutory
+    and orthogonal checks, which are not cached: `classification` asks
+    each once.
     `semi_reports` (relation -> SemiReport) and `mds_verdict` hold what has
     been evaluated so far, in evaluation order; a scan tallies its side
     invariants from them, so a property nothing asked for is never counted.
     """
 
-    __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_involutory",
-                 "_orthogonal", "_root", "_gram", "mds_verdict", "semi_reports")
+    __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_root", "_gram",
+                 "mds_verdict", "semi_reports")
 
     def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
         if (row is None) == (matrix is None):
@@ -476,7 +473,7 @@ class Properties:
             self.n = require_square(matrix)
         self._matrix = matrix
         self._inverse = _UNSET
-        self._involutory = self._orthogonal = self._root = self._gram = None
+        self._root = self._gram = None
         self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
 
@@ -507,8 +504,7 @@ class Properties:
         reports = self.semi_reports
         if relation not in reports:
             if self.row is not None:
-                pair = circulant_semi_pair(self.gf, self.row, relation, self.inverse,
-                                           self.square_root)
+                pair = circulant_semi_pair(self, relation)
             else:
                 inv = self.inverse()
                 if inv is not None and relation == "orthogonal":
@@ -545,16 +541,14 @@ class Properties:
         return self._gram
 
     def involutory(self) -> bool:
-        if self._involutory is None:
-            self._involutory = (is_involutory(self.gf, self._matrix) if self.row is None
-                                else self.square_root() == 1)
-        return self._involutory
+        if self.row is None:
+            return is_involutory(self.gf, self._matrix)
+        return self.square_root() == 1
 
     def orthogonal(self) -> bool:
-        if self._orthogonal is None:
-            self._orthogonal = (is_orthogonal(self.gf, self._matrix) if self.row is None
-                                else self.gram_root() == 1)
-        return self._orthogonal
+        if self.row is None:
+            return is_orthogonal(self.gf, self._matrix)
+        return self.gram_root() == 1
 
     def nonperiodic(self) -> tuple[Optional[bool], Optional[bool]]:
         """Nonperiodicity of D1 and D2 of the semi-orthogonal pair; None at

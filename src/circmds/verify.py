@@ -12,17 +12,18 @@ sample_count, extra_rows), the report payload is bit-identical across runs
 and across worker counts.  Candidates are enumerated as base-q counters
 with c_0 in the least significant position; random mode draws them from
 one seeded SplitMix64 stream.  A chunk is the config's forced rows or a
-(start, end) span of at most CHUNK rows of the config's own enumeration or
-stream, or of at most CHUNK class representatives in a scan by orbits
+(start, end) span of at most CHUNK draws of the stream, or of at most
+CHUNK class representatives of an exhaustive scan, which goes by orbits
 (below); each chunk returns a partial `ScanReport`, and the partials are
 merged in order, forced rows first.  A scan by orbits meets its failing
 rows out of enumeration order, so `run_suite` sorts its merged span lists
 (counterexamples, power-scalar and interleaved failures) by enumeration
 index, stably, which keeps the entries of one row in the order they were
 found; the forced rows' entries stay first, unsorted.  Every payload thus
-equals the row-by-row scan's.  A pool runs the chunks in at most
-min(workers, chunks, CPUs) processes.  Wall-clock time and worker count
-live outside the deterministic payload.
+equals that of a scan that tallies each row on its own, which the tests
+build in tests/reference.py from the same config with every row forced.
+A pool runs the chunks in at most min(workers, chunks, CPUs) processes.
+Wall-clock time and worker count live outside the deterministic payload.
 
 Scalar classes.  Take A = circulant(a), c != 0, and the member c*a:
   MDS          every k x k minor of cA is c^k times the minor of A, so the
@@ -61,17 +62,17 @@ is the same on every row of the orbit; or an equivariant selector,
 of the members c*a on which the hypothesis can hold, where on every other
 row of the orbit the runner's hypothesis fails before it evaluates a semi
 pair or MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An exhaustive scan
-over q > 2 whose suites all declare one enumerates the classes: the zero
-row on its own, and the representatives whose first nonzero entry is 1,
-of which it evaluates only the least of each sigma-orbit in enumeration
-order (`frobenius_orbits`).  Each selected member c*a gets the
-row-by-row tally of every suite, from its own `Properties`, with the
-orbit size as weight; the representative stands for the other scalars,
-with their number times the orbit size as weight, on the ALL suites
-alone and from a `Properties` that no selected member shared, as the
-side invariants count what the runners evaluated.  A failure lists the
-rows sigma^f(c*a).  A config with an undeclared suite scans row by row,
-and so does q == 2, where the only scalar is 1 and sigma is the identity.
+enumerates the classes: the zero row on its own, and the representatives
+whose first nonzero entry is 1, of which it evaluates only the least of
+each sigma-orbit in enumeration order (`frobenius_orbits`).  The
+representative stands for the scalars no selector chose, with their
+number times the orbit size as weight, on the ALL suites alone, and is
+tallied before any selected member can share its `Properties`, as the
+side invariants count what the runners evaluated.  Each selected member
+c*a then gets the tally of every suite, with the orbit size as weight,
+from its own `Properties`, or from the representative's when c == 1.  A
+failure lists the rows sigma^f(c*a).  Over GF(2) the only scalar is 1 and
+sigma is the identity, so every row is its own orbit.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -236,22 +237,12 @@ def class_rows(q: int, n: int, start: int, end: int):
         yield (0,) * n
 
 
-def _scaled(gf: GF2m, c: int, row) -> tuple[int, ...]:
-    """The row c*row."""
-    if c == 1:
-        return row
-    exp, log = gf.exp_table, gf.log_table
-    lc = log[c]
-    return tuple(exp[lc + log[v]] if v else 0 for v in row)
-
-
-def _frobenius(gf: GF2m, f: int, row) -> tuple[int, ...]:
-    """The row sigma^f(row), each entry v raised to 2^f."""
-    if not f:
-        return row
+def _image(gf: GF2m, c: int, f: int, row) -> tuple[int, ...]:
+    """The row sigma^f(c*row), each entry v mapped to (c*v)^(2^f)."""
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
-    return tuple(exp[(log[v] << f) % q1] if v else 0 for v in row)
+    lc = log[c]
+    return tuple(exp[((lc + log[v]) << f) % q1] if v else 0 for v in row)
 
 
 def frobenius_orbits(gf: GF2m):
@@ -368,13 +359,12 @@ class SuiteDef:
     order_ok: object  # callable(n) -> bool
     order_note: str
     run: object  # callable(Properties) -> (hyp, ok, extras)
-    implication: bool = True
     # behaviour on the orbit c*sigma^f(a) of a row under nonzero scalars c
-    # and the Frobenius map (see the module docstring): None (undeclared),
-    # ALL, or an equivariant callable(Properties) -> scalars c, with
-    # select(sigma(a)) == sigma(select(a)); a declaration promises the
-    # whole group, not the scalars alone
-    scalars: object = None
+    # and the Frobenius map (see the module docstring): ALL, or an
+    # equivariant callable(Properties) -> scalars c, with
+    # select(sigma(a)) == sigma(select(a))
+    scalars: object
+    implication: bool = True
 
 
 SUITES: dict[str, SuiteDef] = {
@@ -601,70 +591,57 @@ def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1) -> N
         if even == 0 or odd == 0:
             failed.append((part.interleaved_failures, None))
     if failed:
-        rows = [_frobenius(p.gf, f, _scaled(p.gf, c, p.row))
-                for c in scalars for f in range(orbit)]
+        rows = [_image(p.gf, c, f, p.row) for c in scalars for f in range(orbit)]
         for entries, prefix in failed:
             entries += rows if prefix is None else [prefix + (row,) for row in rows]
 
 
-def _by_class(config: ScanConfig) -> bool:
-    """Whether the scan enumerates orbits of scalar classes: an exhaustive
-    scan over q > 2 whose every suite declares its `scalars`."""
-    return (config.mode == EXHAUSTIVE and config.field.order > 2
-            and all(SUITES[name].scalars is not None for name in config.suites))
-
-
 def _scan_chunk(args) -> ScanReport:
-    """The partial report of one chunk: the config's forced rows (span None)
-    or rows start .. end-1 of its enumeration or seeded stream, or the
+    """The partial report of one chunk: the config's forced rows (span None),
+    rows start .. end-1 of its seeded stream, or in an exhaustive scan the
     orbits whose least representative is among its scalar classes
-    start .. end-1 in a scan by orbits."""
+    start .. end-1."""
     config, span = args
     gf = config.field
-    n = config.order
     part = ScanReport(config)
     runners = [(SUITES[name].run, part.suites[name]) for name in config.suites]
-    if span is not None and _by_class(config):
-        declared = [SUITES[name].scalars for name in config.suites]
-        invariant = [r for r, scalars in zip(runners, declared) if scalars == ALL]
-        selectors = [scalars for scalars in declared if scalars != ALL]
-        nonzero = tuple(range(1, gf.order))
-        orbit = frobenius_orbits(gf)
-        for rep in class_rows(gf.order, n, *span):
-            size = orbit(rep)
-            if not size:  # a smaller image stands for this one
-                continue
-            p = Properties(gf, rep)
-            if not any(rep):  # the zero row is an orbit of its own
-                _tally(part, runners, p)
-                continue
-            chosen = sorted({c for select in selectors for c in select(p)})
-            for c in chosen:
-                _tally(part, runners, Properties(gf, _scaled(gf, c, rep)), orbit=size)
-            rest = [c for c in nonzero if c not in chosen] if chosen else nonzero
-            _tally(part, invariant, p, rest, size)
+    if span is None or config.mode == RANDOM:
+        rows = config.extra_rows if span is None else random_rows(
+            config.seed, gf.order, config.order, *span)
+        for row in rows:
+            _tally(part, runners, Properties(gf, row))
         return part
-    if span is None:
-        rows = config.extra_rows
-    elif config.mode == EXHAUSTIVE:
-        rows = exhaustive_rows(gf.order, n, *span)
-    else:
-        rows = random_rows(config.seed, gf.order, n, *span)
-    for row in rows:
-        _tally(part, runners, Properties(gf, row))
+    declared = [SUITES[name].scalars for name in config.suites]
+    invariant = [r for r, scalars in zip(runners, declared) if scalars == ALL]
+    selectors = [scalars for scalars in declared if scalars != ALL]
+    nonzero = tuple(range(1, gf.order))
+    orbit = frobenius_orbits(gf)
+    for rep in class_rows(gf.order, config.order, *span):
+        size = orbit(rep)
+        if not size:  # a smaller image stands for this one
+            continue
+        p = Properties(gf, rep)
+        if not any(rep):  # the zero row is an orbit of its own
+            _tally(part, runners, p)
+            continue
+        chosen = sorted({c for select in selectors for c in select(p)})
+        rest = [c for c in nonzero if c not in chosen] if chosen else nonzero
+        if rest:  # before a member c == 1 shares p and evaluates more on it
+            _tally(part, invariant, p, rest, size)
+        for c in chosen:
+            member = p if c == 1 else Properties(gf, _image(gf, c, 0, rep))
+            _tally(part, runners, member, orbit=size)
     return part
 
 
 def _chunk_spans(config: ScanConfig) -> list:
     """The chunks in merge order: None for the forced rows, then (start, end)
-    spans of at most CHUNK rows of the enumeration or the seeded stream, or
-    of CHUNK scalar classes."""
+    spans of at most CHUNK draws of the seeded stream or CHUNK scalar
+    classes of the enumeration."""
     if config.mode == RANDOM:
         total = config.sample_count
-    elif _by_class(config):
-        total = class_count(config.field.order, config.order)
     else:
-        total = config.space_size
+        total = class_count(config.field.order, config.order)
     spans = [None] if config.extra_rows else []
     spans += [(start, min(start + CHUNK, total)) for start in range(0, total, CHUNK)]
     return spans
@@ -693,7 +670,7 @@ def run_suite(config: ScanConfig) -> ScanReport:
     spans = ScanReport(config)
     for part in partials:
         spans.merge(part)
-    if _by_class(config):
+    if config.mode == EXHAUSTIVE:
         spans.sort_by_index()
     report.merge(spans)
     report.elapsed_seconds = time.perf_counter() - started

@@ -4,12 +4,13 @@ None of this runs in a command or a scan: each function is the slow,
 obvious form of something the package decides faster.
 """
 
+import dataclasses
 from itertools import product
 from typing import Optional
 
 from circmds.matgf import inverse, transpose
 from circmds.props import DiagonalPair, diagonal_scaling_solve
-from circmds.verify import BudgetExceeded
+from circmds.verify import RANDOM, BudgetExceeded, index_to_row, run_suite
 
 ORACLE_MAX_Q = 8
 ORACLE_MAX_N = 3
@@ -105,3 +106,24 @@ def component_first_rows(A) -> list:
                     seen.add(k)
                     stack.append(k)
     return firsts
+
+
+# the payload entries a scan decides; the others describe its config
+DECIDED = ("examined", "suites", "side_invariants", "ok")
+
+
+def decided(report) -> dict:
+    """The DECIDED entries of a scan report's payload."""
+    payload = report.payload()
+    return {key: payload[key] for key in DECIDED}
+
+
+def row_by_row(config) -> dict:
+    """The DECIDED entries of an exhaustive `config` scanned one row at a
+    time: the same config in random mode with no draws, whose forced rows
+    are its own followed by every row of the space in index order.  Each
+    row gets its own tally, so no orbit stands for another."""
+    q, n = config.field.order, config.order
+    every = tuple(index_to_row(i, q, n) for i in range(q ** n))
+    return decided(run_suite(dataclasses.replace(
+        config, mode=RANDOM, sample_count=0, extra_rows=config.extra_rows + every)))

@@ -27,6 +27,7 @@ from circmds.props import (
     POW2,
     MdsVerdict,
     MinorLayerTooLarge,
+    Properties,
     circulant_semi_pair,
     classification_json,
     classify,
@@ -355,7 +356,7 @@ def test_semi_checks_raise_singular():
     for relation in ("orthogonal", "involutory"):
         with pytest.raises(Singular):
             dense_semi_pair(GF4, build(row), relation)
-        assert circulant_semi_pair(GF4, row, relation) is None
+        assert circulant_semi_pair(Properties(GF4, row), relation) is None
 
 
 # -- power_scalar -----------------------------------------------------------------------------
@@ -549,7 +550,7 @@ def _agreement_census(space):
         support = [j for j, v in enumerate(row) if v]
         connected = bool(support) and gcd(n, *(j - support[0] for j in support)) == 1
         for relation in ("involutory", "orthogonal"):
-            pair = circulant_semi_pair(gf, row, relation)
+            pair = circulant_semi_pair(Properties(gf, row), relation)
             if Ainv is None:
                 assert pair is None
                 continue
@@ -593,4 +594,4 @@ def test_circulant_semi_pair_agrees_with_dense_path_exhaustively():
 
 def test_circulant_semi_pair_rejects_unknown_relation():
     with pytest.raises(ValueError):
-        circulant_semi_pair(GF4, (1, 2), "sideways")
+        circulant_semi_pair(Properties(GF4, (1, 2)), "sideways")

@@ -43,7 +43,7 @@ from circmds.verify import (
     verification_plan,
     verify_example,
 )
-from reference import dense_semi_pair, next_below, oracle_semi_search
+from reference import decided, dense_semi_pair, next_below, oracle_semi_search, row_by_row
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
@@ -214,8 +214,8 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
     zero_row, split_row, full_row = (1, 0, 2, 4), (1, 0, 2, 0), (1, 2, 3, 5)
     rows = (zero_row, split_row, full_row)
     assert all(inverse_row(GF8, row) is not None for row in rows)
-    want = {row: (circulant_semi_pair(GF8, row, "orthogonal"),
-                  circulant_semi_pair(GF8, row, "involutory")) for row in rows}
+    want = {row: (circulant_semi_pair(Properties(GF8, row), "orthogonal"),
+                  circulant_semi_pair(Properties(GF8, row), "involutory")) for row in rows}
     assert all(pair is not None for pair in want[split_row])
     calls = []
 
@@ -236,9 +236,10 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
 
 def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypatch):
     # the scan goes by orbits: INV-NONE's selector and SI-GEN share one fold
-    # per evaluated representative, and the one selected member gets its
-    # own; no mu is tried for the involutory relation, and the Euclidean
-    # inverse runs only on a disconnected support whose square is not scalar
+    # per evaluated representative, and the one selected member, c = 1, is
+    # the representative and shares its fold; no mu is tried for the
+    # involutory relation, and the Euclidean inverse runs only on a
+    # disconnected support whose square is not scalar
     calls = {"fold": 0, "geometric": 0, "inverse": []}
 
     def fold(row):
@@ -264,7 +265,7 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # 1,581 nonzero orbits and the zero row; at odd n only the rows
     # (r, 0, 0, 0, 0) have a scalar square, so the one selected member is
     # the representative (1, 0, 0, 0, 0) itself
-    assert classes == 4682 and len(kept) == 1582 and calls["fold"] == len(kept) + 1
+    assert classes == 4682 and len(kept) == 1582 and calls["fold"] == len(kept)
     assert calls["geometric"] == 0
     expected = []
     for row in kept:
@@ -491,20 +492,27 @@ def test_merge_adds_counts_and_concatenates_lists_in_order():
 
 
 def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
-    # GF(4) n = 8 is 4 chunks; the runner fails on rows with at most one
-    # nonzero entry: 22 of them in the first chunk, one in each later chunk,
-    # and the forced row, which the enumeration meets again in the last chunk
+    # GF(4) n = 8 is 2 chunks of scalar classes; the runner fails on rows
+    # with at most one nonzero entry, a count that c*sigma^f keeps, so it is
+    # declared ALL: the failing representatives lie 1 in the first chunk and
+    # 8 in the second, and the forced row, which the enumeration meets
+    # again in the second, comes first
+    def sparse(row):
+        return sum(1 for v in row if v) <= 1
+
     def run(p):
-        fails = sum(1 for v in p.row if v) <= 1
-        return True, not fails, {"seen": 1}
+        return True, not sparse(p.row), {"seen": 1}
 
     monkeypatch.setitem(verify.SUITES, "INV-NONE", verify.SuiteDef(
-        "INV-NONE", lambda n: True, "any order", run))
+        "INV-NONE", lambda n: True, "any order", run, ALL))
     forced = (0,) * 7 + (3,)
-    report = run_suite(ScanConfig(field=GF4, order=8, suites=("INV-NONE",),
-                                  extra_rows=(forced,)))
-    failing = [i for i in range(4 ** 8) if sum(1 for v in index_to_row(i, 4, 8) if v) <= 1]
-    assert [i // CHUNK for i in failing] == [0] * 22 + [1, 2, 3]
+    config = ScanConfig(field=GF4, order=8, suites=("INV-NONE",), extra_rows=(forced,))
+    spans = verify._chunk_spans(config)
+    assert spans[0] is None
+    assert [sum(map(sparse, class_rows(4, 8, *span))) for span in spans[1:]] == [1, 8]
+    report = run_suite(config)
+    failing = [i for i in range(4 ** 8) if sparse(index_to_row(i, 4, 8))]
+    assert len(failing) == 1 + 8 * 3
     res = report.suites["INV-NONE"]
     assert res.counterexamples == [forced] + [index_to_row(i, 4, 8) for i in failing]
     assert report.examined == res.hypothesis_count == 4 ** 8 + 1
@@ -514,21 +522,6 @@ def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
 
 
 # -- scalar-Frobenius orbits -------------------------------------------------------------
-
-
-def _plain(monkeypatch):
-    """Undeclare every suite's scalars, so that scans go row by row."""
-    for name, suite in list(verify.SUITES.items()):
-        monkeypatch.setitem(verify.SUITES, name, dataclasses.replace(suite, scalars=None))
-
-
-def _payloads(monkeypatch, config):
-    """(by classes, row by row) payloads of `config`, as JSON."""
-    reduced = json.dumps(run_suite(config).payload(), sort_keys=True)
-    with monkeypatch.context() as m:
-        _plain(m)
-        plain = json.dumps(run_suite(config).payload(), sort_keys=True)
-    return reduced, plain
 
 
 def test_class_rows_cover_every_row_once():
@@ -552,14 +545,9 @@ def test_suites_declare_their_scalars():
     assert {name for name, s in declared.items() if s == ALL} == {
         "SO-POW2", "SI-POW2", "SO-MOD4", "SO-MOD2", "SI-GEN", "SO-ODD-EXIST"}
     assert callable(declared["INV-NONE"]) and callable(declared["ORTH-NONE"])
-    by_class = ScanConfig(field=GF8, order=4, suites=("INV-NONE", "SO-POW2"))
-    assert verify._by_class(by_class)
-    for config in (dataclasses.replace(by_class, mode=RANDOM),
-                   dataclasses.replace(by_class, field=get_field(1, 0x3))):
-        assert not verify._by_class(config)
 
 
-def test_scan_by_classes_equals_the_row_by_row_scan(monkeypatch):
+def test_scan_by_classes_equals_the_row_by_row_scan():
     configs = list(verification_plan("small"))
     configs += [
         ScanConfig(field=GF16, order=3, suites=("INV-NONE", "SI-GEN")),
@@ -570,9 +558,9 @@ def test_scan_by_classes_equals_the_row_by_row_scan(monkeypatch):
                    extra_rows=((1, 0, 2, 0, 3), (0, 0, 0, 0, 0))),
     ]
     for config in configs:
+        plain = row_by_row(config)
         for workers in (1, 2):
-            reduced, plain = _payloads(monkeypatch, dataclasses.replace(
-                config, worker_count=workers))
+            reduced = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
             assert reduced == plain, (config.field, config.order, config.suites, workers)
 
 
@@ -581,7 +569,9 @@ def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
     # suite declared ALL evaluates MDS on every row and fails on rows with at
     # most one nonzero entry, every even-order MDS row fails its interleaved
     # sums, and every semi pair fails its scalar powers; INV-NONE and
-    # ORTH-NONE select members, so both tallies feed the lists
+    # ORTH-NONE select members, so both tallies feed the lists.  GF(2) has
+    # no MDS row of order 10, but its other lists are sorted back into index
+    # order from the order of its classes too
     def probe(p):
         p.mds()
         return True, sum(1 for v in p.row if v) > 1, {"seen": 1}
@@ -591,25 +581,23 @@ def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
     monkeypatch.setattr(verify, "interleaved_sums", lambda row: (0, 0))
     monkeypatch.setattr(props, "power_scalar", lambda gf, d, n: None)
     monkeypatch.setattr(verify, "CHUNK", 1024)
-    forced = (0, 0, 5, 0)
-    config = ScanConfig(field=GF16, order=4, extra_rows=(forced,),
-                        suites=("INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2", "PROBE"))
-    assert len(verify._chunk_spans(config)) == 1 + 5
-    with monkeypatch.context() as m:
-        _plain(m)
-        plain = run_suite(config)
-    want = plain.suites["PROBE"]
-    assert len(want.counterexamples) == 1 + 1 + 4 * 15 and want.counterexamples[0] == forced
-    assert len(plain.power_scalar_failures) > 1000 and len(plain.interleaved_failures) > 1000
-    for workers in (1, 2):
-        reduced = run_suite(dataclasses.replace(config, worker_count=workers))
-        res = reduced.suites["PROBE"]
-        assert res.counterexamples == want.counterexamples
-        assert reduced.power_scalar_failures == plain.power_scalar_failures
-        assert reduced.interleaved_failures == plain.interleaved_failures
-        assert (res.hypothesis_count, res.conclusion_count, res.extras) == (
-            want.hypothesis_count, want.conclusion_count, want.extras)
-        assert reduced.payload() == plain.payload()
+    gf16 = ScanConfig(field=GF16, order=4, extra_rows=((0, 0, 5, 0),),
+                      suites=("INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2", "PROBE"))
+    gf2 = ScanConfig(field=get_field(1, 0x3), order=10, extra_rows=((0,) * 9 + (1,),),
+                     suites=("INV-NONE", "SO-MOD2", "SI-GEN", "PROBE"))
+    assert len(verify._chunk_spans(gf16)) == 1 + 5 and len(verify._chunk_spans(gf2)) == 1 + 1
+    for config, probed, long_lists in (
+            (gf16, 1 + 1 + 4 * 15, ("power_scalar_failures", "interleaved_failures")),
+            (gf2, 1 + 1 + 10, ("power_scalar_failures",))):
+        plain = row_by_row(config)
+        want = plain["suites"]["PROBE"]["counterexamples"]
+        lists = plain["side_invariants"]
+        forced = [config.field.format_element(v) for v in config.extra_rows[0]]
+        assert len(want) == probed and want[0] == forced
+        assert all(len(lists[key]) > 100 for key in long_lists)
+        for workers in (1, 2):
+            reduced = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
+            assert reduced == plain, (config.field.m, workers)
 
 
 # every class representative of these spaces, the zero row last
@@ -702,18 +690,21 @@ def test_scalar_selectors_are_exact():
 def test_selected_members_carry_the_relation(monkeypatch, relation):
     # INV-NONE and ORTH-NONE never meet their hypothesis, so a suite that
     # asks the relation alone, with the real selector, shows that no member
-    # on which it holds is left out
+    # on which it holds is left out; it then asks the semi pair, which every
+    # such member has, so the side invariants show whether the other
+    # multiples were tallied from a `Properties` that a member shared
     suite = {"involutory": "INV-NONE", "orthogonal": "ORTH-NONE"}[relation]
     monkeypatch.setitem(verify.SUITES, "PROBE", verify.SuiteDef(
         "PROBE", lambda n: True, "any order",
-        lambda p: (getattr(p, relation)(), True, None),
+        lambda p: (getattr(p, relation)() and p.semi(relation).found, True, None),
         scalars=verify.SUITES[suite].scalars))
     for field, order in ((GF4, 6), (GF8, 4), (GF16, 3)):
         config = ScanConfig(field=field, order=order, suites=("PROBE",))
-        assert verify._by_class(config)
-        reduced, plain = _payloads(monkeypatch, config)
-        assert reduced == plain, (field.m, order)
-        assert json.loads(reduced)["suites"]["PROBE"]["hypothesis_count"] > 0
+        reduced = decided(run_suite(config))
+        assert reduced == row_by_row(config), (field.m, order)
+        assert reduced["suites"]["PROBE"]["hypothesis_count"] > 0
+        assert reduced["side_invariants"]["power_scalar_checked"] == 2 * reduced[
+            "suites"]["PROBE"]["hypothesis_count"]
 
 
 # -- brute-force oracle ------------------------------------------------------------------
