@@ -87,7 +87,7 @@ def cmd_field_info(args) -> int:
 
 def cmd_check(args) -> int:
     gf = parse_field(args.field)
-    if args.circulant:
+    if args.circulant is not None:
         row = parse_row(gf, args.circulant)
         emit(classification_json(gf, classify(gf, row)))
         return 0

@@ -127,6 +127,47 @@ def _expansion(n: int, size: int) -> tuple:
     )
 
 
+def _is_necklace(rows: tuple, n: int) -> bool:
+    """Whether `rows` is the least of its n translates rows - t (mod n), as
+    sorted tuples; that translate contains 0, so t ranges over `rows`."""
+    return min(tuple(sorted((x - t) % n for x in rows)) for t in rows) == rows
+
+
+@cache
+def _kept_count(n: int, size: int, circulant: bool) -> int:
+    """How many row sets of `size` the MDS test keeps, counted without
+    listing them: C(n-1, size), or for a circulant the necklaces below
+    size n, (1/n) * sum over d | gcd(n, size) of phi(d) * C(n/d, size/d)."""
+    if not circulant:
+        return comb(n - 1, size)
+    if size == n:
+        return 0
+    g = gcd(n, size)
+    return sum(
+        sum(gcd(d, j) == 1 for j in range(1, d + 1)) * comb(n // d, size // d)
+        for d in range(1, g + 1) if g % d == 0
+    ) // n
+
+
+@cache
+def _plan(n: int, size: int, circulant: bool) -> tuple:
+    """(R, (r, ...)) for each row set R that the MDS test keeps at
+    `size - 1`, in lexicographic order, with the rows r > max(R) for which
+    it visits R + (r,): every one, or for a circulant those that make a
+    necklace.  A row set is kept when its last row is below n-1, and a
+    size-1 row set is visited when it is (0,) or A is not circulant."""
+    if size == 2:
+        kept = [(0,)] if circulant else [(i,) for i in range(n - 1)]
+    else:
+        kept = [rows + (r,) for rows, ends in _plan(n, size - 1, circulant)
+                for r in ends if r < n - 1]
+    return tuple(
+        (rows, tuple(r for r in range(rows[-1] + 1, n)
+                     if not circulant or _is_necklace(rows + (r,), n)))
+        for rows in kept
+    )
+
+
 def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
@@ -135,49 +176,69 @@ def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
     order; it is None when A is MDS.
 
     The minors are built size by size from the ones a size smaller, by
-    expansion along the last row r of the row set R:
-    det(R, C) = sum over c in C of A[r][c] * det(R - r, C - c), with every
+    expansion along the last row r of the row set T:
+    det(T, C) = sum over c in C of A[r][c] * det(T - r, C - c), with every
     sign 1 in characteristic 2.  Size k is reached only when every smaller
     minor is nonzero, so those are kept as discrete logs, and each term is
     one `exp_table` lookup at the sum of two logs.  Each kept row set has
     one list of minor logs, indexed by column-set rank; a row set is kept
-    only when a larger one extends it (its last row is below n-1).  Row
-    sets and column sets are both visited in lexicographic order, so the
-    first zero met is the witness.
+    only when a larger one can extend it (its last row is below n-1).
+    `_plan` gives the row sets of each size in lexicographic order, and
+    each is tried on every column set in lexicographic order, so the first
+    zero met is the first singular minor among the row sets visited.  A
+    matrix that is not circulant has every row set visited.
 
-    A circulant needs only the minors whose row set contains 0.  As
-    A[i+s][j+s] == A[i][j] (indices mod n), minor(R+s, C+s) is minor(R, C)
-    with its rows and columns permuted, so it has the same determinant.
-    Every singular minor therefore has a translate with 0 among its rows,
-    and those row sets come first, so the witness is among them.  Removing
-    the last row keeps row 0, so the recurrence starts from row 0 alone.
+    A circulant has only its necklaces visited: the row sets that are the
+    least of their n translates R - t (mod n).  As A[i+s][j+s] == A[i][j]
+    (indices mod n), minor(R+s, C+s) is minor(R, C) with its rows and
+    columns permuted, so it has the same determinant.  If the first
+    singular minor (R, C) had a translate R - t before R, the singular
+    minor (R - t, C - t) would come before it; so R is a necklace, and the
+    witness is the one of the definition.
 
-    One size keeps C(n-2, k-1)*C(n, k) minors of a circulant and
-    C(n-1, k)*C(n, k) of any other matrix.  MinorLayerTooLarge is raised
-    before that exceeds MAX_LAYER_MINORS, which can happen from order 15
-    (16 for a circulant), and only when every smaller minor is nonzero.
+    Removing the last row of a necklace T leaves a necklace, so the
+    recurrence needs no other row set.  Write a row set by its gaps: the
+    steps from each row to the next, and from the last round to n.  Among
+    row sets of one size, lexicographic order is that of the gap
+    sequences, and a necklace is a row set whose gaps no rotation makes
+    smaller.  T - r has T's gaps with the last two, g_k and g_(k+1),
+    merged.  A rotation of those either differs from them before the
+    merged gap, where it is larger as the same rotation of T's gaps is,
+    or it reaches the merged gap first, where it holds
+    g_k + g_(k+1) > g_k, and g_k is at least the gap it is compared with,
+    again as T is a necklace.  A necklace below size n also avoids row
+    n-1 (a last gap of 1 would force every gap to 1), so every one is
+    kept.  An order-8 circulant that passes is tested on 1,725 minors,
+    where the row sets through row 0 would give 6,435.
+
+    One size keeps C(n-1, k)*C(n, k) minors of a matrix that is not
+    circulant and necklaces(n, k)*C(n, k) of a circulant (`_kept_count`).
+    MinorLayerTooLarge is raised before that exceeds MAX_LAYER_MINORS,
+    which can happen from order 15 (17 for a circulant), and only when
+    every smaller minor is nonzero.
     """
     n = require_square(A)
-    for i in range(n):
-        for j in range(n):
-            if A[i][j] == 0:
-                return MdsVerdict(False, ((i,), (j,)))
+    for i, row in enumerate(A):
+        if 0 in row:
+            return MdsVerdict(False, ((i,), (row.index(0),)))
     exp, log = gf.exp_table, gf.log_table
     logs = [[log[v] for v in row] for row in A]
-    # (row set, logs of its minors by column-set rank), in lexicographic order
-    layer = [((i,), logs[i]) for i in ((0,) if is_circulant(A) else range(n - 1))]
+    circulant = is_circulant(A)
+    # logs of the minors of each kept row set, by column-set rank, in the
+    # order of `_plan`
+    layer = [logs[0]] if circulant else logs[:n - 1]
     for size in range(2, n + 1):
-        # bound first: the table of a refused size can be large (450 MiB at
-        # n = 200, size 3), and the cache would keep it
-        kept = sum(n - 2 - rows[-1] for rows, _ in layer) * comb(n, size)
+        # bound first: the tables of a refused size can be large (450 MiB at
+        # n = 200, size 3), and the cache would keep them
+        kept = _kept_count(n, size, circulant) * comb(n, size)
         if kept > MAX_LAYER_MINORS:
             raise MinorLayerTooLarge(
                 f"the MDS test of an order-{n} matrix would keep {kept} minors of "
                 f"size {size}, above the limit of {MAX_LAYER_MINORS}")
         table = _expansion(n, size)
         grown = []
-        for rows, prev in layer:
-            for r in range(rows[-1] + 1, n):
+        for (rows, ends), prev in zip(_plan(n, size, circulant), layer):
+            for r in ends:
                 last = logs[r]
                 minors = []
                 for cols, terms in table:
@@ -188,7 +249,7 @@ def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
                         return MdsVerdict(False, (rows + (r,), cols))
                     minors.append(log[d])
                 if r < n - 1:
-                    grown.append((rows + (r,), minors))
+                    grown.append(minors)
         layer = grown
     return MdsVerdict(True, None)
 

@@ -120,6 +120,25 @@ def test_check_refuses_an_mds_test_above_the_minor_limit(capsys, monkeypatch):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_check_refuses_a_circulant_mds_test_above_the_minor_limit(capsys, monkeypatch):
+    # the Whirlpool circulant keeps 700 minors of size 4
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
+    code, out, err = run_cli(capsys, "check", "--field", "8:0x11D",
+                             "--circulant", "1,1,4,1,8,5,2,9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "700 minors of size 4" in err
+
+
+def test_check_empty_circulant_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "check", "--field", "8:0x11D", "--circulant", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_check_element_out_of_range(capsys):
     code, _, err = run_cli(capsys, "check", "--field", "2:0x7",
                            "--circulant", "0x9,0x1")

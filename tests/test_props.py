@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -149,6 +149,18 @@ LARGE_WITNESS_ROWS = (
     (0x38, 0xE5, 0x33, 0xC9, 0x64, 0x2E, 0x84, 0xDA),
 )
 
+# GF(2^8)/0x11D first rows whose first singular minor lies on a row set that
+# some translations fix, with that minor's columns avoiding column 0
+PERIODIC_WITNESS_ROWS = {
+    (0xDF, 0x92, 0x24, 0x37, 0x92, 0x96): ((0, 3), (1, 4)),
+    (0xC2, 0x8A, 0x53, 0x50, 0xC9, 0xDC): ((0, 2, 4), (1, 3, 5)),
+    (0x54, 0xFA, 0xB5, 0x8F, 0x55, 0xFA, 0x6E, 0xD8): ((0, 4), (1, 5)),
+    (0xF9, 0xBB, 0x53, 0x5C, 0x74, 0xD8, 0x59, 0x3F): ((0, 2, 4, 6), (1, 3, 5, 7)),
+    (0xA9, 0x12, 0xC6, 0x4C, 0x74, 0xF1, 0xED, 0xA0, 0x46): ((0, 3, 6), (1, 4, 7)),
+}
+
+WHIRLPOOL_ROW = (0x01, 0x01, 0x04, 0x01, 0x08, 0x05, 0x02, 0x09)
+
 
 def test_is_mds_matches_definition_and_witness():
     rng = random.Random(40)
@@ -159,7 +171,7 @@ def test_is_mds_matches_definition_and_witness():
     for n in (5, 6, 7):
         for _ in range(6):
             cases.append((F11D, build([rng.randrange(F11D.order) for _ in range(n)])))
-    whirlpool = build((0x01, 0x01, 0x04, 0x01, 0x08, 0x05, 0x02, 0x09))
+    whirlpool = build(WHIRLPOOL_ROW)
     cauchy = cauchy_matrix(F11D, range(6), range(6, 12))
     assert is_mds(F11D, whirlpool) and is_mds(F11D, cauchy)
     cases += [(F11D, whirlpool), (F11D, cauchy)]
@@ -167,6 +179,9 @@ def test_is_mds_matches_definition_and_witness():
     for gf, n, count in ((GF8, 4, 80), (F11D, 3, 40), (F11D, 5, 20)):
         for _ in range(count):
             cases.append((gf, random_matrix(rng, gf, n)))
+    for n in (9, 10):
+        for _ in range(6):
+            cases.append((F11D, build([rng.randrange(1, F11D.order) for _ in range(n)])))
     census = Counter()
     witness_sizes = set()
     for gf, A in cases:
@@ -180,6 +195,93 @@ def test_is_mds_matches_definition_and_witness():
     for outcome in ("2x2", "kxk", "pass"):
         assert census[False, outcome] > 0, outcome
     assert {4, 5, 6, 8} <= witness_sizes
+
+
+def test_is_mds_finds_witnesses_on_periodic_row_sets():
+    # the first singular minor of each row is on a row set R with R + t == R
+    # for some t != 0, so R has fewer than n translates
+    for row, witness in PERIODIC_WITNESS_ROWS.items():
+        A = build(row)
+        rows = witness[0]
+        assert any(t and sorted((x + t) % len(row) for x in rows) == list(rows)
+                   for t in range(len(row)))
+        assert is_mds(F11D, A) == reference_is_mds(F11D, A) == MdsVerdict(False, witness)
+
+
+def visited_row_sets(n, size, circulant):
+    """The row sets `is_mds` tries at `size` >= 2, in the order it tries them."""
+    return [rows + (r,) for rows, ends in props._plan(n, size, circulant) for r in ends]
+
+
+def test_a_circulant_plan_holds_one_necklace_per_translation_orbit():
+    for n in range(2, 13):
+        for k in range(2, n + 1):
+            visited = visited_row_sets(n, k, True)
+            assert visited == sorted(visited)
+            # the orbits of the visited row sets are disjoint and cover every
+            # row set, and each visited row set is the least of its orbit
+            orbits = [{tuple(sorted((x + t) % n for x in rows)) for t in range(n)}
+                      for rows in visited]
+            assert all(min(orbit) == rows for orbit, rows in zip(orbits, visited))
+            assert sum(map(len, orbits)) == len(set().union(*orbits)) == comb(n, k)
+            # the kept ones are the necklaces below size n: (1/n) * sum over
+            # d | gcd(n, k) of phi(d) * C(n/d, k/d) of them
+            kept = [rows for rows in visited if rows[-1] < n - 1]
+            assert len(kept) == props._kept_count(n, k, True) == (len(visited) if k < n else 0)
+            if k < n:
+                assert [rows for rows, _ in props._plan(n, k + 1, True)] == kept
+
+
+def test_a_general_plan_holds_every_row_set():
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            visited = visited_row_sets(n, k, False)
+            assert visited == list(combinations(range(n), k))
+            kept = sum(rows[-1] < n - 1 for rows in visited)
+            assert kept == props._kept_count(n, k, False) == comb(n - 1, k)
+
+
+def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit(monkeypatch):
+    # an order-8 MDS circulant is tested on sum over k of necklaces(8, k) *
+    # C(8, k) = 1,725 minors, the 8 entries of row 0 among them; the row
+    # sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
+    minors = [comb(8, 1)]
+    real = props._plan
+
+    def plan(n, size, circulant):
+        assert circulant
+        steps = real(n, size, circulant)
+        minors.append(sum(len(ends) for _, ends in steps) * comb(n, size))
+        return steps
+
+    monkeypatch.setattr(props, "_plan", plan)
+    assert is_mds(F11D, build(WHIRLPOOL_ROW))
+    assert len(minors) == 8 and sum(minors) == 1725
+    assert sum(comb(7, k - 1) * comb(8, k) for k in range(1, 9)) == 6435
+
+
+def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypatch):
+    # the Whirlpool circulant keeps necklaces(8, k) * C(8, k) minors of size
+    # k: 112, 392 and 700 for k = 2, 3, 4, so a limit of 392 refuses size 4
+    # before its expansion table or its plan is asked for
+    asked = []
+
+    def recording(name):
+        real = getattr(props, name)
+
+        def wrapper(n, size, *rest):
+            asked.append((name, size))
+            return real(n, size, *rest)
+        monkeypatch.setattr(props, name, wrapper)
+
+    for name in ("_expansion", "_plan"):
+        recording(name)
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
+    with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
+        is_mds(F11D, build(WHIRLPOOL_ROW))
+    assert sorted(set(asked)) == [("_expansion", 2), ("_expansion", 3), ("_plan", 2), ("_plan", 3)]
+    kept = [rows for rows in visited_row_sets(8, 4, True) if rows[-1] < 7]
+    assert len(kept) * comb(8, 4) == 700
 
 
 def test_is_mds_checks_every_row_set_of_a_non_circulant():
