@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, gcd
 from typing import Optional
 
@@ -168,8 +168,11 @@ def _plan(n: int, size: int, circulant: bool) -> tuple:
     )
 
 
-def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
+def is_mds(gf: GF2m, A: Matrix, circulant: Optional[bool] = None) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
+
+    `circulant` says whether A is circulant, for a caller that built A from
+    a first row; None has A scanned for it.
 
     The witness is the first singular minor in (size, rows, cols) order,
     with rows and columns as increasing index tuples in lexicographic
@@ -223,7 +226,8 @@ def is_mds(gf: GF2m, A: Matrix) -> MdsVerdict:
             return MdsVerdict(False, ((i,), (row.index(0),)))
     exp, log = gf.exp_table, gf.log_table
     logs = [[log[v] for v in row] for row in A]
-    circulant = is_circulant(A)
+    if circulant is None:
+        circulant = is_circulant(A)
     # logs of the minors of each kept row set, by column-set rank, in the
     # order of `_plan`
     layer = [logs[0]] if circulant else logs[:n - 1]
@@ -413,17 +417,27 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
 
 def _geometric_pair(gf: GF2m, n: int, a_logs) -> Optional[DiagonalPair]:
     """The geometric pair of `circulant_semi_pair` for A^-T, or None, from
-    the (index, discrete log) pairs of the nonzero entries of a."""
+    the (index, discrete log) pairs of the nonzero entries of a.
+
+    Only the coefficients t = 1 .. (n-1)//2 of a(x^-1)*a(mu*x) must vanish
+    for the product to be the constant k.  Coefficient t is
+    sum over j of a_j*a_(j+t)*mu^(j+t), which is mu^t times coefficient
+    n - t, so the two vanish together.  At even n = 2h the terms j and
+    j + h of coefficient h differ by the factor mu^h, which is 1: mu has
+    odd order, as every nonzero element of GF(2^m) has, and it divides n,
+    so it divides h.  The terms cancel in pairs, and coefficient h is 0."""
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
     c_logs = [(-j % n, v) for j, v in a_logs]  # c = a(x^-1), the first row of A^T
     log_am: list = [None] * n  # logs of a(mu*x); None at a zero entry
+    # the coefficients t of c(x)*a(mu*x) mod x^n - 1 to test: the
+    # non-constant ones first, where most mu fail
+    shifts = (*range(1, (n - 1) // 2 + 1), 0)
     for s in range(0, q1, q1 // gcd(n, q1)):  # mu = g^s
         for j, v in a_logs:
             log_am[j] = (v + j * s) % q1
-        # coefficient t of c(x)*a(mu*x) mod x^n - 1 (a negative index wraps
-        # around); the non-constant ones first, where most mu fail
-        for t in chain(range(1, n), (0,)):
+        # coefficient t (a negative index wraps around)
+        for t in shifts:
             k = 0
             for i, lc in c_logs:
                 la = log_am[t - i]
@@ -584,7 +598,9 @@ class Properties:
 
     def mds(self) -> MdsVerdict:
         if self.mds_verdict is None:
-            self.mds_verdict = is_mds(self.gf, self.matrix)
+            # a row's matrix is circulant by construction: only a given
+            # matrix is scanned for it
+            self.mds_verdict = is_mds(self.gf, self.matrix, self.row is not None or None)
         return self.mds_verdict
 
     def square_root(self) -> int:

@@ -54,25 +54,69 @@ A class representative (first nonzero entry 1) maps to one, so sigma acts
 on the representatives; its orbit has m/s distinct images sigma^f(a),
 where s is the number of f < m with sigma^f(a) == a.
 
+Transposition.  tau(a) = a(x^-1) = (a_0, a_(n-1), ..., a_1) is the first
+row of A^T:
+  MDS          every minor of A^T is a minor of A transposed, so the MDS
+               verdict is the same (a scan reads no witness).
+  semi pairs   A^-1 == D1*A*D2 gives (A^T)^-1 == D2*A^T*D1, and A^-T ==
+               D1*A*D2 gives (A^T)^-T == A^-1 == D2*A^T*D1; so tau(a) has a
+               pair exactly when a has one, and its canonical pair is
+               (D2, D1) rescaled to be 1 at the least row of each component
+               of the nonzero pattern.  On a connected support one scalar
+               does it, (c*D2, c^-1*D1), and a scalar keeps k is None,
+               trace == 0 and nonperiodicity: tau(a)'s d1 has those of a's
+               d2, and its d2 those of a's d1.
+  disconnected A support S with g = gcd(n, S - S) > 1 has g components,
+               the rows of one residue mod g, and the columns S + that
+               residue, with a scale each.  The cyclic shift P commutes with
+               A and B, so (P*D1*P^-1, P*D2*P^-1) is a pair too, the
+               canonical one up to those scales; at the least rows this
+               gives D1 == (mu^-(i div g)), and d2_(k+1) == d2_k but at
+               k + 1 == s (mod g), s in S, where it is mu*d2_k, for
+               mu = d2_(k+g)/d2_k with mu^(n/g) == 1.  Up to a scalar, each
+               diagonal is a cycle of runs of g equal entries, each run mu^-1
+               or mu times the one before: its n-th power is scalar, its
+               trace is 0 exactly when mu != 1 or n is even, and the ratios
+               d_(i+h)/d_i over every i (h = n/2), which nonperiodicity
+               reads, move with neither the offset of the runs nor mu ->
+               mu^-1.  tau(a)'s pair has this form with mu^-1.  So on every
+               row with a pair d1 and d2 agree on each predicate a scan
+               counts, and agree with tau(a)'s, in either order.
+  selectors    (A^T)^2 == (A^2)^T and A^T*A == A*A^T, so r and t are the
+               same for tau(a), and the member c*tau(a) == tau(c*a) is
+               selected with c*a.
+  interleaved  at even n, j -> -j keeps the parity of j, so both sums are
+               the same.
+The representative of tau(a) is c*tau(a), with c the inverse of its first
+nonzero entry: 1 when a_0 != 0, or else the inverse of a's last nonzero
+entry.  tau commutes with sigma and with the scalars, so the sigma-orbits
+of the classes of a and of tau(a) have the same size, and they are one
+orbit or disjoint.
+
 Each `SuiteDef` declares in `scalars` how its runner behaves on the
-orbit of a row under the group a -> c*sigma^f(a), c != 0, a property of
-its theorem: ALL when the runner's result, and everything it evaluates,
-is the same on every row of the orbit; or an equivariant selector,
-(Properties of the representative) -> scalars c, that returns a superset
-of the members c*a on which the hypothesis can hold, where on every other
-row of the orbit the runner's hypothesis fails before it evaluates a semi
-pair or MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An exhaustive scan
-enumerates the classes: the zero row on its own, and the representatives
-whose first nonzero entry is 1, of which it evaluates only the least of
-each sigma-orbit in enumeration order (`frobenius_orbits`).  The
+orbit of a row under the group a -> c*sigma^f(tau^e(a)), c != 0, a
+property of its theorem: ALL when the runner's result, and everything it
+evaluates, is the same on every row of the orbit; or an equivariant
+selector, (Properties of the representative) -> scalars c, that returns a
+superset of the members c*a on which the hypothesis can hold, where on
+every other row of the orbit the runner's hypothesis fails before it
+evaluates a semi pair or MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An
+exhaustive scan enumerates the classes: the zero row on its own, and the
+representatives whose first nonzero entry is 1, of which it evaluates only
+the one that is least in enumeration order among the representatives of
+its images sigma^f(a) and sigma^f(tau(a)) (`frobenius_orbits`).  The
 representative stands for the scalars no selector chose, with their
-number times the orbit size as weight, on the ALL suites alone, and is
-tallied before any selected member can share its `Properties`, as the
-side invariants count what the runners evaluated.  Each selected member
-c*a then gets the tally of every suite, with the orbit size as weight,
-from its own `Properties`, or from the representative's when c == 1.  A
-failure lists the rows sigma^f(c*a).  Over GF(2) the only scalar is 1 and
-sigma is the identity, so every row is its own orbit.
+number times the orbit size as weight, doubled when tau leaves the
+sigma-orbit, on the ALL suites alone, and is tallied before any selected
+member can share its `Properties`, as the side invariants count what the
+runners evaluated.  Each selected member c*a then gets the tally of every
+suite, with the orbit size as weight, doubled likewise, from its own
+`Properties`, or from the representative's when c == 1.  A failure lists
+the rows sigma^f(c*a) and, when tau leaves the sigma-orbit, their
+transposes, whose power-scalar entries carry d1 and d2 swapped, in the
+order of a row tallied on its own: by relation, then d1 before d2.  Over
+GF(2) the only scalar is 1 and sigma is the identity, so the orbits are
+{a, tau(a)}.
 
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
@@ -245,9 +289,16 @@ def _image(gf: GF2m, c: int, f: int, row) -> tuple[int, ...]:
     return tuple(exp[((lc + log[v]) << f) % q1] if v else 0 for v in row)
 
 
+_SKIP = (0, False)
+
+
 def frobenius_orbits(gf: GF2m):
-    """orbit(row): the number of distinct rows sigma^f(row), f < m, when
-    row is the least of them in enumeration order, and 0 otherwise.
+    """orbit(row) -> (size, transposed) for a class representative row: size
+    is 0 unless row is the least, in enumeration order, of the class
+    representatives of its images sigma^f(row) and sigma^f(tau(row)),
+    f < m; then it is the number of distinct rows sigma^f(row), and
+    `transposed` says that tau(row)'s class is not among them, so that the
+    orbit holds twice as many classes.
 
     The digits are read from the top, a_(n-1) first, as the index compares
     them, and bit f of `tied` stays set while sigma^f(row) agrees with row
@@ -255,30 +306,67 @@ def frobenius_orbits(gf: GF2m):
     not least, and one that maps it higher is dropped.  When no f is left
     the m images differ; the f left at the end fix row, and with f = 0
     they are its stabilizer.  Most rows are decided by their top digit.
+
+    The representative of tau(row) = (a_0, a_(n-1), ..., a_1) is c*tau(row),
+    where c is 1 when a_0 is nonzero and else the inverse of row's top
+    nonzero digit; read from the top it is c*a_1, ..., c*a_(n-1), c*a_0.
+    Its top digit settles most rows: when the least image sigma^f(c*a_1)
+    is below a_(n-1), that image sigma^f(c*tau(row)) is smaller than row,
+    and when it is above, every one is larger.  On a tie the m images are
+    built and compared whole.  tau fixes every row of order n <= 2.
     """
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
     m = gf.m
     every = (1 << m) - 2  # f = 1 .. m-1
+    # powers[f][v] == sigma^f(v)
+    powers = [[exp[(log[v] << f) % q1] if v else 0 for v in range(gf.order)]
+              for f in range(m)]
+    least = [min(images) for images in zip(*powers)]
     lower = [0] * gf.order  # bit f: sigma^f(v) < v
     fixed = [every] + [0] * q1  # bit f: sigma^f(v) == v
-    for v in range(1, gf.order):
-        for f in range(1, m):
-            w = exp[(log[v] << f) % q1]
-            if w < v:
+    for f in range(1, m):
+        for v in range(1, gf.order):
+            if powers[f][v] < v:
                 lower[v] |= 1 << f
-            elif w == v:
+            elif powers[f][v] == v:
                 fixed[v] |= 1 << f
 
-    def orbit(row) -> int:
+    def orbit(row) -> tuple[int, bool]:
         tied = every
         for v in reversed(row):
             if tied & lower[v]:
-                return 0
+                return _SKIP
             tied &= fixed[v]
             if not tied:
-                return m
-        return m // (1 + tied.bit_count())
+                break
+        size = m // (1 + tied.bit_count())
+        if len(row) < 3:  # tau fixes every row
+            return size, False
+        # the top digits: c*a_1 of c*tau(row), against a_(n-1) of row
+        w, v = row[1], row[-1]
+        shift = 0
+        if not row[0]:
+            for top in reversed(row):
+                if top:
+                    shift = -log[top] % q1  # the log of 1/top
+                    break
+            if w:
+                w = exp[log[w] + shift]
+        if least[w] != v:
+            return _SKIP if least[w] < v else (size, True)
+        # a tie: compare the whole images, as tuples read from the top
+        turned = row[1:] + row[:1]
+        if shift:
+            turned = [exp[log[x] + shift] if x else 0 for x in turned]
+        key = row[::-1]
+        transposed = True
+        for power in powers:
+            image = tuple(map(power.__getitem__, turned))
+            if image < key:
+                return _SKIP
+            transposed = transposed and image != key
+        return size, transposed
 
     return orbit
 
@@ -349,7 +437,7 @@ def _orthogonal_scalars(p: Properties):
 
 
 # a `SuiteDef.scalars`: the runner's result, and all it evaluates, is the
-# same on every row c*sigma^f(a) of a row's orbit
+# same on every row c*sigma^f(tau^e(a)) of a row's orbit
 ALL = "all"
 
 
@@ -359,10 +447,11 @@ class SuiteDef:
     order_ok: object  # callable(n) -> bool
     order_note: str
     run: object  # callable(Properties) -> (hyp, ok, extras)
-    # behaviour on the orbit c*sigma^f(a) of a row under nonzero scalars c
-    # and the Frobenius map (see the module docstring): ALL, or an
-    # equivariant callable(Properties) -> scalars c, with
-    # select(sigma(a)) == sigma(select(a))
+    # behaviour on the orbit c*sigma^f(tau^e(a)) of a row under nonzero
+    # scalars c, the Frobenius map and transposition (see the module
+    # docstring): ALL, or an equivariant callable(Properties) -> scalars c,
+    # with select(sigma(a)) == sigma(select(a)) and
+    # select(tau(a)) == select(a)
     scalars: object
     implication: bool = True
 
@@ -557,14 +646,21 @@ class ScanReport:
 _ONE = (1,)
 
 
-def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1) -> None:
+def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1,
+           transposed=False) -> None:
     """Add the runners' verdicts on `p`, and the side invariants of what they
     evaluated, once for each row sigma^f(c*p.row) with c in `scalars` and
-    f < `orbit`: the counts add the weight len(scalars)*orbit, and a
-    failure lists each of those rows."""
+    f < `orbit`, and, when `transposed`, once for the transpose tau of each:
+    the counts add the weight len(scalars)*orbit, doubled when `transposed`,
+    and a failure lists each of those rows.  A transpose has the semi pair
+    (D2, D1), rescaled, so its power-scalar failures swap d1 and d2."""
     weight = len(scalars) * orbit
+    if transposed:
+        weight *= 2
     part.examined += weight
-    failed = []  # (list, entry prefix or None), in the order they failed
+    # (list, entry prefixes of a row and of its transpose, or None for the
+    # bare rows), in the order they failed
+    failed = []
     for run, res in runners:
         hyp, ok, extras = run(p)
         if not hyp:
@@ -573,7 +669,7 @@ def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1) -> N
         if ok:
             res.conclusion_count += weight
         else:
-            failed.append((res.counterexamples, None))
+            failed.append((res.counterexamples, None, None))
         if extras:
             for key, inc in extras.items():
                 res.extras[key] = res.extras.get(key, 0) + inc * weight
@@ -581,19 +677,28 @@ def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1) -> N
     for relation, rep in p.semi_reports.items():
         if rep.found:
             part.power_scalar_checked += 2 * weight
-            for diag, k in (("d1", rep.k1), ("d2", rep.k2)):
-                if k is None:
-                    failed.append((part.power_scalar_failures, ("semi-" + relation, diag)))
+            if rep.k1 is None or rep.k2 is None:
+                name = "semi-" + relation
+                failed.append((
+                    part.power_scalar_failures,
+                    [(name, d) for d, k in (("d1", rep.k1), ("d2", rep.k2)) if k is None],
+                    [(name, d) for d, k in (("d1", rep.k2), ("d2", rep.k1)) if k is None],
+                ))
     verdict = p.mds_verdict
     if verdict is not None and verdict.is_mds and p.n % 2 == 0:
         part.interleaved_checked += weight
         even, odd = interleaved_sums(p.row)
         if even == 0 or odd == 0:
-            failed.append((part.interleaved_failures, None))
+            failed.append((part.interleaved_failures, None, None))
     if failed:
         rows = [_image(p.gf, c, f, p.row) for c in scalars for f in range(orbit)]
-        for entries, prefix in failed:
-            entries += rows if prefix is None else [prefix + (row,) for row in rows]
+        flips = [row[:1] + row[:0:-1] for row in rows] if transposed else []
+        for entries, prefixes, swapped in failed:
+            if prefixes is None:
+                entries += rows + flips
+            else:
+                entries += [prefix + (row,) for prefix in prefixes for row in rows]
+                entries += [prefix + (row,) for prefix in swapped for row in flips]
 
 
 def _scan_chunk(args) -> ScanReport:
@@ -617,7 +722,7 @@ def _scan_chunk(args) -> ScanReport:
     nonzero = tuple(range(1, gf.order))
     orbit = frobenius_orbits(gf)
     for rep in class_rows(gf.order, config.order, *span):
-        size = orbit(rep)
+        size, transposed = orbit(rep)
         if not size:  # a smaller image stands for this one
             continue
         p = Properties(gf, rep)
@@ -627,10 +732,10 @@ def _scan_chunk(args) -> ScanReport:
         chosen = sorted({c for select in selectors for c in select(p)})
         rest = [c for c in nonzero if c not in chosen] if chosen else nonzero
         if rest:  # before a member c == 1 shares p and evaluates more on it
-            _tally(part, invariant, p, rest, size)
+            _tally(part, invariant, p, rest, size, transposed)
         for c in chosen:
             member = p if c == 1 else Properties(gf, _image(gf, c, 0, rep))
-            _tally(part, runners, member, orbit=size)
+            _tally(part, runners, member, orbit=size, transposed=transposed)
     return part
 
 

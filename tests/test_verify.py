@@ -52,6 +52,9 @@ F11D = get_field(8, 0x11D)
 GF32 = get_field(5, 0x25)
 
 
+GF2 = get_field(1, 0x3)
+
+
 def _images(gf, row):
     """The rows sigma^f(row), f < m: each entry squared f times."""
     images = [tuple(row)]
@@ -60,9 +63,22 @@ def _images(gf, row):
     return images
 
 
+def _transpose(row):
+    """tau(row) = row(x^-1), the first row of the transposed circulant."""
+    return tuple(row[-j] for j in range(len(row)))
+
+
+def _representative(gf, row):
+    """The scalar multiple of a nonzero row whose first nonzero entry is 1."""
+    lead = gf.inv(next(v for v in row if v))
+    return tuple(gf.mul(lead, v) for v in row)
+
+
 def _least_image(gf, row):
-    """The image of row that comes first in enumeration order."""
-    return min(_images(gf, row), key=lambda image: image[::-1])
+    """The representative, among those of the images sigma^f(row) and
+    sigma^f(tau(row)), that comes first in enumeration order."""
+    images = _images(gf, row) + _images(gf, _representative(gf, _transpose(row)))
+    return min(images, key=lambda image: image[::-1])
 
 
 # -- deterministic random stream ------------------------------------------------
@@ -261,11 +277,13 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
     assert report.ok() and report.examined == 8 ** 5
     classes = class_count(8, 5)
-    kept = [row for row in class_rows(8, 5, 0, classes) if row == _least_image(GF8, row)]
-    # 1,581 nonzero orbits and the zero row; at odd n only the rows
-    # (r, 0, 0, 0, 0) have a scalar square, so the one selected member is
-    # the representative (1, 0, 0, 0, 0) itself
-    assert classes == 4682 and len(kept) == 1582 and calls["fold"] == len(kept)
+    zero = classes - 1
+    kept = [row for row in class_rows(8, 5, 0, zero) if row == _least_image(GF8, row)]
+    kept.append((0,) * 5)
+    # 805 nonzero orbits under sigma and tau, and the zero row; at odd n
+    # only the rows (r, 0, 0, 0, 0) have a scalar square, so the one
+    # selected member is the representative (1, 0, 0, 0, 0) itself
+    assert classes == 4682 and len(kept) == 806 and calls["fold"] == len(kept)
     assert calls["geometric"] == 0
     expected = []
     for row in kept:
@@ -276,9 +294,9 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
             k = square[0][0]
             if not k or square != [[k * (i == j) for j in range(5)] for i in range(5)]:
                 expected.append(row)
-    # the representatives x^s with s != 0: 4 shifts, each its own sigma-orbit
-    # and standing for its 7 scalar multiples
-    assert calls["inverse"] == expected and len(expected) == 4
+    # the representatives x^s with s != 0: 4 shifts, each its own sigma-orbit,
+    # paired by tau as x^s and x^(5-s), and standing for 7 scalar multiples
+    assert calls["inverse"] == expected == [(0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
@@ -600,33 +618,74 @@ def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
             assert reduced == plain, (config.field.m, workers)
 
 
+def test_transposed_rows_list_their_power_scalar_failures_swapped(monkeypatch):
+    # every real pair has scalar powers, and its d1 and d2 agree, so the
+    # swap shows only on a fault: this one fails d1 when a_1 == 0 and d2
+    # when a_(n-1) == 0, a rule that scalars and sigma keep and that tau
+    # swaps, as it swaps the pair.  A transposed row must list the other
+    # label, in the order of a row tallied on its own
+    real_semi = Properties.semi
+
+    def semi(p, relation):
+        rep = real_semi(p, relation)
+        if rep.found:
+            rep = p.semi_reports[relation] = dataclasses.replace(
+                rep, k1=None if p.row[1] == 0 else rep.k1, k2=None if p.row[-1] == 0 else rep.k2)
+        return rep
+
+    monkeypatch.setattr(Properties, "semi", semi)
+    for config in (ScanConfig(field=GF4, order=6, suites=("SO-MOD2", "SI-GEN")),
+                   ScanConfig(field=GF8, order=4, suites=("SO-POW2", "SI-POW2"))):
+        plain = row_by_row(config)
+        labels = {}
+        for failure in plain["side_invariants"]["power_scalar_failures"]:
+            key = (failure["relation"], tuple(failure["first_row"]))
+            labels.setdefault(key, []).append(failure["diagonal"])
+        assert set(map(tuple, labels.values())) == {("d1",), ("d2",), ("d1", "d2")}
+        for workers in (1, 2):
+            reduced = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
+            assert reduced == plain, (config.field.m, workers)
+
+
 # every class representative of these spaces, the zero row last
-_ORBIT_SPACES = [(gf, n) for gf, top in ((GF4, 6), (GF8, 4), (GF16, 3), (GF32, 3))
+_ORBIT_SPACES = [(gf, n) for gf, top in ((GF2, 10), (GF4, 6), (GF8, 4), (GF16, 3), (GF32, 3))
                  for n in range(1, top + 1)]
 
 
 def test_frobenius_orbits_match_the_explicit_images():
     # the orbit test keeps exactly the representatives that are least among
-    # their m images, gives each the number of distinct images, and the
-    # kept orbits times their q - 1 scalars, with the zero row, are every row
+    # the representatives of their images under sigma^f and sigma^f*tau,
+    # gives each the number of distinct sigma images and says whether
+    # tau's class is outside them; the kept orbits times their q - 1
+    # scalars, doubled when tau leaves the sigma-orbit, with the zero row,
+    # are every row
     for gf, n in _ORBIT_SPACES:
         q = gf.order
         orbit = verify.frobenius_orbits(gf)
-        covered = 1
+        covered, kept = 1, 0
         for rep in class_rows(q, n, 0, class_count(q, n) - 1):
-            size = orbit(rep)
+            size, transposed = orbit(rep)
             least = rep == _least_image(gf, rep)
             assert bool(size) == least, (gf.m, rep)
             if least:
-                assert size == len(set(_images(gf, rep))), (gf.m, rep)
-                covered += (q - 1) * size
+                images = set(_images(gf, rep))
+                flipped = _representative(gf, _transpose(rep))
+                assert size == len(images), (gf.m, rep)
+                assert transposed == (flipped not in images), (gf.m, rep)
+                covered += (q - 1) * size * (1 + transposed)
+                kept += 1
         assert covered == q ** n, (gf.m, n)
-        assert orbit((0,) * n) == 1
+        assert orbit((0,) * n) == (1, False)
+        if (gf, n) in ((GF4, 6), (GF8, 4), (GF32, 3)):
+            # the representatives the benchmark's spaces evaluate, with the
+            # zero row: 715, 206 and 218 by sigma alone
+            assert kept + 1 == {2: 395, 3: 118, 5: 114}[gf.m]
 
 
 def test_scalar_selectors_are_frobenius_equivariant():
-    # select(sigma(a)) == sigma(select(a)) on every nonzero row, which lets
-    # a kept representative stand for the selected members of its images
+    # select(sigma(a)) == sigma(select(a)) and select(tau(a)) == select(a)
+    # on every nonzero row, which lets a kept representative stand for the
+    # selected members of its images
     sigma = {gf: [gf.mul(v, v) for v in range(gf.order)] for gf, _ in _ORBIT_SPACES}
     selected = 0
     for gf, n in _ORBIT_SPACES:
@@ -640,8 +699,85 @@ def test_scalar_selectors_are_frobenius_equivariant():
                 chosen = select(Properties(gf, row))
                 assert set(select(Properties(gf, image))) == {square[c] for c in chosen}, (
                     suite, gf.m, row)
+                assert select(Properties(gf, _transpose(row))) == chosen, (suite, gf.m, row)
                 selected += len(chosen)
     assert selected > 0
+
+
+def _disconnected_rows(gf, n, lead_one=False):
+    """The nonzero rows whose support lies in a coset of a proper subgroup
+    p*Z_n, p a prime divisor of n; with `lead_one`, those whose first
+    nonzero entry is 1."""
+    rows = set()
+    for p in range(2, n + 1):
+        if n % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        for r in range(p):
+            for values in product(range(gf.order), repeat=n // p):
+                row = [0] * n
+                row[r::p] = values
+                if any(row) and (not lead_one or next(v for v in row if v) == 1):
+                    rows.add(tuple(row))
+    return sorted(rows)
+
+
+def _semi_summary(p):
+    """What a scan counts of each semi pair of `p`, per relation: whether it
+    is found, and for d1 then d2 whether k is None, whether the trace is
+    zero and (at even order, for the semi-orthogonal pair) whether it is
+    nonperiodic."""
+    out = {}
+    for relation in ("involutory", "orthogonal"):
+        rep = p.semi(relation)
+        if not rep.found:
+            out[relation] = None
+            continue
+        nonperiodic = (None, None)
+        if relation == "orthogonal" and p.n % 2 == 0:
+            nonperiodic = p.nonperiodic()
+        out[relation] = tuple(
+            (k is None, trace == 0, np)
+            for k, trace, np in ((rep.k1, rep.trace_d1, nonperiodic[0]),
+                                 (rep.k2, rep.trace_d2, nonperiodic[1])))
+    return out
+
+
+def test_transposition_swaps_the_semi_reports():
+    # tau(a) has the pair (D2, D1), rescaled on each component of the
+    # nonzero pattern: what a scan counts of its d1 is what it counts of
+    # a's d2, and the other way round; the fold, the Gram root and the MDS
+    # verdict are the same.  On every row with a pair, d1 and d2 in fact
+    # agree (the disconnected case of the module docstring's lemma).  The
+    # disconnected rows of GF(16) n = 8 are taken up to scalars: the scalar
+    # lemma carries them to every multiple
+    spaces = [(gf, [row for n in range(1, top + 1) for row in product(range(gf.order), repeat=n)])
+              for gf, top in ((GF2, 12), (GF4, 6), (GF8, 4))]
+    spaces += [(GF16, list(product(range(16), repeat=4))),
+               (GF16, _disconnected_rows(GF16, 6)),
+               (GF16, _disconnected_rows(GF16, 8, lead_one=True))]
+    pairs, disconnected = 0, 0
+    for gf, rows in spaces:
+        facts = {}
+
+        def evaluate(row):
+            if row not in facts:
+                p = Properties(gf, row)
+                facts[row] = (_semi_summary(p), p.square_root(), p.gram_root(), p.mds().is_mds)
+            return facts[row]
+
+        for row in rows:
+            semi, *roots_and_mds = evaluate(row)
+            semi_t, *roots_and_mds_t = evaluate(_transpose(row))
+            assert roots_and_mds == roots_and_mds_t, (gf.m, row)
+            for relation, diagonals in semi.items():
+                assert semi_t[relation] == (diagonals and diagonals[::-1]), (gf.m, row, relation)
+                if diagonals:
+                    assert diagonals[0] == diagonals[1], (gf.m, row, relation)
+                    support = [j for j, v in enumerate(row) if v]
+                    pairs += 1
+                    disconnected += gcd(len(row), *(j - support[0] for j in support)) > 1
+    # pairs found, counted per row and relation, and those on a disconnected support
+    assert (pairs, disconnected) == (17690, 4526)
 
 
 def test_a_cyclic_shift_keeps_semi_orthogonal_but_not_semi_involutory():
