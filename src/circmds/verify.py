@@ -101,13 +101,23 @@ selector, (Properties of the representative) -> scalars c, that returns a
 superset of the members c*a on which the hypothesis can hold, where on
 every other row of the orbit the runner's hypothesis fails before it
 evaluates a semi pair or MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An
-exhaustive scan enumerates the classes: the zero row on its own, and the
-representatives whose first nonzero entry is 1, of which it evaluates only
-the one that is least in enumeration order among the representatives of
-its images sigma^f(a) and sigma^f(tau(a)) (`frobenius_orbits`).  The
-representative stands for the scalars no selector chose, with their
-number times the orbit size as weight, doubled when tau leaves the
-sigma-orbit, on the ALL suites alone, and is tallied before any selected
+exhaustive scan goes over the classes: the representatives whose first
+nonzero entry is 1, then the zero row on its own.  Of each orbit it
+evaluates only the representative a that is least in enumeration order
+among the representatives of its images sigma^f(a) and sigma^f(tau(a)),
+and it generates those alone, digit by digit from a_(n-1) down, the order
+in which the index compares rows (`orbit_representatives`; R. C. Read's
+orderly generation).  sigma^f maps each entry on its own; call it tied
+while it fixes the digits read.  When a tied sigma^f maps the next digit
+lower, sigma^f(a) is below a in every completion of the prefix, so the
+prefix goes with all its rows.  Once no sigma^f is tied, every completion
+survives sigma.  tau is tested on the top digit: when a_0 = 1, the
+representative of tau(a) is tau(a) itself, read from the top a_1, ...,
+a_(n-1), a_0, so a is least only if the least image sigma^f(a_1) is at
+least a_(n-1), and a_1 runs over those values alone.  The representative
+stands for the scalars no selector chose, with their number times the
+orbit size as weight, doubled when tau leaves the sigma-orbit, on the ALL
+suites alone, and is tallied before any selected
 member can share its `Properties`, as the side invariants count what the
 runners evaluated.  Each selected member c*a then gets the tally of every
 suite, with the orbit size as weight, doubled likewise, from its own
@@ -260,27 +270,6 @@ def class_count(q: int, n: int) -> int:
     return (q ** n - 1) // (q - 1) + 1
 
 
-def class_rows(q: int, n: int, start: int, end: int):
-    """Representatives start .. end-1 of the scalar classes of q^n rows.
-
-    For p = 0 .. n-1 in turn come the q^(n-1-p) rows whose first nonzero
-    entry a_p is 1, (0,)*p + (1,) + tail, with their tails in index order;
-    the zero row comes last.  Block p starts at a multiple of q^(n-1-p),
-    so the spans of `_chunk_spans` keep `exhaustive_rows` on whole blocks.
-    """
-    base = 0
-    for p in range(n):
-        size = q ** (n - 1 - p)
-        lo, hi = max(start, base), min(end, base + size)
-        if lo < hi:
-            head = (0,) * p + (1,)
-            for tail in exhaustive_rows(q, n - 1 - p, lo - base, hi - base):
-                yield head + tail
-        base += size
-    if start <= base < end:
-        yield (0,) * n
-
-
 def _image(gf: GF2m, c: int, f: int, row) -> tuple[int, ...]:
     """The row sigma^f(c*row), each entry v mapped to (c*v)^(2^f)."""
     exp, log = gf.exp_table, gf.log_table
@@ -289,60 +278,65 @@ def _image(gf: GF2m, c: int, f: int, row) -> tuple[int, ...]:
     return tuple(exp[((lc + log[v]) << f) % q1] if v else 0 for v in row)
 
 
-_SKIP = (0, False)
+def orbit_representatives(gf: GF2m, n: int, start: int, end: int):
+    """The least class representative of each orbit among scalar classes
+    start .. end-1 of the q^n rows, in class order, as (row, size,
+    transposed).
 
+    The classes come in blocks p = 0 .. n-1: the rows (0,)*p + (1,) + tail
+    whose first nonzero entry a_p is 1, their tails in index order, then
+    the zero row.  A row is kept when it is least, in enumeration order,
+    among the representatives of its images sigma^f(row) and
+    sigma^f(tau(row)), f < m; `size` is then the number of distinct rows
+    sigma^f(row), and `transposed` says that tau(row)'s class is not among
+    them, so that the orbit holds twice as many classes.
 
-def frobenius_orbits(gf: GF2m):
-    """orbit(row) -> (size, transposed) for a class representative row: size
-    is 0 unless row is the least, in enumeration order, of the class
-    representatives of its images sigma^f(row) and sigma^f(tau(row)),
-    f < m; then it is the number of distinct rows sigma^f(row), and
-    `transposed` says that tau(row)'s class is not among them, so that the
-    orbit holds twice as many classes.
+    The tail is walked from the top, a_(n-1) first, as the index compares
+    it, one surviving prefix at a time, and bit f of `tied` stays set while
+    sigma^f(row) agrees with the prefix: a tied f that maps the next digit
+    lower drops that prefix with all its completions, and one that maps it
+    higher is cleared.  Once no f is tied the m images differ whatever
+    follows, and the remaining digits are a plain `product`; the f tied at
+    the end fix row, and with f = 0 they are its stabilizer.  The head
+    (0,...,0,1) is fixed by every sigma^f.
 
-    The digits are read from the top, a_(n-1) first, as the index compares
-    them, and bit f of `tied` stays set while sigma^f(row) agrees with row
-    on the digits read: a tied f that maps a digit lower shows that row is
-    not least, and one that maps it higher is dropped.  When no f is left
-    the m images differ; the f left at the end fix row, and with f = 0
-    they are its stabilizer.  Most rows are decided by their top digit.
+    The representative of tau(row) = (a_0, a_(n-1), ..., a_1) is
+    c*tau(row), where c is 1 when a_0 is nonzero and else the inverse of
+    row's top nonzero digit; read from the top it is c*a_1, ...,
+    c*a_(n-1), c*a_0.  When its least image sigma^f(c*a_1) is below
+    a_(n-1), that image is smaller than row, and when it is above, every
+    one is larger; on a tie the images whose top digit ties are compared
+    whole.  In block 0, c = 1, so after an untied prefix a_1 runs over the
+    values whose least image is at least a_(n-1) alone; every other row
+    that survives sigma gets the test whole.  tau fixes every row of order
+    n <= 2.
 
-    The representative of tau(row) = (a_0, a_(n-1), ..., a_1) is c*tau(row),
-    where c is 1 when a_0 is nonzero and else the inverse of row's top
-    nonzero digit; read from the top it is c*a_1, ..., c*a_(n-1), c*a_0.
-    Its top digit settles most rows: when the least image sigma^f(c*a_1)
-    is below a_(n-1), that image sigma^f(c*tau(row)) is smaller than row,
-    and when it is above, every one is larger.  On a tie the m images are
-    built and compared whole.  tau fixes every row of order n <= 2.
+    A prefix whose completions all lie outside the span is skipped, and
+    one whose completions an end of the span cuts is read a digit further:
+    each end costs at most q prefixes per digit.
     """
+    q = gf.order
     exp, log = gf.exp_table, gf.log_table
-    q1 = gf.order - 1
+    q1 = q - 1
     m = gf.m
     every = (1 << m) - 2  # f = 1 .. m-1
     # powers[f][v] == sigma^f(v)
-    powers = [[exp[(log[v] << f) % q1] if v else 0 for v in range(gf.order)]
-              for f in range(m)]
+    powers = [[exp[(log[v] << f) % q1] if v else 0 for v in range(q)] for f in range(m)]
     least = [min(images) for images in zip(*powers)]
-    lower = [0] * gf.order  # bit f: sigma^f(v) < v
+    lower = [0] * q  # bit f: sigma^f(v) < v
     fixed = [every] + [0] * q1  # bit f: sigma^f(v) == v
     for f in range(1, m):
-        for v in range(1, gf.order):
+        for v in range(1, q):
             if powers[f][v] < v:
                 lower[v] |= 1 << f
             elif powers[f][v] == v:
                 fixed[v] |= 1 << f
 
-    def orbit(row) -> tuple[int, bool]:
-        tied = every
-        for v in reversed(row):
-            if tied & lower[v]:
-                return _SKIP
-            tied &= fixed[v]
-            if not tied:
-                break
-        size = m // (1 + tied.bit_count())
-        if len(row) < 3:  # tau fixes every row
-            return size, False
+    def tau(row):
+        """None when some sigma^f(tau(row))'s class is below row, else
+        whether tau(row)'s class is outside row's sigma-orbit."""
+        if n < 3:
+            return False
         # the top digits: c*a_1 of c*tau(row), against a_(n-1) of row
         w, v = row[1], row[-1]
         shift = 0
@@ -354,21 +348,71 @@ def frobenius_orbits(gf: GF2m):
             if w:
                 w = exp[log[w] + shift]
         if least[w] != v:
-            return _SKIP if least[w] < v else (size, True)
-        # a tie: compare the whole images, as tuples read from the top
+            return None if least[w] < v else True
+        # a tie: compare whole the images whose top digit ties, as tuples
+        # read from the top; the others are larger
         turned = row[1:] + row[:1]
         if shift:
             turned = [exp[log[x] + shift] if x else 0 for x in turned]
         key = row[::-1]
         transposed = True
         for power in powers:
+            if power[w] != v:
+                continue
             image = tuple(map(power.__getitem__, turned))
             if image < key:
-                return _SKIP
+                return None
             transposed = transposed and image != key
-        return size, transposed
+        return transposed
 
-    return orbit
+    digits = range(q)
+
+    def walk(p, lo, hi):
+        """The kept rows (0,)*p + (1,) + tail with tail index lo .. hi-1."""
+        head = (0,) * p + (1,)
+        # (the digits read, c_0 first; their index; tied; the digits left
+        # below them)
+        stack = [((), 0, every, n - 1 - p)]
+        while stack:
+            suffix, index, tied, free = stack.pop()
+            first, last = index * q ** free, (index + 1) * q ** free
+            if last <= lo or hi <= first:
+                continue
+            # read the next digit down while a sigma^f is tied or the span
+            # cuts the completions; a_(n-1) always, for the a_1 bound
+            if free and (tied or not suffix or first < lo or hi < last):
+                for v in reversed(digits):
+                    if not tied & lower[v]:
+                        stack.append(((v,) + suffix, index * q + v, tied & fixed[v], free - 1))
+                continue
+            size = m // (1 + tied.bit_count())
+            if p or not free or n < 3:
+                for bottom in product(digits, repeat=free):
+                    row = head + bottom[::-1] + suffix
+                    transposed = tau(row)
+                    if transposed is not None:
+                        yield row, size, transposed
+                continue
+            # the a_1 that keep row under a_(n-1) = v, and whether they put
+            # tau(row) outside the orbit
+            v = suffix[-1]
+            choices = [(w, least[w] > v) for w in digits if least[w] >= v]
+            if not choices:
+                continue
+            for middle in product(digits, repeat=free - 1):
+                body = middle[::-1] + suffix
+                for w, outside in choices:
+                    row = (1, w) + body
+                    transposed = True if outside else tau(row)
+                    if transposed is not None:
+                        yield row, size, transposed
+
+    base = 0
+    for p in range(n):
+        yield from walk(p, start - base, end - base)
+        base += q ** (n - 1 - p)
+    if start <= base < end:
+        yield (0,) * n, 1, False
 
 
 def _index_key(row):
@@ -720,11 +764,7 @@ def _scan_chunk(args) -> ScanReport:
     invariant = [r for r, scalars in zip(runners, declared) if scalars == ALL]
     selectors = [scalars for scalars in declared if scalars != ALL]
     nonzero = tuple(range(1, gf.order))
-    orbit = frobenius_orbits(gf)
-    for rep in class_rows(gf.order, config.order, *span):
-        size, transposed = orbit(rep)
-        if not size:  # a smaller image stands for this one
-            continue
+    for rep, size, transposed in orbit_representatives(gf, config.order, *span):
         p = Properties(gf, rep)
         if not any(rep):  # the zero row is an orbit of its own
             _tally(part, runners, p)

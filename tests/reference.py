@@ -108,6 +108,17 @@ def component_first_rows(A) -> list:
     return firsts
 
 
+def class_rows(q: int, n: int, start: int, end: int) -> list:
+    """Representatives start .. end-1 of the scalar classes of q^n rows, in
+    class order: for p = 0 .. n-1 in turn the q^(n-1-p) rows whose first
+    nonzero entry a_p is 1, (0,)*p + (1,) + tail, with their tails in index
+    order; the zero row last."""
+    rows = [(0,) * p + (1,) + index_to_row(i, q, n - 1 - p)
+            for p in range(n) for i in range(q ** (n - 1 - p))]
+    rows.append((0,) * n)
+    return rows[start:end]
+
+
 # the payload entries a scan decides; the others describe its config
 DECIDED = ("examined", "suites", "side_invariants", "ok")
 

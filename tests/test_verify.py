@@ -35,7 +35,6 @@ from circmds.verify import (
     ScanReport,
     SplitMix64,
     class_count,
-    class_rows,
     exhaustive_rows,
     index_to_row,
     random_rows,
@@ -43,13 +42,21 @@ from circmds.verify import (
     verification_plan,
     verify_example,
 )
-from reference import decided, dense_semi_pair, next_below, oracle_semi_search, row_by_row
+from reference import (
+    class_rows,
+    decided,
+    dense_semi_pair,
+    next_below,
+    oracle_semi_search,
+    row_by_row,
+)
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
 GF16 = get_field(4, 0x13)
 F11D = get_field(8, 0x11D)
 GF32 = get_field(5, 0x25)
+GF64 = get_field(6, 0x43)
 
 
 GF2 = get_field(1, 0x3)
@@ -652,34 +659,55 @@ _ORBIT_SPACES = [(gf, n) for gf, top in ((GF2, 10), (GF4, 6), (GF8, 4), (GF16, 3
                  for n in range(1, top + 1)]
 
 
-def test_frobenius_orbits_match_the_explicit_images():
-    # the orbit test keeps exactly the representatives that are least among
-    # the representatives of their images under sigma^f and sigma^f*tau,
-    # gives each the number of distinct sigma images and says whether
+def test_frobenius_orbits_match_the_explicit_images(monkeypatch):
+    # the generator yields, in class order, exactly the representatives that
+    # are least among the representatives of their images under sigma^f and
+    # sigma^f*tau, each with the number of distinct sigma images and whether
     # tau's class is outside them; the kept orbits times their q - 1
     # scalars, doubled when tau leaves the sigma-orbit, with the zero row,
-    # are every row
-    for gf, n in _ORBIT_SPACES:
+    # are every row.  GF(16) n = 4 and GF(64) n = 3 reach the ties of the
+    # top digits, and the rescaled tau of blocks p >= 1, at m = 4 and m = 6.
+    # A span of the chunks of a smaller CHUNK yields its slice of the whole
+    for gf, n in _ORBIT_SPACES + [(GF16, 4), (GF64, 3)]:
         q = gf.order
-        orbit = verify.frobenius_orbits(gf)
-        covered, kept = 1, 0
-        for rep in class_rows(q, n, 0, class_count(q, n) - 1):
-            size, transposed = orbit(rep)
-            least = rep == _least_image(gf, rep)
-            assert bool(size) == least, (gf.m, rep)
-            if least:
+        classes = class_rows(q, n, 0, class_count(q, n))
+        want = []
+        for rep in classes[:-1]:
+            if rep == _least_image(gf, rep):
                 images = set(_images(gf, rep))
                 flipped = _representative(gf, _transpose(rep))
-                assert size == len(images), (gf.m, rep)
-                assert transposed == (flipped not in images), (gf.m, rep)
-                covered += (q - 1) * size * (1 + transposed)
-                kept += 1
+                want.append((rep, len(images), flipped not in images))
+        want.append(((0,) * n, 1, False))
+        assert list(verify.orbit_representatives(gf, n, 0, len(classes))) == want, (gf.m, n)
+        covered = 1 + sum((q - 1) * size * (1 + transposed) for _, size, transposed in want[:-1])
         assert covered == q ** n, (gf.m, n)
-        assert orbit((0,) * n) == (1, False)
         if (gf, n) in ((GF4, 6), (GF8, 4), (GF32, 3)):
             # the representatives the benchmark's spaces evaluate, with the
             # zero row: 715, 206 and 218 by sigma alone
-            assert kept + 1 == {2: 395, 3: 118, 5: 114}[gf.m]
+            assert len(want) == {2: 395, 3: 118, 5: 114}[gf.m]
+        index = {rep: i for i, rep in enumerate(classes)}
+        for chunk in (64, 1024):
+            monkeypatch.setattr(verify, "CHUNK", chunk)
+            for start, end in verify._chunk_spans(ScanConfig(field=gf, order=n, suites=())):
+                assert list(verify.orbit_representatives(gf, n, start, end)) == [
+                    kept for kept in want if start <= index[kept[0]] < end], (gf.m, n, start)
+
+
+def test_small_chunks_keep_the_row_by_row_payload(monkeypatch):
+    # at CHUNK = 64 some spans hold no least representative, and the chunks
+    # split the blocks of the class order, block 0 of GF(8) n = 5 into 64
+    monkeypatch.setattr(verify, "CHUNK", 64)
+    for config in (ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN"),
+                              extra_rows=((0, 3, 0, 0, 5),)),
+                   ScanConfig(field=GF4, order=6, suites=("SO-MOD2", "SI-GEN"))):
+        spans = verify._chunk_spans(config)
+        assert len(spans) == (1 + 74 if config.extra_rows else 22)
+        assert any(not list(verify.orbit_representatives(config.field, config.order, *span))
+                   for span in spans if span)
+        plain = row_by_row(config)
+        for workers in (1, 2):
+            reduced = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
+            assert reduced == plain, (config.field.m, workers)
 
 
 def test_scalar_selectors_are_frobenius_equivariant():
