@@ -10,12 +10,14 @@ Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
 `inverse_row` inverts one in that ring instead of as a dense matrix,
 `scalar_square_root` decides whether A^2 is a scalar matrix (A^2 == I
-among them), and `scalar_gram_root` whether A*A^T is one (A*A^T == I
-among them), as identities in it.
+among them), `scalar_gram_root` whether A*A^T is one (A*A^T == I among
+them), and `autocorrelation_roots` for which roots of unity mu the
+product a(x^-1)*a(mu*x) is a constant, as identities in it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 from .field import GF2m
@@ -64,27 +66,63 @@ def scalar_gram_root(gf: GF2m, first_row) -> int:
     that product is not a nonzero scalar matrix; A is orthogonal exactly
     when t == 1.
 
-    A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod x^n - 1,
-    whose coefficient at shift s is the autocorrelation sum of a_j*a_(j+s).
-    At s == 0 that is the sum of the squares, the square of the row sum t.
-    Shift n - s repeats shift s, and at s == n/2 every product appears
-    twice and cancels, so only the shifts 1 .. (n-1)//2 remain to be zero.
+    A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod
+    x^n - 1, the mu = 1 case of `autocorrelation_roots`; its constant
+    coefficient is the sum of the squares, the square of the row sum t.
     """
     t = diag_trace(first_row)
-    if not t:
-        return 0
+    return t if t and autocorrelation_roots(gf, first_row, 1) else 0
+
+
+def autocorrelation_roots(gf: GF2m, first_row, d: int) -> list[int]:
+    """The e < d, in increasing order, for which a(x^-1)*a(mu*x) mod x^n - 1
+    is a constant, with mu = g^(e*(q-1)/d) for the field generator g; d
+    divides gcd(n, q - 1), so these mu are the d-th roots of unity.
+
+    Coefficient t is the sum over j of a_j*a_(j-t)*mu^j, which is mu^t
+    times coefficient n - t; at even n = 2h the terms j and j + h of
+    coefficient h differ by mu^h, which is 1 (mu has odd order dividing
+    n), and cancel.  So only t = 1 .. (n-1)//2 are tested.  As mu^d == 1,
+    mu^j depends only on j mod d: the d residue sums B_r of a_j*a_(j-t)
+    over j == r (mod d) are formed once per t, with no mu in them, and
+    only the mu still alive evaluate the sum of B_r*mu^r; each mu drops
+    at its first nonzero coefficient, all of them when a single B_r is
+    nonzero.
+    """
     exp, log = gf.exp_table, gf.log_table
     n = len(first_row)
-    terms = [(j, log[v]) for j, v in enumerate(first_row) if v]
-    for s in range(1, (n - 1) // 2 + 1):
-        c = 0
-        for j, lv in terms:
-            w = first_row[(j + s) % n]
+    terms = [(j, j % d, log[v]) for j, v in enumerate(first_row) if v]
+    alive = _roots(gf.order - 1, d)
+    for t in range(1, (n - 1) // 2 + 1):
+        sums = [0] * d
+        for j, r, lv in terms:
+            w = first_row[j - t]  # a negative index wraps around
             if w:
-                c ^= exp[lv + log[w]]
-        if c:
-            return 0
-    return t
+                sums[r] ^= exp[lv + log[w]]
+        zeros = sums.count(0)
+        if zeros == d - 1:  # one nonzero B_r: B_r*mu^r vanishes at no mu
+            return []
+        if zeros < d:
+            nonzero = [(r, log[b]) for r, b in enumerate(sums) if b]
+            kept = []
+            for root in alive:
+                power = root[1]
+                c = 0
+                for r, lb in nonzero:
+                    c ^= exp[lb + power[r]]
+                if not c:
+                    kept.append(root)
+            if not kept:
+                return []
+            alive = kept
+    return [e for e, _ in alive]
+
+
+@cache
+def _roots(q1: int, d: int) -> tuple:
+    """(e, the logs of mu^r for r < d) for each mu = g^(e*q1/d), e < d."""
+    step = q1 // d
+    return tuple((e, tuple(step * (e * r % d) for r in range(d))) for e in range(d))
 
 
 def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:

@@ -33,10 +33,12 @@ XOR fold over the first row decides, and the semi-involutory pair is
 settled in this order: a scalar square gives the pair (1, ..., 1),
 (k^-1, ..., k^-1) on any support; otherwise a connected support has none;
 only a disconnected support goes on.  For A^-T the gcd(n, q-1) roots of
-unity are tried.  The dense inverse and the generic solver run for
-explicit matrices and for the circulants that go on, whose support lies
-in a coset of a proper subgroup of Z_n; the tests check the shortcut
-against them and them against a brute-force search over diagonal pairs.
+unity are tried together, in one fold over the residues mod gcd(n, q-1),
+once the row sum is nonzero.  The dense inverse and the generic solver
+run for explicit matrices and for the circulants that go on, whose
+support lies in a coset of a proper subgroup of Z_n; the tests check the
+shortcut against them and them against a brute-force search over
+diagonal pairs.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from typing import Optional
 
 from .circulant import (
     OddOrder,
+    autocorrelation_roots,
     build,
     inverse_row,
     is_circulant,
@@ -373,7 +376,8 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
     2. otherwise a connected support (a full one among them) has no pair;
     3. only a disconnected support goes on, as below.
     For A^-T the n-th roots of unity are tried: the gcd(n, q-1) powers of
-    g^((q-1)/gcd(n, q-1)) for the field generator g.
+    g^((q-1)/gcd(n, q-1)) for the field generator g; a zero row sum has no
+    pair, as A is singular.
 
     A disconnected support (in a coset of a proper subgroup of Z_n) goes
     to the generic solver once the Euclidean inverse `p.inverse()` exists
@@ -387,19 +391,13 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
         if r:
             k_inv = gf.exp_table[-2 * gf.log_table[r] % (gf.order - 1)]
             return DiagonalPair((1,) * n, (k_inv,) * n)
-        if 0 not in a:
-            return None
-        support = [j for j, v in enumerate(a) if v]
-        if not support or gcd(n, *[j - support[0] for j in support]) == 1:
+        if 0 not in a or not any(a) or _connected(a):
             return None
     elif relation == "orthogonal":
-        log = gf.log_table
-        a_logs = [(j, log[v]) for j, v in enumerate(a) if v]
-        if not a_logs:
+        if not diag_trace(a):
             return None
-        s0 = a_logs[0][0]
-        if len(a_logs) == n or gcd(n, *[j - s0 for j, _ in a_logs]) == 1:
-            return _geometric_pair(gf, n, a_logs)
+        if 0 not in a or _connected(a):
+            return _geometric_pair(gf, a)
     else:
         raise ValueError(f"unknown relation {relation!r}")
     b = p.inverse()
@@ -415,43 +413,41 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
     return diagonal_scaling_solve(gf, build(a), build(b))
 
 
-def _geometric_pair(gf: GF2m, n: int, a_logs) -> Optional[DiagonalPair]:
-    """The geometric pair of `circulant_semi_pair` for A^-T, or None, from
-    the (index, discrete log) pairs of the nonzero entries of a.
+def _connected(a) -> bool:
+    """Whether the support S of a nonzero row a has gcd(n, s - s0 for s in
+    S) == 1, which makes the nonzero pattern of circulant(a) connected.
+    The callers test a full support, which is, first."""
+    support = [j for j, v in enumerate(a) if v]
+    return gcd(len(a), *[j - support[0] for j in support]) == 1
 
-    Only the coefficients t = 1 .. (n-1)//2 of a(x^-1)*a(mu*x) must vanish
-    for the product to be the constant k.  Coefficient t is
-    sum over j of a_j*a_(j+t)*mu^(j+t), which is mu^t times coefficient
-    n - t, so the two vanish together.  At even n = 2h the terms j and
-    j + h of coefficient h differ by the factor mu^h, which is 1: mu has
-    odd order, as every nonzero element of GF(2^m) has, and it divides n,
-    so it divides h.  The terms cancel in pairs, and coefficient h is 0."""
+
+def _geometric_pair(gf: GF2m, a) -> Optional[DiagonalPair]:
+    """The geometric pair of `circulant_semi_pair` for A^-T, or None, for a
+    row a with a nonzero row sum.
+
+    The mu = g^s, s = 0, (q-1)/d, ..., for which a(x^-1)*a(mu*x) is a
+    constant come from one fold over the residues mod d = gcd(n, q-1)
+    (`autocorrelation_roots`: as mu^d == 1, mu^j depends only on j mod d).
+    The first whose constant k, the sum of a_j^2*mu^j, is nonzero gives the
+    pair; on a nonsingular A that is the first survivor, so k is summed
+    about once.  At x = 1 the identity reads a(1)*a(mu) == k, so a zero
+    row sum, which the caller rules out, leaves none."""
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
-    c_logs = [(-j % n, v) for j, v in a_logs]  # c = a(x^-1), the first row of A^T
-    log_am: list = [None] * n  # logs of a(mu*x); None at a zero entry
-    # the coefficients t of c(x)*a(mu*x) mod x^n - 1 to test: the
-    # non-constant ones first, where most mu fail
-    shifts = (*range(1, (n - 1) // 2 + 1), 0)
-    for s in range(0, q1, q1 // gcd(n, q1)):  # mu = g^s
-        for j, v in a_logs:
-            log_am[j] = (v + j * s) % q1
-        # coefficient t (a negative index wraps around)
-        for t in shifts:
-            k = 0
-            for i, lc in c_logs:
-                la = log_am[t - i]
-                if la is not None:
-                    k ^= exp[lc + la]
-            if t and k:
-                break
-        else:
-            if k:
-                log_k = log[k]
-                return DiagonalPair(
-                    tuple(exp[-i * s % q1] for i in range(n)),
-                    tuple(exp[(j * s - log_k) % q1] for j in range(n)),
-                )
+    n = len(a)
+    d = gcd(n, q1)
+    for e in autocorrelation_roots(gf, a, d):
+        s = e * (q1 // d)  # mu = g^s
+        k = 0
+        for j, v in enumerate(a):
+            if v:
+                k ^= exp[(2 * log[v] + j * s) % q1]
+        if k:
+            log_k = log[k]
+            return DiagonalPair(
+                tuple(exp[-i * s % q1] for i in range(n)),
+                tuple(exp[(j * s - log_k) % q1] for j in range(n)),
+            )
     return None
 
 
@@ -533,8 +529,8 @@ class Properties:
     invariants from them, so a property nothing asked for is never counted.
     """
 
-    __slots__ = ("gf", "row", "n", "_matrix", "_inverse", "_root", "_gram",
-                 "mds_verdict", "semi_reports")
+    __slots__ = ("gf", "row", "n", "_matrix", "_circulant", "_inverse", "_root",
+                 "_gram", "mds_verdict", "semi_reports")
 
     def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
         if (row is None) == (matrix is None):
@@ -547,6 +543,7 @@ class Properties:
             self.row = None
             self.n = require_square(matrix)
         self._matrix = matrix
+        self._circulant = row is not None or None
         self._inverse = _UNSET
         self._root = self._gram = None
         self.mds_verdict = None
@@ -559,6 +556,14 @@ class Properties:
         if self._matrix is None:
             self._matrix = build(self.row)
         return self._matrix
+
+    @property
+    def circulant(self) -> bool:
+        """Whether A is circulant: a row's matrix is by construction, and a
+        given matrix is scanned for it once."""
+        if self._circulant is None:
+            self._circulant = is_circulant(self._matrix)
+        return self._circulant
 
     def inverse(self):
         """The first row of A^-1 for a row, the dense A^-1 for a matrix;
@@ -598,9 +603,7 @@ class Properties:
 
     def mds(self) -> MdsVerdict:
         if self.mds_verdict is None:
-            # a row's matrix is circulant by construction: only a given
-            # matrix is scanned for it
-            self.mds_verdict = is_mds(self.gf, self.matrix, self.row is not None or None)
+            self.mds_verdict = is_mds(self.gf, self.matrix, self.circulant)
         return self.mds_verdict
 
     def square_root(self) -> int:
@@ -637,17 +640,20 @@ class Properties:
 
     def classification(self) -> Classification:
         # a singular matrix is never involutory, orthogonal or semi-anything,
-        # so it needs no branch of its own
+        # so it needs no branch of its own; an MDS matrix has A itself among
+        # its nonsingular minors, so only a matrix that is not MDS asks for
+        # the inverse to decide singularity
         row = self.row
-        if row is None and is_circulant(self.matrix):
-            row = tuple(self.matrix[0])
+        if row is None and self.circulant:
+            row = tuple(self._matrix[0])
+        mds = self.mds()
         np1, np2 = self.nonperiodic()
         return Classification(
             order=self.n,
             category=order_category(self.n),
             first_row=row,
-            singular=self.inverse() is None,
-            mds=self.mds(),
+            singular=not mds.is_mds and self.inverse() is None,
+            mds=mds,
             involutory=self.involutory(),
             orthogonal=self.orthogonal(),
             semi_involutory=self.semi("involutory"),

@@ -6,6 +6,7 @@ obvious form of something the package decides faster.
 
 import dataclasses
 from itertools import product
+from math import gcd
 from typing import Optional
 
 from circmds.matgf import inverse, transpose
@@ -71,6 +72,40 @@ def oracle_semi_search(gf, A, relation: str) -> Optional[DiagonalPair]:
             pick.append(found)
         else:
             return DiagonalPair(tuple(d), tuple(pick))
+    return None
+
+
+def per_root_geometric_pair(gf, row) -> Optional[DiagonalPair]:
+    """`props._geometric_pair` one root of unity at a time: for each
+    mu = g^s in the package's order, a(mu*x) is rebuilt and every tested
+    coefficient of a(x^-1)*a(mu*x) mod x^n - 1 summed afresh; the first
+    mu whose product is a nonzero constant k gives the geometric pair
+    d1 = (mu^-i), d2 = (k^-1 * mu^j), and no such mu gives None."""
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    n = len(row)
+    a_logs = [(j, log[v]) for j, v in enumerate(row) if v]
+    c_logs = [(-j % n, v) for j, v in a_logs]  # c = a(x^-1), the first row of A^T
+    log_am: list = [None] * n  # logs of a(mu*x); None at a zero entry
+    shifts = (*range(1, (n - 1) // 2 + 1), 0)
+    for s in range(0, q1, q1 // gcd(n, q1)):  # mu = g^s
+        for j, v in a_logs:
+            log_am[j] = (v + j * s) % q1
+        for t in shifts:
+            k = 0
+            for i, lc in c_logs:
+                la = log_am[t - i]
+                if la is not None:
+                    k ^= exp[lc + la]
+            if t and k:
+                break
+        else:
+            if k:
+                log_k = log[k]
+                return DiagonalPair(
+                    tuple(exp[-i * s % q1] for i in range(n)),
+                    tuple(exp[(j * s - log_k) % q1] for j in range(n)),
+                )
     return None
 
 

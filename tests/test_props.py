@@ -13,6 +13,7 @@ from circmds.field import get_field
 from circmds.matgf import (
     Singular,
     det,
+    diag_trace,
     identity,
     inverse,
     mat_mul,
@@ -40,10 +41,17 @@ from circmds.props import (
     order_category,
     power_scalar,
 )
-from reference import component_first_rows, dense_semi_pair, oracle_semi_search
+from reference import (
+    component_first_rows,
+    dense_semi_pair,
+    oracle_semi_search,
+    per_root_geometric_pair,
+)
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
+GF16 = get_field(4, 0x13)
+GF32 = get_field(5, 0x25)
 F11D = get_field(8, 0x11D)
 F11B = get_field(8, 0x11B)
 
@@ -547,6 +555,44 @@ def test_classify_singular_row():
     assert not cls.mds.is_mds
 
 
+def test_classify_asks_for_the_inverse_only_off_mds(monkeypatch):
+    # an MDS matrix has A itself among its nonsingular minors, so classify
+    # takes nonsingularity from the verdict; a row that is not MDS asks the
+    # Euclidean inverse once, as its connected support keeps the semi pairs
+    # off it
+    calls = []
+
+    def counting(gf, row):
+        calls.append(tuple(row))
+        return inverse_row(gf, row)
+
+    monkeypatch.setattr(props, "inverse_row", counting)
+    cls = classify(F11D, EX1_ROW)
+    assert cls.mds.is_mds and not cls.singular and calls == []
+    for row, singular in (((1, 2, 3, 5), False), ((1, 2, 3, 0), True)):
+        calls.clear()
+        cls = classify(GF8, row)
+        assert not cls.mds.is_mds and cls.singular is singular and calls == [row]
+    # the flag is the determinant's verdict on every row of GF(8) n = 3
+    for row in product(range(GF8.order), repeat=3):
+        assert classify(GF8, row).singular == (det(GF8, build(row)) == 0), row
+
+
+def test_an_explicit_matrix_is_scanned_for_circulance_once(monkeypatch):
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return is_circulant(A)
+
+    monkeypatch.setattr(props, "is_circulant", counting)
+    rng = random.Random(3)
+    for A, circulant in ((build((2, 3, 1, 1)), True), (random_matrix(rng, F11B, 4), False)):
+        calls.clear()
+        doc = matrix_properties_json(F11B, A)
+        assert doc["circulant"] is circulant and len(calls) == 1
+
+
 def test_classify_degenerate_1x1():
     cls = classify(GF8, (5,))
     assert cls.category == ODD
@@ -692,6 +738,80 @@ def test_circulant_semi_pair_agrees_with_dense_path_exhaustively():
     assert sum(census[2, 0x7, 6][relation, branch]
                for relation in ("involutory", "orthogonal")
                for branch in ("geometric-zero", "solver-found")) == 336
+
+
+# (m, poly, n, rows): seeded samples for the fold of `_geometric_pair` against
+# the per-root loop; d = gcd(n, q - 1) runs from 3 to 17, and over 0x11B the
+# field generator is 0x03, as x is not primitive
+FOLD_SPACES = (
+    (2, 0x7, 9, 300), (2, 0x7, 12, 300), (2, 0x7, 15, 300),
+    (4, 0x13, 5, 300), (4, 0x13, 6, 300), (4, 0x13, 10, 300),
+    (8, 0x11D, 3, 300), (8, 0x11D, 5, 300), (8, 0x11D, 15, 100), (8, 0x11D, 17, 100),
+    (8, 0x11B, 3, 300), (8, 0x11B, 5, 300),
+)
+
+
+def _fold_census(gf, rows, searches) -> Counter:
+    """Check `_geometric_pair` against `per_root_geometric_pair` on each row
+    with a nonzero row sum, and that the others have no pair and try no
+    root of unity, and count the pairs by whether mu is 1."""
+    census = Counter()
+    for row in rows:
+        want = per_root_geometric_pair(gf, row)
+        if diag_trace(row):
+            assert props._geometric_pair(gf, row) == want, (gf.poly, row)
+        else:
+            assert want is None, (gf.poly, row)
+            searches.clear()
+            assert circulant_semi_pair(Properties(gf, row), "orthogonal") is None
+            assert not searches, row
+        if want is not None:
+            census["mu=1" if set(want.d1) == {1} else "mu!=1"] += 1
+    return census
+
+
+def test_geometric_pair_folds_the_per_root_loop(monkeypatch):
+    assert F11B.generator == 0x03
+    searches = []
+
+    def counting(gf, row, d):
+        searches.append(row)
+        return fold(gf, row, d)
+
+    fold = props.autocorrelation_roots
+    monkeypatch.setattr(props, "autocorrelation_roots", counting)
+    rng = random.Random(17)
+    for m, poly, n, count in FOLD_SPACES:
+        gf = get_field(m, poly)
+        rows = []
+        for _ in range(count):
+            row = [rng.randrange(gf.order) if rng.random() < 0.8 else 0 for _ in range(n)]
+            rows.append(tuple(row))
+            row[0] ^= diag_trace(row)  # the same row with a zero row sum
+            rows.append(tuple(row))
+        _fold_census(gf, rows, searches)
+    assert _fold_census(F11D, (EX1_ROW, EX2_ROW), searches) == {"mu=1": 1, "mu!=1": 1}
+    # every a_0 = 1 row of GF(16) n = 5: d = 5, and most pairs have mu != 1
+    census = _fold_census(GF16, [(1,) + tail for tail in product(range(16), repeat=4)],
+                          searches)
+    assert census == {"mu=1": 213, "mu!=1": 848}
+
+
+@pytest.mark.parametrize("gf, n, scalar, other", [
+    (GF16, 3, 13, 24), (GF16, 5, 213, 848), (GF8, 5, 61, 0), (GF32, 3, 31, 0)])
+def test_odd_order_traces_vanish_exactly_off_scalar_orthogonal(gf, n, scalar, other):
+    # at odd n a semi-orthogonal pair has trace c*g*(sum of mu^-u over u < n/g)
+    # for runs of g entries: c when mu == 1, that is when A*A^T is scalar,
+    # and 0 otherwise, for d1 and d2 alike
+    census = Counter()
+    for tail in product(range(gf.order), repeat=n - 1):
+        p = Properties(gf, (1,) + tail)
+        so = p.semi("orthogonal")
+        if so.found:
+            scalar_gram = p.gram_root() != 0
+            assert (so.trace_d1 != 0) == (so.trace_d2 != 0) == scalar_gram, tail
+            census[scalar_gram] += 1
+    assert (census[True], census[False]) == (scalar, other)
 
 
 def test_circulant_semi_pair_rejects_unknown_relation():
