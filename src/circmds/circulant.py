@@ -8,11 +8,26 @@ forces singularity.
 
 Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
-`inverse_row` inverts one in that ring instead of as a dense matrix,
-`scalar_square_root` decides whether A^2 is a scalar matrix (A^2 == I
-among them), `scalar_gram_root` whether A*A^T is one (A*A^T == I among
-them), and `autocorrelation_roots` for which roots of unity mu the
-product a(x^-1)*a(mu*x) is a constant, as identities in it.
+`inverse_row` inverts one in that ring R = GF(q)[x]/(x^n - 1) instead of
+as a dense matrix, `scalar_square_root` decides whether A^2 is a scalar
+matrix (A^2 == I among them), `scalar_gram_root` whether A*A^T is one
+(A*A^T == I among them), and `autocorrelation_roots` for which roots of
+unity mu the product a(x^-1)*a(mu*x) is a constant, as identities in it.
+
+The Frobenius fold.  Write n = 2^e * n' with n' odd.  Squaring is
+additive in characteristic 2, and 2^e*j mod n depends only on j mod n',
+so a(x)^(2^e) == b(x^(2^e)) in R for the row b of length n' with
+b_u = (sum of the a_j with j == u mod n')^(2^e): x^n - 1 is
+(x^(n') - 1)^(2^e), the repeated-root structure of Castagnoli, Massey,
+Schoeller and von Seemann (IEEE Trans. IT 37(2), 1991).  A is
+singular exactly when the order-n' circulant of b is.  The substitution
+y -> x^(2^e) is a ring map from R' = GF(q)[y]/(y^n' - 1) into R, as
+x^n - 1 == (x^(2^e))^n' - 1, and it is injective: it sends the y^u,
+u < n', to distinct monomials of R.  If b*c == 1 in R', then
+a * a^(2^e - 1) * c(x^(2^e)) == 1 in R.  If a*f == 1 in R, raising both
+sides to the power 2^e gives b(x^(2^e)) * h(x^(2^e)) == 1, where
+f^(2^e) == h(x^(2^e)) in the same way, and as the map is injective,
+b*h == 1 in R'.  So an even-order inverse costs one inverse at order n'.
 """
 
 from __future__ import annotations
@@ -128,18 +143,45 @@ def _roots(q1: int, d: int) -> tuple:
 def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:
     """First row of circulant(first_row)^-1, or None when it is singular.
 
-    Computes a(x)^-1 mod x^n - 1 by the extended Euclidean algorithm over
-    GF(2^m)[x]: O(n^2) field operations and no n x n matrix.  Polynomials
-    are coefficient lists, lowest degree first, without trailing zeros;
-    products of nonzero coefficients go through the field's log tables.
+    At odd n, a(x)^-1 mod x^n - 1 comes from the extended Euclidean
+    algorithm over GF(2^m)[x]: O(n^2) field operations and no n x n
+    matrix.  Polynomials are coefficient lists, lowest degree first,
+    without trailing zeros; products of nonzero coefficients go through
+    the field's log tables.
+
+    At even n = 2^e * n', the Frobenius fold of the module docstring
+    gives A^-1 = a^(2^e - 1) * c(x^(2^e)) for c = b^-1 at order n', so the
+    Euclidean algorithm runs at n' only, and at n' = 1 takes no step.
+    a^(2^e - 1) is a * a^2 * ... * a^(2^(e-1)), each factor another such
+    fold, and the product starts from c's end: before the factor a^(2^i)
+    (nonzero on the multiples of 2^i only), the partial product is
+    nonzero on the multiples of 2^(i+1) only, so the factors cost under
+    2n^2/3 products of nonzero coefficients in all.
     """
     if diag_trace(first_row) == 0:
         return None  # x - 1 divides a(x)
+    n = len(first_row)
+    step = n & -n  # 2^e
+    c = _euclid_inverse(
+        gf, first_row if step == 1 else _frobenius_power(gf, first_row, step)[::step])
+    if c is None:
+        return None
+    out = [0] * n
+    out[::step] = c  # c(x^(2^e))
+    while step > 1:
+        step >>= 1
+        out = _ring_product(gf, out, _frobenius_power(gf, first_row, step))
+    return tuple(out)
+
+
+def _euclid_inverse(gf: GF2m, a) -> Optional[list[int]]:
+    """a(x)^-1 mod x^n - 1 as a coefficient list of length n, or None, by
+    the extended Euclidean algorithm."""
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
-    n = len(first_row)
+    n = len(a)
     r0 = [1] + [0] * (n - 1) + [1]  # x^n - 1 == x^n + 1 in characteristic 2
-    r1 = _trimmed(first_row)
+    r1 = _trimmed(a)
     s0: list[int] = []
     s1 = [1]
     while len(r1) > 1:
@@ -164,7 +206,33 @@ def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:
         return None  # gcd(a(x), x^n - 1) has positive degree
     scale = q1 - log[r1[0]]
     out = [exp[scale + log[v]] if v else 0 for v in s1]
-    return tuple(out + [0] * (n - len(s1)))
+    return out + [0] * (n - len(s1))
+
+
+def _frobenius_power(gf: GF2m, a, p: int) -> list[int]:
+    """a(x)^p mod x^n - 1 for p a power of two: the sum of a_j^p * x^(p*j)."""
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    n = len(a)
+    out = [0] * n
+    for j, v in enumerate(a):
+        if v:
+            out[p * j % n] ^= exp[log[v] * p % q1]
+    return out
+
+
+def _ring_product(gf: GF2m, f, g) -> list[int]:
+    """f(x)*g(x) mod x^n - 1 for coefficient lists of length n."""
+    exp, log = gf.exp_table, gf.log_table
+    n = len(f)
+    out = [0] * n
+    g_logs = [(j, log[v]) for j, v in enumerate(g) if v]
+    for i, v in enumerate(f):
+        if v:
+            lv = log[v]
+            for j, lw in g_logs:
+                out[i + j - n] ^= exp[lv + lw]  # a negative index wraps around
+    return out
 
 
 def _trimmed(coeffs) -> list[int]:

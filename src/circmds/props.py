@@ -34,11 +34,21 @@ settled in this order: a scalar square gives the pair (1, ..., 1),
 (k^-1, ..., k^-1) on any support; otherwise a connected support has none;
 only a disconnected support goes on.  For A^-T the gcd(n, q-1) roots of
 unity are tried together, in one fold over the residues mod gcd(n, q-1),
-once the row sum is nonzero.  The dense inverse and the generic solver
-run for explicit matrices and for the circulants that go on, whose
-support lies in a coset of a proper subgroup of Z_n; the tests check the
-shortcut against them and them against a brute-force search over
-diagonal pairs.
+once the row sum is nonzero.  The generic solver runs for explicit
+matrices, on the dense inverse, and for the circulants that go on, whose
+support lies in a coset of a proper subgroup of Z_n, on the matrices of
+the row and of its inverse; the tests check the shortcut against them
+and them against a brute-force search over diagonal pairs.
+
+A first row is decided in R = GF(q)[x]/(x^n - 1) without its n x n
+matrix.  `is_mds` takes the row, logs its entries once and rotates them
+into the rows of the minor recurrence.  The orthogonal test reads mu = 1
+from the fold of the semi-orthogonal search, which at mu = 1 sums the
+coefficients of the d = 1 fold, so a row is folded at most once.  The
+inverse is `inverse_row`: at even n = 2^e * n' it inverts the Frobenius
+fold b, a(x)^(2^e) == b(x^(2^e)), at the odd order n', and A is singular
+exactly when the order-n' circulant of b is, as the `circulant` module
+docstring proves.
 """
 
 from __future__ import annotations
@@ -55,7 +65,6 @@ from .circulant import (
     build,
     inverse_row,
     is_circulant,
-    scalar_gram_root,
     scalar_square_root,
 )
 from .field import GF2m
@@ -171,11 +180,14 @@ def _plan(n: int, size: int, circulant: bool) -> tuple:
     )
 
 
-def is_mds(gf: GF2m, A: Matrix, circulant: Optional[bool] = None) -> MdsVerdict:
+def is_mds(gf: GF2m, A, circulant: Optional[bool] = None) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
-    `circulant` says whether A is circulant, for a caller that built A from
-    a first row; None has A scanned for it.
+    A is a square matrix, or the first row of a circulant (a sequence of
+    ints), which is tested without building its matrix: the logs of the
+    row are taken once, and row r of the recurrence is their rotation by
+    r.  For a matrix, `circulant` says whether A is circulant, for a
+    caller that knows; None has A scanned for it.
 
     The witness is the first singular minor in (size, rows, cols) order,
     with rows and columns as increasing index tuples in lexicographic
@@ -223,14 +235,22 @@ def is_mds(gf: GF2m, A: Matrix, circulant: Optional[bool] = None) -> MdsVerdict:
     which can happen from order 15 (17 for a circulant), and only when
     every smaller minor is nonzero.
     """
-    n = require_square(A)
-    for i, row in enumerate(A):
-        if 0 in row:
-            return MdsVerdict(False, ((i,), (row.index(0),)))
     exp, log = gf.exp_table, gf.log_table
-    logs = [[log[v] for v in row] for row in A]
-    if circulant is None:
-        circulant = is_circulant(A)
+    if A and isinstance(A[0], int):  # a circulant's first row
+        n = len(A)
+        if 0 in A:  # every row holds the same entries, so row 0 meets a zero first
+            return MdsVerdict(False, ((0,), (A.index(0),)))
+        first = [log[v] for v in A]
+        logs = [first[n - r:] + first[:n - r] for r in range(n)]
+        circulant = True
+    else:
+        n = require_square(A)
+        for i, row in enumerate(A):
+            if 0 in row:
+                return MdsVerdict(False, ((i,), (row.index(0),)))
+        logs = [[log[v] for v in row] for row in A]
+        if circulant is None:
+            circulant = is_circulant(A)
     # logs of the minors of each kept row set, by column-set rank, in the
     # order of `_plan`
     layer = [logs[0]] if circulant else logs[:n - 1]
@@ -380,7 +400,7 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
     pair, as A is singular.
 
     A disconnected support (in a coset of a proper subgroup of Z_n) goes
-    to the generic solver once the Euclidean inverse `p.inverse()` exists
+    to the generic solver once the ring inverse `p.inverse()` exists
     and has the zero pattern of A.  Only such rows ask for the inverse, and
     `p` caches it and the fold, so both relations and the involutory test
     share them.
@@ -397,7 +417,7 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
         if not diag_trace(a):
             return None
         if 0 not in a or _connected(a):
-            return _geometric_pair(gf, a)
+            return _geometric_pair(p)
     else:
         raise ValueError(f"unknown relation {relation!r}")
     b = p.inverse()
@@ -421,23 +441,26 @@ def _connected(a) -> bool:
     return gcd(len(a), *[j - support[0] for j in support]) == 1
 
 
-def _geometric_pair(gf: GF2m, a) -> Optional[DiagonalPair]:
+def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
     """The geometric pair of `circulant_semi_pair` for A^-T, or None, for a
-    row a with a nonzero row sum.
+    row a = p.row with a nonzero row sum.
 
     The mu = g^s, s = 0, (q-1)/d, ..., for which a(x^-1)*a(mu*x) is a
     constant come from one fold over the residues mod d = gcd(n, q-1)
-    (`autocorrelation_roots`: as mu^d == 1, mu^j depends only on j mod d).
+    (`p.autocorrelation()`: as mu^d == 1, mu^j depends only on j mod d).
     The first whose constant k, the sum of a_j^2*mu^j, is nonzero gives the
     pair; on a nonsingular A that is the first survivor, so k is summed
     about once.  At x = 1 the identity reads a(1)*a(mu) == k, so a zero
     row sum, which the caller rules out, leaves none."""
+    roots = p.autocorrelation()
+    if not roots:  # most rows: no mu survives
+        return None
+    gf, a, n = p.gf, p.row, p.n
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
-    n = len(a)
-    d = gcd(n, q1)
-    for e in autocorrelation_roots(gf, a, d):
-        s = e * (q1 // d)  # mu = g^s
+    step = q1 // gcd(n, q1)
+    for e in roots:
+        s = e * step  # mu = g^s
         k = 0
         for j, v in enumerate(a):
             if v:
@@ -515,22 +538,23 @@ class Properties:
 
     Built from a circulant first row (`Properties(gf, row)`) or from an
     explicit matrix (`Properties(gf, matrix=A)`).  A row decides everything
-    but MDS from the row itself: the involutory and orthogonal identities
+    from the row itself: MDS, the involutory and orthogonal identities
     and the inverse in GF(2^m)[x]/(x^n - 1), the semi pairs by
     `circulant_semi_pair`, with one fold (`square_root`) shared by the
-    involutory test and the semi-involutory pair, one `gram_root` behind
-    the orthogonal test, and at most one Euclidean inverse shared by both
-    relations.  Only `mds` builds the dense matrix of a row.  A matrix
-    takes the dense inverse, the generic solver and the dense involutory
-    and orthogonal checks, which are not cached: `classification` asks
-    each once.
+    involutory test and the semi-involutory pair, one autocorrelation fold
+    (`autocorrelation`) shared by the orthogonal test and the
+    semi-orthogonal pair, and at most one inverse shared by both
+    relations.  No dense matrix is built for a row but the two the
+    generic solver takes.  A matrix takes the dense inverse, the generic
+    solver and the dense involutory and orthogonal checks, which are not
+    cached: `classification` asks each once.
     `semi_reports` (relation -> SemiReport) and `mds_verdict` hold what has
     been evaluated so far, in evaluation order; a scan tallies its side
     invariants from them, so a property nothing asked for is never counted.
     """
 
     __slots__ = ("gf", "row", "n", "_matrix", "_circulant", "_inverse", "_root",
-                 "_gram", "mds_verdict", "semi_reports")
+                 "_roots", "mds_verdict", "semi_reports")
 
     def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
         if (row is None) == (matrix is None):
@@ -545,17 +569,9 @@ class Properties:
         self._matrix = matrix
         self._circulant = row is not None or None
         self._inverse = _UNSET
-        self._root = self._gram = None
+        self._root = self._roots = None
         self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
-
-    @property
-    def matrix(self) -> Matrix:
-        """The dense matrix; a row builds it on first use, as only the MDS
-        test of a row needs it."""
-        if self._matrix is None:
-            self._matrix = build(self.row)
-        return self._matrix
 
     @property
     def circulant(self) -> bool:
@@ -603,7 +619,8 @@ class Properties:
 
     def mds(self) -> MdsVerdict:
         if self.mds_verdict is None:
-            self.mds_verdict = is_mds(self.gf, self.matrix, self.circulant)
+            A = self.row if self._matrix is None else self._matrix
+            self.mds_verdict = is_mds(self.gf, A, self.circulant)
         return self.mds_verdict
 
     def square_root(self) -> int:
@@ -613,12 +630,22 @@ class Properties:
             self._root = scalar_square_root(self.row)
         return self._root
 
+    def autocorrelation(self) -> list[int]:
+        """`autocorrelation_roots` of the row at d = gcd(n, q-1), folded
+        once for the orthogonal test, the semi-orthogonal pair and a scan's
+        scalar selector."""
+        if self._roots is None:
+            self._roots = autocorrelation_roots(
+                self.gf, self.row, gcd(self.n, self.gf.order - 1))
+        return self._roots
+
     def gram_root(self) -> int:
-        """`scalar_gram_root` of the row, computed once for the orthogonal
-        test and a scan's scalar selector."""
-        if self._gram is None:
-            self._gram = scalar_gram_root(self.gf, self.row)
-        return self._gram
+        """`scalar_gram_root` of the row, read from `autocorrelation`: mu = 1
+        (e = 0) survives that fold exactly when it survives the d = 1 fold of
+        `scalar_gram_root`, as each sum of B_r*mu^r is at mu = 1 the
+        coefficient of the d = 1 fold.  A zero row sum folds nothing."""
+        t = diag_trace(self.row)
+        return t if t and self.autocorrelation()[:1] == [0] else 0
 
     def involutory(self) -> bool:
         if self.row is None:

@@ -1,6 +1,7 @@
 """Circulant construction, recognition, and structural sums."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,16 +10,19 @@ from circmds.circulant import (
     OddOrder,
     build,
     interleaved_sums,
+    inverse_row,
     is_circulant,
     scalar_gram_root,
     scalar_square_root,
 )
 from circmds.field import get_field
-from circmds.matgf import det, diag_trace, identity, mat_mul, transpose
+from circmds.matgf import Singular, det, diag_trace, identity, inverse, mat_mul, transpose
 from circmds.props import is_involutory, is_mds, is_orthogonal
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
+GF16 = get_field(4, 0x13)
+F11D = get_field(8, 0x11D)
 F11B = get_field(8, 0x11B)
 
 
@@ -122,6 +126,34 @@ def test_scalar_gram_root_matches_the_dense_gram_exhaustively():
     # every t has a square root, so these are q - 1 times the orthogonal
     # rows: 3 * 113 over GF(4), 7 * 146 over GF(8) and 15 * 32 over GF(16)
     assert scalars == 339 + 1022 + 480
+
+
+def test_even_order_inverse_agrees_with_the_dense_inverse():
+    # n = 2^e * n' with e >= 2 and n' > 1, and e = 4, beyond the spaces the
+    # exhaustive agreement test covers; every fourth row at n' > 1 has all
+    # its residue sums mod n' equal to one t != 0, so its row sum is t but
+    # its Frobenius fold b is the singular order-n' circulant (t^(2^e), ...)
+    rng = random.Random(18)
+    census = Counter()
+    for gf, n in ((GF16, 12), (GF16, 20), (F11D, 12), (F11D, 16), (F11D, 24)):
+        odd = n // (n & -n)
+        for k in range(60):
+            row = [rng.randrange(gf.order) if rng.random() < 0.85 else 0 for _ in range(n)]
+            planted = k % 4 == 0 and odd > 1
+            if planted:
+                t = rng.randrange(1, gf.order)
+                for u in range(odd):
+                    row[u] ^= t ^ diag_trace(row[u::odd])
+                assert diag_trace(row) == t
+            try:
+                want = tuple(inverse(gf, build(row))[0])
+            except Singular:
+                want = None
+            assert inverse_row(gf, row) == want, (gf.m, row)
+            assert want is None or not planted, (gf.m, row)
+            census[planted, want is None, diag_trace(row) == 0] += 1
+    assert census[True, True, False] == 60
+    assert census[False, False, False] > 200 and census[False, True, True] > 0
 
 
 def test_interleaved_sums_aes():

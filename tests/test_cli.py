@@ -274,6 +274,24 @@ def test_search_into_a_closed_pipe_exits_141_quietly():
     assert err == b""
 
 
+def test_the_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": str(Path(circmds.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "circmds", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    # a usage error, from argparse (no --field) and from the row parser
+    usage = run("check", "--circulant", "")
+    bad_row = run("check", "--field", "8:0x11D", "--circulant", "")
+    for proc in (usage, bad_row):
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+    assert bad_row.stderr.startswith("error:") and bad_row.stderr.count("\n") == 1
+    proc = run("field-info", "--field", "8:0x11D")
+    assert proc.returncode == 0 and json.loads(proc.stdout)["poly"] == "0x11D"
+
+
 def test_search_orthogonal_mds_order4_finds_nothing(capsys):
     for field in ("2:0x7", "3:0xB"):
         code, out, err = run_cli(capsys, "search", "--field", field, "--order", "4",

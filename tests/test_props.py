@@ -8,7 +8,7 @@ from math import comb, gcd
 import pytest
 
 from circmds import props
-from circmds.circulant import OddOrder, build, inverse_row, is_circulant
+from circmds.circulant import OddOrder, build, inverse_row, is_circulant, scalar_gram_root
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -214,6 +214,28 @@ def test_is_mds_finds_witnesses_on_periodic_row_sets():
         assert any(t and sorted((x + t) % len(row) for x in rows) == list(rows)
                    for t in range(len(row)))
         assert is_mds(F11D, A) == reference_is_mds(F11D, A) == MdsVerdict(False, witness)
+
+
+def test_the_row_mds_test_agrees_with_the_general_one():
+    # `Properties.mds` hands `is_mds` the first row, whose rotations are the
+    # rows of the recurrence; the general path on the built matrix, told it
+    # is not circulant, visits every row set and must find the same verdict
+    # and witness, as must the necklace path on the built matrix
+    rng = random.Random(44)
+    cases = [(gf, row) for gf, orders in ((GF4, range(2, 6)), (GF8, (3, 4)))
+             for n in orders for row in product(range(gf.order), repeat=n)]
+    for n in range(4, 10):
+        for _ in range(15):
+            cases.append((F11D, tuple(rng.randrange(F11D.order) if rng.random() < 0.9 else 0
+                                      for _ in range(n))))
+    census = Counter()
+    for gf, row in cases:
+        verdict = Properties(gf, row).mds()
+        A = build(row)
+        assert verdict == is_mds(gf, A, False) == is_mds(gf, A, True), (gf.m, row)
+        census[gf is F11D, _mds_outcome(verdict)] += 1
+    for outcome in ("1x1", "2x2", "kxk", "pass"):
+        assert census[True, outcome] > 0 and census[False, outcome] > 0, outcome
 
 
 def visited_row_sets(n, size, circulant):
@@ -759,7 +781,7 @@ def _fold_census(gf, rows, searches) -> Counter:
     for row in rows:
         want = per_root_geometric_pair(gf, row)
         if diag_trace(row):
-            assert props._geometric_pair(gf, row) == want, (gf.poly, row)
+            assert props._geometric_pair(Properties(gf, row)) == want, (gf.poly, row)
         else:
             assert want is None, (gf.poly, row)
             searches.clear()
@@ -795,6 +817,66 @@ def test_geometric_pair_folds_the_per_root_loop(monkeypatch):
     census = _fold_census(GF16, [(1,) + tail for tail in product(range(16), repeat=4)],
                           searches)
     assert census == {"mu=1": 213, "mu!=1": 848}
+
+
+def test_planted_semi_orthogonal_pairs_at_large_d():
+    # at GF(2^8) n = 15 and 17, n divides q - 1, so d = gcd(n, q - 1) = n and
+    # R splits at the powers of omega = g^((q-1)/n).  A spectrum with
+    # lambda_0 = 1 and lambda_-j = lambda_j^-1 gives, by the inverse DFT (no
+    # 1/n at odd n), a row with a(x)*a(x^-1) == 1; its twist b_j = a_j*nu^j,
+    # nu^n == 1 and nu != 1, has a(nu*x^-1)*a(nu*mu*x) constant at
+    # mu = nu^-2 != 1, as x -> nu^-1*x is a ring automorphism of R
+    exp, log = F11D.exp_table, F11D.log_table
+    rng = random.Random(19)
+    for n in (15, 17):
+        w = 255 // n  # omega = g^w
+        assert gcd(n, 255) == n
+        for _ in range(20):
+            spectrum = [1] * n
+            for j in range(1, (n + 1) // 2):
+                spectrum[j] = rng.randrange(1, 256)
+                spectrum[n - j] = F11D.inv(spectrum[j])
+            a = [0] * n
+            for i in range(n):
+                for j, lam in enumerate(spectrum):
+                    a[i] ^= exp[(log[lam] - i * j * w) % 255]
+            assert Properties(F11D, a).orthogonal()
+            nu = rng.randrange(1, n) * w  # the log of nu
+            b = tuple(exp[(log[v] + j * nu) % 255] if v else 0 for j, v in enumerate(a))
+            pair = props._geometric_pair(Properties(F11D, b))
+            assert pair == per_root_geometric_pair(F11D, b), b
+            assert pair is not None and set(pair.d1) != {1}, b
+            assert Properties(F11D, b).semi("orthogonal").pair == pair
+
+
+def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
+    # the orthogonal test reads mu = 1 from the fold of the semi-orthogonal
+    # search, so classify folds a row once when its row sum is nonzero and
+    # never otherwise, and a row asked only for the semi-orthogonal pair
+    # folds once when its support is connected; the Gram root read from a
+    # fold at d = 3 (GF(4) n = 6) equals the d = 1 fold of `scalar_gram_root`
+    folds = []
+
+    def counting(gf, row, d):
+        folds.append(row)
+        return fold(gf, row, d)
+
+    fold = props.autocorrelation_roots
+    monkeypatch.setattr(props, "autocorrelation_roots", counting)
+    gf8_rows = [(GF8, row) for row in product(range(8), repeat=4)]
+    for gf, row in [(GF16, (1,) + tail) for tail in product(range(16), repeat=4)] + gf8_rows:
+        folds.clear()
+        classify(gf, row)
+        assert len(folds) == (diag_trace(row) != 0), row
+    for gf, row in gf8_rows + [(GF4, row) for row in product(range(4), repeat=6)]:
+        folds.clear()
+        p = Properties(gf, row)
+        p.semi("orthogonal")
+        support = [j for j, v in enumerate(row) if v]
+        connected = bool(support) and gcd(len(row), *(j - support[0] for j in support)) == 1
+        assert len(folds) == (diag_trace(row) != 0 and connected), row
+        assert p.gram_root() == scalar_gram_root(gf, row), row
+        assert len(folds) <= 1
 
 
 @pytest.mark.parametrize("gf, n, scalar, other", [

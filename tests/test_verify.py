@@ -307,9 +307,9 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
-    # the dense matrix of a scanned row is built for `is_mds` alone; the only
-    # other builds are the two matrices that the generic solver gets on a
-    # row with a disconnected support
+    # `is_mds` tests a scanned row without its dense matrix; the only builds
+    # are the two matrices that the generic solver gets on a row with a
+    # disconnected support
     counts = {"build": 0, "is_mds": 0, "diagonal_scaling_solve": 0}
     for name in counts:
         def counting(*args, _name=name, _fn=getattr(props, name)):
@@ -320,7 +320,7 @@ def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
         "INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2")))
     assert report.ok()
     assert counts["is_mds"] > 0 and counts["diagonal_scaling_solve"] > 0
-    assert counts["build"] == counts["is_mds"] + 2 * counts["diagonal_scaling_solve"]
+    assert counts["build"] == 2 * counts["diagonal_scaling_solve"]
     # at most one solver call per relation on each disconnected support
     disconnected = 0
     for row in product(range(8), repeat=4):
