@@ -10,9 +10,10 @@ Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
 `inverse_row` inverts one in that ring R = GF(q)[x]/(x^n - 1) instead of
 as a dense matrix, `scalar_square_root` decides whether A^2 is a scalar
-matrix (A^2 == I among them), `scalar_gram_root` whether A*A^T is one
-(A*A^T == I among them), and `autocorrelation_roots` for which roots of
-unity mu the product a(x^-1)*a(mu*x) is a constant, as identities in it.
+matrix (A^2 == I among them), and `autocorrelation_roots` for which roots
+of unity mu the product a(x^-1)*a(mu*x) is a constant, as identities in
+it; at mu = 1 that product is A*A^T, which `props.Properties.gram_root`
+reads from the same fold.
 
 The Frobenius fold.  Write n = 2^e * n' with n' odd.  Squaring is
 additive in characteristic 2, and 2^e*j mod n depends only on j mod n',
@@ -74,19 +75,6 @@ def scalar_square_root(first_row) -> int:
     if n & 1:
         return 0 if any(first_row[1:]) else first_row[0]
     return first_row[0] ^ first_row[h] if first_row[1:h] == first_row[h + 1:] else 0
-
-
-def scalar_gram_root(gf: GF2m, first_row) -> int:
-    """The t with A*A^T == t^2 * I for A = circulant(first_row), or 0 when
-    that product is not a nonzero scalar matrix; A is orthogonal exactly
-    when t == 1.
-
-    A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod
-    x^n - 1, the mu = 1 case of `autocorrelation_roots`; its constant
-    coefficient is the sum of the squares, the square of the row sum t.
-    """
-    t = diag_trace(first_row)
-    return t if t and autocorrelation_roots(gf, first_row, 1) else 0
 
 
 def autocorrelation_roots(gf: GF2m, first_row, d: int) -> list[int]:

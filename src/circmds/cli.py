@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import product
 
 from . import props
 from .field import FieldError, GF2m, get_field
@@ -26,7 +27,6 @@ from .verify import (
     EXHAUSTIVE,
     RANDOM,
     ScanConfig,
-    exhaustive_rows,
     random_rows,
     run_suite,
     verification_plan,
@@ -183,7 +183,8 @@ def cmd_search(args) -> int:
                 f"exhaustive space {space} exceeds budget {args.budget}; "
                 "use --mode random or raise --budget"
             )
-        candidates = exhaustive_rows(q, n, 0, space)
+        # every row in index order: c_0 is the fastest digit
+        candidates = (digits[::-1] for digits in product(range(q), repeat=n))
     else:
         candidates = random_rows(args.seed, q, n, 0, args.samples)
     found = 0

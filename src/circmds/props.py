@@ -5,8 +5,11 @@ orthogonal identity checks, detection of the generalized forms
 A^-1 = D1*A*D2 (semi-involutory) and A^-T = D1*A*D2 (semi-orthogonal)
 with recovery of the diagonal pair, and the order-based four-way
 classification of circulants.  `Properties` runs that battery on one
-circulant first row or explicit matrix, lazily, and is what `classify`,
-`check`, the scan suites and `search` read.
+circulant first row, lazily, and is what `classify`, `check`, the scan
+suites and `search` read.  An explicit matrix takes one of two paths,
+chosen once by `is_circulant` in `matrix_properties_json`: a circulant is
+classified from its first row, and any other matrix by
+`dense_classification`.
 
 A recovered pair is canonical: within each connected component of the
 bipartite nonzero-pattern graph, the d-entry at the component's smallest
@@ -34,11 +37,11 @@ settled in this order: a scalar square gives the pair (1, ..., 1),
 (k^-1, ..., k^-1) on any support; otherwise a connected support has none;
 only a disconnected support goes on.  For A^-T the gcd(n, q-1) roots of
 unity are tried together, in one fold over the residues mod gcd(n, q-1),
-once the row sum is nonzero.  The generic solver runs for explicit
-matrices, on the dense inverse, and for the circulants that go on, whose
-support lies in a coset of a proper subgroup of Z_n, on the matrices of
-the row and of its inverse; the tests check the shortcut against them
-and them against a brute-force search over diagonal pairs.
+once the row sum is nonzero.  The generic solver runs for a matrix that
+is not circulant, on the dense inverse, and for the circulants that go
+on, whose support lies in a coset of a proper subgroup of Z_n, on the
+matrices of the row and of its inverse; the tests check the shortcut
+against them and them against a brute-force search over diagonal pairs.
 
 A first row is decided in R = GF(q)[x]/(x^n - 1) without its n x n
 matrix.  `is_mds` takes the row, logs its entries once and rotates them
@@ -180,14 +183,15 @@ def _plan(n: int, size: int, circulant: bool) -> tuple:
     )
 
 
-def is_mds(gf: GF2m, A, circulant: Optional[bool] = None) -> MdsVerdict:
+def is_mds(gf: GF2m, A) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
-    A is a square matrix, or the first row of a circulant (a sequence of
-    ints), which is tested without building its matrix: the logs of the
-    row are taken once, and row r of the recurrence is their rotation by
-    r.  For a matrix, `circulant` says whether A is circulant, for a
-    caller that knows; None has A scanned for it.
+    A is the first row of a circulant (a sequence of ints) or a square
+    matrix.  A row is tested on its necklaces without building its matrix:
+    the logs of the row are taken once, and row r of the recurrence is
+    their rotation by r.  A matrix is tested on every row set, circulant
+    or not; by the necklace argument below, a circulant's verdict and
+    witness are the same either way.
 
     The witness is the first singular minor in (size, rows, cols) order,
     with rows and columns as increasing index tuples in lexicographic
@@ -204,9 +208,9 @@ def is_mds(gf: GF2m, A, circulant: Optional[bool] = None) -> MdsVerdict:
     `_plan` gives the row sets of each size in lexicographic order, and
     each is tried on every column set in lexicographic order, so the first
     zero met is the first singular minor among the row sets visited.  A
-    matrix that is not circulant has every row set visited.
+    matrix has every row set visited.
 
-    A circulant has only its necklaces visited: the row sets that are the
+    A first row has only its necklaces visited: the row sets that are the
     least of their n translates R - t (mod n).  As A[i+s][j+s] == A[i][j]
     (indices mod n), minor(R+s, C+s) is minor(R, C) with its rows and
     columns permuted, so it has the same determinant.  If the first
@@ -229,28 +233,26 @@ def is_mds(gf: GF2m, A, circulant: Optional[bool] = None) -> MdsVerdict:
     kept.  An order-8 circulant that passes is tested on 1,725 minors,
     where the row sets through row 0 would give 6,435.
 
-    One size keeps C(n-1, k)*C(n, k) minors of a matrix that is not
-    circulant and necklaces(n, k)*C(n, k) of a circulant (`_kept_count`).
+    One size keeps C(n-1, k)*C(n, k) minors of a matrix and
+    necklaces(n, k)*C(n, k) of a first row (`_kept_count`).
     MinorLayerTooLarge is raised before that exceeds MAX_LAYER_MINORS,
-    which can happen from order 15 (17 for a circulant), and only when
+    which can happen from order 15 (17 for a first row), and only when
     every smaller minor is nonzero.
     """
     exp, log = gf.exp_table, gf.log_table
-    if A and isinstance(A[0], int):  # a circulant's first row
+    circulant = bool(A) and isinstance(A[0], int)  # A is a circulant's first row
+    if circulant:
         n = len(A)
         if 0 in A:  # every row holds the same entries, so row 0 meets a zero first
             return MdsVerdict(False, ((0,), (A.index(0),)))
         first = [log[v] for v in A]
         logs = [first[n - r:] + first[:n - r] for r in range(n)]
-        circulant = True
     else:
         n = require_square(A)
         for i, row in enumerate(A):
             if 0 in row:
                 return MdsVerdict(False, ((i,), (row.index(0),)))
         logs = [[log[v] for v in row] for row in A]
-        if circulant is None:
-            circulant = is_circulant(A)
     # logs of the minors of each kept row set, by column-set rank, in the
     # order of `_plan`
     layer = [logs[0]] if circulant else logs[:n - 1]
@@ -512,6 +514,23 @@ class SemiReport:
 _NOT_FOUND = SemiReport(found=False)
 
 
+def _semi_report(gf: GF2m, pair: Optional[DiagonalPair], n: int) -> SemiReport:
+    """The report of an order-n pair, with its scalar powers and traces."""
+    if pair is None:
+        return _NOT_FOUND
+    return SemiReport(found=True, pair=pair,
+                      k1=power_scalar(gf, pair.d1, n), k2=power_scalar(gf, pair.d2, n),
+                      trace_d1=diag_trace(pair.d1), trace_d2=diag_trace(pair.d2))
+
+
+def _nonperiodic(report: SemiReport, n: int) -> tuple[Optional[bool], Optional[bool]]:
+    """Nonperiodicity of D1 and D2 of a semi-orthogonal `report`; None at
+    odd order or without a pair."""
+    if n % 2 or not report.found:
+        return None, None
+    return is_nonperiodic(report.pair.d1), is_nonperiodic(report.pair.d2)
+
+
 @dataclass(frozen=True)
 class Classification:
     """Everything `check` reports about one square matrix."""
@@ -533,65 +552,38 @@ _UNSET = object()
 
 
 class Properties:
-    """The property battery of one square matrix, each property evaluated on
-    first use and cached.
+    """The property battery of one circulant first row, each property
+    evaluated on first use and cached.
 
-    Built from a circulant first row (`Properties(gf, row)`) or from an
-    explicit matrix (`Properties(gf, matrix=A)`).  A row decides everything
-    from the row itself: MDS, the involutory and orthogonal identities
-    and the inverse in GF(2^m)[x]/(x^n - 1), the semi pairs by
-    `circulant_semi_pair`, with one fold (`square_root`) shared by the
-    involutory test and the semi-involutory pair, one autocorrelation fold
-    (`autocorrelation`) shared by the orthogonal test and the
+    Everything is decided from the row itself: MDS, the involutory and
+    orthogonal identities and the inverse in GF(2^m)[x]/(x^n - 1), the semi
+    pairs by `circulant_semi_pair`, with one fold (`square_root`) shared by
+    the involutory test and the semi-involutory pair, one autocorrelation
+    fold (`autocorrelation`) shared by the orthogonal test and the
     semi-orthogonal pair, and at most one inverse shared by both
-    relations.  No dense matrix is built for a row but the two the
-    generic solver takes.  A matrix takes the dense inverse, the generic
-    solver and the dense involutory and orthogonal checks, which are not
-    cached: `classification` asks each once.
-    `semi_reports` (relation -> SemiReport) and `mds_verdict` hold what has
-    been evaluated so far, in evaluation order; a scan tallies its side
-    invariants from them, so a property nothing asked for is never counted.
+    relations.  No dense matrix is built but the two the generic solver
+    takes.  `semi_reports` (relation -> SemiReport) and `mds_verdict` hold
+    what has been evaluated so far, in evaluation order; a scan tallies its
+    side invariants from them, so a property nothing asked for is never
+    counted.
     """
 
-    __slots__ = ("gf", "row", "n", "_matrix", "_circulant", "_inverse", "_root",
-                 "_roots", "mds_verdict", "semi_reports")
+    __slots__ = ("gf", "row", "n", "_inverse", "_root", "_roots", "mds_verdict",
+                 "semi_reports")
 
-    def __init__(self, gf: GF2m, row=None, matrix: Optional[Matrix] = None):
-        if (row is None) == (matrix is None):
-            raise TypeError("give exactly one of row and matrix")
+    def __init__(self, gf: GF2m, row):
         self.gf = gf
-        if row is not None:
-            self.row = tuple(row)
-            self.n = len(self.row)
-        else:
-            self.row = None
-            self.n = require_square(matrix)
-        self._matrix = matrix
-        self._circulant = row is not None or None
+        self.row = tuple(row)
+        self.n = len(self.row)
         self._inverse = _UNSET
         self._root = self._roots = None
         self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
 
-    @property
-    def circulant(self) -> bool:
-        """Whether A is circulant: a row's matrix is by construction, and a
-        given matrix is scanned for it once."""
-        if self._circulant is None:
-            self._circulant = is_circulant(self._matrix)
-        return self._circulant
-
-    def inverse(self):
-        """The first row of A^-1 for a row, the dense A^-1 for a matrix;
-        None when A is singular."""
+    def inverse(self) -> Optional[tuple[int, ...]]:
+        """The first row of A^-1, or None when A is singular."""
         if self._inverse is _UNSET:
-            if self.row is not None:
-                self._inverse = inverse_row(self.gf, self.row)
-            else:
-                try:
-                    self._inverse = inverse(self.gf, self._matrix)
-                except Singular:
-                    self._inverse = None
+            self._inverse = inverse_row(self.gf, self.row)
         return self._inverse
 
     def semi(self, relation: str) -> SemiReport:
@@ -599,28 +591,13 @@ class Properties:
         A^-T == D1*A*D2 ("orthogonal"), with its scalar powers and traces."""
         reports = self.semi_reports
         if relation not in reports:
-            if self.row is not None:
-                pair = circulant_semi_pair(self, relation)
-            else:
-                inv = self.inverse()
-                if inv is not None and relation == "orthogonal":
-                    inv = transpose(inv)
-                pair = None if inv is None else diagonal_scaling_solve(
-                    self.gf, self._matrix, inv)
-            reports[relation] = _NOT_FOUND if pair is None else SemiReport(
-                found=True,
-                pair=pair,
-                k1=power_scalar(self.gf, pair.d1, self.n),
-                k2=power_scalar(self.gf, pair.d2, self.n),
-                trace_d1=diag_trace(pair.d1),
-                trace_d2=diag_trace(pair.d2),
-            )
+            reports[relation] = _semi_report(
+                self.gf, circulant_semi_pair(self, relation), self.n)
         return reports[relation]
 
     def mds(self) -> MdsVerdict:
         if self.mds_verdict is None:
-            A = self.row if self._matrix is None else self._matrix
-            self.mds_verdict = is_mds(self.gf, A, self.circulant)
+            self.mds_verdict = is_mds(self.gf, self.row)
         return self.mds_verdict
 
     def square_root(self) -> int:
@@ -640,45 +617,39 @@ class Properties:
         return self._roots
 
     def gram_root(self) -> int:
-        """`scalar_gram_root` of the row, read from `autocorrelation`: mu = 1
-        (e = 0) survives that fold exactly when it survives the d = 1 fold of
-        `scalar_gram_root`, as each sum of B_r*mu^r is at mu = 1 the
-        coefficient of the d = 1 fold.  A zero row sum folds nothing."""
+        """The t with A*A^T == t^2 * I, or 0 when that product is not a
+        nonzero scalar matrix; A is orthogonal exactly when t == 1.
+
+        A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod
+        x^n - 1, whose constant coefficient is the square of the row sum t.
+        That product is the mu = 1 (e = 0) case of `autocorrelation`, read
+        from its one fold: each sum of B_r*mu^r is at mu = 1 the coefficient
+        of a(x)*a(x^-1).  A zero row sum folds nothing."""
         t = diag_trace(self.row)
         return t if t and self.autocorrelation()[:1] == [0] else 0
 
     def involutory(self) -> bool:
-        if self.row is None:
-            return is_involutory(self.gf, self._matrix)
         return self.square_root() == 1
 
     def orthogonal(self) -> bool:
-        if self.row is None:
-            return is_orthogonal(self.gf, self._matrix)
         return self.gram_root() == 1
 
     def nonperiodic(self) -> tuple[Optional[bool], Optional[bool]]:
         """Nonperiodicity of D1 and D2 of the semi-orthogonal pair; None at
         odd order or without a pair."""
-        so = self.semi("orthogonal")
-        if self.n % 2 or not so.found:
-            return None, None
-        return is_nonperiodic(so.pair.d1), is_nonperiodic(so.pair.d2)
+        return _nonperiodic(self.semi("orthogonal"), self.n)
 
     def classification(self) -> Classification:
         # a singular matrix is never involutory, orthogonal or semi-anything,
         # so it needs no branch of its own; an MDS matrix has A itself among
         # its nonsingular minors, so only a matrix that is not MDS asks for
         # the inverse to decide singularity
-        row = self.row
-        if row is None and self.circulant:
-            row = tuple(self._matrix[0])
         mds = self.mds()
         np1, np2 = self.nonperiodic()
         return Classification(
             order=self.n,
             category=order_category(self.n),
-            first_row=row,
+            first_row=self.row,
             singular=not mds.is_mds and self.inverse() is None,
             mds=mds,
             involutory=self.involutory(),
@@ -693,6 +664,39 @@ class Properties:
 def classify(gf: GF2m, first_row) -> Classification:
     """Run the full property battery on circulant(first_row)."""
     return Properties(gf, first_row).classification()
+
+
+def dense_classification(gf: GF2m, A: Matrix) -> Classification:
+    """The property battery of a square matrix A that is not circulant:
+    the dense inverse, the generic solver on A^-1 and A^-T, the dense
+    involutory and orthogonal checks and `is_mds` over every row set.
+    Its `first_row` is None.  On a circulant it gives `classify`'s record
+    but for `first_row`, more slowly; the tests use it so, as the
+    reference."""
+    n = require_square(A)
+    mds = is_mds(gf, A)
+    try:
+        inv = inverse(gf, A)
+    except Singular:
+        inv = None
+    si = so = _NOT_FOUND
+    if inv is not None:
+        si = _semi_report(gf, diagonal_scaling_solve(gf, A, inv), n)
+        so = _semi_report(gf, diagonal_scaling_solve(gf, A, transpose(inv)), n)
+    np1, np2 = _nonperiodic(so, n)
+    return Classification(
+        order=n,
+        category=order_category(n),
+        first_row=None,
+        singular=inv is None,
+        mds=mds,
+        involutory=is_involutory(gf, A),
+        orthogonal=is_orthogonal(gf, A),
+        semi_involutory=si,
+        semi_orthogonal=so,
+        nonperiodic_d1=np1,
+        nonperiodic_d2=np2,
+    )
 
 
 def _semi_json(gf: GF2m, rep: SemiReport) -> dict:
@@ -741,5 +745,8 @@ def classification_json(gf: GF2m, cls: Classification, matrix: Optional[Matrix] 
 
 
 def matrix_properties_json(gf: GF2m, A: Matrix) -> dict:
-    """`check` output for an explicit (not necessarily circulant) matrix."""
-    return classification_json(gf, Properties(gf, matrix=A).classification(), matrix=A)
+    """`check` output for an explicit square matrix, which is scanned for
+    circulance once: a circulant is classified from its first row, any
+    other matrix by `dense_classification`."""
+    cls = classify(gf, A[0]) if is_circulant(A) else dense_classification(gf, A)
+    return classification_json(gf, cls, matrix=A)

@@ -36,7 +36,7 @@ Scalar classes.  Take A = circulant(a), c != 0, and the member c*a:
   interleaved  both sums scale by c, so whether one is zero is the same.
   involutory   with r = scalar_square_root(a), (cA)^2 == c^2*r^2*I, so only
                c = r^-1 can be involutory, and none can when r == 0.
-  orthogonal   with t = scalar_gram_root(a), (cA)*(cA)^T == c^2*t^2*I, so
+  orthogonal   with t = Properties.gram_root(), (cA)*(cA)^T == c^2*t^2*I, so
                only c = t^-1 can be orthogonal, and none can when t == 0.
 
 Frobenius.  sigma(v) = v^2 is an automorphism of GF(2^m) that fixes 0 and
@@ -217,31 +217,6 @@ def index_to_row(index: int, q: int, n: int) -> tuple[int, ...]:
         index, digit = divmod(index, q)
         row.append(digit)
     return tuple(row)
-
-
-def exhaustive_rows(q: int, n: int, start: int, end: int):
-    """index_to_row(i, q, n) for i in range(start, end), in that order.
-
-    The rows come in blocks of q^low that share their high digits: the low
-    digits (c_0 fastest) are one `product`, listed while the first block
-    is yielded, and each later block appends its high digits to that list.
-    `low` is the most digits whose block size is at most CHUNK and divides
-    both ends, so every row is a concatenation and none is a digit loop.
-    """
-    low = n
-    while q ** low > CHUNK or start % q ** low or end % q ** low:
-        low -= 1
-    block = q ** low
-    lows = []
-    for high in range(start // block, end // block):
-        top = index_to_row(high, q, n - low)
-        if lows:
-            for bottom in lows:
-                yield bottom + top
-        else:
-            for digits in product(range(q), repeat=low):
-                lows.append(digits[::-1])
-                yield lows[-1] + top
 
 
 def random_rows(seed: int, q: int, n: int, start: int, end: int):

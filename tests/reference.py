@@ -9,7 +9,8 @@ from itertools import product
 from math import gcd
 from typing import Optional
 
-from circmds.matgf import inverse, transpose
+from circmds.circulant import autocorrelation_roots
+from circmds.matgf import diag_trace, inverse, transpose
 from circmds.props import DiagonalPair, diagonal_scaling_solve
 from circmds.verify import RANDOM, BudgetExceeded, index_to_row, run_suite
 
@@ -107,6 +108,19 @@ def per_root_geometric_pair(gf, row) -> Optional[DiagonalPair]:
                     tuple(exp[(j * s - log_k) % q1] for j in range(n)),
                 )
     return None
+
+
+def scalar_gram_root(gf, first_row) -> int:
+    """The t with A*A^T == t^2 * I for A = circulant(first_row), or 0 when
+    that product is not a nonzero scalar matrix, from its own fold at
+    d = 1; `Properties.gram_root` reads t from the fold at d = gcd(n, q-1).
+
+    A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod
+    x^n - 1, the mu = 1 case of `autocorrelation_roots`; its constant
+    coefficient is the sum of the squares, the square of the row sum t.
+    """
+    t = diag_trace(first_row)
+    return t if t and autocorrelation_roots(gf, first_row, 1) else 0
 
 
 def next_below(rng, bound: int) -> int:

@@ -12,12 +12,12 @@ from circmds.circulant import (
     interleaved_sums,
     inverse_row,
     is_circulant,
-    scalar_gram_root,
     scalar_square_root,
 )
 from circmds.field import get_field
 from circmds.matgf import Singular, det, diag_trace, identity, inverse, mat_mul, transpose
 from circmds.props import is_involutory, is_mds, is_orthogonal
+from reference import scalar_gram_root
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)

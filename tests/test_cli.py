@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,8 @@ import circmds
 from circmds import props
 from circmds.cli import main
 from circmds.field import get_field
+from circmds.props import classify
+from circmds.verify import index_to_row
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +103,40 @@ def test_check_full_matrix_input(capsys):
     assert doc["circulant"] is False
     assert doc["first_row"] is None
     assert doc["singular"] is False
+
+
+def test_check_matrix_classifies_a_circulant_from_its_first_row(capsys, monkeypatch):
+    # a circulant matrix takes the row path, with no dense inverse, generic
+    # solver or dense identity check, and gets the record of its first row;
+    # a matrix that is not circulant takes all four
+    calls = Counter()
+
+    def counting(name):
+        real = getattr(props, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(props, name, wrapper)
+
+    dense = ("inverse", "diagonal_scaling_solve", "is_involutory", "is_orthogonal")
+    for name in dense:
+        counting(name)
+    for field, row in (("8:0x11D", (0x02, 0x03, 0x06)), ("8:0x11B", (0x02, 0x03, 0x01, 0x01)),
+                       ("3:0xB", (1, 2, 3, 4, 5, 6)), ("4:0x13", (1, 0, 1, 0, 1))):
+        n = len(row)
+        entries = ",".join(f"{row[(j - i) % n]:X}" for i in range(n) for j in range(n))
+        code, doc, _ = run_json(capsys, "check", "--field", field, "--matrix", entries,
+                                "--rows", str(n), "--cols", str(n))
+        assert code == 0 and calls == Counter(), row
+        assert doc.pop("circulant") is True and len(doc.pop("matrix")) == n
+        _, want, _ = run_json(capsys, "check", "--field", field,
+                              "--circulant", ",".join(f"{v:X}" for v in row))
+        assert doc == want, row
+    code, doc, _ = run_json(capsys, "check", "--field", "3:0xB",
+                            "--matrix", "0x1,0x0,0x1,0x1", "--rows", "2", "--cols", "2")
+    assert code == 0 and doc["circulant"] is False and doc["first_row"] is None
+    assert all(calls[name] >= 1 for name in dense), calls
 
 
 def test_check_matrix_needs_consistent_shape(capsys):
@@ -290,6 +327,23 @@ def test_the_package_runs_as_a_module():
     assert bad_row.stderr.startswith("error:") and bad_row.stderr.count("\n") == 1
     proc = run("field-info", "--field", "8:0x11D")
     assert proc.returncode == 0 and json.loads(proc.stdout)["poly"] == "0x11D"
+
+
+def test_search_prints_the_first_matches_in_index_order(capsys):
+    # an exhaustive search walks the space in index order (c_0 fastest) and
+    # stops after --limit matches; GF(4) n = 3 has 18 MDS rows
+    gf = get_field(2, 0x7)
+    every = [index_to_row(i, 4, 3) for i in range(4 ** 3)]
+    matches = [row for row in every if classify(gf, row).mds.is_mds]
+    assert len(matches) == 18
+    for limit in (1, 7, 18, 100):
+        code, out, err = run_cli(capsys, "search", "--field", "2:0x7", "--order", "3",
+                                 "--require", "mds", "--limit", str(limit))
+        # each record ends with its top-level brace on a line of its own
+        docs = [json.loads(part + "}") for part in out.split("\n}\n") if part]
+        want = matches[:limit]
+        assert code == 0 and f"found {len(want)} matching" in err
+        assert [tuple(int(v, 16) for v in doc["first_row"]) for doc in docs] == want
 
 
 def test_search_orthogonal_mds_order4_finds_nothing(capsys):

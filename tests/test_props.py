@@ -1,5 +1,6 @@
 """Decision procedures: MDS, identity checks, diagonal solving, classification."""
 
+import dataclasses
 import random
 from collections import Counter
 from itertools import combinations, product
@@ -8,7 +9,7 @@ from math import comb, gcd
 import pytest
 
 from circmds import props
-from circmds.circulant import OddOrder, build, inverse_row, is_circulant, scalar_gram_root
+from circmds.circulant import OddOrder, build, inverse_row, is_circulant
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -32,6 +33,7 @@ from circmds.props import (
     circulant_semi_pair,
     classification_json,
     classify,
+    dense_classification,
     diagonal_scaling_solve,
     is_involutory,
     is_mds,
@@ -46,6 +48,7 @@ from reference import (
     dense_semi_pair,
     oracle_semi_search,
     per_root_geometric_pair,
+    scalar_gram_root,
 )
 
 GF4 = get_field(2, 0x7)
@@ -171,31 +174,34 @@ WHIRLPOOL_ROW = (0x01, 0x01, 0x04, 0x01, 0x08, 0x05, 0x02, 0x09)
 
 
 def test_is_mds_matches_definition_and_witness():
+    # circulants are given as first rows, which `is_mds` tests on their
+    # necklaces, and the other matrices as matrices; the reference expands
+    # every minor of the built matrix
     rng = random.Random(40)
     cases = []
     for gf, orders in ((GF4, range(2, 7)), (GF8, range(2, 5))):
         for n in orders:
-            cases += [(gf, build(row)) for row in product(range(gf.order), repeat=n)]
+            cases += [(gf, row) for row in product(range(gf.order), repeat=n)]
     for n in (5, 6, 7):
         for _ in range(6):
-            cases.append((F11D, build([rng.randrange(F11D.order) for _ in range(n)])))
-    whirlpool = build(WHIRLPOOL_ROW)
+            cases.append((F11D, tuple(rng.randrange(F11D.order) for _ in range(n))))
     cauchy = cauchy_matrix(F11D, range(6), range(6, 12))
-    assert is_mds(F11D, whirlpool) and is_mds(F11D, cauchy)
-    cases += [(F11D, whirlpool), (F11D, cauchy)]
-    cases += [(F11D, build(row)) for row in LARGE_WITNESS_ROWS]
+    assert is_mds(F11D, WHIRLPOOL_ROW) and is_mds(F11D, cauchy)
+    cases += [(F11D, WHIRLPOOL_ROW), (F11D, cauchy)]
+    cases += [(F11D, row) for row in LARGE_WITNESS_ROWS]
     for gf, n, count in ((GF8, 4, 80), (F11D, 3, 40), (F11D, 5, 20)):
         for _ in range(count):
             cases.append((gf, random_matrix(rng, gf, n)))
     for n in (9, 10):
         for _ in range(6):
-            cases.append((F11D, build([rng.randrange(1, F11D.order) for _ in range(n)])))
+            cases.append((F11D, tuple(rng.randrange(1, F11D.order) for _ in range(n))))
     census = Counter()
     witness_sizes = set()
     for gf, A in cases:
         verdict = is_mds(gf, A)
-        assert verdict == reference_is_mds(gf, A), (gf.m, A)
-        census[is_circulant(A), _mds_outcome(verdict)] += 1
+        row = isinstance(A[0], int)
+        assert verdict == reference_is_mds(gf, build(A) if row else A), (gf.m, A)
+        census[row, _mds_outcome(verdict)] += 1
         if verdict.witness is not None:
             witness_sizes.add(len(verdict.witness[0]))
     for outcome in ("1x1", "2x2", "kxk", "pass"):
@@ -209,18 +215,18 @@ def test_is_mds_finds_witnesses_on_periodic_row_sets():
     # the first singular minor of each row is on a row set R with R + t == R
     # for some t != 0, so R has fewer than n translates
     for row, witness in PERIODIC_WITNESS_ROWS.items():
-        A = build(row)
         rows = witness[0]
         assert any(t and sorted((x + t) % len(row) for x in rows) == list(rows)
                    for t in range(len(row)))
-        assert is_mds(F11D, A) == reference_is_mds(F11D, A) == MdsVerdict(False, witness)
+        assert (is_mds(F11D, row) == reference_is_mds(F11D, build(row))
+                == MdsVerdict(False, witness))
 
 
 def test_the_row_mds_test_agrees_with_the_general_one():
     # `Properties.mds` hands `is_mds` the first row, whose rotations are the
-    # rows of the recurrence; the general path on the built matrix, told it
-    # is not circulant, visits every row set and must find the same verdict
-    # and witness, as must the necklace path on the built matrix
+    # rows of the recurrence, and tests it on its necklaces; the general
+    # path on the built matrix visits every row set and must find the same
+    # verdict and witness, as must the definition
     rng = random.Random(44)
     cases = [(gf, row) for gf, orders in ((GF4, range(2, 6)), (GF8, (3, 4)))
              for n in orders for row in product(range(gf.order), repeat=n)]
@@ -232,7 +238,7 @@ def test_the_row_mds_test_agrees_with_the_general_one():
     for gf, row in cases:
         verdict = Properties(gf, row).mds()
         A = build(row)
-        assert verdict == is_mds(gf, A, False) == is_mds(gf, A, True), (gf.m, row)
+        assert verdict == is_mds(gf, A) == reference_is_mds(gf, A), (gf.m, row)
         census[gf is F11D, _mds_outcome(verdict)] += 1
     for outcome in ("1x1", "2x2", "kxk", "pass"):
         assert census[True, outcome] > 0 and census[False, outcome] > 0, outcome
@@ -285,7 +291,7 @@ def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit(monkeypat
         return steps
 
     monkeypatch.setattr(props, "_plan", plan)
-    assert is_mds(F11D, build(WHIRLPOOL_ROW))
+    assert is_mds(F11D, WHIRLPOOL_ROW)
     assert len(minors) == 8 and sum(minors) == 1725
     assert sum(comb(7, k - 1) * comb(8, k) for k in range(1, 9)) == 6435
 
@@ -308,7 +314,7 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
         recording(name)
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
     with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
-        is_mds(F11D, build(WHIRLPOOL_ROW))
+        is_mds(F11D, WHIRLPOOL_ROW)
     assert sorted(set(asked)) == [("_expansion", 2), ("_expansion", 3), ("_plan", 2), ("_plan", 3)]
     kept = [rows for rows in visited_row_sets(8, 4, True) if rows[-1] < 7]
     assert len(kept) * comb(8, 4) == 700
@@ -554,6 +560,9 @@ def test_classify_example1():
     assert cls.semi_orthogonal.trace_d2 != 0
     assert cls.semi_orthogonal.k1 is not None
     assert cls.semi_orthogonal.k2 is not None
+    # k1 and k2 are the cubes of d1 = (1, 1, 1) and d2 = (0x3E, 0x3E, 0x3E)
+    so = cls.semi_orthogonal
+    assert (so.k1, so.k2) == (1, F11D.pow(0x3E, 3)) != (so.k2, so.k1)
     assert cls.nonperiodic_d1 is None  # odd order
 
 
@@ -651,19 +660,18 @@ def test_classify_even_order_fills_nonperiodic_flags():
 
 
 def test_row_and_matrix_records_agree_exhaustively():
-    # the two inputs of the property evaluator, record for record: the
-    # circulant fast path of a first row against the dense path of its matrix
+    # the circulant fast path of a first row against the dense path of its
+    # matrix, field by field: the dense inverse, the generic solver, the
+    # dense identity checks and the MDS test over every row set
     with_flags = 0
     for gf, orders in ((GF4, range(1, 6)), (GF8, range(1, 5))):
         for n in orders:
             for row in product(range(gf.order), repeat=n):
-                want = classification_json(gf, classify(gf, row))
-                got = matrix_properties_json(gf, build(row))
-                assert got.pop("circulant") is True
-                assert got.pop("matrix") == [[gf.format_element(v) for v in r]
-                                             for r in build(row)]
-                assert got == want, (gf.m, row)
-                with_flags += want["nonperiodic_d1"] is not None
+                want = classify(gf, row)
+                got = dense_classification(gf, build(row))
+                assert want.first_row == row and got.first_row is None
+                assert got == dataclasses.replace(want, first_row=None), (gf.m, row)
+                with_flags += want.nonperiodic_d1 is not None
     assert with_flags == 1060
 
 

@@ -35,7 +35,6 @@ from circmds.verify import (
     ScanReport,
     SplitMix64,
     class_count,
-    exhaustive_rows,
     index_to_row,
     random_rows,
     run_suite,
@@ -148,31 +147,6 @@ def test_random_scan_above_two_to_the_64_rows_finishes():
 
 
 # -- candidate enumeration --------------------------------------------------------
-
-
-def test_exhaustive_rows_follow_the_index_order():
-    for q, n, start, end in ((2, 3, 0, 8), (4, 7, 0, 4 ** 7), (8, 6, CHUNK, 3 * CHUNK),
-                             (256, 3, 2 * CHUNK, 3 * CHUNK), (8, 1, 0, 8)):
-        assert list(exhaustive_rows(q, n, start, end)) == [
-            index_to_row(i, q, n) for i in range(start, end)]
-
-
-def test_exhaustive_rows_yield_the_first_row_before_listing_the_block(monkeypatch):
-    # the low digits are listed while the first block is yielded, so the
-    # first row costs one `product` tuple, not q^low of them
-    taken = []
-
-    def counting(*args, **kwargs):
-        for digits in product(*args, **kwargs):
-            taken.append(digits)
-            yield digits
-
-    monkeypatch.setattr(verify, "product", counting)
-    rows = exhaustive_rows(4, 7, 0, 4 ** 7)  # one block of 4^7 rows
-    assert next(rows) == index_to_row(0, 4, 7)
-    assert len(taken) <= 1
-    assert [next(rows) for _ in range(5)] == [index_to_row(i, 4, 7) for i in range(1, 6)]
-    assert len(taken) <= 6
 
 
 def test_enumeration_order_least_significant_first():
