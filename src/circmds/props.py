@@ -19,39 +19,61 @@ trace-zero, nonperiodicity, and scalar-power predicates reported here do
 not depend on the anchor choice.
 
 Circulants take a shortcut (`circulant_semi_pair`).  Let B = D1*A*D2 with A
-and B circulant, and let S be the support of A's first row.  For s in S,
-d1_i*d2_(i+s) = b_s/a_s does not depend on i, so d2_(k+s-s')/d2_k is one
-constant for every k and every s, s' in S.  When the differences S - S
-generate Z_n (the nonzero pattern is connected), d2_(k+1)/d2_k is then one
-constant mu whose n-th power is 1: both diagonals are geometric, and the
-relation becomes a polynomial identity on the first row.  A full-support
-row is the commonest case.
+and B circulant, and let S be the support of A's first row a.  For s in
+S, d1_i*d2_(i+s) = c_s/a_s, for the first row c of B, does not depend on
+i, so d2_(k+s-s')/d2_k is one constant for every k and every s, s' in S.
+When the differences S - S generate Z_n (the nonzero pattern is
+connected), d2_(k+1)/d2_k is then one constant mu whose n-th power is 1:
+both diagonals are geometric, and the relation becomes a polynomial
+identity on the first row.  A full-support row is the commonest case.
 
-For A^-1 = D1*A*D2 that identity is a(x)*a(mu*x) == k, and on a
-connected support mu == 1: with sigma(x) = mu*x,
-sigma(a)*sigma^2(a) == k == a*sigma(a) gives sigma^2(a) == a; mu has odd
-order, so sigma(a) == a, that is mu^s == 1 for every s in S, and the
-differences S - S generate Z_n.  So the relation is A^2 == k*I, which one
-XOR fold over the first row decides, and the semi-involutory pair is
-settled in this order: a scalar square gives the pair (1, ..., 1),
-(k^-1, ..., k^-1) on any support; otherwise a connected support has none;
-only a disconnected support goes on.  For A^-T the gcd(n, q-1) roots of
-unity are tried together, in one fold over the residues mod gcd(n, q-1),
-once the row sum is nonzero.  The generic solver runs for a matrix that
-is not circulant, on the dense inverse, and for the circulants that go
-on, whose support lies in a coset of a proper subgroup of Z_n, on the
-matrices of the row and of its inverse; the tests check the shortcut
-against them and them against a brute-force search over diagonal pairs.
+Every other support is decided on its block.  Let g = gcd(n, s - s' for
+s, s' in S) and m = n/g: S lies in the coset s0 + g*Z_n, s0 = min(S) mod
+g, and a(x) == x^s0 * b(x^g) for the block b = (a_(s0 + g*beta)),
+beta < m, whose support is connected at order m (its differences are
+those of S over g).  The nonzero pattern of A has g components, rows
+u + g*alpha and columns u + s0 + g*beta for u < g, and entry (alpha, beta)
+of each is b_(beta - alpha): each is circulant(b).  y -> x^g maps
+GF(q)[y]/(y^m - 1) into R = GF(q)[x]/(x^n - 1) injectively, so A^-1 has
+the first row x^-s0 * b^-1(x^g), and A^-T the first row
+x^s0 * b^-1(x^-g), whose components hold circulant(b)^-T.  So
+A^-T == D1*A*D2 exactly when circulant(b)^-T == D1'*circulant(b)*D2' on
+every component, the connected case at order m, and the solver's
+canonical pair, anchored at row u of component u, is
+d1_i = mu^-(i div g), d2_j = k^-1 * mu^(((j - s0) mod n) div g) for the
+mu and k of b.  At g == 1, b == a.
+
+For A^-1 = D1*A*D2 the relation is A^2 == k*I on every support.  A^-1's
+first row lies in -s0 + g*Z_n, so it has A's zero pattern only if 2*s0 is
+in g*Z_n; then with delta = 2*s0/g, component u of A^-1 holds the
+circulant of y^-delta * b^-1(y), and the connected case makes it
+kappa*b(mu*y) for some kappa != 0 and root of unity mu:
+b(y)*b(mu*y) == kappa^-1 * y^-delta.  Substituting
+y -> mu*y and dividing gives b(mu^2*y) == mu^-delta * b(y), that is
+mu^(2*gamma + delta) == 1 for every gamma in the support of b; so
+mu^(2*(gamma - gamma')) == 1, mu has odd order, the differences
+gamma - gamma' generate Z_m and mu^m == 1, so mu == 1.  Then
+b(y)^2 == kappa^-1 * y^-delta and a(x)^2 == x^(2*s0) * b(x^g)^2 ==
+kappa^-1.  So one XOR fold over the first row decides the relation: a
+scalar square gives the pair (1, ..., 1), (k^-1, ..., k^-1), and any
+other row has none.  For A^-T the gcd(m, q-1) roots of unity are tried
+together, in one fold of b over the residues mod gcd(m, q-1), once the
+row sum is nonzero.  No circulant builds a matrix or runs the generic
+solver: that runs for a matrix that is not circulant, on the dense
+inverse (`dense_classification`), and in `verify.verify_example`; the
+tests check the shortcut against it and it against a brute-force search
+over diagonal pairs.
 
 A first row is decided in R = GF(q)[x]/(x^n - 1) without its n x n
 matrix.  `is_mds` takes the row, logs its entries once and rotates them
 into the rows of the minor recurrence.  The orthogonal test reads mu = 1
-from the fold of the semi-orthogonal search, which at mu = 1 sums the
-coefficients of the d = 1 fold, so a row is folded at most once.  The
-inverse is `inverse_row`: at even n = 2^e * n' it inverts the Frobenius
-fold b, a(x)^(2^e) == b(x^(2^e)), at the odd order n', and A is singular
-exactly when the order-n' circulant of b is, as the `circulant` module
-docstring proves.
+from the block's fold of the semi-orthogonal search: A*A^T is
+(b(y)*b(y^-1))(x^g), and at mu = 1 the fold sums the coefficients of b's
+d = 1 fold, so a row is folded at most once.  The inverse is
+`inverse_row`: at even n = 2^e * n' it inverts the Frobenius fold c,
+a(x)^(2^e) == c(x^(2^e)), at the odd order n', and A is singular exactly
+when the order-n' circulant of c is, as the `circulant` module
+docstring proves; only the `singular` field of `classify` asks for it.
 """
 
 from __future__ import annotations
@@ -65,7 +87,7 @@ from typing import Optional
 from .circulant import (
     OddOrder,
     autocorrelation_roots,
-    build,
+    build,  # unused here; perfbench/tracing.py wraps props.build by name
     inverse_row,
     is_circulant,
     scalar_square_root,
@@ -381,97 +403,63 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
     A^-T == D1*A*D2 ("orthogonal") for A = circulant(p.row), or None.
 
     The result equals `diagonal_scaling_solve` on the dense A and its
-    inverse (or transposed inverse); a singular A gives None.  When the
-    support S of the row has gcd(n, s - s0 for s in S) == 1, the nonzero
-    pattern of A is connected and the diagonals are geometric,
-    d1 = (mu^-i) and d2 = (k^-1 * mu^j); the relation then holds iff
-    c(x)*a(mu*x) == k != 0 mod x^n - 1 for an n-th root of unity mu, where
-    c = a(x) for A^-1 and c = a(x^-1) for A^-T (the reflected support,
-    connected exactly when S is).
-
-    For A^-1 that root is 1 (see the module docstring), so the relation
-    is a(x)^2 == k, which the fold `p.square_root()` decides, and it is
-    settled in this order:
-    1. a scalar square A^2 == k*I gives A^-1 == k^-1*A, the pair
-       d1 = (1, ..., 1), d2 = (k^-1, ..., k^-1), on any support, as every
-       component of the pattern is anchored at a 1;
-    2. otherwise a connected support (a full one among them) has no pair;
-    3. only a disconnected support goes on, as below.
-    For A^-T the n-th roots of unity are tried: the gcd(n, q-1) powers of
-    g^((q-1)/gcd(n, q-1)) for the field generator g; a zero row sum has no
-    pair, as A is singular.
-
-    A disconnected support (in a coset of a proper subgroup of Z_n) goes
-    to the generic solver once the ring inverse `p.inverse()` exists
-    and has the zero pattern of A.  Only such rows ask for the inverse, and
-    `p` caches it and the fold, so both relations and the involutory test
-    share them.
+    inverse (or transposed inverse); a singular A gives None.  Both
+    relations are decided on any support from the first row, by the two
+    lemmas of the module docstring, with no matrix built:
+    - A^-1: the relation is A^2 == k*I, which the fold `p.square_root()`
+      decides; a scalar square gives A^-1 == k^-1*A, the pair
+      d1 = (1, ..., 1), d2 = (k^-1, ..., k^-1), as every component of the
+      pattern is anchored at a 1, and any other row has no pair;
+    - A^-T: on the block b of order m = n/g (`p.block()`) the relation is
+      b(y^-1)*b(mu*y) == k != 0 mod y^m - 1 for one of the gcd(m, q-1)
+      powers of w^((q-1)/gcd(m, q-1)), w the field generator, and the pair
+      is b's geometric pair spread over the g components
+      (`_geometric_pair`); a zero row sum has no pair, as A is singular.
     """
-    gf, a, n = p.gf, p.row, p.n
     if relation == "involutory":
         r = p.square_root()
-        if r:
-            k_inv = gf.exp_table[-2 * gf.log_table[r] % (gf.order - 1)]
-            return DiagonalPair((1,) * n, (k_inv,) * n)
-        if 0 not in a or not any(a) or _connected(a):
+        if not r:
             return None
-    elif relation == "orthogonal":
-        if not diag_trace(a):
-            return None
-        if 0 not in a or _connected(a):
-            return _geometric_pair(p)
-    else:
+        gf = p.gf
+        k_inv = gf.exp_table[-2 * gf.log_table[r] % (gf.order - 1)]
+        return DiagonalPair((1,) * p.n, (k_inv,) * p.n)
+    if relation != "orthogonal":
         raise ValueError(f"unknown relation {relation!r}")
-    b = p.inverse()
-    if b is None:
-        return None
-    if relation == "orthogonal":
-        # the reflected row is a list: a scan makes many, and as tuples of new
-        # sizes they would fill the interpreter's per-size tuple free lists
-        # and raise peak memory
-        b = [b[-j] for j in range(n)]  # first row of A^-T
-    if any((x == 0) != (y == 0) for x, y in zip(a, b)):
-        return None
-    return diagonal_scaling_solve(gf, build(a), build(b))
-
-
-def _connected(a) -> bool:
-    """Whether the support S of a nonzero row a has gcd(n, s - s0 for s in
-    S) == 1, which makes the nonzero pattern of circulant(a) connected.
-    The callers test a full support, which is, first."""
-    support = [j for j, v in enumerate(a) if v]
-    return gcd(len(a), *[j - support[0] for j in support]) == 1
+    return _geometric_pair(p) if diag_trace(p.row) else None
 
 
 def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
-    """The geometric pair of `circulant_semi_pair` for A^-T, or None, for a
-    row a = p.row with a nonzero row sum.
+    """The pair of `circulant_semi_pair` for A^-T, or None, for a row
+    a = p.row with a nonzero row sum, from its block b = p.block().
 
-    The mu = g^s, s = 0, (q-1)/d, ..., for which a(x^-1)*a(mu*x) is a
-    constant come from one fold over the residues mod d = gcd(n, q-1)
-    (`p.autocorrelation()`: as mu^d == 1, mu^j depends only on j mod d).
-    The first whose constant k, the sum of a_j^2*mu^j, is nonzero gives the
-    pair; on a nonsingular A that is the first survivor, so k is summed
-    about once.  At x = 1 the identity reads a(1)*a(mu) == k, so a zero
-    row sum, which the caller rules out, leaves none."""
+    The mu = w^s for the field generator w, s = 0, (q-1)/d, ..., for which
+    b(y^-1)*b(mu*y) is a constant come from one fold over the residues
+    mod d = gcd(m, q-1) (`p.autocorrelation()`: as mu^d == 1, mu^j depends
+    only on j mod d).  The first whose constant k, the sum of b_j^2*mu^j,
+    is nonzero gives the pair, d1_i = mu^-(i div g) and
+    d2_j = k^-1 * mu^(((j - s0) mod n) div g); on a nonsingular A that is
+    the first survivor, so k is summed about once.  At y = 1 the identity
+    reads b(1)*b(mu) == k, and b(1) is the row sum, so a zero row sum,
+    which the caller rules out, leaves none."""
     roots = p.autocorrelation()
     if not roots:  # most rows: no mu survives
         return None
-    gf, a, n = p.gf, p.row, p.n
+    s0, g, b = p.block()
+    gf, n = p.gf, p.n
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
-    step = q1 // gcd(n, q1)
+    step = q1 // gcd(len(b), q1)
     for e in roots:
-        s = e * step  # mu = g^s
+        s = e * step  # mu = w^s
         k = 0
-        for j, v in enumerate(a):
+        for j, v in enumerate(b):
             if v:
                 k ^= exp[(2 * log[v] + j * s) % q1]
         if k:
             log_k = log[k]
             return DiagonalPair(
-                tuple(exp[-i * s % q1] for i in range(n)),
-                tuple(exp[(j * s - log_k) % q1] for j in range(n)),
+                tuple(exp[-(i // g) * s % q1] for i in range(n)),
+                tuple(exp[((j - s0) % n // g * s - log_k) % q1] for j in range(n)),
             )
     return None
 
@@ -555,17 +543,18 @@ class Properties:
     """The property battery of one circulant first row, each property
     evaluated on first use and cached.
 
-    Everything is decided from the row itself: MDS, the involutory and
-    orthogonal identities and the inverse in GF(2^m)[x]/(x^n - 1), the semi
-    pairs by `circulant_semi_pair`, with one fold (`square_root`) shared by
-    the involutory test and the semi-involutory pair, one autocorrelation
-    fold (`autocorrelation`) shared by the orthogonal test and the
-    semi-orthogonal pair, and at most one inverse shared by both
-    relations.  No dense matrix is built but the two the generic solver
-    takes.  `semi_reports` (relation -> SemiReport) and `mds_verdict` hold
-    what has been evaluated so far, in evaluation order; a scan tallies its
-    side invariants from them, so a property nothing asked for is never
-    counted.
+    Everything is decided from the row itself, on any support, by the
+    lemmas of the module docstring: MDS, the involutory and orthogonal
+    identities and the semi pairs by `circulant_semi_pair`, with one fold
+    (`square_root`) shared by the involutory test and the semi-involutory
+    pair, and one autocorrelation fold of the row's block (`block`,
+    `autocorrelation`) shared by the orthogonal test and the
+    semi-orthogonal pair.  No dense matrix is built and the generic solver
+    never runs; the ring inverse (`inverse`) serves only the `singular`
+    field of `classification`.  `semi_reports` (relation -> SemiReport) and
+    `mds_verdict` hold what has been evaluated so far, in evaluation order;
+    a scan tallies its side invariants from them, so a property nothing
+    asked for is never counted.
     """
 
     __slots__ = ("gf", "row", "n", "_inverse", "_root", "_roots", "mds_verdict",
@@ -607,13 +596,29 @@ class Properties:
             self._root = scalar_square_root(self.row)
         return self._root
 
+    def block(self) -> tuple[int, int, tuple[int, ...]]:
+        """(s0, g, b) for a nonzero row a: g = gcd(n, s - s' for s, s' in
+        the support S), s0 = min(S) mod g, and the block
+        b = (a_(s0 + g*beta)) for beta < n/g, so a(x) == x^s0 * b(x^g) and
+        b's support is connected.  A row with no zero entry is its own
+        block.  Not cached: `autocorrelation` asks once per row, and
+        `_geometric_pair` again only when a root of unity survives."""
+        a = self.row
+        if 0 not in a:
+            return 0, 1, a
+        support = [j for j, v in enumerate(a) if v]
+        g = gcd(self.n, *[j - support[0] for j in support])
+        s0 = support[0] % g
+        return s0, g, a[s0::g]
+
     def autocorrelation(self) -> list[int]:
-        """`autocorrelation_roots` of the row at d = gcd(n, q-1), folded
-        once for the orthogonal test, the semi-orthogonal pair and a scan's
-        scalar selector."""
+        """`autocorrelation_roots` of the block b at d = gcd(m, q-1),
+        m = len(b), folded once for the orthogonal test, the
+        semi-orthogonal pair and a scan's scalar selector."""
         if self._roots is None:
+            b = self.block()[2]
             self._roots = autocorrelation_roots(
-                self.gf, self.row, gcd(self.n, self.gf.order - 1))
+                self.gf, b, gcd(len(b), self.gf.order - 1))
         return self._roots
 
     def gram_root(self) -> int:
@@ -622,9 +627,11 @@ class Properties:
 
         A^T has the first row of a(x^-1), so A*A^T is a(x)*a(x^-1) mod
         x^n - 1, whose constant coefficient is the square of the row sum t.
-        That product is the mu = 1 (e = 0) case of `autocorrelation`, read
-        from its one fold: each sum of B_r*mu^r is at mu = 1 the coefficient
-        of a(x)*a(x^-1).  A zero row sum folds nothing."""
+        With a(x) == x^s0 * b(x^g) that product is (b(y)*b(y^-1))(x^g),
+        and y -> x^g is injective, so it is scalar exactly when
+        b(y)*b(y^-1) is: the mu = 1 (e = 0) case of `autocorrelation`,
+        read from its one fold, as each sum of B_r*mu^r is at mu = 1 the
+        coefficient of b(y)*b(y^-1).  A zero row sum folds nothing."""
         t = diag_trace(self.row)
         return t if t and self.autocorrelation()[:1] == [0] else 0
 

@@ -66,22 +66,23 @@ row of A^T:
                does it, (c*D2, c^-1*D1), and a scalar keeps k is None,
                trace == 0 and nonperiodicity: tau(a)'s d1 has those of a's
                d2, and its d2 those of a's d1.
-  disconnected A support S with g = gcd(n, S - S) > 1 has g components,
-               the rows of one residue mod g, and the columns S + that
-               residue, with a scale each.  The cyclic shift P commutes with
-               A and B, so (P*D1*P^-1, P*D2*P^-1) is a pair too, the
-               canonical one up to those scales; at the least rows this
-               gives D1 == (mu^-(i div g)), and d2_(k+1) == d2_k but at
-               k + 1 == s (mod g), s in S, where it is mu*d2_k, for
-               mu = d2_(k+g)/d2_k with mu^(n/g) == 1.  Up to a scalar, each
-               diagonal is a cycle of runs of g equal entries, each run mu^-1
-               or mu times the one before: its n-th power is scalar, its
-               trace is 0 exactly when mu != 1 or n is even, and the ratios
-               d_(i+h)/d_i over every i (h = n/2), which nonperiodicity
-               reads, move with neither the offset of the runs nor mu ->
-               mu^-1.  tau(a)'s pair has this form with mu^-1.  So on every
-               row with a pair d1 and d2 agree on each predicate a scan
-               counts, and agree with tau(a)'s, in either order.
+  disconnected A support S with g = gcd(n, S - S) > 1 lies in a coset
+               s0 + g*Z_n, and `props` decides the row on its block
+               b = (a_(s0 + g*beta)) of order n/g, whose support is
+               connected (the `props` module docstring): the canonical
+               pair is D1 == (mu^-(i div g)) and
+               D2 == (k^-1 * mu^(((j - s0) mod n) div g)) for the mu and k
+               of b, mu^(n/g) == 1, and a semi-involutory pair is a scalar
+               square's, with mu == 1.  So each diagonal is a cycle of runs
+               of g equal entries, each run mu^-1 or mu times the one
+               before: its n-th power is scalar, its trace is 0 exactly
+               when mu != 1 or n is even, and the ratios d_(i+h)/d_i over
+               every i (h = n/2), which nonperiodicity reads, move with
+               neither the offset of the runs nor mu -> mu^-1, nor a
+               scalar.  tau(a)'s block is tau(b) rotated, so its pair has
+               this form with mu^-1.  So on every row with a pair d1 and
+               d2 agree on each predicate a scan counts, and agree with
+               tau(a)'s, in either order.
   selectors    (A^T)^2 == (A^2)^T and A^T*A == A*A^T, so r and t are the
                same for tau(a), and the member c*tau(a) == tau(c*a) is
                selected with c*a.

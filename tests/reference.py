@@ -157,6 +157,25 @@ def component_first_rows(A) -> list:
     return firsts
 
 
+def disconnected_rows(gf, n, lead_one=False) -> list:
+    """The nonzero rows of order n whose support is disconnected, in
+    increasing order; with `lead_one`, those whose first nonzero entry is
+    1.  A support S is disconnected when g = gcd(n, S - S) > 1, and then
+    it lies in a coset of p*Z_n for each prime p | g, so the rows are
+    listed coset by coset over the prime divisors p of n."""
+    rows = set()
+    for p in range(2, n + 1):
+        if n % p or any(p % d == 0 for d in range(2, p)):
+            continue
+        for r in range(p):
+            for values in product(range(gf.order), repeat=n // p):
+                row = [0] * n
+                row[r::p] = values
+                if any(row) and (not lead_one or next(v for v in row if v) == 1):
+                    rows.add(tuple(row))
+    return sorted(rows)
+
+
 def class_rows(q: int, n: int, start: int, end: int) -> list:
     """Representatives start .. end-1 of the scalar classes of q^n rows, in
     class order: for p = 0 .. n-1 in turn the q^(n-1-p) rows whose first

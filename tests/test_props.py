@@ -46,6 +46,7 @@ from circmds.props import (
 from reference import (
     component_first_rows,
     dense_semi_pair,
+    disconnected_rows,
     oracle_semi_search,
     per_root_geometric_pair,
     scalar_gram_root,
@@ -859,14 +860,17 @@ def test_planted_semi_orthogonal_pairs_at_large_d():
 
 def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     # the orthogonal test reads mu = 1 from the fold of the semi-orthogonal
-    # search, so classify folds a row once when its row sum is nonzero and
-    # never otherwise, and a row asked only for the semi-orthogonal pair
-    # folds once when its support is connected; the Gram root read from a
-    # fold at d = 3 (GF(4) n = 6) equals the d = 1 fold of `scalar_gram_root`
+    # search, and both fold the row's block, so classify folds a row once
+    # when its row sum is nonzero and never otherwise, on every support, and
+    # so does a row asked only for the semi-orthogonal pair; the one fold is
+    # of the block b = (a_(s0 + g*beta)) at d = gcd(n/g, q-1), and the Gram
+    # root read from it, A*A^T == (b(y)*b(y^-1))(x^g), equals the d = 1 fold
+    # of `scalar_gram_root` on the whole row: at d = 3 on the connected rows
+    # of GF(4) n = 6, and on every disconnected row of GF(16) n = 6
     folds = []
 
     def counting(gf, row, d):
-        folds.append(row)
+        folds.append((row, d))
         return fold(gf, row, d)
 
     fold = props.autocorrelation_roots
@@ -876,15 +880,64 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
         folds.clear()
         classify(gf, row)
         assert len(folds) == (diag_trace(row) != 0), row
-    for gf, row in gf8_rows + [(GF4, row) for row in product(range(4), repeat=6)]:
+    disconnected = 0
+    for gf, row in (gf8_rows + [(GF4, row) for row in product(range(4), repeat=6)]
+                    + [(GF16, row) for row in disconnected_rows(GF16, 6)]):
         folds.clear()
         p = Properties(gf, row)
         p.semi("orthogonal")
-        support = [j for j, v in enumerate(row) if v]
-        connected = bool(support) and gcd(len(row), *(j - support[0] for j in support)) == 1
-        assert len(folds) == (diag_trace(row) != 0 and connected), row
+        if diag_trace(row):
+            n = len(row)
+            support = [j for j, v in enumerate(row) if v]
+            g = gcd(n, *(j - support[0] for j in support))
+            s0 = support[0] % g
+            assert folds == [(row[s0::g], gcd(n // g, gf.order - 1))], row
+            disconnected += g > 1
+        else:
+            assert folds == [], row
         assert p.gram_root() == scalar_gram_root(gf, row), row
         assert len(folds) <= 1
+    # the rows folded on a block with g > 1, most of them of GF(16) n = 6
+    assert disconnected == 8536
+
+
+# (m, poly, n, lead_one, rows, orthogonal pairs, those with mu != 1): every
+# disconnected row of the space, or with `lead_one` those whose first nonzero
+# entry is 1, which the scalar lemma carries to every multiple.  Only a block
+# of order m with gcd(m, q-1) > 1 can have mu != 1: at GF(16) n = 6 the
+# blocks of order 3
+BLOCK_SPACES = (
+    (1, 0x3, 12, False, 153, 36, 0), (1, 0x3, 16, False, 510, 64, 0),
+    (2, 0x7, 6, False, 153, 36, 0), (2, 0x7, 8, False, 510, 192, 0),
+    (2, 0x7, 9, False, 189, 27, 0),
+    (3, 0xB, 4, False, 126, 112, 0), (3, 0xB, 6, False, 1169, 252, 0),
+    (4, 0x13, 4, False, 510, 480, 0), (5, 0x25, 4, False, 2046, 1984, 0),
+    (4, 0x13, 6, True, 591, 120, 48),
+)
+
+
+@pytest.mark.parametrize("m, poly, n, lead_one, rows, pairs, nontrivial", BLOCK_SPACES)
+def test_a_disconnected_row_is_decided_on_its_block(m, poly, n, lead_one, rows, pairs,
+                                                     nontrivial):
+    # both relations of a row whose support lies in a coset of g*Z_n, g > 1,
+    # decided on its order-n/g block, equal the generic solver's pair from
+    # the dense inverse; a semi-involutory pair is always a scalar square
+    gf = get_field(m, poly)
+    census = Counter()
+    space = disconnected_rows(gf, n, lead_one)
+    for row in space:
+        A = build(row)
+        p = Properties(gf, row)
+        for relation in ("involutory", "orthogonal"):
+            try:
+                want = dense_semi_pair(gf, A, relation)
+            except Singular:
+                want = None
+            assert circulant_semi_pair(p, relation) == want, (relation, row)
+            if relation == "orthogonal" and want is not None:
+                census["pairs"] += 1
+                census["nontrivial"] += len(set(want.d1)) > 1  # d1_g == mu^-1
+    assert (len(space), census["pairs"], census["nontrivial"]) == (rows, pairs, nontrivial)
 
 
 @pytest.mark.parametrize("gf, n, scalar, other", [
