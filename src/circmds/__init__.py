@@ -6,7 +6,7 @@ pairs behind the semi-properties, and verifies the trace relations between
 those diagonals and the MDS property by exhaustive and seeded-random scans.
 """
 
-from .circulant import build, interleaved_sums, inverse_row, is_circulant
+from .circulant import build, interleaved_sums, is_circulant, is_singular_row
 from .field import GF2m, get_field
 from .matgf import det, diag_trace, identity, inverse, mat_mul, sandwich, submatrix, transpose
 from .props import (
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2m", "get_field",
-    "build", "is_circulant", "interleaved_sums", "inverse_row",
+    "build", "is_circulant", "interleaved_sums", "is_singular_row",
     "mat_mul", "transpose", "identity", "inverse", "det", "submatrix",
     "diag_trace", "sandwich",
     "MdsVerdict", "DiagonalPair", "Classification", "Properties",

@@ -8,36 +8,31 @@ forces singularity.
 
 Circulants of order n multiply like polynomials modulo x^n - 1, with the
 first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
-`inverse_row` inverts one in that ring R = GF(q)[x]/(x^n - 1) instead of
-as a dense matrix, `scalar_square_root` decides whether A^2 is a scalar
-matrix (A^2 == I among them), and `autocorrelation_roots` for which roots
-of unity mu the product a(x^-1)*a(mu*x) is a constant, as identities in
-it; at mu = 1 that product is A*A^T, which `props.Properties.gram_root`
-reads from the same fold.
+`is_singular_row` decides singularity in that ring
+R = GF(q)[x]/(x^n - 1) instead of on a dense matrix, `scalar_square_root`
+whether A^2 is a scalar matrix (A^2 == I among them), and
+`autocorrelation_roots` for which roots of unity mu the product
+a(x^-1)*a(mu*x) is a constant, as identities in it; at mu = 1 that product
+is A*A^T, which `props.Properties.gram_root` reads from the same fold.
 
-The Frobenius fold.  Write n = 2^e * n' with n' odd.  Squaring is
-additive in characteristic 2, and 2^e*j mod n depends only on j mod n',
-so a(x)^(2^e) == b(x^(2^e)) in R for the row b of length n' with
-b_u = (sum of the a_j with j == u mod n')^(2^e): x^n - 1 is
-(x^(n') - 1)^(2^e), the repeated-root structure of Castagnoli, Massey,
-Schoeller and von Seemann (IEEE Trans. IT 37(2), 1991).  A is
-singular exactly when the order-n' circulant of b is.  The substitution
-y -> x^(2^e) is a ring map from R' = GF(q)[y]/(y^n' - 1) into R, as
-x^n - 1 == (x^(2^e))^n' - 1, and it is injective: it sends the y^u,
-u < n', to distinct monomials of R.  If b*c == 1 in R', then
-a * a^(2^e - 1) * c(x^(2^e)) == 1 in R.  If a*f == 1 in R, raising both
-sides to the power 2^e gives b(x^(2^e)) * h(x^(2^e)) == 1, where
-f^(2^e) == h(x^(2^e)) in the same way, and as the map is injective,
-b*h == 1 in R'.  So an even-order inverse costs one inverse at order n'.
+The gcd lemma.  A is nonsingular exactly when a(x) is a unit of R (A^-1
+is a polynomial in A, so circulant), that is when gcd(a(x), x^n - 1) == 1.
+Write n = 2^e * n' with n' odd.  Squaring is additive in characteristic
+2, so x^n - 1 == (x^(n') - 1)^(2^e), the repeated-root structure of
+Castagnoli, Massey, Schoeller and von Seemann (IEEE Trans. IT 37(2),
+1991), and x^n - 1 has the irreducible factors of x^(n') - 1.  Each of
+them divides a(x) exactly when it divides b(x) = a(x) mod x^(n') - 1, the
+fold b_u = sum of the a_j with j == u (mod n').  So A is singular exactly
+when gcd(b(x), x^(n') - 1) has positive degree, and one gcd at the odd
+order decides it.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
 
 from .field import GF2m
-from .matgf import Matrix, diag_trace, require_square
+from .matgf import Matrix, require_square
 
 
 class OddOrder(ValueError):
@@ -128,106 +123,41 @@ def _roots(q1: int, d: int) -> tuple:
     return tuple((e, tuple(step * (e * r % d) for r in range(d))) for e in range(d))
 
 
-def inverse_row(gf: GF2m, first_row) -> Optional[tuple[int, ...]]:
-    """First row of circulant(first_row)^-1, or None when it is singular.
-
-    At odd n, a(x)^-1 mod x^n - 1 comes from the extended Euclidean
-    algorithm over GF(2^m)[x]: O(n^2) field operations and no n x n
-    matrix.  Polynomials are coefficient lists, lowest degree first,
-    without trailing zeros; products of nonzero coefficients go through
-    the field's log tables.
-
-    At even n = 2^e * n', the Frobenius fold of the module docstring
-    gives A^-1 = a^(2^e - 1) * c(x^(2^e)) for c = b^-1 at order n', so the
-    Euclidean algorithm runs at n' only, and at n' = 1 takes no step.
-    a^(2^e - 1) is a * a^2 * ... * a^(2^(e-1)), each factor another such
-    fold, and the product starts from c's end: before the factor a^(2^i)
-    (nonzero on the multiples of 2^i only), the partial product is
-    nonzero on the multiples of 2^(i+1) only, so the factors cost under
-    2n^2/3 products of nonzero coefficients in all.
+def is_singular_row(gf: GF2m, first_row) -> bool:
+    """Whether circulant(first_row) is singular, by the gcd lemma of the
+    module docstring: the row is folded by j mod n', for n = 2^e * n' with
+    n' odd, and Euclid's remainder sequence runs on that fold b(x) and
+    x^n' - 1 until a remainder is constant.  A is singular exactly when the
+    last one is 0, so the gcd has positive degree.  At n' = 1 the fold is
+    the row sum, and no step runs.  Polynomials are coefficient lists,
+    lowest degree first, without trailing zeros; products of nonzero
+    coefficients go through the field's log tables.
     """
-    if diag_trace(first_row) == 0:
-        return None  # x - 1 divides a(x)
-    n = len(first_row)
-    step = n & -n  # 2^e
-    c = _euclid_inverse(
-        gf, first_row if step == 1 else _frobenius_power(gf, first_row, step)[::step])
-    if c is None:
-        return None
-    out = [0] * n
-    out[::step] = c  # c(x^(2^e))
-    while step > 1:
-        step >>= 1
-        out = _ring_product(gf, out, _frobenius_power(gf, first_row, step))
-    return tuple(out)
-
-
-def _euclid_inverse(gf: GF2m, a) -> Optional[list[int]]:
-    """a(x)^-1 mod x^n - 1 as a coefficient list of length n, or None, by
-    the extended Euclidean algorithm."""
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
-    n = len(a)
-    r0 = [1] + [0] * (n - 1) + [1]  # x^n - 1 == x^n + 1 in characteristic 2
-    r1 = _trimmed(a)
-    s0: list[int] = []
-    s1 = [1]
-    while len(r1) > 1:
-        # divide r0 by r1; each quotient term f*x^shift also goes into s0 + quot*s1
+    n = len(first_row)
+    odd = n // (n & -n)  # n'
+    r1 = [0] * odd
+    for j, v in enumerate(first_row):
+        r1[j % odd] ^= v
+    r0 = [1] + [0] * (odd - 1) + [1]  # x^n' - 1 == x^n' + 1 in characteristic 2
+    while True:
+        while r1 and not r1[-1]:
+            r1.pop()
+        if len(r1) <= 1:
+            return not r1
+        # r0 mod r1: each leading term of the remainder cancels against r1
         deg = len(r1) - 1
         rem = list(r0)
-        s2 = s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
         lead_inv = q1 - log[r1[-1]]
         r1_logs = [(i, log[v]) for i, v in enumerate(r1) if v]
-        s1_logs = [(i, log[v]) for i, v in enumerate(s1) if v]
         for shift in range(len(r0) - len(r1), -1, -1):
             top = rem[shift + deg]
             if top:
                 f = (log[top] + lead_inv) % q1
                 for i, lv in r1_logs:
                     rem[shift + i] ^= exp[f + lv]
-                for i, lv in s1_logs:
-                    s2[shift + i] ^= exp[f + lv]
-        r0, r1 = r1, _trimmed(rem[:deg])
-        s0, s1 = s1, _trimmed(s2)
-    if not r1:
-        return None  # gcd(a(x), x^n - 1) has positive degree
-    scale = q1 - log[r1[0]]
-    out = [exp[scale + log[v]] if v else 0 for v in s1]
-    return out + [0] * (n - len(s1))
-
-
-def _frobenius_power(gf: GF2m, a, p: int) -> list[int]:
-    """a(x)^p mod x^n - 1 for p a power of two: the sum of a_j^p * x^(p*j)."""
-    exp, log = gf.exp_table, gf.log_table
-    q1 = gf.order - 1
-    n = len(a)
-    out = [0] * n
-    for j, v in enumerate(a):
-        if v:
-            out[p * j % n] ^= exp[log[v] * p % q1]
-    return out
-
-
-def _ring_product(gf: GF2m, f, g) -> list[int]:
-    """f(x)*g(x) mod x^n - 1 for coefficient lists of length n."""
-    exp, log = gf.exp_table, gf.log_table
-    n = len(f)
-    out = [0] * n
-    g_logs = [(j, log[v]) for j, v in enumerate(g) if v]
-    for i, v in enumerate(f):
-        if v:
-            lv = log[v]
-            for j, lw in g_logs:
-                out[i + j - n] ^= exp[lv + lw]  # a negative index wraps around
-    return out
-
-
-def _trimmed(coeffs) -> list[int]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+        r0, r1 = r1, rem[:deg]
 
 
 def interleaved_sums(first_row) -> tuple[int, int]:

@@ -64,16 +64,28 @@ inverse (`dense_classification`), and in `verify.verify_example`; the
 tests check the shortcut against it and it against a brute-force search
 over diagonal pairs.
 
+The traces of a semi-orthogonal pair follow from its form.  The map
+j -> ((j - s0) mod n) div g takes each beta < m exactly g times, so
+trace(d1) is g times the sum of mu^-beta over beta < m, and trace(d2) is
+k^-1*g times the sum of mu^beta; mu^m == 1, and mu has odd order r, as
+q - 1 is odd.  At even n, g or m is even.  An even g kills both traces.
+An even m does too: at mu == 1 each sum is m*1 == 0, and otherwise it is
+m/r full periods of the sum of mu^beta over beta < r, which is
+(mu^r - 1)/(mu - 1) == 0.  So at even n every semi-orthogonal circulant,
+MDS or not, has trace(d1) == trace(d2) == 0, on a connected support
+(g == 1) or not.  At odd n, g and m are odd, and both traces are nonzero
+exactly when mu == 1.
+
 A first row is decided in R = GF(q)[x]/(x^n - 1) without its n x n
 matrix.  `is_mds` takes the row, logs its entries once and rotates them
 into the rows of the minor recurrence.  The orthogonal test reads mu = 1
 from the block's fold of the semi-orthogonal search: A*A^T is
 (b(y)*b(y^-1))(x^g), and at mu = 1 the fold sums the coefficients of b's
-d = 1 fold, so a row is folded at most once.  The inverse is
-`inverse_row`: at even n = 2^e * n' it inverts the Frobenius fold c,
-a(x)^(2^e) == c(x^(2^e)), at the odd order n', and A is singular exactly
-when the order-n' circulant of c is, as the `circulant` module
-docstring proves; only the `singular` field of `classify` asks for it.
+d = 1 fold, so a row is folded at most once.  No first row forms an
+inverse: the relations above need only whether A is nonsingular, and
+`is_singular_row` decides that by one gcd at the odd part n' of
+n = 2^e * n', as x^n - 1 == (x^(n') - 1)^(2^e) (the `circulant` module
+docstring); only the `singular` field of `classify` asks for it.
 """
 
 from __future__ import annotations
@@ -87,9 +99,8 @@ from typing import Optional
 from .circulant import (
     OddOrder,
     autocorrelation_roots,
-    build,  # unused here; perfbench/tracing.py wraps props.build by name
-    inverse_row,
     is_circulant,
+    is_singular_row,
     scalar_square_root,
 )
 from .field import GF2m
@@ -97,14 +108,15 @@ from .matgf import (
     DimensionMismatch,
     Matrix,
     Singular,
-    det,  # unused here; perfbench/tracing.py wraps props.det by name
     diag_trace,
     dims,
     inverse,
     require_square,
-    submatrix,  # unused here; perfbench/tracing.py wraps props.submatrix by name
     transpose,
 )
+# unused here; perfbench/tracing.py wraps these props attributes by name
+from .circulant import build
+from .matgf import det, submatrix
 
 # Order categories: odd, power of two, == 0 mod 4 but not a power of two,
 # and == 2 mod 4 (with 2 itself claimed by POW2).
@@ -536,9 +548,6 @@ class Classification:
     nonperiodic_d2: Optional[bool]
 
 
-_UNSET = object()
-
-
 class Properties:
     """The property battery of one circulant first row, each property
     evaluated on first use and cached.
@@ -550,30 +559,22 @@ class Properties:
     pair, and one autocorrelation fold of the row's block (`block`,
     `autocorrelation`) shared by the orthogonal test and the
     semi-orthogonal pair.  No dense matrix is built and the generic solver
-    never runs; the ring inverse (`inverse`) serves only the `singular`
+    never runs; the gcd test `is_singular_row` serves only the `singular`
     field of `classification`.  `semi_reports` (relation -> SemiReport) and
     `mds_verdict` hold what has been evaluated so far, in evaluation order;
     a scan tallies its side invariants from them, so a property nothing
     asked for is never counted.
     """
 
-    __slots__ = ("gf", "row", "n", "_inverse", "_root", "_roots", "mds_verdict",
-                 "semi_reports")
+    __slots__ = ("gf", "row", "n", "_root", "_roots", "mds_verdict", "semi_reports")
 
     def __init__(self, gf: GF2m, row):
         self.gf = gf
         self.row = tuple(row)
         self.n = len(self.row)
-        self._inverse = _UNSET
         self._root = self._roots = None
         self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
-
-    def inverse(self) -> Optional[tuple[int, ...]]:
-        """The first row of A^-1, or None when A is singular."""
-        if self._inverse is _UNSET:
-            self._inverse = inverse_row(self.gf, self.row)
-        return self._inverse
 
     def semi(self, relation: str) -> SemiReport:
         """The pair with A^-1 == D1*A*D2 (`relation` "involutory") or
@@ -649,15 +650,15 @@ class Properties:
     def classification(self) -> Classification:
         # a singular matrix is never involutory, orthogonal or semi-anything,
         # so it needs no branch of its own; an MDS matrix has A itself among
-        # its nonsingular minors, so only a matrix that is not MDS asks for
-        # the inverse to decide singularity
+        # its nonsingular minors, so only a matrix that is not MDS asks the
+        # gcd test
         mds = self.mds()
         np1, np2 = self.nonperiodic()
         return Classification(
             order=self.n,
             category=order_category(self.n),
             first_row=self.row,
-            singular=not mds.is_mds and self.inverse() is None,
+            singular=not mds.is_mds and is_singular_row(self.gf, self.row),
             mds=mds,
             involutory=self.involutory(),
             orthogonal=self.orthogonal(),

@@ -123,6 +123,18 @@ def scalar_gram_root(gf, first_row) -> int:
     return t if t and autocorrelation_roots(gf, first_row, 1) else 0
 
 
+def semi_involutory_count(q: int, n: int) -> int:
+    """How many first rows of order n over GF(q) give a semi-involutory
+    circulant, in closed form: q^(n/2)*(q-1) at even n and q-1 at odd n.
+
+    The relation is A^2 == k*I with k != 0 (the `props` module docstring),
+    and `circulant.scalar_square_root` reads it from the row: at odd n the
+    rows (r, 0, ..., 0), r != 0; at even n = 2h the rows with
+    a_i == a_(i+h) for 0 < i < h, q^(h-1) choices, and a_0 != a_h, q*(q-1).
+    """
+    return q ** (n // 2) * (q - 1) if n % 2 == 0 else q - 1
+
+
 def next_below(rng, bound: int) -> int:
     """Uniform draw in [0, bound) from a SplitMix64 stream by rejection
     (0 < bound <= 2^64)."""

@@ -9,7 +9,7 @@ from math import comb, gcd
 import pytest
 
 from circmds import props
-from circmds.circulant import OddOrder, build, inverse_row, is_circulant
+from circmds.circulant import OddOrder, build, is_circulant, is_singular_row
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -44,12 +44,14 @@ from circmds.props import (
     power_scalar,
 )
 from reference import (
+    class_rows,
     component_first_rows,
     dense_semi_pair,
     disconnected_rows,
     oracle_semi_search,
     per_root_geometric_pair,
     scalar_gram_root,
+    semi_involutory_count,
 )
 
 GF4 = get_field(2, 0x7)
@@ -590,15 +592,14 @@ def test_classify_singular_row():
 def test_classify_asks_for_the_inverse_only_off_mds(monkeypatch):
     # an MDS matrix has A itself among its nonsingular minors, so classify
     # takes nonsingularity from the verdict; a row that is not MDS asks the
-    # Euclidean inverse once, as its connected support keeps the semi pairs
-    # off it
+    # gcd test once, as its connected support keeps the semi pairs off it
     calls = []
 
     def counting(gf, row):
         calls.append(tuple(row))
-        return inverse_row(gf, row)
+        return is_singular_row(gf, row)
 
-    monkeypatch.setattr(props, "inverse_row", counting)
+    monkeypatch.setattr(props, "is_singular_row", counting)
     cls = classify(F11D, EX1_ROW)
     assert cls.mds.is_mds and not cls.singular and calls == []
     for row, singular in (((1, 2, 3, 5), False), ((1, 2, 3, 0), True)):
@@ -709,13 +710,13 @@ AGREEMENT_SPACES = (
 
 
 def _agreement_census(space):
-    """Check `inverse_row` and `circulant_semi_pair` against the dense inverse
-    and the generic solver on every first row of one (m, poly, n) space, and
-    count the branch behind each outcome on a nonsingular row: a geometric
-    pair on a full-support row (by its mu) or on a connected support with a
-    zero entry, and on a disconnected support a pattern mismatch or a
-    solver pair.  Every involutory pair on a connected support must be
-    d1 = (1, ..., 1) with A^2 == k*I for k = d2[0]^-1: its mu is 1."""
+    """Check `is_singular_row` and `circulant_semi_pair` against the dense
+    inverse and the generic solver on every first row of one (m, poly, n)
+    space, and count the branch behind each outcome on a nonsingular row: a
+    geometric pair on a full-support row (by its mu) or on a connected
+    support with a zero entry, and on a disconnected support a pattern
+    mismatch or a solver pair.  Every involutory pair on a connected support
+    must be d1 = (1, ..., 1) with A^2 == k*I for k = d2[0]^-1: its mu is 1."""
     m, poly, n = space
     gf = get_field(m, poly)
     census = Counter()
@@ -725,7 +726,7 @@ def _agreement_census(space):
             Ainv = inverse(gf, A)
         except Singular:
             Ainv = None
-        assert inverse_row(gf, row) == (None if Ainv is None else tuple(Ainv[0]))
+        assert is_singular_row(gf, row) is (Ainv is None), (space, row)
         support = [j for j, v in enumerate(row) if v]
         connected = bool(support) and gcd(n, *(j - support[0] for j in support)) == 1
         for relation in ("involutory", "orthogonal"):
@@ -941,20 +942,55 @@ def test_a_disconnected_row_is_decided_on_its_block(m, poly, n, lead_one, rows, 
 
 
 @pytest.mark.parametrize("gf, n, scalar, other", [
-    (GF16, 3, 13, 24), (GF16, 5, 213, 848), (GF8, 5, 61, 0), (GF32, 3, 31, 0)])
+    (GF16, 3, 13, 24), (GF16, 5, 213, 848), (GF8, 5, 61, 0), (GF32, 3, 31, 0),
+    (GF8, 9, 189, 0), (GF4, 15, 225, 0), (GF16, 9, 675, 1080)])
 def test_odd_order_traces_vanish_exactly_off_scalar_orthogonal(gf, n, scalar, other):
     # at odd n a semi-orthogonal pair has trace c*g*(sum of mu^-u over u < n/g)
     # for runs of g entries: c when mu == 1, that is when A*A^T is scalar,
-    # and 0 otherwise, for d1 and d2 alike
+    # and 0 otherwise, for d1 and d2 alike.  At a prime n every a_0 = 1 row
+    # is checked; at a composite n, where that space is out of reach, every
+    # disconnected row, whose block has order n/g
+    if all(n % p for p in range(2, n)):
+        rows = [(1,) + tail for tail in product(range(gf.order), repeat=n - 1)]
+    else:
+        rows = disconnected_rows(gf, n)
+        assert len(rows) == {(8, 9): 1533, (4, 15): 3339, (16, 9): 12285}[gf.order, n]
     census = Counter()
-    for tail in product(range(gf.order), repeat=n - 1):
-        p = Properties(gf, (1,) + tail)
+    for row in rows:
+        p = Properties(gf, row)
         so = p.semi("orthogonal")
         if so.found:
             scalar_gram = p.gram_root() != 0
-            assert (so.trace_d1 != 0) == (so.trace_d2 != 0) == scalar_gram, tail
+            assert (so.trace_d1 != 0) == (so.trace_d2 != 0) == scalar_gram, row
             census[scalar_gram] += 1
     assert (census[True], census[False]) == (scalar, other)
+
+
+@pytest.mark.parametrize("gf, n, pairs, nontrivial", [
+    (GF4, 6, 120, 72), (GF4, 8, 512, 0), (GF8, 6, 576, 0)])
+def test_even_order_traces_vanish(gf, n, pairs, nontrivial):
+    # at even n a semi-orthogonal pair has trace c*g*(sum of mu^-u over
+    # u < n/g) with g or n/g even: 0 for d1 and d2 alike, at mu == 1 and
+    # mu != 1, on connected and disconnected supports; checked on the rows
+    # whose first nonzero entry is 1, which carry every other row by c
+    q = gf.order
+    census = Counter()
+    for row in class_rows(q, n, 0, (q ** n - 1) // (q - 1)):
+        so = Properties(gf, row).semi("orthogonal")
+        if so.found:
+            assert so.trace_d1 == so.trace_d2 == 0, row
+            census["pairs"] += 1
+            census["nontrivial"] += set(so.pair.d1) != {1}
+    assert (census["pairs"], census["nontrivial"]) == (pairs, nontrivial)
+
+
+def test_semi_involutory_rows_have_a_closed_count():
+    for (m, poly), top in (((1, 0x3), 10), ((2, 0x7), 6), ((3, 0xB), 4)):
+        gf = get_field(m, poly)
+        for n in range(1, top + 1):
+            found = sum(Properties(gf, row).semi("involutory").found
+                        for row in product(range(gf.order), repeat=n))
+            assert found == semi_involutory_count(gf.order, n), (m, n)
 
 
 def test_circulant_semi_pair_rejects_unknown_relation():

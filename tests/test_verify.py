@@ -1,6 +1,7 @@
 """Scan engine: configuration, determinism, suites, oracle, golden instances, package surface."""
 
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 import circmds
 from circmds import props, verify
 from circmds.field import get_field
-from circmds.circulant import build, inverse_row, scalar_square_root
+from circmds.circulant import build, is_singular_row, scalar_square_root
 from circmds.matgf import Singular, diag_trace, sandwich
 from circmds.props import (
     Properties,
@@ -49,6 +50,7 @@ from reference import (
     next_below,
     oracle_semi_search,
     row_by_row,
+    semi_involutory_count,
 )
 
 GF4 = get_field(2, 0x7)
@@ -204,13 +206,13 @@ def test_out_of_range_counts_rejected(changes):
 
 
 def test_one_euclidean_inverse_per_row(monkeypatch):
-    # the semi pairs never ask for the ring inverse, on a connected support,
-    # with or without a zero entry, or a disconnected one (split_row, whose
-    # block is (1, 2) at g = 2); classify asks it once for the singularity
-    # flag of a row that is not MDS, and never for an MDS row
+    # the semi pairs never ask the gcd test, on a connected support, with or
+    # without a zero entry, or a disconnected one (split_row, whose block is
+    # (1, 2) at g = 2); classify asks it once for the singularity flag of a
+    # row that is not MDS, and never for an MDS row
     zero_row, split_row, full_row = (1, 0, 2, 4), (1, 0, 2, 0), (1, 2, 3, 5)
     rows = (zero_row, split_row, full_row)
-    assert all(inverse_row(GF8, row) is not None for row in rows)
+    assert not any(is_singular_row(GF8, row) for row in rows)
     want = {row: (circulant_semi_pair(Properties(GF8, row), "orthogonal"),
                   circulant_semi_pair(Properties(GF8, row), "involutory")) for row in rows}
     assert all(pair is not None for pair in want[split_row])
@@ -218,9 +220,9 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
 
     def counting(gf, row):
         calls.append(tuple(row))
-        return inverse_row(gf, row)
+        return is_singular_row(gf, row)
 
-    monkeypatch.setattr(props, "inverse_row", counting)
+    monkeypatch.setattr(props, "is_singular_row", counting)
     for row in rows:
         p = Properties(GF8, row)
         assert (p.semi("orthogonal").pair, p.semi("involutory").pair) == want[row]
@@ -239,9 +241,8 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # the scan goes by orbits: INV-NONE's selector and SI-GEN share one fold
     # per evaluated representative, and the one selected member, c = 1, is
     # the representative and shares its fold; no mu is tried for the
-    # involutory relation, and no row, on any support, asks for the
-    # Euclidean inverse
-    calls = {"fold": 0, "geometric": 0, "inverse": []}
+    # involutory relation, and no row, on any support, asks the gcd test
+    calls = {"fold": 0, "geometric": 0, "singular": []}
 
     def fold(row):
         calls["fold"] += 1
@@ -251,14 +252,14 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
         calls["geometric"] += 1
         return real_geometric(*args)
 
-    def euclid(gf, row):
-        calls["inverse"].append(tuple(row))
-        return inverse_row(gf, row)
+    def gcd_test(gf, row):
+        calls["singular"].append(tuple(row))
+        return is_singular_row(gf, row)
 
     real_geometric = props._geometric_pair
     monkeypatch.setattr(props, "scalar_square_root", fold)
     monkeypatch.setattr(props, "_geometric_pair", geometric)
-    monkeypatch.setattr(props, "inverse_row", euclid)
+    monkeypatch.setattr(props, "is_singular_row", gcd_test)
     report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
     assert report.ok() and report.examined == 8 ** 5
     classes = class_count(8, 5)
@@ -273,20 +274,20 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # the representatives x^s with s != 0 (4 shifts paired by tau) have a
     # disconnected support and no scalar square, and ask nothing more
     assert (0, 1, 0, 0, 0) in kept and (0, 0, 1, 0, 0) in kept
-    assert calls["inverse"] == []
+    assert calls["singular"] == []
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
     # a scan decides every row from its first row: `is_mds` tests the row
     # without its dense matrix, and a disconnected support is decided on its
     # order-n/g block, so no matrix is built, the generic solver never runs
-    # and no row asks for the ring inverse, which only classify's
-    # singularity flag reads
-    counts = dict.fromkeys(("is_mds", "build", "diagonal_scaling_solve", "inverse_row",
+    # and no row asks the gcd test, which only classify's singularity flag
+    # reads
+    counts = dict.fromkeys(("is_mds", "build", "diagonal_scaling_solve", "is_singular_row",
                             "inverse"), 0)
     for module, name in ((props, "is_mds"), (props, "build"), (verify, "build"),
                          (props, "diagonal_scaling_solve"), (verify, "diagonal_scaling_solve"),
-                         (props, "inverse_row"), (props, "inverse"), (verify, "inverse")):
+                         (props, "is_singular_row"), (props, "inverse"), (verify, "inverse")):
         def counting(*args, _name=name, _fn=getattr(module, name)):
             counts[_name] += 1
             return _fn(*args)
@@ -299,7 +300,7 @@ def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
             report.suites["SI-POW2"].hypothesis_count) == (896, 448)
     assert counts["is_mds"] > 0
     assert counts == {"is_mds": counts["is_mds"], "build": 0, "diagonal_scaling_solve": 0,
-                      "inverse_row": 0, "inverse": 0}
+                      "is_singular_row": 0, "inverse": 0}
 
 
 def test_so_pow2_gf4_order4_exhaustive():
@@ -955,6 +956,22 @@ def test_star_import_resolves_every_public_name():
         assert namespace[name] is getattr(circmds, name)
 
 
+def test_every_traced_attribute_resolves(monkeypatch):
+    # the benchmark's tracer wraps these attributes of verify and props by
+    # name, so removing one breaks `perfbench/run.py --trace 1`; the table
+    # is read from the tracer itself
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    modules = {"verify": verify, "props": props}
+    assert set(tracing.TRACED_ATTRIBUTES) == set(modules)
+    for caller, attrs in tracing.TRACED_ATTRIBUTES.items():
+        for attr in attrs:
+            assert callable(getattr(modules[caller], attr, None)), (caller, attr)
+
+
 # -- bundled plan -----------------------------------------------------------------------------
 
 
@@ -967,6 +984,18 @@ def test_verification_plan_configs_validate():
     small_keys = {(c.field.poly, c.order, c.suites) for c in small}
     full_keys = {(c.field.poly, c.order, c.suites) for c in full}
     assert small_keys <= full_keys
+
+
+def test_small_plan_si_pow2_hypotheses_fit_the_closed_count():
+    # SI-POW2's hypothesis is the semi-involutory relation alone, so its
+    # count is every semi-involutory row of the space
+    counts = []
+    for cfg in verification_plan("small"):
+        if "SI-POW2" in cfg.suites:
+            hypotheses = run_suite(cfg).suites["SI-POW2"].hypothesis_count
+            assert hypotheses == semi_involutory_count(cfg.field.order, cfg.order), cfg
+            counts.append(hypotheses)
+    assert sorted(counts) == [12, 48, 56, 448]
 
 
 def test_verification_plan_rejects_unknown_scale():
