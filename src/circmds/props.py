@@ -86,14 +86,27 @@ inverse: the relations above need only whether A is nonsingular, and
 `is_singular_row` decides that by one gcd at the odd part n' of
 n = 2^e * n', as x^n - 1 == (x^(n') - 1)^(2^e) (the `circulant` module
 docstring); only the `singular` field of `classify` asks for it.
+
+`is_mds` computes a first row's minors once per orbit of a group.  As
+A[i+s][j+s] == A[i][j] (indices mod n), the translation
+t_s: (R, C) -> (R+s, C+s) permutes a minor's rows and columns, and as
+A[-c][-r] == a_(c-r) == A[r][c], the reflection rho: (R, C) -> (-C, -R)
+transposes it and permutes it; neither changes the determinant (every
+sign is 1).  rho^2 == 1 and rho*t_s*rho == t_-s, so they generate a
+dihedral group of order 2n.  The least member of an orbit in (size,
+rows, cols) order has a necklace row set, the least of its n translates,
+or a translate of it would be smaller.  The first singular minor is the
+least of its orbit, as every member is singular, so computing each
+orbit's least member alone keeps the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, count, repeat
 from math import comb, gcd
+from operator import itemgetter
 from typing import Optional
 
 from .circulant import (
@@ -217,6 +230,79 @@ def _plan(n: int, size: int, circulant: bool) -> tuple:
     )
 
 
+@cache
+def _orbits(n: int, size: int) -> tuple:
+    """(steps, slots) of a circulant's MDS test at `size` >= 2.
+
+    steps holds, for each (R, ends) of `_plan`, R, the getter that reads
+    R's minors from the list computed at `size - 1`, and each r in ends
+    with the `_expansion` entries of the column sets C for which
+    (R + (r,), C) is the least of its orbit.  The minors computed at one
+    size form one list in that order, and slots holds, for each kept row
+    set T in plan order, the getter that reads the minor of each (T, C)
+    from it, by the rank of C.
+
+    The orbit of (T, C) meets the necklaces in T and in U, the least
+    translate s - C of -C.  If U < T it was met first, at (U, s - T).  If
+    not, its members on T are (T, C + d) for the d with T + d == T, and
+    when U == T also (T, s + d - T); (T, C) is computed when C is least.
+    """
+    table = _expansion(n, size)
+    plan = _plan(n, size, True)
+    rank = {cols: j for j, (cols, _) in enumerate(table)}
+
+    def ranked(xs) -> int:
+        return rank[tuple(sorted(x % n for x in xs))]
+
+    visited = [rows + (r,) for rows, ends in plan for r in ends]
+    index = {rows: t for t, rows in enumerate(visited)}
+    # for each column set C: the index of U and one s with s - C == U
+    reflected = []
+    for cols, _ in table:
+        u, s = min((tuple(sorted((s - c) % n for c in cols)), s) for s in cols)
+        reflected.append((index[u], s))
+    slots, computed = [], []
+    made = 0
+    for t, rows in enumerate(visited):
+        neg = [ranked(s - x for x in rows) for s in range(n)]  # rank of s - T
+        fixed = [d for d in range(1, n) if tuple(sorted((x + d) % n for x in rows)) == rows]
+        mine, entries = [], []
+        for j, (u, s) in enumerate(reflected):
+            if u < t:
+                mine.append(slots[u][neg[s]])
+                continue
+            least = j
+            if fixed or u == t:  # other members on T
+                others = [ranked(c + d for c in table[j][0]) for d in fixed]
+                if u == t:
+                    others += [neg[(s + d) % n] for d in [0] + fixed]
+                least = min(others + [j])
+            if least < j:
+                mine.append(mine[least])
+            else:
+                mine.append(made)
+                made += 1
+                entries.append(table[j])
+        slots.append(mine)
+        computed.append(tuple(entries))
+    below = _orbits(n, size - 1)[1] if size > 2 else (itemgetter(slice(0, n)),)
+    it = iter(computed)
+    steps = tuple((rows, get, tuple((r, next(it)) for r in ends))
+                  for (rows, ends), get in zip(plan, below))
+    # every necklace below size n is kept, and the one row set of size n is not
+    return steps, tuple(itemgetter(*mine) for mine in slots) if size < n else ()
+
+
+def _all_pairs(n: int, size: int):
+    """The steps of `_orbits` for a matrix, which computes every pair: the
+    kept row sets of `size - 1` are read as consecutive slices of the list
+    computed there, and each r takes the whole `_expansion` table."""
+    table = _expansion(n, size)
+    width = comb(n, size - 1)
+    for i, (rows, ends) in zip(count(0, width), _plan(n, size, False)):
+        yield rows, itemgetter(slice(i, i + width)), zip(ends, repeat(table))
+
+
 def is_mds(gf: GF2m, A) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
@@ -224,7 +310,7 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     matrix.  A row is tested on its necklaces without building its matrix:
     the logs of the row are taken once, and row r of the recurrence is
     their rotation by r.  A matrix is tested on every row set, circulant
-    or not; by the necklace argument below, a circulant's verdict and
+    or not; by the orbit argument below, a circulant's verdict and
     witness are the same either way.
 
     The witness is the first singular minor in (size, rows, cols) order,
@@ -236,21 +322,21 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     det(T, C) = sum over c in C of A[r][c] * det(T - r, C - c), with every
     sign 1 in characteristic 2.  Size k is reached only when every smaller
     minor is nonzero, so those are kept as discrete logs, and each term is
-    one `exp_table` lookup at the sum of two logs.  Each kept row set has
-    one list of minor logs, indexed by column-set rank; a row set is kept
-    only when a larger one can extend it (its last row is below n-1).
-    `_plan` gives the row sets of each size in lexicographic order, and
-    each is tried on every column set in lexicographic order, so the first
-    zero met is the first singular minor among the row sets visited.  A
-    matrix has every row set visited.
+    one `exp_table` lookup at the sum of two logs.  The minors computed at
+    one size form one list, and each kept row set reads its own from it by
+    column-set rank: a slice for a matrix, a slot map for a first row.  A
+    row set is kept only when a larger one can extend it (its last row is
+    below n-1).  `_plan` gives the row sets of each size in lexicographic
+    order, and each is tried on its column sets in lexicographic order, so
+    the first zero met is the first singular minor among the pairs
+    computed.  A matrix has every pair computed.
 
     A first row has only its necklaces visited: the row sets that are the
-    least of their n translates R - t (mod n).  As A[i+s][j+s] == A[i][j]
-    (indices mod n), minor(R+s, C+s) is minor(R, C) with its rows and
-    columns permuted, so it has the same determinant.  If the first
-    singular minor (R, C) had a translate R - t before R, the singular
-    minor (R - t, C - t) would come before it; so R is a necklace, and the
-    witness is the one of the definition.
+    least of their n translates R - t (mod n).  On them `_orbits` computes
+    the least pair of each orbit of the dihedral group of the module
+    docstring and reads every other pair from its orbit's; by the lemma
+    there the first singular minor is computed, and the witness is the one
+    of the definition.
 
     Removing the last row of a necklace T leaves a necklace, so the
     recurrence needs no other row set.  Write a row set by its gaps: the
@@ -264,11 +350,13 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     g_k + g_(k+1) > g_k, and g_k is at least the gap it is compared with,
     again as T is a necklace.  A necklace below size n also avoids row
     n-1 (a last gap of 1 would force every gap to 1), so every one is
-    kept.  An order-8 circulant that passes is tested on 1,725 minors,
-    where the row sets through row 0 would give 6,435.
+    kept.  An order-8 circulant that passes is tested on 937 minors, the
+    8 entries of row 0 and 929 orbits; its necklaces hold 1,725 pairs, and
+    the row sets through row 0 would give 6,435.
 
-    One size keeps C(n-1, k)*C(n, k) minors of a matrix and
-    necklaces(n, k)*C(n, k) of a first row (`_kept_count`).
+    One size keeps C(n-1, k)*C(n, k) minors of a matrix, and a slot for
+    each of the necklaces(n, k)*C(n, k) pairs of a first row, about twice
+    the minors it computes (`_kept_count`).
     MinorLayerTooLarge is raised before that exceeds MAX_LAYER_MINORS,
     which can happen from order 15 (17 for a first row), and only when
     every smaller minor is nonzero.
@@ -281,15 +369,16 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
             return MdsVerdict(False, ((0,), (A.index(0),)))
         first = [log[v] for v in A]
         logs = [first[n - r:] + first[:n - r] for r in range(n)]
+        vals = first
     else:
         n = require_square(A)
         for i, row in enumerate(A):
             if 0 in row:
                 return MdsVerdict(False, ((i,), (row.index(0),)))
         logs = [[log[v] for v in row] for row in A]
-    # logs of the minors of each kept row set, by column-set rank, in the
-    # order of `_plan`
-    layer = [logs[0]] if circulant else logs[:n - 1]
+        vals = [v for row in logs[:n - 1] for v in row]
+    # vals: the minors computed at the size below, from the entries of row 0
+    # of a circulant or of every row but the last of a matrix
     for size in range(2, n + 1):
         # bound first: the tables of a refused size can be large (450 MiB at
         # n = 200, size 3), and the cache would keep them
@@ -298,22 +387,20 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
             raise MinorLayerTooLarge(
                 f"the MDS test of an order-{n} matrix would keep {kept} minors of "
                 f"size {size}, above the limit of {MAX_LAYER_MINORS}")
-        table = _expansion(n, size)
         grown = []
-        for (rows, ends), prev in zip(_plan(n, size, circulant), layer):
-            for r in ends:
+        for rows, get, ends in _orbits(n, size)[0] if circulant else _all_pairs(n, size):
+            prev = get(vals)
+            for r, entries in ends:
                 last = logs[r]
-                minors = []
-                for cols, terms in table:
+                minors = grown if r < n - 1 else []  # no row set through n-1 is kept
+                for cols, terms in entries:
                     d = 0
                     for c, s in terms:
                         d ^= exp[last[c] + prev[s]]
                     if not d:
                         return MdsVerdict(False, (rows + (r,), cols))
                     minors.append(log[d])
-                if r < n - 1:
-                    grown.append(minors)
-        layer = grown
+        vals = grown
     return MdsVerdict(True, None)
 
 

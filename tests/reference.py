@@ -6,7 +6,7 @@ obvious form of something the package decides faster.
 
 import dataclasses
 from itertools import product
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from circmds.circulant import autocorrelation_roots
@@ -133,6 +133,32 @@ def semi_involutory_count(q: int, n: int) -> int:
     a_i == a_(i+h) for 0 < i < h, q^(h-1) choices, and a_0 != a_h, q*(q-1).
     """
     return q ** (n // 2) * (q - 1) if n % 2 == 0 else q - 1
+
+
+def minor_orbit(n: int, rows: tuple, cols: tuple) -> set:
+    """The orbit of the pair (rows, cols) of index sets mod n under the
+    translations (R + s, C + s) and the reflection (R, C) -> (-C, -R), as
+    pairs of increasing tuples."""
+    def image(xs, s, sign):
+        return tuple(sorted([(s + sign * x) % n for x in xs]))
+    return {pair for s in range(n)
+            for pair in ((image(rows, s, 1), image(cols, s, 1)),
+                         (image(cols, s, -1), image(rows, s, -1)))}
+
+
+def minor_orbit_count(n: int, k: int) -> int:
+    """How many orbits `minor_orbit` splits the C(n, k)^2 pairs of size-k
+    row and column sets into, by Burnside's lemma over the 2n maps:
+    (sum over d | gcd(n, k) of phi(d) * C(n/d, k/d)^2 + n * C(n, k)) / 2n.
+
+    The phi(d) translations of order d fix the pairs of unions of their
+    n/d cycles, C(n/d, k/d)^2 when d | k; each reflection
+    (R, C) -> (s - C, s - R) fixes the C(n, k) pairs with C == s - R.
+    """
+    g = gcd(n, k)
+    fixed = sum(sum(gcd(d, j) == 1 for j in range(1, d + 1)) * comb(n // d, k // d) ** 2
+                for d in range(1, g + 1) if g % d == 0)
+    return (fixed + n * comb(n, k)) // (2 * n)
 
 
 def next_below(rng, bound: int) -> int:

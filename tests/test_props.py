@@ -48,6 +48,8 @@ from reference import (
     component_first_rows,
     dense_semi_pair,
     disconnected_rows,
+    minor_orbit,
+    minor_orbit_count,
     oracle_semi_search,
     per_root_geometric_pair,
     scalar_gram_root,
@@ -147,6 +149,22 @@ def _mds_outcome(verdict):
     return {1: "1x1", 2: "2x2"}.get(len(verdict.witness[0]), "kxk")
 
 
+def _witness_symmetries(n, witness):
+    """What fixes a circulant's witness (R, C) of size 2 to n - 1, among the
+    maps `is_mds` folds a row's minors by: "periodic" when R + t == R for
+    some t != 0, "self-reflected" when C == s - R for some s, so that the
+    reflection (R, C) -> (s - C, s - R) fixes the pair."""
+    rows, cols = witness
+    if not 1 < len(rows) < n:
+        return []
+    found = []
+    if any(sorted((x + t) % n for x in rows) == list(rows) for t in range(1, n)):
+        found.append("periodic")
+    if any(sorted((s - x) % n for x in rows) == list(cols) for s in range(n)):
+        found.append("self-reflected")
+    return found
+
+
 def cauchy_matrix(gf, xs, ys):
     """1/(x_i + y_j): MDS whenever the xs and ys are 2n distinct elements."""
     return [[gf.inv(x ^ y) for y in ys] for x in xs]
@@ -199,6 +217,7 @@ def test_is_mds_matches_definition_and_witness():
         for _ in range(6):
             cases.append((F11D, tuple(rng.randrange(1, F11D.order) for _ in range(n))))
     census = Counter()
+    symmetries = Counter()
     witness_sizes = set()
     for gf, A in cases:
         verdict = is_mds(gf, A)
@@ -207,11 +226,15 @@ def test_is_mds_matches_definition_and_witness():
         census[row, _mds_outcome(verdict)] += 1
         if verdict.witness is not None:
             witness_sizes.add(len(verdict.witness[0]))
+            if row:
+                symmetries.update(_witness_symmetries(len(A), verdict.witness))
     for outcome in ("1x1", "2x2", "kxk", "pass"):
         assert census[True, outcome] > 0, outcome
     for outcome in ("2x2", "kxk", "pass"):
         assert census[False, outcome] > 0, outcome
     assert {4, 5, 6, 8} <= witness_sizes
+    # rows whose first singular minor a translation or a reflection fixes
+    assert symmetries["periodic"] > 0 and symmetries["self-reflected"] > 0
 
 
 def test_is_mds_finds_witnesses_on_periodic_row_sets():
@@ -238,13 +261,17 @@ def test_the_row_mds_test_agrees_with_the_general_one():
             cases.append((F11D, tuple(rng.randrange(F11D.order) if rng.random() < 0.9 else 0
                                       for _ in range(n))))
     census = Counter()
+    symmetries = Counter()
     for gf, row in cases:
         verdict = Properties(gf, row).mds()
         A = build(row)
         assert verdict == is_mds(gf, A) == reference_is_mds(gf, A), (gf.m, row)
         census[gf is F11D, _mds_outcome(verdict)] += 1
+        if verdict.witness is not None:
+            symmetries.update(_witness_symmetries(len(row), verdict.witness))
     for outcome in ("1x1", "2x2", "kxk", "pass"):
         assert census[True, outcome] > 0 and census[False, outcome] > 0, outcome
+    assert symmetries["periodic"] > 0 and symmetries["self-reflected"] > 0
 
 
 def visited_row_sets(n, size, circulant):
@@ -280,22 +307,51 @@ def test_a_general_plan_holds_every_row_set():
             assert kept == props._kept_count(n, k, False) == comb(n - 1, k)
 
 
+def test_a_circulant_mds_test_computes_the_least_pair_of_each_orbit():
+    # the pairs (T, C) computed at a size are the least of their orbits
+    # under the translations and the reflection (R, C) -> (-C, -R), in the
+    # order of the test; each orbit's least pair lies on a visited necklace,
+    # and there are Burnside's count of them; each kept row set reads each
+    # column set's minor from a computed pair of its own orbit
+    for n in range(2, 11):
+        for k in range(2, n + 1):
+            steps, slots = props._orbits(n, k)
+            computed = [(rows + (r,), cols) for rows, _, ends in steps
+                        for r, entries in ends for cols, _ in entries]
+            visited = visited_row_sets(n, k, True)
+            orbits = {}  # each pair on a visited row set -> its orbit
+            for rows in visited:
+                for cols in combinations(range(n), k):
+                    if (rows, cols) not in orbits:
+                        orbit = frozenset(minor_orbit(n, rows, cols))
+                        orbits.update(dict.fromkeys(orbit, orbit))
+            assert computed == sorted({min(orbit) for orbit in orbits.values()})
+            assert len(computed) == minor_orbit_count(n, k)
+            kept = [rows for rows in visited if rows[-1] < n - 1]
+            assert len(slots) == len(kept)
+            for rows, get in zip(kept, slots):
+                for cols, pair in zip(combinations(range(n), k), get(computed), strict=True):
+                    assert pair in orbits[rows, cols]
+    assert [minor_orbit_count(8, k) for k in range(2, 9)] == [64, 224, 344, 224, 64, 8, 1]
+
+
 def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit(monkeypatch):
-    # an order-8 MDS circulant is tested on sum over k of necklaces(8, k) *
-    # C(8, k) = 1,725 minors, the 8 entries of row 0 among them; the row
-    # sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
-    minors = [comb(8, 1)]
-    real = props._plan
+    # an order-8 MDS circulant is tested on 8 + 929 = 937 minors, the 8
+    # entries of row 0 and one minor per orbit of each larger size under the
+    # translations and the reflection (R, C) -> (-C, -R); its necklace row
+    # sets hold sum over k of necklaces(8, k) * C(8, k) = 1,725 minors, and
+    # the row sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
+    minors = {1: comb(8, 1)}
+    real = props._orbits
 
-    def plan(n, size, circulant):
-        assert circulant
-        steps = real(n, size, circulant)
-        minors.append(sum(len(ends) for _, ends in steps) * comb(n, size))
-        return steps
+    def orbits(n, size):
+        steps, slots = real(n, size)
+        minors[size] = sum(len(entries) for _, _, ends in steps for _, entries in ends)
+        return steps, slots
 
-    monkeypatch.setattr(props, "_plan", plan)
+    monkeypatch.setattr(props, "_orbits", orbits)
     assert is_mds(F11D, WHIRLPOOL_ROW)
-    assert len(minors) == 8 and sum(minors) == 1725
+    assert len(minors) == 8 and sum(minors.values()) == 937
     assert sum(comb(7, k - 1) * comb(8, k) for k in range(1, 9)) == 6435
 
 
@@ -313,12 +369,14 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
             return real(n, size, *rest)
         monkeypatch.setattr(props, name, wrapper)
 
-    for name in ("_expansion", "_plan"):
+    for name in ("_expansion", "_plan", "_orbits"):
+        getattr(props, name).cache_clear()
         recording(name)
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
     with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
         is_mds(F11D, WHIRLPOOL_ROW)
-    assert sorted(set(asked)) == [("_expansion", 2), ("_expansion", 3), ("_plan", 2), ("_plan", 3)]
+    assert sorted(set(asked)) == [("_expansion", 2), ("_expansion", 3), ("_orbits", 2), ("_orbits", 3),
+                                  ("_plan", 2), ("_plan", 3)]
     kept = [rows for rows in visited_row_sets(8, 4, True) if rows[-1] < 7]
     assert len(kept) * comb(8, 4) == 700
 

@@ -132,6 +132,12 @@ def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
             rng = SplitMix64(99)
             assert rows == [index_to_row(next_below(rng, q ** n), q, n) for _ in range(40)]
         else:
+            # a draw is ceil(log2(q^n) / 64) words, low word first, and
+            # index_to_row keeps its low log2(q^n) bits
+            words = -(-n * (q.bit_length() - 1) // 64)
+            rng = SplitMix64(99)
+            assert rows == [index_to_row(sum(rng.next_u64() << 64 * w for w in range(words)), q, n)
+                            for _ in range(40)]
             assert any(row[-1] for row in rows)
         assert list(random_rows(99, q, n, 13, 40)) == rows[13:]
 
