@@ -77,11 +77,11 @@ MDS or not, has trace(d1) == trace(d2) == 0, on a connected support
 exactly when mu == 1.
 
 A first row is decided in R = GF(q)[x]/(x^n - 1) without its n x n
-matrix.  `is_mds` takes the row, logs its entries once and rotates them
-into the rows of the minor recurrence.  The orthogonal test reads mu = 1
-from the block's fold of the semi-orthogonal search: A*A^T is
-(b(y)*b(y^-1))(x^g), and at mu = 1 the fold sums the coefficients of b's
-d = 1 fold, so a row is folded at most once.  No first row forms an
+matrix.  `is_mds` takes the row and logs its entries once, as the minors
+of size 1, and builds every larger minor from smaller ones.  The
+orthogonal test reads mu = 1 from the block's fold of the semi-orthogonal
+search: A*A^T is (b(y)*b(y^-1))(x^g), and at mu = 1 the fold sums the
+coefficients of b's d = 1 fold, so a row is folded at most once.  No first row forms an
 inverse: the relations above need only whether A is nonsingular, and
 `is_singular_row` decides that by one gcd at the odd part n' of
 n = 2^e * n', as x^n - 1 == (x^(n') - 1)^(2^e) (the `circulant` module
@@ -98,15 +98,29 @@ rows, cols) order has a necklace row set, the least of its n translates,
 or a translate of it would be smaller.  The first singular minor is the
 least of its orbit, as every member is singular, so computing each
 orbit's least member alone keeps the witness.
+
+Each computed minor of a first row is found by condensation.  For a
+k x k matrix M, k >= 2, the Desnanot-Jacobi identity reads, with every
+sign 1 in characteristic 2,
+det(M) * det(M_in) == det(M_11) * det(M_kk) + det(M_1k) * det(M_k1),
+where M_ij lacks row i and column j, and M_in lacks rows and columns 1
+and k (at k == 2 it is empty, with det 1).  The test reaches size k only
+when every minor of a smaller size is nonzero, and M_in is one of them.
+So det(M) is zero exactly when the two-product right side is, and its log
+is that side's log minus the log of det(M_in), mod q - 1.  For
+M = A[T, C], M_kk and M_k1 lie on T - t_k, a necklace, but M_11 and M_1k
+lie on T - t_1 and M_in on T - {t_1, t_k}, which are seldom necklaces.
+A minor on a row set R equals the one on its necklace R - t, at
+(R - t, C - t), and only the least pair of each orbit was computed, so
+all five are read through the slot of their orbit (`_condensation`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import combinations, count, repeat
+from functools import cache, lru_cache
+from itertools import combinations, count
 from math import comb, gcd
-from operator import itemgetter
 from typing import Optional
 
 from .circulant import (
@@ -189,10 +203,11 @@ def _expansion(n: int, size: int) -> tuple:
     )
 
 
-def _is_necklace(rows: tuple, n: int) -> bool:
-    """Whether `rows` is the least of its n translates rows - t (mod n), as
-    sorted tuples; that translate contains 0, so t ranges over `rows`."""
-    return min(tuple(sorted((x - t) % n for x in rows)) for t in rows) == rows
+def _necklace(rows: tuple, n: int) -> tuple:
+    """(N, t): the least N == rows - t (mod n) of the n translates of the
+    nonempty `rows`, as sorted tuples, and one t giving it; N contains 0,
+    so t ranges over `rows`."""
+    return min((tuple(sorted((x - t) % n for x in rows)), t) for t in rows)
 
 
 @cache
@@ -225,40 +240,49 @@ def _plan(n: int, size: int, circulant: bool) -> tuple:
                 for r in ends if r < n - 1]
     return tuple(
         (rows, tuple(r for r in range(rows[-1] + 1, n)
-                     if not circulant or _is_necklace(rows + (r,), n)))
+                     if not circulant or _necklace(rows + (r,), n)[0] == rows + (r,)))
         for rows in kept
     )
 
 
-@cache
-def _orbits(n: int, size: int) -> tuple:
-    """(steps, slots) of a circulant's MDS test at `size` >= 2.
+def _visited(n: int, size: int) -> list:
+    """The row sets a circulant's MDS test visits at `size` >= 1, in order."""
+    if size == 1:
+        return [(0,)]
+    return [rows + (r,) for rows, ends in _plan(n, size, True) for r in ends]
 
-    steps holds, for each (R, ends) of `_plan`, R, the getter that reads
-    R's minors from the list computed at `size - 1`, and each r in ends
-    with the `_expansion` entries of the column sets C for which
-    (R + (r,), C) is the least of its orbit.  The minors computed at one
-    size form one list in that order, and slots holds, for each kept row
-    set T in plan order, the getter that reads the minor of each (T, C)
-    from it, by the rank of C.
+
+@lru_cache(maxsize=3)
+def _orbits(n: int, size: int) -> tuple:
+    """(computed, slots) of a circulant's MDS test at `size` >= 1.
+
+    computed holds, for each row set T of `_visited`, the column sets C in
+    lexicographic order for which (T, C) is the least of its orbit.  The
+    minors computed at one size form one list in that order, and slots
+    holds, for each kept row set T in the same order, the position in it
+    of the minor of each (T, C), by the rank of C.  At size 1 that is row
+    0's entries, a_c at position c.
 
     The orbit of (T, C) meets the necklaces in T and in U, the least
     translate s - C of -C.  If U < T it was met first, at (U, s - T).  If
     not, its members on T are (T, C + d) for the d with T + d == T, and
     when U == T also (T, s + d - T); (T, C) is computed when C is least.
+
+    Only the plans of the next two sizes read the slots (`_condensation`),
+    so the last three sizes asked for are kept: building the sizes in turn
+    runs this once for each.
     """
-    table = _expansion(n, size)
-    plan = _plan(n, size, True)
-    rank = {cols: j for j, (cols, _) in enumerate(table)}
+    table = list(combinations(range(n), size))
+    rank = {cols: j for j, cols in enumerate(table)}
 
     def ranked(xs) -> int:
         return rank[tuple(sorted(x % n for x in xs))]
 
-    visited = [rows + (r,) for rows, ends in plan for r in ends]
+    visited = _visited(n, size)
     index = {rows: t for t, rows in enumerate(visited)}
     # for each column set C: the index of U and one s with s - C == U
     reflected = []
-    for cols, _ in table:
+    for cols in table:
         u, s = min((tuple(sorted((s - c) % n for c in cols)), s) for s in cols)
         reflected.append((index[u], s))
     slots, computed = [], []
@@ -266,14 +290,14 @@ def _orbits(n: int, size: int) -> tuple:
     for t, rows in enumerate(visited):
         neg = [ranked(s - x for x in rows) for s in range(n)]  # rank of s - T
         fixed = [d for d in range(1, n) if tuple(sorted((x + d) % n for x in rows)) == rows]
-        mine, entries = [], []
+        mine, own = [], []
         for j, (u, s) in enumerate(reflected):
             if u < t:
                 mine.append(slots[u][neg[s]])
                 continue
             least = j
             if fixed or u == t:  # other members on T
-                others = [ranked(c + d for c in table[j][0]) for d in fixed]
+                others = [ranked(c + d for c in table[j]) for d in fixed]
                 if u == t:
                     others += [neg[(s + d) % n] for d in [0] + fixed]
                 least = min(others + [j])
@@ -282,67 +306,112 @@ def _orbits(n: int, size: int) -> tuple:
             else:
                 mine.append(made)
                 made += 1
-                entries.append(table[j])
+                own.append(table[j])
         slots.append(mine)
-        computed.append(tuple(entries))
-    below = _orbits(n, size - 1)[1] if size > 2 else (itemgetter(slice(0, n)),)
-    it = iter(computed)
-    steps = tuple((rows, get, tuple((r, next(it)) for r in ends))
-                  for (rows, ends), get in zip(plan, below))
+        computed.append(own)
     # every necklace below size n is kept, and the one row set of size n is not
-    return steps, tuple(itemgetter(*mine) for mine in slots) if size < n else ()
+    return tuple(map(tuple, computed)), tuple(map(tuple, slots)) if size < n else ()
 
 
-def _all_pairs(n: int, size: int):
-    """The steps of `_orbits` for a matrix, which computes every pair: the
-    kept row sets of `size - 1` are read as consecutive slices of the list
-    computed there, and each r takes the whole `_expansion` table."""
-    table = _expansion(n, size)
-    width = comb(n, size - 1)
-    for i, (rows, ends) in zip(count(0, width), _plan(n, size, False)):
-        yield rows, itemgetter(slice(i, i + width)), zip(ends, repeat(table))
+def _reader(n: int, size: int) -> tuple:
+    """(rank, at) for reading a circulant's minors of `size` from the list
+    the MDS test computes at that size: rank maps a column set to its rank,
+    and at(R), for any row set R, gives (slot, shift) with the position of
+    (R, C) at slot[shift[rank[C]]].  R is read on its necklace R - t, at
+    the slot of (R - t, C - t).  Size 0 is the empty minor, at 0."""
+    if size == 0:
+        return {(): 0}, lambda rows: ((0,), (0,))
+    table = list(combinations(range(n), size))
+    rank = {cols: j for j, cols in enumerate(table)}
+    down = [rank[tuple(sorted((c - 1) % n for c in cols))] for cols in table]
+    moved = [range(len(table))]  # moved[t][rank of C] == rank of C - t
+    for _ in range(1, n):
+        moved.append([down[j] for j in moved[-1]])
+    index = {rows: i for i, rows in enumerate(_visited(n, size))}
+    slots = _orbits(n, size)[1]
+
+    def at(rows):
+        neck, t = _necklace(rows, n)
+        return slots[index[neck]], moved[t]
+    return rank, at
+
+
+@cache
+def _condensation(n: int, size: int) -> tuple:
+    """(T, steps) for each row set T that a circulant's MDS test visits at
+    `size` >= 2, in order, where steps lists, for each column set C that
+    `_orbits` computes on T, C and five positions: those of
+    (T - t_1, C - c_1), (T - t_k, C - c_k), (T - t_1, C - c_k) and
+    (T - t_k, C - c_1) in the list computed at size k - 1, and that of
+    (T - {t_1, t_k}, C - {c_1, c_k}) in the list at k - 2."""
+    rank1, at1 = _reader(n, size - 1)
+    rank2, at2 = _reader(n, size - 2)
+    plan = []
+    for rows, computed in zip(_visited(n, size), _orbits(n, size)[0]):
+        (first, by_first), (last, by_last), (inner, by_inner) = (
+            at1(rows[1:]), at1(rows[:-1]), at2(rows[1:-1]))
+        steps = []
+        for cols in computed:
+            head, tail = rank1[cols[1:]], rank1[cols[:-1]]
+            steps += (cols, first[by_first[head]], last[by_last[tail]],
+                      first[by_first[tail]], last[by_last[head]],
+                      inner[by_inner[rank2[cols[1:-1]]]])
+        plan.append((rows, tuple(steps)))
+    return tuple(plan)
+
+
+def _refuse_large_layer(n: int, size: int, circulant: bool) -> None:
+    # bound first: the tables of a refused size can be large (450 MiB at
+    # n = 200, size 3), and the cache would keep them
+    kept = _kept_count(n, size, circulant) * comb(n, size)
+    if kept > MAX_LAYER_MINORS:
+        raise MinorLayerTooLarge(
+            f"the MDS test of an order-{n} matrix would keep {kept} minors of "
+            f"size {size}, above the limit of {MAX_LAYER_MINORS}")
 
 
 def is_mds(gf: GF2m, A) -> MdsVerdict:
     """Check every square submatrix for nonsingularity, smallest first.
 
     A is the first row of a circulant (a sequence of ints) or a square
-    matrix.  A row is tested on its necklaces without building its matrix:
-    the logs of the row are taken once, and row r of the recurrence is
-    their rotation by r.  A matrix is tested on every row set, circulant
-    or not; by the orbit argument below, a circulant's verdict and
-    witness are the same either way.
+    matrix.  A row is tested on its necklaces without building its matrix,
+    from the logs of its entries.  A matrix is tested on every row set,
+    circulant or not; by the orbit argument below, a circulant's verdict
+    and witness are the same either way.
 
     The witness is the first singular minor in (size, rows, cols) order,
     with rows and columns as increasing index tuples in lexicographic
     order; it is None when A is MDS.
 
-    The minors are built size by size from the ones a size smaller, by
-    expansion along the last row r of the row set T:
-    det(T, C) = sum over c in C of A[r][c] * det(T - r, C - c), with every
-    sign 1 in characteristic 2.  Size k is reached only when every smaller
-    minor is nonzero, so those are kept as discrete logs, and each term is
-    one `exp_table` lookup at the sum of two logs.  The minors computed at
-    one size form one list, and each kept row set reads its own from it by
-    column-set rank: a slice for a matrix, a slot map for a first row.  A
-    row set is kept only when a larger one can extend it (its last row is
-    below n-1).  `_plan` gives the row sets of each size in lexicographic
-    order, and each is tried on its column sets in lexicographic order, so
-    the first zero met is the first singular minor among the pairs
-    computed.  A matrix has every pair computed.
+    The minors are built size by size from smaller ones.  Size k is reached
+    only when every smaller minor is nonzero, so those are kept as discrete
+    logs, and each product is one `exp_table` lookup at the sum of two
+    logs.  The minors computed at one size form one list, and the row sets
+    of each size are tried in lexicographic order, each on its column sets
+    in lexicographic order, so the first zero met is the first singular
+    minor among the pairs computed.
+
+    A matrix has every pair computed, by expansion along the last row r of
+    the row set T: det(T, C) = sum over c in C of A[r][c] * det(T - r, C - c),
+    with every sign 1 in characteristic 2.  T - r reads its minors as one
+    slice of the list a size smaller, by column-set rank.  A row set is
+    kept only when a larger one can extend it (its last row is below n-1);
+    `_plan` gives the row sets of each size.
 
     A first row has only its necklaces visited: the row sets that are the
-    least of their n translates R - t (mod n).  On them `_orbits` computes
+    least of their n translates R - t (mod n).  On them `_orbits` picks
     the least pair of each orbit of the dihedral group of the module
-    docstring and reads every other pair from its orbit's; by the lemma
-    there the first singular minor is computed, and the witness is the one
-    of the definition.
+    docstring; by the lemma there the first singular minor is among them,
+    and the witness is the one of the definition.  Each is computed by
+    condensation (the module docstring) from four minors a size smaller
+    and one two sizes smaller, read through their orbits' slots
+    (`_condensation`): two products, one sum and one division per minor.
 
     Removing the last row of a necklace T leaves a necklace, so the
-    recurrence needs no other row set.  Write a row set by its gaps: the
-    steps from each row to the next, and from the last round to n.  Among
-    row sets of one size, lexicographic order is that of the gap
-    sequences, and a necklace is a row set whose gaps no rotation makes
+    necklaces of one size extend those a size smaller.  Write a row set by
+    its gaps: the steps from each row to the next, and from the last round
+    to n.  Among row sets of one size, lexicographic order is that of the
+    gap sequences, and a necklace is a row set whose gaps no rotation makes
     smaller.  T - r has T's gaps with the last two, g_k and g_(k+1),
     merged.  A rotation of those either differs from them before the
     merged gap, where it is larger as the same rotation of T's gaps is,
@@ -351,49 +420,53 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     again as T is a necklace.  A necklace below size n also avoids row
     n-1 (a last gap of 1 would force every gap to 1), so every one is
     kept.  An order-8 circulant that passes is tested on 937 minors, the
-    8 entries of row 0 and 929 orbits; its necklaces hold 1,725 pairs, and
-    the row sets through row 0 would give 6,435.
+    8 entries of row 0 and 929 orbits, with 1,858 products, where expansion
+    took 3,744; its necklaces hold 1,725 pairs, and the row sets through
+    row 0 would give 6,435.
 
-    One size keeps C(n-1, k)*C(n, k) minors of a matrix, and a slot for
-    each of the necklaces(n, k)*C(n, k) pairs of a first row, about twice
-    the minors it computes (`_kept_count`).
+    One size keeps C(n-1, k)*C(n, k) minors of a matrix, and a plan for a
+    first row is built from a slot for each of the necklaces(n, k)*C(n, k)
+    pairs, about twice the minors it computes (`_kept_count`).
     MinorLayerTooLarge is raised before that exceeds MAX_LAYER_MINORS,
     which can happen from order 15 (17 for a first row), and only when
     every smaller minor is nonzero.
     """
     exp, log = gf.exp_table, gf.log_table
-    circulant = bool(A) and isinstance(A[0], int)  # A is a circulant's first row
-    if circulant:
+    if A and isinstance(A[0], int):  # A is a circulant's first row
         n = len(A)
         if 0 in A:  # every row holds the same entries, so row 0 meets a zero first
             return MdsVerdict(False, ((0,), (A.index(0),)))
-        first = [log[v] for v in A]
-        logs = [first[n - r:] + first[:n - r] for r in range(n)]
-        vals = first
-    else:
-        n = require_square(A)
-        for i, row in enumerate(A):
-            if 0 in row:
-                return MdsVerdict(False, ((i,), (row.index(0),)))
-        logs = [[log[v] for v in row] for row in A]
-        vals = [v for row in logs[:n - 1] for v in row]
-    # vals: the minors computed at the size below, from the entries of row 0
-    # of a circulant or of every row but the last of a matrix
+        q1 = gf.order - 1
+        lower, upper = [0], [log[v] for v in A]  # the minors of sizes 0 and 1
+        for size in range(2, n + 1):
+            _refuse_large_layer(n, size, True)
+            grown = []
+            for rows, steps in _condensation(n, size):
+                it = iter(steps)
+                for cols, a, b, c, d, e in zip(it, it, it, it, it, it):
+                    v = exp[upper[a] + upper[b]] ^ exp[upper[c] + upper[d]]
+                    if not v:
+                        return MdsVerdict(False, (rows, cols))
+                    grown.append((log[v] - lower[e]) % q1)
+            lower, upper = upper, grown
+        return MdsVerdict(True, None)
+    n = require_square(A)
+    for i, row in enumerate(A):
+        if 0 in row:
+            return MdsVerdict(False, ((i,), (row.index(0),)))
+    logs = [[log[v] for v in row] for row in A]
+    vals = [v for row in logs[:n - 1] for v in row]  # every row but the last
     for size in range(2, n + 1):
-        # bound first: the tables of a refused size can be large (450 MiB at
-        # n = 200, size 3), and the cache would keep them
-        kept = _kept_count(n, size, circulant) * comb(n, size)
-        if kept > MAX_LAYER_MINORS:
-            raise MinorLayerTooLarge(
-                f"the MDS test of an order-{n} matrix would keep {kept} minors of "
-                f"size {size}, above the limit of {MAX_LAYER_MINORS}")
+        _refuse_large_layer(n, size, False)
+        table = _expansion(n, size)
+        width = comb(n, size - 1)
         grown = []
-        for rows, get, ends in _orbits(n, size)[0] if circulant else _all_pairs(n, size):
-            prev = get(vals)
-            for r, entries in ends:
+        for i, (rows, ends) in zip(count(0, width), _plan(n, size, False)):
+            prev = vals[i:i + width]
+            for r in ends:
                 last = logs[r]
                 minors = grown if r < n - 1 else []  # no row set through n-1 is kept
-                for cols, terms in entries:
+                for cols, terms in table:
                     d = 0
                     for c, s in terms:
                         d ^= exp[last[c] + prev[s]]

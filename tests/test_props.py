@@ -274,6 +274,31 @@ def test_the_row_mds_test_agrees_with_the_general_one():
     assert symmetries["periodic"] > 0 and symmetries["self-reflected"] > 0
 
 
+# GF(2^8)/0x11D first rows of orders 11 and 12 whose first singular minor
+# has size 4, on the row set (0, 1, 2, 3)
+ORDER_11_12_SIZE_4_ROWS = (
+    (0x6B, 0xF0, 0x52, 0x08, 0xAA, 0x45, 0x82, 0xEF, 0x2A, 0x07, 0x07),
+    (0x58, 0x12, 0xC8, 0x82, 0x71, 0xC3, 0xBD, 0xC5, 0xD7, 0x42, 0x69, 0xD5),
+)
+
+
+def test_the_row_mds_test_agrees_with_the_matrix_one_at_orders_11_and_12():
+    # the condensation plans of orders 11 and 12 are tried on no other
+    # input; a first row and its built matrix give one verdict and witness
+    rng = random.Random(47)
+    cases = list(ORDER_11_12_SIZE_4_ROWS)
+    for n in (11, 12):
+        for _ in range(16):
+            cases.append(tuple(rng.randrange(F11D.order) if rng.random() < 0.98 else 0
+                               for _ in range(n)))
+    census = Counter()
+    for row in cases:
+        verdict = is_mds(F11D, row)
+        assert verdict == is_mds(F11D, build(row)), row
+        census[len(row), len(verdict.witness[0])] += 1
+    assert all(census[n, size] for n in (11, 12) for size in (1, 2, 3, 4)), census
+
+
 def visited_row_sets(n, size, circulant):
     """The row sets `is_mds` tries at `size` >= 2, in the order it tries them."""
     return [rows + (r,) for rows, ends in props._plan(n, size, circulant) for r in ends]
@@ -315,41 +340,103 @@ def test_a_circulant_mds_test_computes_the_least_pair_of_each_orbit():
     # column set's minor from a computed pair of its own orbit
     for n in range(2, 11):
         for k in range(2, n + 1):
-            steps, slots = props._orbits(n, k)
-            computed = [(rows + (r,), cols) for rows, _, ends in steps
-                        for r, entries in ends for cols, _ in entries]
+            computed, slots = props._orbits(n, k)
             visited = visited_row_sets(n, k, True)
+            pairs = [(rows, cols) for rows, own in zip(visited, computed, strict=True)
+                     for cols in own]
             orbits = {}  # each pair on a visited row set -> its orbit
             for rows in visited:
                 for cols in combinations(range(n), k):
                     if (rows, cols) not in orbits:
                         orbit = frozenset(minor_orbit(n, rows, cols))
                         orbits.update(dict.fromkeys(orbit, orbit))
-            assert computed == sorted({min(orbit) for orbit in orbits.values()})
-            assert len(computed) == minor_orbit_count(n, k)
+            assert pairs == sorted({min(orbit) for orbit in orbits.values()})
+            assert len(pairs) == minor_orbit_count(n, k)
             kept = [rows for rows in visited if rows[-1] < n - 1]
             assert len(slots) == len(kept)
-            for rows, get in zip(kept, slots):
-                for cols, pair in zip(combinations(range(n), k), get(computed), strict=True):
-                    assert pair in orbits[rows, cols]
+            for rows, slot in zip(kept, slots):
+                for cols, position in zip(combinations(range(n), k), slot, strict=True):
+                    assert pairs[position] in orbits[rows, cols]
     assert [minor_orbit_count(8, k) for k in range(2, 9)] == [64, 224, 344, 224, 64, 8, 1]
+
+
+def computed_pairs(n, size):
+    """The pairs a circulant's MDS test computes at `size`, in its order:
+    row 0's entries at size 1, and the empty minor at size 0."""
+    if size < 2:
+        return [((0,) * size, (c,) * size) for c in range(n if size else 1)]
+    return [(rows, cols) for rows, own in zip(visited_row_sets(n, size, True),
+                                             props._orbits(n, size)[0]) for cols in own]
+
+
+def test_a_circulant_condensation_reads_the_orbits_of_its_five_minors():
+    # each computed minor det(T, C) of size k reads det(T - t_1, C - c_1),
+    # det(T - t_k, C - c_k), det(T - t_1, C - c_k) and det(T - t_k, C - c_1)
+    # from the minors computed at k - 1, and det(T - {t_1, t_k},
+    # C - {c_1, c_k}) from those at k - 2, each at a pair of its orbit
+    for n in range(2, 10):
+        below = [computed_pairs(n, 0), computed_pairs(n, 1)]
+        for k in range(2, n + 1):
+            plan = props._condensation(n, k)
+            assert [rows for rows, _ in plan] == visited_row_sets(n, k, True)
+            pairs = []
+            for rows, steps in plan:
+                assert len(steps) % 6 == 0
+                for i in range(0, len(steps), 6):
+                    cols, *reads = steps[i:i + 6]
+                    pairs.append((rows, cols))
+                    wanted = [(rows[1:], cols[1:]), (rows[:-1], cols[:-1]),
+                              (rows[1:], cols[:-1]), (rows[:-1], cols[1:])]
+                    for (r, c), position in zip(wanted, reads[:4]):
+                        assert below[-1][position] in minor_orbit(n, r, c)
+                    inner = (rows[1:-1], cols[1:-1])
+                    assert below[-2][reads[4]] in (minor_orbit(n, *inner) if k > 2 else {inner})
+            assert pairs == computed_pairs(n, k)
+            below.append(pairs)
+
+
+def test_condensation_holds_over_gf8_and_gf256():
+    # Desnanot-Jacobi in characteristic 2, with `det` as the oracle:
+    # det(M) * det(interior) == det_11 * det_kk + det_1k * det_k1, where
+    # det_ij removes row i and column j and the interior removes rows and
+    # columns 1 and k; interiors that are singular are planted too
+    rng = random.Random(46)
+    singular_interiors = Counter()
+    for gf in (GF8, F11D):
+        for n in range(2, 8):
+            for trial in range(12):
+                M = random_matrix(rng, gf, n)
+                if trial % 3 == 0 and n > 2:  # interior rows 1 and n - 2 equal, or 0 at n = 3
+                    M[1][1:-1] = M[n - 2][1:-1] if n > 3 else [0] * (n - 2)
+                every = range(n)
+
+                def minor(rows, cols):
+                    return det(gf, submatrix(M, rows, cols)) if rows else 1
+                inner = minor(every[1:-1], every[1:-1])
+                singular_interiors[gf.m] += inner == 0
+                left = gf.mul(det(gf, M), inner)
+                right = (gf.mul(minor(every[1:], every[1:]), minor(every[:-1], every[:-1]))
+                         ^ gf.mul(minor(every[1:], every[:-1]), minor(every[:-1], every[1:])))
+                assert left == right, (gf.m, M)
+    assert singular_interiors[3] > 0 and singular_interiors[8] > 0
 
 
 def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit(monkeypatch):
     # an order-8 MDS circulant is tested on 8 + 929 = 937 minors, the 8
     # entries of row 0 and one minor per orbit of each larger size under the
-    # translations and the reflection (R, C) -> (-C, -R); its necklace row
-    # sets hold sum over k of necklaces(8, k) * C(8, k) = 1,725 minors, and
-    # the row sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
+    # translations and the reflection (R, C) -> (-C, -R), each by
+    # condensation with two products, 1,858 in all; its necklace row sets
+    # hold sum over k of necklaces(8, k) * C(8, k) = 1,725 minors, and the
+    # row sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
     minors = {1: comb(8, 1)}
-    real = props._orbits
+    real = props._condensation
 
-    def orbits(n, size):
-        steps, slots = real(n, size)
-        minors[size] = sum(len(entries) for _, _, ends in steps for _, entries in ends)
-        return steps, slots
+    def condensation(n, size):
+        plan = real(n, size)
+        minors[size] = sum(len(steps) // 6 for _, steps in plan)
+        return plan
 
-    monkeypatch.setattr(props, "_orbits", orbits)
+    monkeypatch.setattr(props, "_condensation", condensation)
     assert is_mds(F11D, WHIRLPOOL_ROW)
     assert len(minors) == 8 and sum(minors.values()) == 937
     assert sum(comb(7, k - 1) * comb(8, k) for k in range(1, 9)) == 6435
@@ -358,7 +445,8 @@ def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit(monkeypat
 def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypatch):
     # the Whirlpool circulant keeps necklaces(8, k) * C(8, k) minors of size
     # k: 112, 392 and 700 for k = 2, 3, 4, so a limit of 392 refuses size 4
-    # before its expansion table or its plan is asked for
+    # before its plan is asked for; a first row never asks for an
+    # expansion table
     asked = []
 
     def recording(name):
@@ -369,14 +457,14 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
             return real(n, size, *rest)
         monkeypatch.setattr(props, name, wrapper)
 
-    for name in ("_expansion", "_plan", "_orbits"):
+    for name in ("_expansion", "_plan", "_orbits", "_condensation"):
         getattr(props, name).cache_clear()
         recording(name)
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
     with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
         is_mds(F11D, WHIRLPOOL_ROW)
-    assert sorted(set(asked)) == [("_expansion", 2), ("_expansion", 3), ("_orbits", 2), ("_orbits", 3),
-                                  ("_plan", 2), ("_plan", 3)]
+    assert sorted(set(asked)) == [("_condensation", 2), ("_condensation", 3), ("_orbits", 1),
+                                  ("_orbits", 2), ("_orbits", 3), ("_plan", 2), ("_plan", 3)]
     kept = [rows for rows in visited_row_sets(8, 4, True) if rows[-1] < 7]
     assert len(kept) * comb(8, 4) == 700
 
