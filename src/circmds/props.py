@@ -41,7 +41,10 @@ A^-T == D1*A*D2 exactly when circulant(b)^-T == D1'*circulant(b)*D2' on
 every component, the connected case at order m, and the solver's
 canonical pair, anchored at row u of component u, is
 d1_i = mu^-(i div g), d2_j = k^-1 * mu^(((j - s0) mod n) div g) for the
-mu and k of b.  At g == 1, b == a.
+mu and k of b.  At g == 1, b == a.  A support of more than n/2 entries
+is connected: at g >= 2 it lies in one coset of g*Z_n, which holds
+n/g <= n/2 indices.  So g is computed only for a row with at least n/2
+zero entries.
 
 For A^-1 = D1*A*D2 the relation is A^2 == k*I on every support.  A^-1's
 first row lies in -s0 + g*Z_n, so it has A's zero pattern only if 2*s0 is
@@ -761,11 +764,12 @@ class Properties:
         """(s0, g, b) for a nonzero row a: g = gcd(n, s - s' for s, s' in
         the support S), s0 = min(S) mod g, and the block
         b = (a_(s0 + g*beta)) for beta < n/g, so a(x) == x^s0 * b(x^g) and
-        b's support is connected.  A row with no zero entry is its own
-        block.  Not cached: `autocorrelation` asks once per row, and
-        `_geometric_pair` again only when a root of unity survives."""
+        b's support is connected.  A row of more than n/2 nonzero entries
+        is its own block (the count lemma of the module docstring).  Not
+        cached: `autocorrelation` asks once per row, and `_geometric_pair`
+        again only when a root of unity survives."""
         a = self.row
-        if 0 not in a:
+        if 2 * a.count(0) < self.n:
             return 0, 1, a
         support = [j for j, v in enumerate(a) if v]
         g = gcd(self.n, *[j - support[0] for j in support])

@@ -211,34 +211,28 @@ class SplitMix64:
         return z ^ (z >> 31)
 
 
-def index_to_row(index: int, q: int, n: int) -> tuple[int, ...]:
-    """Base-q digits of index, least significant digit = c_0."""
-    row = []
-    for _ in range(n):
-        index, digit = divmod(index, q)
-        row.append(digit)
-    return tuple(row)
-
-
 def random_rows(seed: int, q: int, n: int, start: int, end: int):
     """Draws start .. end-1 of the seeded row stream of a q^n space.
 
     q^n is a power of two, so a draw is ceil(log2(q^n) / 64) outputs of
-    SplitMix64(seed), low word first, masked to log2(q^n) bits; no draw is
+    SplitMix64(seed), low word first, and its low log2(q^n) bits are the
+    row's base-q digits, least significant digit = c_0: q = 2^m, so digit i
+    is bits i*m .. i*m + m - 1, and no bit above n*m is read.  No draw is
     rejected.  Draw k therefore starts at state seed + k * words * gamma,
     and a chunk starts its own stream there.  For q^n <= 2^64 a draw is one
-    output masked.
+    output.
     """
-    bits = (q ** n).bit_length() - 1
-    words = -(-bits // 64)
-    mask = (1 << bits) - 1
+    m = q.bit_length() - 1
+    words = -(-n * m // 64)
+    shifts = range(0, n * m, m)
+    digit = q - 1
     rng = SplitMix64(seed + start * words * _GAMMA)
     draw = rng.next_u64
     for _ in range(start, end):
         r = draw()
         for w in range(1, words):
             r |= draw() << (64 * w)
-        yield index_to_row(r & mask, q, n)
+        yield tuple([r >> s & digit for s in shifts])
 
 
 def class_count(q: int, n: int) -> int:

@@ -12,7 +12,7 @@ from typing import Optional
 from circmds.circulant import autocorrelation_roots
 from circmds.matgf import diag_trace, inverse, transpose
 from circmds.props import DiagonalPair, diagonal_scaling_solve
-from circmds.verify import RANDOM, BudgetExceeded, index_to_row, run_suite
+from circmds.verify import RANDOM, BudgetExceeded, run_suite
 
 ORACLE_MAX_Q = 8
 ORACLE_MAX_N = 3
@@ -193,6 +193,25 @@ def component_first_rows(A) -> list:
                     seen.add(k)
                     stack.append(k)
     return firsts
+
+
+def index_to_row(index: int, q: int, n: int) -> tuple:
+    """Base-q digits of index, least significant digit = c_0: the
+    definition that `verify.random_rows` reads by shifts."""
+    row = []
+    for _ in range(n):
+        index, digit = divmod(index, q)
+        row.append(digit)
+    return tuple(row)
+
+
+def gcd_block(row) -> tuple:
+    """(s0, g, b) of a nonzero row by the support gcd alone:
+    g = gcd(n, S - S), s0 = min(S) mod g and b = row[s0::g]."""
+    support = [j for j, v in enumerate(row) if v]
+    g = gcd(len(row), *(j - support[0] for j in support))
+    s0 = support[0] % g
+    return s0, g, tuple(row[s0::g])
 
 
 def disconnected_rows(gf, n, lead_one=False) -> list:

@@ -29,8 +29,8 @@ from circmds.props import (
     is_orthogonal,
     power_scalar,
 )
-from circmds.verify import RANDOM, ScanConfig, index_to_row, run_suite, verify_example
-from reference import dense_semi_pair, oracle_semi_search
+from circmds.verify import RANDOM, ScanConfig, run_suite, verify_example
+from reference import dense_semi_pair, index_to_row, oracle_semi_search
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)

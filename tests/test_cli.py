@@ -14,7 +14,7 @@ from circmds import props
 from circmds.cli import main
 from circmds.field import get_field
 from circmds.props import classify
-from circmds.verify import index_to_row
+from reference import index_to_row
 
 
 def run_cli(capsys, *argv):

@@ -36,7 +36,6 @@ from circmds.verify import (
     ScanReport,
     SplitMix64,
     class_count,
-    index_to_row,
     random_rows,
     run_suite,
     verification_plan,
@@ -47,6 +46,7 @@ from reference import (
     decided,
     dense_semi_pair,
     disconnected_rows,
+    index_to_row,
     next_below,
     oracle_semi_search,
     row_by_row,
@@ -125,7 +125,7 @@ def test_next_below_refuses_bounds_above_two_to_the_64():
 def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
     # up to 2^64 rows a draw is the rejection draw of `next_below`; above, it
     # takes more words, and the high word reaches the last entries
-    for q, n in ((8, 3), (4, 12), (256, 8), (256, 9), (1 << 16, 9)):
+    for q, n in ((8, 3), (4, 12), (256, 8), (256, 9), (1 << 16, 9), (32, 13), (2, 65)):
         rows = list(random_rows(99, q, n, 0, 40))
         assert all(len(row) == n and max(row) < q for row in rows)
         if q ** n <= 1 << 64:
