@@ -12,8 +12,9 @@ first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
 R = GF(q)[x]/(x^n - 1) instead of on a dense matrix, `scalar_square_root`
 whether A^2 is a scalar matrix (A^2 == I among them), and
 `autocorrelation_roots` for which roots of unity mu the product
-a(x^-1)*a(mu*x) is a constant, as identities in it; at mu = 1 that product
-is A*A^T, which `props.Properties.gram_root` reads from the same fold.
+a(x^-1)*a(mu*x) is a constant, as identities in it, testing all of them in
+one pass (the lane identity below); at mu = 1 that product is A*A^T,
+which `props.Properties.gram_root` reads from the same fold.
 
 The gcd lemma.  A is nonsingular exactly when a(x) is a unit of R (A^-1
 is a polynomial in A, so circulant), that is when gcd(a(x), x^n - 1) == 1.
@@ -25,11 +26,22 @@ them divides a(x) exactly when it divides b(x) = a(x) mod x^(n') - 1, the
 fold b_u = sum of the a_j with j == u (mod n').  So A is singular exactly
 when gcd(b(x), x^(n') - 1) has positive degree, and one gcd at the odd
 order decides it.
+
+The lane identity.  Coefficient t of a(x^-1)*a(mu*x) is the sum over j of
+a_j*a_(j-t)*mu^j, and for a d-th root of unity mu, mu^j depends only on
+r = j mod d.  `_lanes(gf, d)` maps a residue r and a product x to one int
+that holds x*mu^r for every root mu = g^(e*(q-1)/d), e < d, in lane e:
+bits e*(m+1) .. e*(m+1) + m - 1, with bit e*(m+1) + m left 0.  XOR acts
+lane by lane, so the XOR v of the entries of the terms a_j*a_(j-t) is
+coefficient t at every root at once.  With low holding 2^m - 1 in every
+lane, x + 2^m - 1 < 2^(m+1) sets bit m of its lane exactly when x != 0,
+and no lane carries into the next; so bit m of lane e of v + low is 1
+exactly when coefficient t is nonzero at the e-th root, and one AND with
+its complement drops those roots.  The tables fill an entry on first use,
+so a row of GF(2^16) keeps only the entries it meets.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .field import GF2m
 from .matgf import Matrix, require_square
@@ -81,46 +93,65 @@ def autocorrelation_roots(gf: GF2m, first_row, d: int) -> list[int]:
     times coefficient n - t; at even n = 2h the terms j and j + h of
     coefficient h differ by mu^h, which is 1 (mu has odd order dividing
     n), and cancel.  So only t = 1 .. (n-1)//2 are tested.  As mu^d == 1,
-    mu^j depends only on j mod d: the d residue sums B_r of a_j*a_(j-t)
-    over j == r (mod d) are formed once per t, with no mu in them, and
-    only the mu still alive evaluate the sum of B_r*mu^r; each mu drops
-    at its first nonzero coefficient, all of them when a single B_r is
-    nonzero.
+    mu^j depends only on j mod d, and every root is tested at once by the
+    lane identity of the module docstring: the XOR v of the entries
+    `_lanes(gf, d)` holds for the terms' residues and products is
+    coefficient t at every mu, lane by lane, and `alive &= ~(v + low)`
+    keeps the mu whose lane is 0.  A mu drops at its first nonzero
+    coefficient, and the fold stops when none is alive.
     """
     exp, log = gf.exp_table, gf.log_table
+    tables, low, alive = _lanes(gf, d)
     n = len(first_row)
-    terms = [(j, j % d, log[v]) for j, v in enumerate(first_row) if v]
-    alive = _roots(gf.order - 1, d)
     for t in range(1, (n - 1) // 2 + 1):
-        sums = [0] * d
-        for j, r, lv in terms:
-            w = first_row[j - t]  # a negative index wraps around
-            if w:
-                sums[r] ^= exp[lv + log[w]]
-        zeros = sums.count(0)
-        if zeros == d - 1:  # one nonzero B_r: B_r*mu^r vanishes at no mu
+        v = 0
+        for j, u in enumerate(first_row):
+            if u:
+                w = first_row[j - t]  # a negative index wraps around
+                if w:
+                    v ^= tables[j % d][exp[log[u] + log[w]]]
+        alive &= ~(v + low)
+        if not alive:
             return []
-        if zeros < d:
-            nonzero = [(r, log[b]) for r, b in enumerate(sums) if b]
-            kept = []
-            for root in alive:
-                power = root[1]
-                c = 0
-                for r, lb in nonzero:
-                    c ^= exp[lb + power[r]]
-                if not c:
-                    kept.append(root)
-            if not kept:
-                return []
-            alive = kept
-    return [e for e, _ in alive]
+    m = gf.m
+    return [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
 
 
-@cache
-def _roots(q1: int, d: int) -> tuple:
-    """(e, the logs of mu^r for r < d) for each mu = g^(e*q1/d), e < d."""
-    step = q1 // d
-    return tuple((e, tuple(step * (e * r % d) for r in range(d))) for e in range(d))
+class _Lane(dict):
+    """Residue r's table of `_lanes`: product x -> the int that holds
+    x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use."""
+
+    __slots__ = ("gf", "d", "r")
+
+    def __init__(self, gf: GF2m, d: int, r: int):
+        self.gf, self.d, self.r = gf, d, r
+
+    def __missing__(self, x: int) -> int:
+        gf, d, r = self.gf, self.d, self.r
+        exp, lx = gf.exp_table, gf.log_table[x]
+        step, width = (gf.order - 1) // d, gf.m + 1
+        packed = 0
+        for e in range(d):
+            packed |= exp[lx + step * (e * r % d)] << (e * width)
+        self[x] = packed
+        return packed
+
+
+_LANES: dict[tuple[int, int], tuple] = {}
+
+
+def _lanes(gf: GF2m, d: int) -> tuple[list[_Lane], int, int]:
+    """(the d residue tables, low, top) of the lane identity for the d-th
+    roots of unity of gf: low holds 2^m - 1 and top holds 2^m in each of the
+    d lanes of m + 1 bits.  Kept per (field, d); no entry is made here."""
+    key = (gf.poly, d)  # the polynomial fixes the field; a GF2m hashes in Python
+    lanes = _LANES.get(key)
+    if lanes is None:
+        m = gf.m
+        ones = sum(1 << (e * (m + 1)) for e in range(d))
+        lanes = _LANES[key] = ([_Lane(gf, d, r) for r in range(d)],
+                               ones * ((1 << m) - 1), ones << m)
+    return lanes
 
 
 def is_singular_row(gf: GF2m, first_row) -> bool:

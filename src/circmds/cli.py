@@ -142,13 +142,15 @@ def cmd_scan(args) -> int:
 
 
 # --require name -> test of a row's Properties, cheapest first, as a row stops
-# at its first false test.  "nonzero-trace" looks at the pairs of the semi
-# relations that --require names, or of both when it names neither.
+# at its first false test: the involutory pair is an XOR fold of the row, the
+# orthogonal one a fold with products, MDS the minors.  "nonzero-trace" looks
+# at the pairs of the semi relations that --require names, or of both when it
+# names neither.
 _SEARCH_PREDICATES = {
-    "semi-orthogonal": lambda p, relations: p.semi("orthogonal").found,
-    "semi-involutory": lambda p, relations: p.semi("involutory").found,
     "involutory": lambda p, relations: p.involutory(),
+    "semi-involutory": lambda p, relations: p.semi("involutory").found,
     "orthogonal": lambda p, relations: p.orthogonal(),
+    "semi-orthogonal": lambda p, relations: p.semi("orthogonal").found,
     "mds": lambda p, relations: p.mds().is_mds,
     "nonzero-trace": lambda p, relations: any(
         p.semi(r).trace_d1 or p.semi(r).trace_d2 for r in relations),

@@ -60,12 +60,13 @@ b(y)^2 == kappa^-1 * y^-delta and a(x)^2 == x^(2*s0) * b(x^g)^2 ==
 kappa^-1.  So one XOR fold over the first row decides the relation: a
 scalar square gives the pair (1, ..., 1), (k^-1, ..., k^-1), and any
 other row has none.  For A^-T the gcd(m, q-1) roots of unity are tried
-together, in one fold of b over the residues mod gcd(m, q-1), once the
-row sum is nonzero.  No circulant builds a matrix or runs the generic
-solver: that runs for a matrix that is not circulant, on the dense
-inverse (`dense_classification`), and in `verify.verify_example`; the
-tests check the shortcut against it and it against a brute-force search
-over diagonal pairs.
+together, in one fold of b that tests them all at once (the lane identity
+of the `circulant` module docstring), once the row sum is nonzero.  No
+circulant builds a matrix or runs the generic solver: that runs for a
+matrix that is not circulant, on the dense inverse
+(`dense_classification`), and in `verify.verify_example`; the tests
+check the shortcut against it and it against a brute-force search over
+diagonal pairs.
 
 The traces of a semi-orthogonal pair follow from its form.  The map
 j -> ((j - s0) mod n) div g takes each beta < m exactly g times, so
@@ -608,10 +609,10 @@ def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
     a = p.row with a nonzero row sum, from its block b = p.block().
 
     The mu = w^s for the field generator w, s = 0, (q-1)/d, ..., for which
-    b(y^-1)*b(mu*y) is a constant come from one fold over the residues
-    mod d = gcd(m, q-1) (`p.autocorrelation()`: as mu^d == 1, mu^j depends
-    only on j mod d).  The first whose constant k, the sum of b_j^2*mu^j,
-    is nonzero gives the pair, d1_i = mu^-(i div g) and
+    b(y^-1)*b(mu*y) is a constant come from one fold that tests all
+    d = gcd(m, q-1) of them at once (`p.autocorrelation()`: as mu^d == 1,
+    mu^j depends only on j mod d).  The first whose constant k, the sum
+    of b_j^2*mu^j, is nonzero gives the pair, d1_i = mu^-(i div g) and
     d2_j = k^-1 * mu^(((j - s0) mod n) div g); on a nonsingular A that is
     the first survivor, so k is summed about once.  At y = 1 the identity
     reads b(1)*b(mu) == k, and b(1) is the row sum, so a zero row sum,
@@ -795,8 +796,8 @@ class Properties:
         With a(x) == x^s0 * b(x^g) that product is (b(y)*b(y^-1))(x^g),
         and y -> x^g is injective, so it is scalar exactly when
         b(y)*b(y^-1) is: the mu = 1 (e = 0) case of `autocorrelation`,
-        read from its one fold, as each sum of B_r*mu^r is at mu = 1 the
-        coefficient of b(y)*b(y^-1).  A zero row sum folds nothing."""
+        read from its one fold, whose lane for mu = 1 holds the
+        coefficients of b(y)*b(y^-1).  A zero row sum folds nothing."""
         t = diag_trace(self.row)
         return t if t and self.autocorrelation()[:1] == [0] else 0
 

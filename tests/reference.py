@@ -123,6 +123,58 @@ def scalar_gram_root(gf, first_row) -> int:
     return t if t and autocorrelation_roots(gf, first_row, 1) else 0
 
 
+def planted_semi_orthogonal_row(gf, n: int, rng) -> tuple:
+    """(a, b) of order n, for odd n dividing q - 1, with a(x)*a(x^-1) == 1
+    and b(x^-1)*b(mu*x) constant at a mu != 1.  R splits at the powers of
+    omega = g^((q-1)/n): a spectrum with lambda_0 = 1 and
+    lambda_-j = lambda_j^-1 gives a by the inverse DFT (no 1/n at odd n),
+    and its twist b_j = a_j*nu^j, nu^n == 1 and nu != 1, has
+    b(x^-1)*b(mu*x) == a(nu*x^-1)*a(nu*mu*x) constant at mu = nu^-2, as
+    x -> nu^-1*x is a ring automorphism of R."""
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    w = q1 // n  # omega = g^w
+    spectrum = [1] * n
+    for j in range(1, (n + 1) // 2):
+        spectrum[j] = rng.randrange(1, gf.order)
+        spectrum[n - j] = gf.inv(spectrum[j])
+    a = [0] * n
+    for i in range(n):
+        for j, lam in enumerate(spectrum):
+            a[i] ^= exp[(log[lam] - i * j * w) % q1]
+    nu = rng.randrange(1, n) * w  # the log of nu
+    b = tuple(exp[(log[v] + j * nu) % q1] if v else 0 for j, v in enumerate(a))
+    return tuple(a), b
+
+
+def roots_by_root(gf, first_row, d: int) -> list:
+    """`autocorrelation_roots` one root of unity at a time: the e < d for
+    which every coefficient t = 1 .. n-1 of a(x^-1)*a(mu*x) mod x^n - 1,
+    mu = g^(e*(q-1)/d), is 0, each summed in full as the sum over j of
+    a_(j-t)*a_j*mu^j, with no symmetry between t and n - t and no residues
+    mod d."""
+    mul = gf.mul
+    n = len(first_row)
+
+    def coefficient(am, t):
+        c = 0
+        for j in range(n):
+            c ^= mul(first_row[j - t], am[j])  # a negative index wraps around
+        return c
+
+    roots = []
+    for e in range(d):
+        mu = gf.pow(gf.generator, e * ((gf.order - 1) // d))
+        am = []  # a(mu*x)
+        power = 1
+        for v in first_row:
+            am.append(mul(v, power))
+            power = mul(power, mu)
+        if not any(coefficient(am, t) for t in range(1, n)):
+            roots.append(e)
+    return roots
+
+
 def semi_involutory_count(q: int, n: int) -> int:
     """How many first rows of order n over GF(q) give a semi-involutory
     circulant, in closed form: q^(n/2)*(q-1) at even n and q-1 at odd n.

@@ -3,11 +3,14 @@
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 
 import pytest
 
+from circmds import circulant
 from circmds.circulant import (
     OddOrder,
+    autocorrelation_roots,
     build,
     interleaved_sums,
     is_circulant,
@@ -16,14 +19,16 @@ from circmds.circulant import (
 )
 from circmds.field import get_field
 from circmds.matgf import Singular, det, diag_trace, identity, inverse, mat_mul, transpose
-from circmds.props import is_involutory, is_mds, is_orthogonal
-from reference import scalar_gram_root
+from circmds.props import classify, is_involutory, is_mds, is_orthogonal
+from reference import planted_semi_orthogonal_row, roots_by_root, scalar_gram_root
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
 GF16 = get_field(4, 0x13)
 F11D = get_field(8, 0x11D)
 F11B = get_field(8, 0x11B)
+GF4096 = get_field(12, 0x1053)
+GF65536 = get_field(16, 0x1002B)
 
 
 def test_entry_rule():
@@ -222,3 +227,72 @@ def test_mds_even_order_forces_nonzero_interleaved_sums():
                 even, odd = interleaved_sums((a, b))
                 assert even != 0 and odd != 0
     assert seen_mds == 6  # nonzero distinct pairs
+
+
+def _seeded_rows(gf, n, count, rng):
+    """`count` rows of order n, every other one with up to 70 % zero
+    entries, so that some roots of unity survive the fold."""
+    rows = []
+    for i in range(count):
+        zeros = 0.7 * rng.random() if i % 2 else 0.0
+        rows.append(tuple(rng.randrange(1, gf.order) if rng.random() >= zeros else 0
+                          for _ in range(n)))
+    return rows
+
+
+def _fold_rows(name):
+    """(field, row) pairs of the named set of `test_lanes_match_the_root_by_root_reference`."""
+    if name == "gf4-n<=7":
+        return [(GF4, row) for n in range(1, 8) for row in product(range(4), repeat=n)]
+    if name == "gf8-n<=5":
+        return [(GF8, row) for n in range(1, 6) for row in product(range(8), repeat=n)]
+    if name == "gf16-n5-lead-one":
+        return [(GF16, (1,) + tail) for tail in product(range(16), repeat=4)]
+    rng = random.Random(25)
+    if name == "seeded":
+        return [(gf, row) for gf, n, count in (
+            (F11D, 3, 400), (F11D, 5, 400), (F11D, 15, 200), (F11D, 17, 200), (F11D, 51, 60),
+            (GF4096, 9, 200), (GF65536, 3, 200), (GF65536, 5, 200),
+        ) for row in _seeded_rows(gf, n, count, rng)]
+    assert name == "planted"  # each a has mu = 1 alone, each b some mu != 1
+    return [(gf, row) for gf, n in (
+        (F11D, 15), (F11D, 17), (F11D, 51), (GF4096, 9), (GF65536, 3), (GF65536, 15),
+    ) for _ in range(20) for row in planted_semi_orthogonal_row(gf, n, rng)]
+
+
+# per row set, over its folds at both d: those that keep mu = 1 alone, those
+# that keep some mu != 1, and those that keep none
+FOLD_CENSUS = {
+    "gf4-n<=7": (1024, 515, 24465),
+    "gf8-n<=5": (1552, 0, 35896),
+    "gf16-n5-lead-one": (485, 994, 129593),
+    "seeded": (121, 123, 3476),
+    "planted": (240, 120, 120),
+}
+
+
+@pytest.mark.parametrize("name", FOLD_CENSUS)
+def test_lanes_match_the_root_by_root_reference(name):
+    # the lanes test every d-th root of unity in one XOR per term; the
+    # reference sums every coefficient at one root at a time, at
+    # d = gcd(n, q-1) and at d = 1
+    census = Counter()
+    for gf, row in _fold_rows(name):
+        for d in {gcd(len(row), gf.order - 1), 1}:
+            roots = autocorrelation_roots(gf, row, d)
+            assert roots == roots_by_root(gf, row, d), (gf, row, d)
+            census["mu=1 only" if roots == [0] else "mu!=1" if roots else "none"] += 1
+    assert (census["mu=1 only"], census["mu!=1"], census["none"]) == FOLD_CENSUS[name]
+
+
+def test_lane_tables_keep_only_the_entries_a_row_meets():
+    # the tables fill an entry on first use: one classify of a GF(2^16) row
+    # of order 15 (d = 15, and a zero entry, so is_mds stops at once) meets
+    # a few of the 15 x 65,536 slots, where whole tables would fill them all
+    circulant._LANES.pop((GF65536.poly, 15), None)
+    row = list(_seeded_rows(GF65536, 15, 1, random.Random(15))[0])
+    row[7] = 0
+    assert diag_trace(row) and classify(GF65536, row).mds.is_mds is False
+    tables, _, _ = circulant._lanes(GF65536, 15)
+    filled = sum(map(len, tables))
+    assert 0 < filled < 0.01 * 15 * 65536, filled

@@ -54,6 +54,7 @@ from reference import (
     minor_orbit_count,
     oracle_semi_search,
     per_root_geometric_pair,
+    planted_semi_orthogonal_row,
     scalar_gram_root,
     semi_involutory_count,
 )
@@ -978,29 +979,15 @@ def test_geometric_pair_folds_the_per_root_loop(monkeypatch):
 
 
 def test_planted_semi_orthogonal_pairs_at_large_d():
-    # at GF(2^8) n = 15 and 17, n divides q - 1, so d = gcd(n, q - 1) = n and
-    # R splits at the powers of omega = g^((q-1)/n).  A spectrum with
-    # lambda_0 = 1 and lambda_-j = lambda_j^-1 gives, by the inverse DFT (no
-    # 1/n at odd n), a row with a(x)*a(x^-1) == 1; its twist b_j = a_j*nu^j,
-    # nu^n == 1 and nu != 1, has a(nu*x^-1)*a(nu*mu*x) constant at
-    # mu = nu^-2 != 1, as x -> nu^-1*x is a ring automorphism of R
-    exp, log = F11D.exp_table, F11D.log_table
+    # at GF(2^8) n = 15 and 17, n divides q - 1, so d = gcd(n, q - 1) = n;
+    # each planted a is orthogonal and its twist b is semi-orthogonal at a
+    # mu != 1 (`planted_semi_orthogonal_row`)
     rng = random.Random(19)
     for n in (15, 17):
-        w = 255 // n  # omega = g^w
         assert gcd(n, 255) == n
         for _ in range(20):
-            spectrum = [1] * n
-            for j in range(1, (n + 1) // 2):
-                spectrum[j] = rng.randrange(1, 256)
-                spectrum[n - j] = F11D.inv(spectrum[j])
-            a = [0] * n
-            for i in range(n):
-                for j, lam in enumerate(spectrum):
-                    a[i] ^= exp[(log[lam] - i * j * w) % 255]
+            a, b = planted_semi_orthogonal_row(F11D, n, rng)
             assert Properties(F11D, a).orthogonal()
-            nu = rng.randrange(1, n) * w  # the log of nu
-            b = tuple(exp[(log[v] + j * nu) % 255] if v else 0 for j, v in enumerate(a))
             pair = props._geometric_pair(Properties(F11D, b))
             assert pair == per_root_geometric_pair(F11D, b), b
             assert pair is not None and set(pair.d1) != {1}, b
