@@ -38,7 +38,9 @@ lane, x + 2^m - 1 < 2^(m+1) sets bit m of its lane exactly when x != 0,
 and no lane carries into the next; so bit m of lane e of v + low is 1
 exactly when coefficient t is nonzero at the e-th root, and one AND with
 its complement drops those roots.  The tables fill an entry on first use,
-so a row of GF(2^16) keeps only the entries it meets.
+so a row of GF(2^16) keeps only the entries it meets, and stop at about
+LANE_BYTES per (field, d) (`lane_room`); an entry met after that is made
+again on each use.
 """
 
 from __future__ import annotations
@@ -119,12 +121,14 @@ def autocorrelation_roots(gf: GF2m, first_row, d: int) -> list[int]:
 
 class _Lane(dict):
     """Residue r's table of `_lanes`: product x -> the int that holds
-    x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use."""
+    x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use
+    until it holds `room` entries; an entry met after that is made again
+    on each use."""
 
-    __slots__ = ("gf", "d", "r")
+    __slots__ = ("gf", "d", "r", "room")
 
-    def __init__(self, gf: GF2m, d: int, r: int):
-        self.gf, self.d, self.r = gf, d, r
+    def __init__(self, gf: GF2m, d: int, r: int, room: int):
+        self.gf, self.d, self.r, self.room = gf, d, r, room
 
     def __missing__(self, x: int) -> int:
         gf, d, r = self.gf, self.d, self.r
@@ -133,11 +137,24 @@ class _Lane(dict):
         packed = 0
         for e in range(d):
             packed |= exp[lx + step * (e * r % d)] << (e * width)
-        self[x] = packed
+        if len(self) < self.room:
+            self[x] = packed
         return packed
 
 
+# The most bytes the kept entries of one (field, d) take, each entry counted
+# as its d*(m+1) packed bits and 128 bytes of int headers, key and dict
+# slot (tracemalloc reads 90 to 113 bytes besides the packed bits).  A field
+# up to GF(2^8) keeps its whole tables at every d but 255.
+LANE_BYTES = 1 << 23
+
 _LANES: dict[tuple[int, int], tuple] = {}
+
+
+def lane_room(m: int, d: int) -> int:
+    """How many entries each of the d residue tables of GF(2^m) keeps, so
+    that together they stay within LANE_BYTES."""
+    return LANE_BYTES // (128 + d * (m + 1) // 8) // d
 
 
 def _lanes(gf: GF2m, d: int) -> tuple[list[_Lane], int, int]:
@@ -149,7 +166,8 @@ def _lanes(gf: GF2m, d: int) -> tuple[list[_Lane], int, int]:
     if lanes is None:
         m = gf.m
         ones = sum(1 << (e * (m + 1)) for e in range(d))
-        lanes = _LANES[key] = ([_Lane(gf, d, r) for r in range(d)],
+        room = lane_room(m, d)
+        lanes = _LANES[key] = ([_Lane(gf, d, r, room) for r in range(d)],
                                ones * ((1 << m) - 1), ones << m)
     return lanes
 

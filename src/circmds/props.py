@@ -574,6 +574,32 @@ def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalP
     return DiagonalPair(tuple(d), tuple(e_full))
 
 
+def row_block(a) -> tuple[int, int, tuple[int, ...]]:
+    """(s0, g, b) for a nonzero row a (a tuple): g = gcd(n, s - s' for s,
+    s' in the support S), s0 = min(S) mod g, and the block
+    b = (a_(s0 + g*beta)) for beta < n/g, so a(x) == x^s0 * b(x^g) and b's
+    support is connected.  A row of more than n/2 nonzero entries is its
+    own block (the count lemma of the module docstring).  Not cached: the
+    fold `block_roots` takes it once per row, and `_geometric_pair` again
+    only when a root of unity survives."""
+    n = len(a)
+    if 2 * a.count(0) < n:
+        return 0, 1, a
+    support = [j for j, v in enumerate(a) if v]
+    g = gcd(n, *[j - support[0] for j in support])
+    s0 = support[0] % g
+    return s0, g, a[s0::g]
+
+
+def block_roots(gf: GF2m, a) -> list[int]:
+    """`autocorrelation_roots` of the block b of the nonzero row a at
+    d = gcd(m, q-1), m = len(b): the e for which b(y^-1)*b(mu*y) is a
+    constant, mu = w^(e*(q-1)/d) for the field generator w.  A
+    semi-orthogonal pair needs one of them, and a nonzero row sum."""
+    b = row_block(a)[2]
+    return autocorrelation_roots(gf, b, gcd(len(b), gf.order - 1))
+
+
 def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
     """Canonical pair with A^-1 == D1*A*D2 (`relation` "involutory") or
     A^-T == D1*A*D2 ("orthogonal") for A = circulant(p.row), or None.
@@ -586,7 +612,7 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
       decides; a scalar square gives A^-1 == k^-1*A, the pair
       d1 = (1, ..., 1), d2 = (k^-1, ..., k^-1), as every component of the
       pattern is anchored at a 1, and any other row has no pair;
-    - A^-T: on the block b of order m = n/g (`p.block()`) the relation is
+    - A^-T: on the block b of order m = n/g (`row_block`) the relation is
       b(y^-1)*b(mu*y) == k != 0 mod y^m - 1 for one of the gcd(m, q-1)
       powers of w^((q-1)/gcd(m, q-1)), w the field generator, and the pair
       is b's geometric pair spread over the g components
@@ -606,7 +632,7 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
 
 def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
     """The pair of `circulant_semi_pair` for A^-T, or None, for a row
-    a = p.row with a nonzero row sum, from its block b = p.block().
+    a = p.row with a nonzero row sum, from its block b (`row_block`).
 
     The mu = w^s for the field generator w, s = 0, (q-1)/d, ..., for which
     b(y^-1)*b(mu*y) is a constant come from one fold that tests all
@@ -620,7 +646,7 @@ def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
     roots = p.autocorrelation()
     if not roots:  # most rows: no mu survives
         return None
-    s0, g, b = p.block()
+    s0, g, b = row_block(p.row)
     gf, n = p.gf, p.n
     exp, log = gf.exp_table, gf.log_table
     q1 = gf.order - 1
@@ -720,7 +746,7 @@ class Properties:
     lemmas of the module docstring: MDS, the involutory and orthogonal
     identities and the semi pairs by `circulant_semi_pair`, with one fold
     (`square_root`) shared by the involutory test and the semi-involutory
-    pair, and one autocorrelation fold of the row's block (`block`,
+    pair, and one autocorrelation fold of the row's block (`row_block`,
     `autocorrelation`) shared by the orthogonal test and the
     semi-orthogonal pair.  No dense matrix is built and the generic solver
     never runs; the gcd test `is_singular_row` serves only the `singular`
@@ -732,13 +758,25 @@ class Properties:
 
     __slots__ = ("gf", "row", "n", "_root", "_roots", "mds_verdict", "semi_reports")
 
-    def __init__(self, gf: GF2m, row):
+    def __init__(self, gf: GF2m, row, root: Optional[int] = None,
+                 roots: Optional[list[int]] = None):
+        """`root` and `roots`, when given, are the row's `square_root` and
+        `autocorrelation`, folded already."""
         self.gf = gf
         self.row = tuple(row)
         self.n = len(self.row)
-        self._root = self._roots = None
+        self._root, self._roots = root, roots
         self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
+
+    def scaled(self, c: int) -> Properties:
+        """The `Properties` of the row c*a, c != 0, with the folds made so far
+        carried over: (cA)^2 == c^2*A^2, so its square root is c*r, and
+        (ca)(x^-1)*(ca)(mu*x) is c^2 times a's product, so its roots are
+        a's."""
+        mul, root = self.gf.mul, self._root
+        return Properties(self.gf, [mul(c, v) for v in self.row],
+                          root and mul(c, root), self._roots)
 
     def semi(self, relation: str) -> SemiReport:
         """The pair with A^-1 == D1*A*D2 (`relation` "involutory") or
@@ -761,30 +799,11 @@ class Properties:
             self._root = scalar_square_root(self.row)
         return self._root
 
-    def block(self) -> tuple[int, int, tuple[int, ...]]:
-        """(s0, g, b) for a nonzero row a: g = gcd(n, s - s' for s, s' in
-        the support S), s0 = min(S) mod g, and the block
-        b = (a_(s0 + g*beta)) for beta < n/g, so a(x) == x^s0 * b(x^g) and
-        b's support is connected.  A row of more than n/2 nonzero entries
-        is its own block (the count lemma of the module docstring).  Not
-        cached: `autocorrelation` asks once per row, and `_geometric_pair`
-        again only when a root of unity survives."""
-        a = self.row
-        if 2 * a.count(0) < self.n:
-            return 0, 1, a
-        support = [j for j, v in enumerate(a) if v]
-        g = gcd(self.n, *[j - support[0] for j in support])
-        s0 = support[0] % g
-        return s0, g, a[s0::g]
-
     def autocorrelation(self) -> list[int]:
-        """`autocorrelation_roots` of the block b at d = gcd(m, q-1),
-        m = len(b), folded once for the orthogonal test, the
+        """`block_roots` of the row, folded once for the orthogonal test, the
         semi-orthogonal pair and a scan's scalar selector."""
         if self._roots is None:
-            b = self.block()[2]
-            self._roots = autocorrelation_roots(
-                self.gf, b, gcd(len(b), self.gf.order - 1))
+            self._roots = block_roots(self.gf, self.row)
         return self._roots
 
     def gram_root(self) -> int:
@@ -837,6 +856,33 @@ class Properties:
 def classify(gf: GF2m, first_row) -> Classification:
     """Run the full property battery on circulant(first_row)."""
     return Properties(gf, first_row).classification()
+
+
+def pair_gate(gf: GF2m, relations):
+    """callable(row) -> the `Properties` of the row, with the folds made
+    here in place, or None when by those folds the row has the pair of
+    none of the semi `relations` ("involutory", "orthogonal").
+
+    The semi-involutory pair exists exactly when `scalar_square_root` is
+    nonzero, and a semi-orthogonal pair needs a nonzero row sum and a root
+    of unity from `block_roots` (`circulant_semi_pair`).  A row that
+    passes the involutory fold is not folded for the other relation here,
+    and no fold is made twice."""
+    involutory = "involutory" in relations
+    orthogonal = "orthogonal" in relations
+
+    def gate(row) -> Optional[Properties]:
+        root = None
+        if involutory:
+            root = scalar_square_root(row)
+            if root:
+                return Properties(gf, row, root)
+        if orthogonal and diag_trace(row):
+            roots = block_roots(gf, row)
+            if roots:
+                return Properties(gf, row, root, roots)
+        return None
+    return gate
 
 
 def dense_classification(gf: GF2m, A: Matrix) -> Classification:

@@ -21,7 +21,8 @@ rows out of enumeration order, so `run_suite` sorts its merged span lists
 index, stably, which keeps the entries of one row in the order they were
 found; the forced rows' entries stay first, unsorted.  Every payload thus
 equals that of a scan that tallies each row on its own, which the tests
-build in tests/reference.py from the same config with every row forced.
+build in tests/reference.py from the same config with every row forced,
+and that of one that runs every suite on every row, with no gate.
 A pool runs the chunks in at most min(workers, chunks, CPUs) processes.
 Wall-clock time and worker count live outside the deterministic payload.
 
@@ -129,6 +130,27 @@ order of a row tallied on its own: by relation, then d1 before d2.  Over
 GF(2) the only scalar is 1 and sigma is the identity, so the orbits are
 {a, tau(a)}.
 
+The gate.  Each `SuiteDef` also declares in `relation` the semi relation
+whose pair exists on every row where its hypothesis holds: "orthogonal",
+A^-T == D1*A*D2, for the SO-* suites and ORTH-NONE, as an orthogonal A
+has A^-T == I*A*I; "involutory", A^-1 == D1*A*D2, for the SI-* suites
+and INV-NONE, as an involutory A has A^-1 == I*A*I.  Each runner asks
+that relation first and stops when the pair is missing, before it
+evaluates anything a tally counts: no hypothesis holds, no pair is found
+and no MDS verdict is made, so such a row adds its weight to `examined`
+and nothing else.  When every suite of a scan declares a relation, the
+scan decides this on the relations' folds alone (`props.pair_gate`), before
+the row gets a `Properties`: the scalar square for the involutory pair,
+and the row sum and the roots of unity of its block's autocorrelation for
+the orthogonal one.  Whether a row has a pair is the same on its whole
+orbit, so a rejected representative stands for the orbit, and no selector
+picks a member of it: INV-NONE declares "involutory", so r == 0 there,
+and ORTH-NONE "orthogonal", so t == 0.  A row that passes
+takes its folds into its `Properties`, and a selected member takes the
+representative's (`Properties.scaled`), so no row folds a relation twice.
+A suite that declares none, such as a test's probe, makes the scan see
+every row.
+
 Suites:
   INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
   ORTH-NONE     orthogonal and MDS at order 2^d, d >= 2: expected empty
@@ -156,6 +178,7 @@ import os
 import time
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from typing import Optional
 
 from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
@@ -166,6 +189,7 @@ from .props import (
     diagonal_scaling_solve,
     is_mds,
     is_power_of_two,
+    pair_gate,
 )
 # unused here; perfbench/tracing.py wraps these verify attributes by name
 from .props import is_involutory, is_orthogonal, power_scalar
@@ -394,8 +418,9 @@ def _index_key(row):
 #
 # A runner takes a row's `Properties` and returns (hypothesis, conclusion,
 # extras).  Each evaluates its hypothesis left to right and stops at the
-# first false part, MDS last: the side-invariant counts follow what the
-# runners evaluated, so this order is part of the report.
+# first false part, its declared relation first and MDS last: the
+# side-invariant counts follow what the runners evaluated, so this order is
+# part of the report, and the gate relies on it.
 
 
 def _run_inv_none(p: Properties):
@@ -457,6 +482,13 @@ ALL = "all"
 
 @dataclass(frozen=True)
 class SuiteDef:
+    """A scan suite.  `relation` is the semi relation, "involutory"
+    (A^-1 == D1*A*D2) or "orthogonal" (A^-T == D1*A*D2), whose pair exists
+    on every row where the hypothesis holds, and on which the runner stops
+    first: a scan whose every suite declares one skips, by the module
+    docstring's gate, the rows that have the pair of none.  None declares
+    nothing, and a scan with such a suite sees every row."""
+
     name: str
     order_ok: object  # callable(n) -> bool
     order_note: str
@@ -468,29 +500,36 @@ class SuiteDef:
     # select(tau(a)) == select(a)
     scalars: object
     implication: bool = True
+    relation: Optional[str] = None
 
 
 SUITES: dict[str, SuiteDef] = {
     s.name: s
     for s in (
         SuiteDef("INV-NONE", lambda n: n >= 3, "order >= 3", _run_inv_none,
-                 scalars=_involutory_scalars),
+                 scalars=_involutory_scalars, relation="involutory"),
         SuiteDef("ORTH-NONE", lambda n: n >= 4 and is_power_of_two(n),
-                 "order 2^d with d >= 2", _run_orth_none, scalars=_orthogonal_scalars),
+                 "order 2^d with d >= 2", _run_orth_none, scalars=_orthogonal_scalars,
+                 relation="orthogonal"),
         SuiteDef("SO-POW2", _order_pow2, "order a power of two",
-                 _traces_zero("orthogonal", needs_mds=False), scalars=ALL),
+                 _traces_zero("orthogonal", needs_mds=False), scalars=ALL,
+                 relation="orthogonal"),
         SuiteDef("SI-POW2", _order_pow2, "order a power of two",
-                 _traces_zero("involutory", needs_mds=False), scalars=ALL),
+                 _traces_zero("involutory", needs_mds=False), scalars=ALL,
+                 relation="involutory"),
         SuiteDef("SO-MOD4", lambda n: n % 4 == 0 and not is_power_of_two(n),
                  "order == 0 mod 4, not a power of two",
-                 _traces_zero("orthogonal", needs_mds=True), scalars=ALL),
+                 _traces_zero("orthogonal", needs_mds=True), scalars=ALL,
+                 relation="orthogonal"),
         SuiteDef("SO-MOD2", lambda n: n % 4 == 2 and n >= 6,
-                 "order == 2 mod 4, >= 6", _run_so_mod2, scalars=ALL),
+                 "order == 2 mod 4, >= 6", _run_so_mod2, scalars=ALL,
+                 relation="orthogonal"),
         SuiteDef("SI-GEN", lambda n: n >= 3 and not is_power_of_two(n),
                  "order >= 3, not a power of two",
-                 _traces_zero("involutory", needs_mds=True), scalars=ALL),
+                 _traces_zero("involutory", needs_mds=True), scalars=ALL,
+                 relation="involutory"),
         SuiteDef("SO-ODD-EXIST", lambda n: n >= 3 and n % 2 == 1, "odd order >= 3",
-                 _run_so_odd_exist, implication=False, scalars=ALL),
+                 _run_so_odd_exist, implication=False, scalars=ALL, relation="orthogonal"),
     )
 }
 
@@ -667,7 +706,9 @@ def _tally(part: ScanReport, runners, p: Properties, scalars=_ONE, orbit=1,
     f < `orbit`, and, when `transposed`, once for the transpose tau of each:
     the counts add the weight len(scalars)*orbit, doubled when `transposed`,
     and a failure lists each of those rows.  A transpose has the semi pair
-    (D2, D1), rescaled, so its power-scalar failures swap d1 and d2."""
+    (D2, D1), rescaled, so its power-scalar failures swap d1 and d2.  A row
+    that the gate rejects (the module docstring) is not tallied: for it
+    this would add the weight to `examined` alone."""
     weight = len(scalars) * orbit
     if transposed:
         weight *= 2
@@ -719,23 +760,43 @@ def _scan_chunk(args) -> ScanReport:
     """The partial report of one chunk: the config's forced rows (span None),
     rows start .. end-1 of its seeded stream, or in an exhaustive scan the
     orbits whose least representative is among its scalar classes
-    start .. end-1."""
+    start .. end-1.
+
+    When every suite declares a relation, each row or representative first
+    goes through `pair_gate` on those relations, the gate of the module
+    docstring: a rejected one only adds its weight to `examined`, 1 for a
+    row or the zero row and the orbit's q - 1 scalars times its size,
+    doubled when `transposed`, for a representative; one that passes gets
+    its `Properties` with the folds in place."""
     config, span = args
     gf = config.field
     part = ScanReport(config)
-    runners = [(SUITES[name].run, part.suites[name]) for name in config.suites]
+    suites = [SUITES[name] for name in config.suites]
+    runners = [(suite.run, part.suites[name]) for name, suite in zip(config.suites, suites)]
+    relations = {suite.relation for suite in suites}
+    if None in relations:  # a suite that declares no relation sees every row
+        def admit(row):
+            return Properties(gf, row)
+    else:
+        admit = pair_gate(gf, relations)
     if span is None or config.mode == RANDOM:
         rows = config.extra_rows if span is None else random_rows(
             config.seed, gf.order, config.order, *span)
         for row in rows:
-            _tally(part, runners, Properties(gf, row))
+            p = admit(row)
+            if p is None:
+                part.examined += 1
+            else:
+                _tally(part, runners, p)
         return part
-    declared = [SUITES[name].scalars for name in config.suites]
-    invariant = [r for r, scalars in zip(runners, declared) if scalars == ALL]
-    selectors = [scalars for scalars in declared if scalars != ALL]
+    invariant = [r for r, suite in zip(runners, suites) if suite.scalars == ALL]
+    selectors = [suite.scalars for suite in suites if suite.scalars != ALL]
     nonzero = tuple(range(1, gf.order))
     for rep, size, transposed in orbit_representatives(gf, config.order, *span):
-        p = Properties(gf, rep)
+        p = admit(rep)
+        if p is None:  # no row of the orbit has a pair of a declared relation
+            part.examined += (len(nonzero) * size << transposed) if any(rep) else 1
+            continue
         if not any(rep):  # the zero row is an orbit of its own
             _tally(part, runners, p)
             continue
@@ -744,7 +805,7 @@ def _scan_chunk(args) -> ScanReport:
         if rest:  # before a member c == 1 shares p and evaluates more on it
             _tally(part, invariant, p, rest, size, transposed)
         for c in chosen:
-            member = p if c == 1 else Properties(gf, _image(gf, c, 0, rep))
+            member = p if c == 1 else p.scaled(c)
             _tally(part, runners, member, orbit=size, transposed=transposed)
     return part
 

@@ -9,10 +9,11 @@ from itertools import product
 from math import comb, gcd
 from typing import Optional
 
+from circmds import verify
 from circmds.circulant import autocorrelation_roots
 from circmds.matgf import diag_trace, inverse, transpose
-from circmds.props import DiagonalPair, diagonal_scaling_solve
-from circmds.verify import RANDOM, BudgetExceeded, run_suite
+from circmds.props import DiagonalPair, Properties, diagonal_scaling_solve
+from circmds.verify import RANDOM, SUITES, BudgetExceeded, ScanReport, random_rows, run_suite
 
 ORACLE_MAX_Q = 8
 ORACLE_MAX_N = 3
@@ -315,3 +316,20 @@ def row_by_row(config) -> dict:
     every = tuple(index_to_row(i, q, n) for i in range(q ** n))
     return decided(run_suite(dataclasses.replace(
         config, mode=RANDOM, sample_count=0, extra_rows=config.extra_rows + every)))
+
+
+def every_row_tally(config) -> dict:
+    """The DECIDED entries of `config` with every row tallied on its own by
+    `verify._tally` on a fresh `Properties`, with no chunk, orbit or gate:
+    its forced rows, then every row of the space in index order, or in
+    random mode the draws of its seeded stream."""
+    q, n = config.field.order, config.order
+    if config.mode == RANDOM:
+        rows = random_rows(config.seed, q, n, 0, config.sample_count)
+    else:
+        rows = (index_to_row(i, q, n) for i in range(q ** n))
+    report = ScanReport(config)
+    runners = [(SUITES[name].run, report.suites[name]) for name in config.suites]
+    for row in config.extra_rows + tuple(rows):
+        verify._tally(report, runners, Properties(config.field, row))
+    return decided(report)

@@ -20,6 +20,7 @@ from circmds.circulant import (
 from circmds.field import get_field
 from circmds.matgf import Singular, det, diag_trace, identity, inverse, mat_mul, transpose
 from circmds.props import classify, is_involutory, is_mds, is_orthogonal
+from circmds.verify import RANDOM, ScanConfig, run_suite
 from reference import planted_semi_orthogonal_row, roots_by_root, scalar_gram_root
 
 GF4 = get_field(2, 0x7)
@@ -296,3 +297,28 @@ def test_lane_tables_keep_only_the_entries_a_row_meets():
     tables, _, _ = circulant._lanes(GF65536, 15)
     filled = sum(map(len, tables))
     assert 0 < filled < 0.01 * 15 * 65536, filled
+
+
+def test_lane_tables_stay_within_their_bound(monkeypatch):
+    # a scan sends every sampled row into the fold, and each residue table
+    # of a (field, d) keeps at most lane_room(m, d) entries, LANE_BYTES in
+    # all; an entry met after that is made again on each use.  A bound
+    # lowered to 64 KiB fills up in a 2,048-row scan of GF(2^16) rows at
+    # d = 15, and the roots read past it stay right.  At the real bound the
+    # benchmark's tables, GF(2^8) and GF(4) at d = 3, are kept whole
+    assert circulant.lane_room(8, 3) >= 255 and circulant.lane_room(2, 3) >= 3
+    monkeypatch.setattr(circulant, "LANE_BYTES", 1 << 16)
+    monkeypatch.setattr(circulant, "_LANES", {})
+    room = circulant.lane_room(16, 15)
+    assert 0 < 15 * room * (128 + 15 * 17 // 8) <= 1 << 16
+    report = run_suite(ScanConfig(field=GF65536, order=15, suites=("SO-ODD-EXIST",),
+                                  mode=RANDOM, seed=15, sample_count=2048))
+    assert report.examined == 2048
+    tables, _, _ = circulant._lanes(GF65536, 15)
+    assert [len(table) for table in tables] == [room] * 15
+    rng = random.Random(16)
+    rows = _seeded_rows(GF65536, 15, 20, rng)
+    rows += [row for _ in range(5) for row in planted_semi_orthogonal_row(GF65536, 15, rng)]
+    for row in rows:
+        assert autocorrelation_roots(GF65536, row, 15) == roots_by_root(GF65536, row, 15), row
+    assert [len(table) for table in tables] == [room] * 15

@@ -1034,6 +1034,29 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     assert disconnected == 8536
 
 
+def test_a_scaled_row_carries_its_folds(monkeypatch):
+    # (cA)^2 == c^2*A^2 and (ca)(x^-1)*(ca)(mu*x) == c^2*a(x^-1)*a(mu*x), so
+    # the Properties of c*a take a's folds, scaled or as they are, and fold
+    # nothing: with the folds removed, c*a still reads them
+    spaces = [(GF4, n) for n in range(1, 7)] + [(GF8, n) for n in range(1, 5)]
+    want = {}
+    for gf, n in spaces:
+        for row in product(range(gf.order), repeat=n):
+            if any(row):
+                p = Properties(gf, row)
+                want[gf, row] = (p.square_root(), p.autocorrelation())
+    monkeypatch.setattr(props, "scalar_square_root", None)
+    monkeypatch.setattr(props, "autocorrelation_roots", None)
+    for (gf, row), (root, roots) in want.items():
+        p = Properties(gf, row, root, roots)
+        for c in range(1, gf.order):
+            member = p.scaled(c)
+            image = tuple(gf.mul(c, v) for v in row)
+            assert member.row == image
+            assert (member.square_root(), member.autocorrelation()) == want[gf, image], (
+                gf.m, row, c)
+
+
 # (m, poly, n, lead_one, rows, orthogonal pairs, those with mu != 1): every
 # disconnected row of the space, or with `lead_one` those whose first nonzero
 # entry is 1, which the scalar lemma carries to every multiple.  Only a block
@@ -1075,7 +1098,7 @@ def test_a_disconnected_row_is_decided_on_its_block(m, poly, n, lead_one, rows, 
 
 def test_a_support_of_more_than_half_the_entries_is_its_own_block():
     # a disconnected support lies in one coset of g*Z_n, g >= 2, so it has at
-    # most n/2 entries; `block` counts zeros instead of taking the gcd, and
+    # most n/2 entries; `row_block` counts zeros instead of taking the gcd, and
     # both sides of the bound at exactly n/2 entries occur here, connected
     # like (1, 1, 1, 0, 0, 0) and disconnected like (1, 0, 1, 0, 1, 0)
     census = Counter()
@@ -1083,7 +1106,7 @@ def test_a_support_of_more_than_half_the_entries_is_its_own_block():
         for row in product(range(gf.order), repeat=n):
             if any(row):
                 want = gcd_block(row)
-                assert Properties(gf, row).block() == want, row
+                assert props.row_block(row) == want, row
                 census[2 * row.count(0) == n, want[1] > 1] += 1
     assert census[True, False] and census[True, True]
 
@@ -1101,7 +1124,7 @@ def test_block_takes_the_support_gcd_only_on_rows_with_half_their_entries_zero(m
     reached = []
     for row in random_rows(1, 4, 12, 0, 2048):
         calls.clear()
-        Properties(GF4, row).block()
+        props.row_block(row)
         if calls:
             reached.append(row)
     assert reached == [row for row in random_rows(1, 4, 12, 0, 2048) if row.count(0) >= 6]

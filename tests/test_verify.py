@@ -46,6 +46,7 @@ from reference import (
     decided,
     dense_semi_pair,
     disconnected_rows,
+    every_row_tally,
     index_to_row,
     next_below,
     oracle_semi_search,
@@ -281,6 +282,35 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # disconnected support and no scalar square, and ask nothing more
     assert (0, 1, 0, 0, 0) in kept and (0, 0, 1, 0, 0) in kept
     assert calls["singular"] == []
+
+
+def test_orthogonal_relation_folds_once_per_representative(monkeypatch):
+    # SO-POW2 and ORTH-NONE declare the orthogonal relation: the gate folds
+    # each evaluated representative with a nonzero row sum once, the suites
+    # and ORTH-NONE's selector read that fold, and a selected member c*a,
+    # c != 1, takes the representative's roots (`Properties.scaled`); a
+    # zero row sum folds nothing
+    calls = []
+    members = []
+
+    def fold(gf, row, d):
+        calls.append(row)
+        return real_fold(gf, row, d)
+
+    def scaled(p, c):
+        members.append(c)
+        return real_scaled(p, c)
+
+    real_fold, real_scaled = props.autocorrelation_roots, Properties.scaled
+    monkeypatch.setattr(props, "autocorrelation_roots", fold)
+    monkeypatch.setattr(Properties, "scaled", scaled)
+    report = run_suite(ScanConfig(field=GF8, order=4, suites=("SO-POW2", "ORTH-NONE")))
+    assert report.ok() and report.examined == 8 ** 4
+    kept = [rep for rep, _, _ in verify.orbit_representatives(GF8, 4, 0, class_count(8, 4))]
+    # 117 orbits and the zero row, 100 of them with a nonzero row sum; 27
+    # representatives have a Gram root t != 0, 1, so ORTH-NONE selects t^-1
+    assert len(kept) == 118 and len(calls) == sum(1 for rep in kept if diag_trace(rep)) == 100
+    assert len(members) == 27 and 1 not in members
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
@@ -550,6 +580,71 @@ def test_suites_declare_their_scalars():
     assert {name for name, s in declared.items() if s == ALL} == {
         "SO-POW2", "SI-POW2", "SO-MOD4", "SO-MOD2", "SI-GEN", "SO-ODD-EXIST"}
     assert callable(declared["INV-NONE"]) and callable(declared["ORTH-NONE"])
+
+
+# every row of these spaces is tallied by each suite the order admits
+_GATE_SPACES = [(GF4, n) for n in range(1, 7)] + [(GF8, n) for n in range(1, 5)] + [(GF16, 3)]
+
+
+def test_suites_declare_the_relation_their_hypothesis_implies():
+    # wherever a suite's hypothesis holds, the pair of its declared relation
+    # exists, so a row without it can be left out of the suite's tally; the
+    # hypothesis is also evaluated with MDS taken as true, which makes INV-NONE
+    # and ORTH-NONE hold on the involutory and orthogonal rows (A^-1 == I*A*I
+    # and A^-T == I*A*I), and SO-MOD2 on the disconnected GF(16) n = 6 rows
+    # with a non-periodic pair
+    assert {name: suite.relation for name, suite in verify.SUITES.items()} == {
+        "INV-NONE": "involutory", "ORTH-NONE": "orthogonal",
+        "SO-POW2": "orthogonal", "SI-POW2": "involutory", "SO-MOD4": "orthogonal",
+        "SO-MOD2": "orthogonal", "SI-GEN": "involutory", "SO-ODD-EXIST": "orthogonal"}
+    held = dict.fromkeys(verify.SUITES, 0)
+    spaces = [(gf, n, product(range(gf.order), repeat=n)) for gf, n in _GATE_SPACES]
+    spaces.append((GF16, 6, disconnected_rows(GF16, 6, lead_one=True)))
+    for gf, n, rows in spaces:
+        suites = [suite for suite in verify.SUITES.values() if suite.order_ok(n)]
+        for row in rows:
+            for suite in suites:
+                for assume_mds in (False, True):
+                    p = Properties(gf, row)
+                    if assume_mds:
+                        p.mds_verdict = props.MdsVerdict(True)
+                    if suite.run(p)[0]:
+                        assert p.semi(suite.relation).found, (suite.name, gf.m, row)
+                        held[suite.name] += 1
+    # SO-MOD4 admits no order of these spaces
+    assert [name for name, count in held.items() if not count] == ["SO-MOD4"], held
+
+
+def test_gated_scans_equal_the_ungated_tally():
+    # a scan rejects a row on its relations' folds before the row gets a
+    # `Properties`; its payload equals that of the whole battery on every
+    # row, at 1 and 2 workers: each suite alone on every row of small
+    # spaces, the benchmark's three exhaustive configs, and its two sampled
+    # configs at three seeds
+    configs = [ScanConfig(field=gf, order=n, suites=(name,))
+               for gf, n in _GATE_SPACES for name, suite in verify.SUITES.items()
+               if suite.order_ok(n)]
+    configs += [
+        ScanConfig(field=GF4, order=6, suites=("SO-MOD2", "SI-GEN")),
+        ScanConfig(field=GF8, order=4, suites=("INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2")),
+        ScanConfig(field=GF32, order=3, suites=("INV-NONE", "SI-GEN")),
+    ]
+    for seed in (1, 2, 3):
+        configs += [
+            ScanConfig(field=F11D, order=3, suites=("SO-ODD-EXIST",), mode=RANDOM, seed=seed,
+                       sample_count=2048, extra_rows=(EXAMPLES[1]["row"],)),
+            ScanConfig(field=GF4, order=12, suites=("SO-MOD4",), mode=RANDOM, seed=seed,
+                       sample_count=2048),
+        ]
+    assert len(configs) == 27 + 3 + 6
+    held = 0
+    for config in configs:
+        want = every_row_tally(config)
+        held += sum(res["hypothesis_count"] for res in want["suites"].values())
+        for workers in (1, 2):
+            got = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
+            assert got == want, (config.field.m, config.order, config.suites, config.seed, workers)
+    assert held > 0
 
 
 def test_scan_by_classes_equals_the_row_by_row_scan():
