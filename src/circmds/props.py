@@ -769,15 +769,6 @@ class Properties:
         self.mds_verdict = None
         self.semi_reports: dict[str, SemiReport] = {}
 
-    def scaled(self, c: int) -> Properties:
-        """The `Properties` of the row c*a, c != 0, with the folds made so far
-        carried over: (cA)^2 == c^2*A^2, so its square root is c*r, and
-        (ca)(x^-1)*(ca)(mu*x) is c^2 times a's product, so its roots are
-        a's."""
-        mul, root = self.gf.mul, self._root
-        return Properties(self.gf, [mul(c, v) for v in self.row],
-                          root and mul(c, root), self._roots)
-
     def semi(self, relation: str) -> SemiReport:
         """The pair with A^-1 == D1*A*D2 (`relation` "involutory") or
         A^-T == D1*A*D2 ("orthogonal"), with its scalar powers and traces."""
@@ -794,14 +785,14 @@ class Properties:
 
     def square_root(self) -> int:
         """`scalar_square_root` of the row, folded once for the involutory
-        test, the semi-involutory pair and a scan's scalar selector."""
+        test, the semi-involutory pair and INV-NONE."""
         if self._root is None:
             self._root = scalar_square_root(self.row)
         return self._root
 
     def autocorrelation(self) -> list[int]:
         """`block_roots` of the row, folded once for the orthogonal test, the
-        semi-orthogonal pair and a scan's scalar selector."""
+        semi-orthogonal pair and ORTH-NONE."""
         if self._roots is None:
             self._roots = block_roots(self.gf, self.row)
         return self._roots

@@ -35,10 +35,12 @@ Scalar classes.  Take A = circulant(a), c != 0, and the member c*a:
                member, and d2 only scales by c^-2, which keeps whether
                k2 is None and whether trace(d2) == 0.
   interleaved  both sums scale by c, so whether one is zero is the same.
-  involutory   with r = scalar_square_root(a), (cA)^2 == c^2*r^2*I, so only
-               c = r^-1 can be involutory, and none can when r == 0.
+  involutory   with r = scalar_square_root(a), (cA)^2 == c^2*r^2*I, so c*a
+               has the root c*r, and a member (c = r^-1) is involutory
+               exactly when r != 0.
   orthogonal   with t = Properties.gram_root(), (cA)*(cA)^T == c^2*t^2*I, so
-               only c = t^-1 can be orthogonal, and none can when t == 0.
+               c*a has the root c*t, and a member (c = t^-1) is orthogonal
+               exactly when t != 0.
 
 Frobenius.  sigma(v) = v^2 is an automorphism of GF(2^m) that fixes 0 and
 1; take B = sigma(A) entrywise, the circulant of sigma(a):
@@ -48,9 +50,8 @@ Frobenius.  sigma(v) = v^2 is an automorphism of GF(2^m) that fixes 0 and
                still canonical as sigma(1) == 1; `found`, k is None,
                trace == 0 and nonperiodicity are kept, and so is whether
                an interleaved sum is zero.
-  selectors    B^2 == sigma(r)^2*I and B*B^T == sigma(t)^2*I, so both
-               selectors below are equivariant: select(sigma(a)) ==
-               sigma(select(a)).
+  roots        B^2 == sigma(r)^2*I and B*B^T == sigma(t)^2*I, so whether
+               r or t is zero is the same.
 A class representative (first nonzero entry 1) maps to one, so sigma acts
 on the representatives; its orbit has m/s distinct images sigma^f(a),
 where s is the number of f < m with sigma^f(a) == a.
@@ -84,9 +85,8 @@ row of A^T:
                this form with mu^-1.  So on every row with a pair d1 and
                d2 agree on each predicate a scan counts, and agree with
                tau(a)'s, in either order.
-  selectors    (A^T)^2 == (A^2)^T and A^T*A == A*A^T, so r and t are the
-               same for tau(a), and the member c*tau(a) == tau(c*a) is
-               selected with c*a.
+  roots        (A^T)^2 == (A^2)^T and A^T*A == A*A^T, so r and t are the
+               same for tau(a).
   interleaved  at even n, j -> -j keeps the parity of j, so both sums are
                the same.
 The representative of tau(a) is c*tau(a), with c the inverse of its first
@@ -95,15 +95,12 @@ entry.  tau commutes with sigma and with the scalars, so the sigma-orbits
 of the classes of a and of tau(a) have the same size, and they are one
 orbit or disjoint.
 
-Each `SuiteDef` declares in `scalars` how its runner behaves on the
-orbit of a row under the group a -> c*sigma^f(tau^e(a)), c != 0, a
-property of its theorem: ALL when the runner's result, and everything it
-evaluates, is the same on every row of the orbit; or an equivariant
-selector, (Properties of the representative) -> scalars c, that returns a
-superset of the members c*a on which the hypothesis can hold, where on
-every other row of the orbit the runner's hypothesis fails before it
-evaluates a semi pair or MDS (INV-NONE selects r^-1, ORTH-NONE t^-1).  An
-exhaustive scan goes over the classes: the representatives whose first
+By these facts every runner's result, and everything it evaluates, is
+the same on every row of the orbit of a row under the group
+a -> c*sigma^f(tau^e(a)), c != 0.  INV-NONE and ORTH-NONE state their
+theorems on whole scalar classes for this: some member of the class is
+involutory (r != 0), or orthogonal (t != 0), and MDS.  An exhaustive
+scan goes over the classes: the representatives whose first
 nonzero entry is 1, then the zero row on its own.  Of each orbit it
 evaluates only the representative a that is least in enumeration order
 among the representatives of its images sigma^f(a) and sigma^f(tau(a)),
@@ -117,43 +114,36 @@ survives sigma.  tau is tested on the top digit: when a_0 = 1, the
 representative of tau(a) is tau(a) itself, read from the top a_1, ...,
 a_(n-1), a_0, so a is least only if the least image sigma^f(a_1) is at
 least a_(n-1), and a_1 runs over those values alone.  The representative
-stands for the scalars no selector chose, with their number times the
-orbit size as weight, doubled when tau leaves the sigma-orbit, on the ALL
-suites alone, and is tallied before any selected
-member can share its `Properties`, as the side invariants count what the
-runners evaluated.  Each selected member c*a then gets the tally of every
-suite, with the orbit size as weight, doubled likewise, from its own
-`Properties`, or from the representative's when c == 1.  A failure lists
-the rows sigma^f(c*a) and, when tau leaves the sigma-orbit, their
-transposes, whose power-scalar entries carry d1 and d2 swapped, in the
-order of a row tallied on its own: by relation, then d1 before d2.  Over
-GF(2) the only scalar is 1 and sigma is the identity, so the orbits are
-{a, tau(a)}.
+gets one tally for its orbit, with the q - 1 scalars times the orbit size
+as weight, doubled when tau leaves the sigma-orbit; the zero row is an
+orbit of its own, of weight 1.  A failure lists the rows sigma^f(c*a)
+and, when tau leaves the sigma-orbit, their transposes, whose
+power-scalar entries carry d1 and d2 swapped, in the order of a row
+tallied on its own: by relation, then d1 before d2.  Over GF(2) the only
+scalar is 1 and sigma is the identity, so the orbits are {a, tau(a)}.
 
-The gate.  Each `SuiteDef` also declares in `relation` the semi relation
+The gate.  Each `SuiteDef` declares in `relation` the semi relation
 whose pair exists on every row where its hypothesis holds: "orthogonal",
-A^-T == D1*A*D2, for the SO-* suites and ORTH-NONE, as an orthogonal A
-has A^-T == I*A*I; "involutory", A^-1 == D1*A*D2, for the SI-* suites
-and INV-NONE, as an involutory A has A^-1 == I*A*I.  Each runner asks
-that relation first and stops when the pair is missing, before it
-evaluates anything a tally counts: no hypothesis holds, no pair is found
-and no MDS verdict is made, so such a row adds its weight to `examined`
-and nothing else.  When every suite of a scan declares a relation, the
-scan decides this on the relations' folds alone (`props.pair_gate`), before
-the row gets a `Properties`: the scalar square for the involutory pair,
-and the row sum and the roots of unity of its block's autocorrelation for
-the orthogonal one.  Whether a row has a pair is the same on its whole
-orbit, so a rejected representative stands for the orbit, and no selector
-picks a member of it: INV-NONE declares "involutory", so r == 0 there,
-and ORTH-NONE "orthogonal", so t == 0.  A row that passes
-takes its folds into its `Properties`, and a selected member takes the
-representative's (`Properties.scaled`), so no row folds a relation twice.
-A suite that declares none, such as a test's probe, makes the scan see
-every row.
+A^-T == D1*A*D2, for the SO-* suites and ORTH-NONE, as A*A^T == t^2*I
+gives A^-T == I*A*(t^-2*I); "involutory", A^-1 == D1*A*D2, for the SI-*
+suites and INV-NONE, as A^2 == r^2*I gives A^-1 == I*A*(r^-2*I).  Each
+runner asks that relation first and stops when the pair is missing,
+before it evaluates anything a tally counts: no hypothesis holds, no pair
+is found and no MDS verdict is made, so such a row adds its weight to
+`examined` and nothing else.  When every suite of a scan declares a
+relation, the scan decides this on the relations' folds alone
+(`props.pair_gate`), before the row gets a `Properties`: the scalar
+square for the involutory pair, and the row sum and the roots of unity of
+its block's autocorrelation for the orthogonal one.  Whether a row has a
+pair is the same on its whole orbit, so a rejected representative stands
+for the orbit.  A row that passes takes its folds into its `Properties`,
+so no row folds a relation twice.  A suite that declares none, such as a
+test's probe, makes the scan see every row.
 
 Suites:
-  INV-NONE      involutory and MDS simultaneously: expected empty (n >= 3)
-  ORTH-NONE     orthogonal and MDS at order 2^d, d >= 2: expected empty
+  INV-NONE      a multiple involutory, and MDS: expected empty (n >= 3)
+  ORTH-NONE     a multiple orthogonal, and MDS, at order 2^d, d >= 2:
+                expected empty
   SO-POW2       semi-orthogonal at order 2^d: both diagonal traces zero
   SI-POW2       semi-involutory at order 2^d: both diagonal traces zero
   SO-MOD4       semi-orthogonal MDS at order == 0 mod 4 (not a power of
@@ -177,7 +167,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as dc_field
-from itertools import product
+from itertools import product, repeat
 from typing import Optional
 
 from .circulant import build, interleaved_sums
@@ -424,11 +414,11 @@ def _index_key(row):
 
 
 def _run_inv_none(p: Properties):
-    return p.involutory() and p.mds().is_mds, False, None
+    return p.square_root() != 0 and p.mds().is_mds, False, None
 
 
 def _run_orth_none(p: Properties):
-    return p.orthogonal() and p.mds().is_mds, False, None
+    return p.gram_root() != 0 and p.mds().is_mds, False, None
 
 
 def _traces_zero(relation: str, needs_mds: bool):
@@ -463,42 +453,22 @@ def _order_pow2(n: int) -> bool:
     return n >= 2 and is_power_of_two(n)
 
 
-def _involutory_scalars(p: Properties):
-    """The c with c*A involutory: r^-1 for A^2 == r^2*I, r != 0."""
-    r = p.square_root()
-    return (p.gf.inv(r),) if r else ()
-
-
-def _orthogonal_scalars(p: Properties):
-    """The c with c*A orthogonal: t^-1 for A*A^T == t^2*I, t != 0."""
-    t = p.gram_root()
-    return (p.gf.inv(t),) if t else ()
-
-
-# a `SuiteDef.scalars`: the runner's result, and all it evaluates, is the
-# same on every row c*sigma^f(tau^e(a)) of a row's orbit
-ALL = "all"
-
-
 @dataclass(frozen=True)
 class SuiteDef:
-    """A scan suite.  `relation` is the semi relation, "involutory"
-    (A^-1 == D1*A*D2) or "orthogonal" (A^-T == D1*A*D2), whose pair exists
-    on every row where the hypothesis holds, and on which the runner stops
-    first: a scan whose every suite declares one skips, by the module
-    docstring's gate, the rows that have the pair of none.  None declares
-    nothing, and a scan with such a suite sees every row."""
+    """A scan suite.  Its runner's result, and everything the runner
+    evaluates, is the same on every row of an orbit of the module
+    docstring, so an orbit's representative stands for it.  `relation` is
+    the semi relation, "involutory" (A^-1 == D1*A*D2) or "orthogonal"
+    (A^-T == D1*A*D2), whose pair exists on every row where the hypothesis
+    holds, and on which the runner stops first: a scan whose every suite
+    declares one skips, by the module docstring's gate, the rows that have
+    the pair of none.  None declares nothing, and a scan with such a suite
+    sees every row."""
 
     name: str
     order_ok: object  # callable(n) -> bool
     order_note: str
     run: object  # callable(Properties) -> (hyp, ok, extras)
-    # behaviour on the orbit c*sigma^f(tau^e(a)) of a row under nonzero
-    # scalars c, the Frobenius map and transposition (see the module
-    # docstring): ALL, or an equivariant callable(Properties) -> scalars c,
-    # with select(sigma(a)) == sigma(select(a)) and
-    # select(tau(a)) == select(a)
-    scalars: object
     implication: bool = True
     relation: Optional[str] = None
 
@@ -507,29 +477,23 @@ SUITES: dict[str, SuiteDef] = {
     s.name: s
     for s in (
         SuiteDef("INV-NONE", lambda n: n >= 3, "order >= 3", _run_inv_none,
-                 scalars=_involutory_scalars, relation="involutory"),
-        SuiteDef("ORTH-NONE", lambda n: n >= 4 and is_power_of_two(n),
-                 "order 2^d with d >= 2", _run_orth_none, scalars=_orthogonal_scalars,
-                 relation="orthogonal"),
-        SuiteDef("SO-POW2", _order_pow2, "order a power of two",
-                 _traces_zero("orthogonal", needs_mds=False), scalars=ALL,
-                 relation="orthogonal"),
-        SuiteDef("SI-POW2", _order_pow2, "order a power of two",
-                 _traces_zero("involutory", needs_mds=False), scalars=ALL,
                  relation="involutory"),
+        SuiteDef("ORTH-NONE", lambda n: n >= 4 and is_power_of_two(n),
+                 "order 2^d with d >= 2", _run_orth_none, relation="orthogonal"),
+        SuiteDef("SO-POW2", _order_pow2, "order a power of two",
+                 _traces_zero("orthogonal", needs_mds=False), relation="orthogonal"),
+        SuiteDef("SI-POW2", _order_pow2, "order a power of two",
+                 _traces_zero("involutory", needs_mds=False), relation="involutory"),
         SuiteDef("SO-MOD4", lambda n: n % 4 == 0 and not is_power_of_two(n),
                  "order == 0 mod 4, not a power of two",
-                 _traces_zero("orthogonal", needs_mds=True), scalars=ALL,
-                 relation="orthogonal"),
+                 _traces_zero("orthogonal", needs_mds=True), relation="orthogonal"),
         SuiteDef("SO-MOD2", lambda n: n % 4 == 2 and n >= 6,
-                 "order == 2 mod 4, >= 6", _run_so_mod2, scalars=ALL,
-                 relation="orthogonal"),
+                 "order == 2 mod 4, >= 6", _run_so_mod2, relation="orthogonal"),
         SuiteDef("SI-GEN", lambda n: n >= 3 and not is_power_of_two(n),
                  "order >= 3, not a power of two",
-                 _traces_zero("involutory", needs_mds=True), scalars=ALL,
-                 relation="involutory"),
+                 _traces_zero("involutory", needs_mds=True), relation="involutory"),
         SuiteDef("SO-ODD-EXIST", lambda n: n >= 3 and n % 2 == 1, "odd order >= 3",
-                 _run_so_odd_exist, implication=False, scalars=ALL, relation="orthogonal"),
+                 _run_so_odd_exist, implication=False, relation="orthogonal"),
     )
 }
 
@@ -762,12 +726,13 @@ def _scan_chunk(args) -> ScanReport:
     orbits whose least representative is among its scalar classes
     start .. end-1.
 
-    When every suite declares a relation, each row or representative first
-    goes through `pair_gate` on those relations, the gate of the module
-    docstring: a rejected one only adds its weight to `examined`, 1 for a
-    row or the zero row and the orbit's q - 1 scalars times its size,
-    doubled when `transposed`, for a representative; one that passes gets
-    its `Properties` with the folds in place."""
+    Each row stands for the rows sigma^f(c*row), c in `scalars`, f < `size`,
+    and their transposes when `transposed`: a forced or seeded row for
+    itself alone, a representative for its orbit, the zero row for itself.
+    When every suite declares a relation, the row first goes through
+    `pair_gate` on those relations, the gate of the module docstring: a
+    rejected row only adds its weight to `examined`; one that passes gets
+    its `Properties` with the folds in place, and one `_tally`."""
     config, span = args
     gf = config.field
     part = ScanReport(config)
@@ -782,31 +747,18 @@ def _scan_chunk(args) -> ScanReport:
     if span is None or config.mode == RANDOM:
         rows = config.extra_rows if span is None else random_rows(
             config.seed, gf.order, config.order, *span)
-        for row in rows:
-            p = admit(row)
-            if p is None:
-                part.examined += 1
-            else:
-                _tally(part, runners, p)
-        return part
-    invariant = [r for r, suite in zip(runners, suites) if suite.scalars == ALL]
-    selectors = [suite.scalars for suite in suites if suite.scalars != ALL]
-    nonzero = tuple(range(1, gf.order))
-    for rep, size, transposed in orbit_representatives(gf, config.order, *span):
-        p = admit(rep)
-        if p is None:  # no row of the orbit has a pair of a declared relation
-            part.examined += (len(nonzero) * size << transposed) if any(rep) else 1
-            continue
-        if not any(rep):  # the zero row is an orbit of its own
-            _tally(part, runners, p)
-            continue
-        chosen = sorted({c for select in selectors for c in select(p)})
-        rest = [c for c in nonzero if c not in chosen] if chosen else nonzero
-        if rest:  # before a member c == 1 shares p and evaluates more on it
-            _tally(part, invariant, p, rest, size, transposed)
-        for c in chosen:
-            member = p if c == 1 else p.scaled(c)
-            _tally(part, runners, member, orbit=size, transposed=transposed)
+        # zip, not a generator expression: that costs a sampled scan ~3 %
+        items = zip(rows, repeat(_ONE), repeat(1), repeat(False))
+    else:
+        nonzero = tuple(range(1, gf.order))
+        items = ((rep, nonzero if any(rep) else _ONE, size, transposed)
+                 for rep, size, transposed in orbit_representatives(gf, config.order, *span))
+    for row, scalars, size, transposed in items:
+        p = admit(row)
+        if p is None:  # no row it stands for has a pair of a declared relation
+            part.examined += len(scalars) * size << transposed
+        else:
+            _tally(part, runners, p, scalars, size, transposed)
     return part
 
 
@@ -933,7 +885,7 @@ def verify_example(example_id: int) -> ExampleRecord:
         return record
     asserts.append(("nonsingular", True, None))
 
-    verdict = is_mds(gf, A)
+    verdict = is_mds(gf, row)
     asserts.append(("mds", verdict.is_mds,
                     None if verdict.is_mds else f"singular minor {verdict.witness}"))
 

@@ -311,7 +311,9 @@ def row_by_row(config) -> dict:
     """The DECIDED entries of an exhaustive `config` scanned one row at a
     time: the same config in random mode with no draws, whose forced rows
     are its own followed by every row of the space in index order.  Each
-    row gets its own tally, so no orbit stands for another."""
+    row gets its own tally, so no orbit stands for another; the gate still
+    decides a row without a pair of the suites' relations on its folds
+    alone, where `every_row_tally` gives it a `Properties` and a tally."""
     q, n = config.field.order, config.order
     every = tuple(index_to_row(i, q, n) for i in range(q ** n))
     return decided(run_suite(dataclasses.replace(

@@ -1034,29 +1034,6 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     assert disconnected == 8536
 
 
-def test_a_scaled_row_carries_its_folds(monkeypatch):
-    # (cA)^2 == c^2*A^2 and (ca)(x^-1)*(ca)(mu*x) == c^2*a(x^-1)*a(mu*x), so
-    # the Properties of c*a take a's folds, scaled or as they are, and fold
-    # nothing: with the folds removed, c*a still reads them
-    spaces = [(GF4, n) for n in range(1, 7)] + [(GF8, n) for n in range(1, 5)]
-    want = {}
-    for gf, n in spaces:
-        for row in product(range(gf.order), repeat=n):
-            if any(row):
-                p = Properties(gf, row)
-                want[gf, row] = (p.square_root(), p.autocorrelation())
-    monkeypatch.setattr(props, "scalar_square_root", None)
-    monkeypatch.setattr(props, "autocorrelation_roots", None)
-    for (gf, row), (root, roots) in want.items():
-        p = Properties(gf, row, root, roots)
-        for c in range(1, gf.order):
-            member = p.scaled(c)
-            image = tuple(gf.mul(c, v) for v in row)
-            assert member.row == image
-            assert (member.square_root(), member.autocorrelation()) == want[gf, image], (
-                gf.m, row, c)
-
-
 # (m, poly, n, lead_one, rows, orthogonal pairs, those with mu != 1): every
 # disconnected row of the space, or with `lead_one` those whose first nonzero
 # entry is 1, which the scalar lemma carries to every multiple.  Only a block

@@ -22,10 +22,10 @@ from circmds.props import (
     circulant_semi_pair,
     classify,
     is_involutory,
+    is_mds,
     is_orthogonal,
 )
 from circmds.verify import (
-    ALL,
     CHUNK,
     EXAMPLES,
     EXHAUSTIVE,
@@ -41,6 +41,7 @@ from circmds.verify import (
     verification_plan,
     verify_example,
 )
+from census import GATE_SPACES
 from reference import (
     class_rows,
     decided,
@@ -245,10 +246,10 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
 
 
 def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypatch):
-    # the scan goes by orbits: INV-NONE's selector and SI-GEN share one fold
-    # per evaluated representative, and the one selected member, c = 1, is
-    # the representative and shares its fold; no mu is tried for the
-    # involutory relation, and no row, on any support, asks the gcd test
+    # the scan goes by orbits: INV-NONE and SI-GEN share one fold per
+    # evaluated representative, which stands for its whole orbit; no mu is
+    # tried for the involutory relation, and no row, on any support, asks
+    # the gcd test
     calls = {"fold": 0, "geometric": 0, "singular": []}
 
     def fold(row):
@@ -274,8 +275,8 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     kept = [row for row in class_rows(8, 5, 0, zero) if row == _least_image(GF8, row)]
     kept.append((0,) * 5)
     # 805 nonzero orbits under sigma and tau, and the zero row; at odd n
-    # only the rows (r, 0, 0, 0, 0) have a scalar square, so the one
-    # selected member is the representative (1, 0, 0, 0, 0) itself
+    # only the rows (r, 0, 0, 0, 0) have a scalar square, the orbit of the
+    # representative (1, 0, 0, 0, 0)
     assert classes == 4682 and len(kept) == 806 and calls["fold"] == len(kept)
     assert calls["geometric"] == 0
     # the representatives x^s with s != 0 (4 shifts paired by tau) have a
@@ -286,31 +287,21 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
 
 def test_orthogonal_relation_folds_once_per_representative(monkeypatch):
     # SO-POW2 and ORTH-NONE declare the orthogonal relation: the gate folds
-    # each evaluated representative with a nonzero row sum once, the suites
-    # and ORTH-NONE's selector read that fold, and a selected member c*a,
-    # c != 1, takes the representative's roots (`Properties.scaled`); a
-    # zero row sum folds nothing
+    # each evaluated representative with a nonzero row sum once, and both
+    # suites read that fold; a zero row sum folds nothing
     calls = []
-    members = []
 
     def fold(gf, row, d):
         calls.append(row)
         return real_fold(gf, row, d)
 
-    def scaled(p, c):
-        members.append(c)
-        return real_scaled(p, c)
-
-    real_fold, real_scaled = props.autocorrelation_roots, Properties.scaled
+    real_fold = props.autocorrelation_roots
     monkeypatch.setattr(props, "autocorrelation_roots", fold)
-    monkeypatch.setattr(Properties, "scaled", scaled)
     report = run_suite(ScanConfig(field=GF8, order=4, suites=("SO-POW2", "ORTH-NONE")))
     assert report.ok() and report.examined == 8 ** 4
     kept = [rep for rep, _, _ in verify.orbit_representatives(GF8, 4, 0, class_count(8, 4))]
-    # 117 orbits and the zero row, 100 of them with a nonzero row sum; 27
-    # representatives have a Gram root t != 0, 1, so ORTH-NONE selects t^-1
+    # 117 orbits and the zero row, 100 of them with a nonzero row sum
     assert len(kept) == 118 and len(calls) == sum(1 for rep in kept if diag_trace(rep)) == 100
-    assert len(members) == 27 and 1 not in members
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
@@ -528,10 +519,10 @@ def test_merge_adds_counts_and_concatenates_lists_in_order():
 
 def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
     # GF(4) n = 8 is 2 chunks of scalar classes; the runner fails on rows
-    # with at most one nonzero entry, a count that c*sigma^f keeps, so it is
-    # declared ALL: the failing representatives lie 1 in the first chunk and
-    # 8 in the second, and the forced row, which the enumeration meets
-    # again in the second, comes first
+    # with at most one nonzero entry, a count that c*sigma^f*tau keeps: the
+    # failing representatives lie 1 in the first chunk and 8 in the second,
+    # and the forced row, which the enumeration meets again in the second,
+    # comes first
     def sparse(row):
         return sum(1 for v in row if v) <= 1
 
@@ -539,7 +530,7 @@ def test_counterexamples_merge_across_chunks_forced_row_first(monkeypatch):
         return True, not sparse(p.row), {"seen": 1}
 
     monkeypatch.setitem(verify.SUITES, "INV-NONE", verify.SuiteDef(
-        "INV-NONE", lambda n: True, "any order", run, ALL))
+        "INV-NONE", lambda n: True, "any order", run))
     forced = (0,) * 7 + (3,)
     config = ScanConfig(field=GF4, order=8, suites=("INV-NONE",), extra_rows=(forced,))
     spans = verify._chunk_spans(config)
@@ -575,30 +566,19 @@ def test_class_rows_cover_every_row_once():
             assert list(class_rows(q, n, start, end)) == reps[start:end]
 
 
-def test_suites_declare_their_scalars():
-    declared = {name: suite.scalars for name, suite in verify.SUITES.items()}
-    assert {name for name, s in declared.items() if s == ALL} == {
-        "SO-POW2", "SI-POW2", "SO-MOD4", "SO-MOD2", "SI-GEN", "SO-ODD-EXIST"}
-    assert callable(declared["INV-NONE"]) and callable(declared["ORTH-NONE"])
-
-
-# every row of these spaces is tallied by each suite the order admits
-_GATE_SPACES = [(GF4, n) for n in range(1, 7)] + [(GF8, n) for n in range(1, 5)] + [(GF16, 3)]
-
-
 def test_suites_declare_the_relation_their_hypothesis_implies():
     # wherever a suite's hypothesis holds, the pair of its declared relation
     # exists, so a row without it can be left out of the suite's tally; the
     # hypothesis is also evaluated with MDS taken as true, which makes INV-NONE
-    # and ORTH-NONE hold on the involutory and orthogonal rows (A^-1 == I*A*I
-    # and A^-T == I*A*I), and SO-MOD2 on the disconnected GF(16) n = 6 rows
-    # with a non-periodic pair
+    # and ORTH-NONE hold on the rows with a scalar square or a Gram root
+    # (A^-1 == I*A*(r^-2*I) and A^-T == I*A*(t^-2*I)), and SO-MOD2 on the
+    # disconnected GF(16) n = 6 rows with a non-periodic pair
     assert {name: suite.relation for name, suite in verify.SUITES.items()} == {
         "INV-NONE": "involutory", "ORTH-NONE": "orthogonal",
         "SO-POW2": "orthogonal", "SI-POW2": "involutory", "SO-MOD4": "orthogonal",
         "SO-MOD2": "orthogonal", "SI-GEN": "involutory", "SO-ODD-EXIST": "orthogonal"}
     held = dict.fromkeys(verify.SUITES, 0)
-    spaces = [(gf, n, product(range(gf.order), repeat=n)) for gf, n in _GATE_SPACES]
+    spaces = [(gf, n, product(range(gf.order), repeat=n)) for gf, n in GATE_SPACES]
     spaces.append((GF16, 6, disconnected_rows(GF16, 6, lead_one=True)))
     for gf, n, rows in spaces:
         suites = [suite for suite in verify.SUITES.values() if suite.order_ok(n)]
@@ -622,7 +602,7 @@ def test_gated_scans_equal_the_ungated_tally():
     # spaces, the benchmark's three exhaustive configs, and its two sampled
     # configs at three seeds
     configs = [ScanConfig(field=gf, order=n, suites=(name,))
-               for gf, n in _GATE_SPACES for name, suite in verify.SUITES.items()
+               for gf, n in GATE_SPACES for name, suite in verify.SUITES.items()
                if suite.order_ok(n)]
     configs += [
         ScanConfig(field=GF4, order=6, suites=("SO-MOD2", "SI-GEN")),
@@ -666,18 +646,17 @@ def test_scan_by_classes_equals_the_row_by_row_scan():
 
 def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
     # every list populated, over five class chunks and a forced row: a probe
-    # suite declared ALL evaluates MDS on every row and fails on rows with at
-    # most one nonzero entry, every even-order MDS row fails its interleaved
-    # sums, and every semi pair fails its scalar powers; INV-NONE and
-    # ORTH-NONE select members, so both tallies feed the lists.  GF(2) has
-    # no MDS row of order 10, but its other lists are sorted back into index
-    # order from the order of its classes too
+    # suite evaluates MDS on every row and fails on rows with at most one
+    # nonzero entry, every even-order MDS row fails its interleaved sums,
+    # and every semi pair fails its scalar powers.  GF(2) has no MDS row of
+    # order 10, but its other lists are sorted back into index order from
+    # the order of its classes too
     def probe(p):
         p.mds()
         return True, sum(1 for v in p.row if v) > 1, {"seen": 1}
 
     monkeypatch.setitem(verify.SUITES, "PROBE", verify.SuiteDef(
-        "PROBE", lambda n: True, "any order", probe, scalars=ALL))
+        "PROBE", lambda n: True, "any order", probe))
     monkeypatch.setattr(verify, "interleaved_sums", lambda row: (0, 0))
     monkeypatch.setattr(props, "power_scalar", lambda gf, d, n: None)
     monkeypatch.setattr(verify, "CHUNK", 1024)
@@ -785,26 +764,25 @@ def test_small_chunks_keep_the_row_by_row_payload(monkeypatch):
             assert reduced == plain, (config.field.m, workers)
 
 
-def test_scalar_selectors_are_frobenius_equivariant():
-    # select(sigma(a)) == sigma(select(a)) and select(tau(a)) == select(a)
-    # on every nonzero row, which lets a kept representative stand for the
-    # selected members of its images
-    sigma = {gf: [gf.mul(v, v) for v in range(gf.order)] for gf, _ in _ORBIT_SPACES}
-    selected = 0
+def test_every_runner_is_invariant_on_the_orbit():
+    # every suite's runner returns the same result on a, c*a, sigma(a) and
+    # tau(a), at any order, which lets a kept representative stand for its
+    # orbit; every row of each space is met, so the field generator w
+    # stands for every scalar c
+    held = 0
     for gf, n in _ORBIT_SPACES:
-        square = sigma[gf]
+        square = [gf.mul(v, v) for v in range(gf.order)]
+        w = gf.exp_table[1]
+        results = {}
         for row in product(range(gf.order), repeat=n):
-            if not any(row):
-                continue
-            image = tuple(square[v] for v in row)
-            for suite in ("INV-NONE", "ORTH-NONE"):
-                select = verify.SUITES[suite].scalars
-                chosen = select(Properties(gf, row))
-                assert set(select(Properties(gf, image))) == {square[c] for c in chosen}, (
-                    suite, gf.m, row)
-                assert select(Properties(gf, _transpose(row))) == chosen, (suite, gf.m, row)
-                selected += len(chosen)
-    assert selected > 0
+            p = Properties(gf, row)
+            results[row] = [suite.run(p) for suite in verify.SUITES.values()]
+        for row, result in results.items():
+            for image in (tuple(gf.mul(w, v) for v in row), tuple(square[v] for v in row),
+                          _transpose(row)):
+                assert results[image] == result, (gf.m, row, image)
+            held += sum(1 for hyp, _, _ in result if hyp)
+    assert held > 0
 
 
 def _semi_summary(p):
@@ -889,46 +867,58 @@ def _dense_scalars(gf, row, test):
     return {c for c in range(1, gf.order) if test(gf, build([gf.mul(c, v) for v in row]))}
 
 
-def test_scalar_selectors_are_exact():
-    # the scalars INV-NONE and ORTH-NONE select are exactly the members whose
-    # dense square, or dense A*A^T, is I
-    select_inv = verify.SUITES["INV-NONE"].scalars
-    select_orth = verify.SUITES["ORTH-NONE"].scalars
-    selected = 0
+def test_nonzero_roots_find_the_involutory_and_orthogonal_multiples():
+    # r = square_root() != 0 exactly when some dense c*A is involutory, and
+    # t = gram_root() != 0 exactly when some dense c*A is orthogonal, with
+    # c = r^-1 or t^-1; c*a has the roots c*r and c*t, so INV-NONE and
+    # ORTH-NONE ask the same of every row of a scalar class
+    held = 0
     for gf, top in ((GF4, 6), (GF8, 4), (GF16, 3)):
         for n in range(1, top + 1):
+            roots = {}
             for row in product(range(gf.order), repeat=n):
+                p = Properties(gf, row)
+                roots[row] = p.square_root(), p.gram_root()
+            for row, (r, t) in roots.items():
                 if not any(row):
                     continue
-                p = Properties(gf, row)
-                inv, orth = set(select_inv(p)), set(select_orth(p))
-                assert inv == _dense_scalars(gf, row, is_involutory), (gf.m, row)
-                assert orth == _dense_scalars(gf, row, is_orthogonal), (gf.m, row)
-                selected += len(inv) + len(orth)
+                assert _dense_scalars(gf, row, is_involutory) == ({gf.inv(r)} if r else set())
+                assert _dense_scalars(gf, row, is_orthogonal) == ({gf.inv(t)} if t else set())
+                for c in range(2, gf.order):
+                    image = tuple(gf.mul(c, v) for v in row)
+                    assert roots[image] == (gf.mul(c, r), gf.mul(c, t)), (gf.m, row, c)
+                held += (r != 0) + (t != 0)
     # the nonzero scalar squares (261 + 518 + 270) and the scalar-orthogonal
     # rows (339 + 1,022 + 480) of these spaces
-    assert selected == 1049 + 1841
+    assert held == 1049 + 1841
 
 
 @pytest.mark.parametrize("relation", ["involutory", "orthogonal"])
-def test_selected_members_carry_the_relation(monkeypatch, relation):
-    # INV-NONE and ORTH-NONE never meet their hypothesis, so a suite that
-    # asks the relation alone, with the real selector, shows that no member
-    # on which it holds is left out; it then asks the semi pair, which every
-    # such member has, so the side invariants show whether the other
-    # multiples were tallied from a `Properties` that a member shared
+def test_the_nonexistence_runners_meet_their_hypothesis_at_other_orders(monkeypatch, relation):
+    # INV-NONE and ORTH-NONE meet no row on the orders they admit; a probe
+    # with the same runner and relation at any order counts q - 1 rows for
+    # each dense involutory (orthogonal) MDS row, the members of its class,
+    # and equals the ungated tally at 1 and 2 workers
     suite = {"involutory": "INV-NONE", "orthogonal": "ORTH-NONE"}[relation]
+    dense = {"involutory": is_involutory, "orthogonal": is_orthogonal}[relation]
     monkeypatch.setitem(verify.SUITES, "PROBE", verify.SuiteDef(
-        "PROBE", lambda n: True, "any order",
-        lambda p: (getattr(p, relation)() and p.semi(relation).found, True, None),
-        scalars=verify.SUITES[suite].scalars))
-    for field, order in ((GF4, 6), (GF8, 4), (GF16, 3)):
-        config = ScanConfig(field=field, order=order, suites=("PROBE",))
-        reduced = decided(run_suite(config))
-        assert reduced == row_by_row(config), (field.m, order)
-        assert reduced["suites"]["PROBE"]["hypothesis_count"] > 0
-        assert reduced["side_invariants"]["power_scalar_checked"] == 2 * reduced[
-            "suites"]["PROBE"]["hypothesis_count"]
+        "PROBE", lambda n: True, "any order", verify.SUITES[suite].run, relation=relation))
+    counts = {}
+    for gf in (GF4, GF8, GF16):
+        for n in (2, 3, 4):
+            config = ScanConfig(field=gf, order=n, suites=("PROBE",))
+            want = every_row_tally(config)
+            for workers in (1, 2):
+                got = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
+                assert got == want, (gf.m, n, workers)
+            rows = sum(1 for row in product(range(gf.order), repeat=n)
+                       if dense(gf, build(row)) and is_mds(gf, row).is_mds)
+            count = want["suites"]["PROBE"]["hypothesis_count"]
+            assert count == (gf.order - 1) * rows, (gf.m, n)
+            if count:
+                counts[gf.order, n] = count
+    assert counts == {(4, 2): 6, (8, 2): 42, (16, 2): 210, **{
+        "involutory": {}, "orthogonal": {(8, 3): 42, (16, 3): 180}}[relation]}
 
 
 # -- brute-force oracle ------------------------------------------------------------------
