@@ -37,10 +37,11 @@ coefficient t at every root at once.  With low holding 2^m - 1 in every
 lane, x + 2^m - 1 < 2^(m+1) sets bit m of its lane exactly when x != 0,
 and no lane carries into the next; so bit m of lane e of v + low is 1
 exactly when coefficient t is nonzero at the e-th root, and one AND with
-its complement drops those roots.  The tables fill an entry on first use,
-so a row of GF(2^16) keeps only the entries it meets, and stop at about
-LANE_BYTES per (field, d) (`lane_room`); an entry met after that is made
-again on each use.
+its complement drops those roots.  `_lanes` keeps, per (field, d), the
+fold that runs this loop with its tables.  The tables fill an entry on
+first use, so a row of GF(2^16) keeps only the entries it meets, and stop
+once the entries of every (field, d) of the process take LANE_BYTES
+(`lane_bytes`); an entry met after that is made again on each use.
 """
 
 from __future__ import annotations
@@ -89,46 +90,58 @@ def scalar_square_root(first_row) -> int:
 def autocorrelation_roots(gf: GF2m, first_row, d: int) -> list[int]:
     """The e < d, in increasing order, for which a(x^-1)*a(mu*x) mod x^n - 1
     is a constant, with mu = g^(e*(q-1)/d) for the field generator g; d
-    divides gcd(n, q - 1), so these mu are the d-th roots of unity.
+    divides gcd(n, q - 1), so these mu are the d-th roots of unity.  The
+    fold kept with the lane tables of (gf, d) decides it (`_lanes`)."""
+    return _lanes(gf, d)[0](first_row)
+
+
+def _fold(gf: GF2m, d: int, tables: list[_Lane]):
+    """The fold of `autocorrelation_roots` at d over the residue `tables`:
+    row -> the e of the roots of unity that survive.
 
     Coefficient t is the sum over j of a_j*a_(j-t)*mu^j, which is mu^t
     times coefficient n - t; at even n = 2h the terms j and j + h of
     coefficient h differ by mu^h, which is 1 (mu has odd order dividing
     n), and cancel.  So only t = 1 .. (n-1)//2 are tested.  As mu^d == 1,
     mu^j depends only on j mod d, and every root is tested at once by the
-    lane identity of the module docstring: the XOR v of the entries
-    `_lanes(gf, d)` holds for the terms' residues and products is
-    coefficient t at every mu, lane by lane, and `alive &= ~(v + low)`
-    keeps the mu whose lane is 0.  A mu drops at its first nonzero
-    coefficient, and the fold stops when none is alive.
+    lane identity of the module docstring: the XOR v of the entries the
+    tables hold for the terms' residues and products is coefficient t at
+    every mu, lane by lane, and `alive &= ~(v + low)` keeps the mu whose
+    lane is 0, where low holds 2^m - 1 and top 2^m in each of the d lanes
+    of m + 1 bits.  A mu drops at its first nonzero coefficient, and the
+    fold stops when none is alive.
     """
     exp, log = gf.exp_table, gf.log_table
-    tables, low, alive = _lanes(gf, d)
-    n = len(first_row)
-    for t in range(1, (n - 1) // 2 + 1):
-        v = 0
-        for j, u in enumerate(first_row):
-            if u:
-                w = first_row[j - t]  # a negative index wraps around
-                if w:
-                    v ^= tables[j % d][exp[log[u] + log[w]]]
-        alive &= ~(v + low)
-        if not alive:
-            return []
     m = gf.m
-    return [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
+    ones = sum(1 << (e * (m + 1)) for e in range(d))
+    low, top = ones * ((1 << m) - 1), ones << m
+
+    def fold(row) -> list[int]:
+        alive = top
+        for t in range(1, (len(row) - 1) // 2 + 1):
+            v = 0
+            for j, u in enumerate(row):
+                if u:
+                    w = row[j - t]  # a negative index wraps around
+                    if w:
+                        v ^= tables[j % d][exp[log[u] + log[w]]]
+            alive &= ~(v + low)
+            if not alive:
+                return []
+        return [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
+    return fold
 
 
 class _Lane(dict):
     """Residue r's table of `_lanes`: product x -> the int that holds
     x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use
-    until it holds `room` entries; an entry met after that is made again
-    on each use."""
+    while the entries of every table in `_LANES` stay within LANE_BYTES
+    (`lane_bytes`); an entry met after that is made again on each use."""
 
-    __slots__ = ("gf", "d", "r", "room")
+    __slots__ = ("gf", "d", "r", "keep")
 
-    def __init__(self, gf: GF2m, d: int, r: int, room: int):
-        self.gf, self.d, self.r, self.room = gf, d, r, room
+    def __init__(self, gf: GF2m, d: int, r: int):
+        self.gf, self.d, self.r, self.keep = gf, d, r, True
 
     def __missing__(self, x: int) -> int:
         gf, d, r = self.gf, self.d, self.r
@@ -137,38 +150,45 @@ class _Lane(dict):
         packed = 0
         for e in range(d):
             packed |= exp[lx + step * (e * r % d)] << (e * width)
-        if len(self) < self.room:
-            self[x] = packed
+        if self.keep:
+            if lane_bytes() + lane_entry_bytes(gf.m, d) <= LANE_BYTES:
+                self[x] = packed
+            else:  # no entry is ever dropped, so the tables stay full
+                self.keep = False
         return packed
 
 
-# The most bytes the kept entries of one (field, d) take, each entry counted
-# as its d*(m+1) packed bits and 128 bytes of int headers, key and dict
-# slot (tracemalloc reads 90 to 113 bytes besides the packed bits).  A field
-# up to GF(2^8) keeps its whole tables at every d but 255.
+# The most bytes the kept entries of every (field, d) take together, each
+# entry counted as its d*(m+1) packed bits and 128 bytes of int headers, key
+# and dict slot (tracemalloc reads 90 to 113 bytes besides the packed bits).
+# A field up to GF(2^8) keeps its whole tables at any one d but 255.
 LANE_BYTES = 1 << 23
 
+# (field polynomial, d) -> (the fold, its d residue tables)
 _LANES: dict[tuple[int, int], tuple] = {}
 
 
-def lane_room(m: int, d: int) -> int:
-    """How many entries each of the d residue tables of GF(2^m) keeps, so
-    that together they stay within LANE_BYTES."""
-    return LANE_BYTES // (128 + d * (m + 1) // 8) // d
+def lane_entry_bytes(m: int, d: int) -> int:
+    """The bytes LANE_BYTES counts for one entry of GF(2^m) at d."""
+    return 128 + d * (m + 1) // 8
 
 
-def _lanes(gf: GF2m, d: int) -> tuple[list[_Lane], int, int]:
-    """(the d residue tables, low, top) of the lane identity for the d-th
-    roots of unity of gf: low holds 2^m - 1 and top holds 2^m in each of the
-    d lanes of m + 1 bits.  Kept per (field, d); no entry is made here."""
+def lane_bytes() -> int:
+    """The bytes the entries kept in `_LANES` take, as LANE_BYTES counts
+    them."""
+    return sum(lane_entry_bytes(poly.bit_length() - 1, d) * sum(map(len, tables))
+               for (poly, d), (_, tables) in _LANES.items())
+
+
+def _lanes(gf: GF2m, d: int) -> tuple:
+    """(the fold, its d residue tables) of the lane identity for the d-th
+    roots of unity of gf (`_fold`), kept per (field, d); no entry is made
+    here."""
     key = (gf.poly, d)  # the polynomial fixes the field; a GF2m hashes in Python
     lanes = _LANES.get(key)
     if lanes is None:
-        m = gf.m
-        ones = sum(1 << (e * (m + 1)) for e in range(d))
-        room = lane_room(m, d)
-        lanes = _LANES[key] = ([_Lane(gf, d, r, room) for r in range(d)],
-                               ones * ((1 << m) - 1), ones << m)
+        tables = [_Lane(gf, d, r) for r in range(d)]
+        lanes = _LANES[key] = (_fold(gf, d, tables), tables)
     return lanes
 
 

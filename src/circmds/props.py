@@ -129,6 +129,7 @@ from typing import Optional
 
 from .circulant import (
     OddOrder,
+    _lanes,
     autocorrelation_roots,
     is_circulant,
     is_singular_row,
@@ -849,18 +850,21 @@ def classify(gf: GF2m, first_row) -> Classification:
     return Properties(gf, first_row).classification()
 
 
-def pair_gate(gf: GF2m, relations):
-    """callable(row) -> the `Properties` of the row, with the folds made
-    here in place, or None when by those folds the row has the pair of
+def pair_gate(gf: GF2m, relations, n: int):
+    """callable(row) -> the `Properties` of the order-n row, with the folds
+    made here in place, or None when by those folds the row has the pair of
     none of the semi `relations` ("involutory", "orthogonal").
 
     The semi-involutory pair exists exactly when `scalar_square_root` is
     nonzero, and a semi-orthogonal pair needs a nonzero row sum and a root
-    of unity from `block_roots` (`circulant_semi_pair`).  A row that
-    passes the involutory fold is not folded for the other relation here,
-    and no fold is made twice."""
+    of unity from `block_roots` (`circulant_semi_pair`).  A row with fewer
+    than n/2 zero entries is its own block (`row_block`), so its roots come
+    from the fold at d = gcd(n, q - 1), looked up here once and called
+    with no block step.  A row that passes the involutory fold is not
+    folded for the other relation here, and no fold is made twice."""
     involutory = "involutory" in relations
     orthogonal = "orthogonal" in relations
+    fold = _lanes(gf, gcd(n, gf.order - 1))[0]
 
     def gate(row) -> Optional[Properties]:
         root = None
@@ -869,7 +873,7 @@ def pair_gate(gf: GF2m, relations):
             if root:
                 return Properties(gf, row, root)
         if orthogonal and diag_trace(row):
-            roots = block_roots(gf, row)
+            roots = fold(row) if 2 * row.count(0) < n else block_roots(gf, row)
             if roots:
                 return Properties(gf, row, root, roots)
         return None

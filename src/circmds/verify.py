@@ -134,11 +134,12 @@ is found and no MDS verdict is made, so such a row adds its weight to
 relation, the scan decides this on the relations' folds alone
 (`props.pair_gate`), before the row gets a `Properties`: the scalar
 square for the involutory pair, and the row sum and the roots of unity of
-its block's autocorrelation for the orthogonal one.  Whether a row has a
-pair is the same on its whole orbit, so a rejected representative stands
-for the orbit.  A row that passes takes its folds into its `Properties`,
-so no row folds a relation twice.  A suite that declares none, such as a
-test's probe, makes the scan see every row.
+its block's autocorrelation for the orthogonal one, folded at
+gcd(n, q - 1) with no block step when the row is its own block.  Whether
+a row has a pair is the same on its whole orbit, so a rejected
+representative stands for the orbit.  A row that passes takes its folds
+into its `Properties`, so no row folds a relation twice.  A suite that
+declares none, such as a test's probe, makes the scan see every row.
 
 Suites:
   INV-NONE      a multiple involutory, and MDS: expected empty (n >= 3)
@@ -167,6 +168,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import product, repeat
 from typing import Optional
 
@@ -234,19 +236,43 @@ def random_rows(seed: int, q: int, n: int, start: int, end: int):
     is bits i*m .. i*m + m - 1, and no bit above n*m is read.  No draw is
     rejected.  Draw k therefore starts at state seed + k * words * gamma,
     and a chunk starts its own stream there.  For q^n <= 2^64 a draw is one
-    output.
+    output.  Up to q = 2^12 the digits are read k = 12 // m at a time, each
+    k of them as one entry of `_digit_table(m)`, and the digits read past
+    c_(n-1) are dropped; above, each digit is read by its own shift.
     """
     m = q.bit_length() - 1
     words = -(-n * m // 64)
-    shifts = range(0, n * m, m)
-    digit = q - 1
     rng = SplitMix64(seed + start * words * _GAMMA)
     draw = rng.next_u64
+    if m > 12:
+        shifts = range(0, n * m, m)
+        digit = q - 1
+        for _ in range(start, end):
+            r = draw()
+            for w in range(1, words):
+                r |= draw() << (64 * w)
+            yield tuple([r >> s & digit for s in shifts])
+        return
+    table = _digit_table(m)
+    mask = len(table) - 1
+    width = mask.bit_length()  # k*m bits
+    shifts = range(width, n * m, width)
     for _ in range(start, end):
         r = draw()
         for w in range(1, words):
             r |= draw() << (64 * w)
-        yield tuple([r >> s & digit for s in shifts])
+        row = table[r & mask]
+        for s in shifts:
+            row += table[r >> s & mask]
+        yield row[:n]  # the very row when n is a multiple of k
+
+
+@cache
+def _digit_table(m: int) -> list[tuple[int, ...]]:
+    """The k = 12 // m base-2^m digits of each v < 2^(k*m), least
+    significant first: 4,096 tuples at most, about 0.4 MB at m = 2 and
+    0.6 MB at m = 1 (tracemalloc)."""
+    return [digits[::-1] for digits in product(range(1 << m), repeat=12 // m)]
 
 
 def class_count(q: int, n: int) -> int:
@@ -743,7 +769,7 @@ def _scan_chunk(args) -> ScanReport:
         def admit(row):
             return Properties(gf, row)
     else:
-        admit = pair_gate(gf, relations)
+        admit = pair_gate(gf, relations, config.order)
     if span is None or config.mode == RANDOM:
         rows = config.extra_rows if span is None else random_rows(
             config.seed, gf.order, config.order, *span)

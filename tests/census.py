@@ -9,6 +9,14 @@ record count:
                             of a scan of each suite alone on each space of
                             GATE_SPACES its order admits, one sorted-key JSON
                             line per scan; records: scans
+  random_rows               the seeded rows of `verify.random_rows` at every
+                            q = 2^m, m = 1 .. 16, at the orders of
+                            `_draw_orders`, seeds 0, 1 and 99, each from
+                            draw 0 and from the split starts 7 and 33 to
+                            draw 50; records: rows
+  autocorrelation_roots     `circulant.autocorrelation_roots` of the seeded
+                            rows of `_fold_rows` at d = gcd(n, q - 1) and at
+                            d = 1; records: folds
 
 A change that keeps every output keeps every digest, which
 tests/test_census.py checks.  One that changes an output on purpose
@@ -23,13 +31,16 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import re
+from math import gcd
 from pathlib import Path
 
 from circmds import cli, verify
+from circmds.circulant import autocorrelation_roots
 from circmds.field import get_field
 
-from reference import decided
+from reference import decided, planted_semi_orthogonal_row
 
 CENSUS = Path(__file__).with_name("census.json")
 
@@ -62,11 +73,63 @@ def gate_spaces() -> dict:
     return {"records": len(lines), "sha256": _digest("".join(lines))}
 
 
+def _draw_orders(m: int) -> list[int]:
+    """Orders of GF(2^m) rows: small ones, and those whose draws end just
+    below and above one and two 64-bit words."""
+    return sorted({1, 2, 3, 7, 12, 13, 64 // m, 64 // m + 1, 128 // m, 128 // m + 3})
+
+
+def random_row_stream() -> dict:
+    lines = [
+        f"{m} {n} {seed} {start} {row}\n"
+        for m in range(1, 17) for n in _draw_orders(m) for seed in (0, 1, 99)
+        for start in (0, 7, 33) for row in verify.random_rows(seed, 1 << m, n, start, 50)
+    ]
+    return {"records": len(lines), "sha256": _digest("".join(lines))}
+
+
+# (field, order, rows): every d = gcd(n, q - 1) the field offers at some order
+FOLD_SPACES = [(get_field(2, 0x7), n, 120) for n in range(1, 13)] + [
+    (get_field(3, 0xB), n, 120) for n in (3, 4, 7, 14)] + [
+    (get_field(4, 0x13), n, 120) for n in (3, 5, 6, 9, 10, 15)] + [
+    (get_field(8, 0x11D), n, 80) for n in (3, 5, 8, 15, 17, 34)] + [
+    (get_field(12, 0x1053), n, 40) for n in (9, 13)] + [
+    (get_field(16, 0x1002B), n, 40) for n in (3, 5, 15, 17)]
+
+
+def _fold_rows() -> list:
+    """(field, row) pairs: seeded rows of FOLD_SPACES, every other one with
+    up to 70 % zero entries, and at odd orders dividing q - 1 planted pairs,
+    an orthogonal row and a twist of it with a root mu != 1."""
+    rng = random.Random(28)
+    pairs = []
+    for gf, n, count in FOLD_SPACES:
+        for i in range(count):
+            zeros = 0.7 * rng.random() if i % 2 else 0.0
+            pairs.append((gf, tuple(rng.randrange(1, gf.order) if rng.random() >= zeros else 0
+                                    for _ in range(n))))
+        if n % 2 and (gf.order - 1) % n == 0 and n > 1:
+            pairs += [(gf, row) for _ in range(4)
+                      for row in planted_semi_orthogonal_row(gf, n, rng)]
+    return pairs
+
+
+def fold_roots() -> dict:
+    lines = [
+        f"{gf.poly:x} {d} {row} {autocorrelation_roots(gf, row, d)}\n"
+        for gf, row in _fold_rows()
+        for d in sorted({gcd(len(row), gf.order - 1), 1})
+    ]
+    return {"records": len(lines), "sha256": _digest("".join(lines))}
+
+
 def census() -> dict:
     return {
         "verify_paper_full_jobs1": verify_paper(1),
         "verify_paper_full_jobs2": verify_paper(2),
         "gate_spaces_decided": gate_spaces(),
+        "random_rows": random_row_stream(),
+        "autocorrelation_roots": fold_roots(),
     }
 
 

@@ -9,7 +9,7 @@ from itertools import product
 from math import comb, gcd
 from typing import Optional
 
-from circmds import verify
+from circmds import circulant, verify
 from circmds.circulant import autocorrelation_roots
 from circmds.matgf import diag_trace, inverse, transpose
 from circmds.props import DiagonalPair, Properties, diagonal_scaling_solve
@@ -246,6 +246,27 @@ def component_first_rows(A) -> list:
                     seen.add(k)
                     stack.append(k)
     return firsts
+
+
+def count_folds(monkeypatch) -> list:
+    """The (row, d) of every autocorrelation fold made from here on, through
+    `autocorrelation_roots` or a fold `circulant._lanes` hands out: the
+    folds it makes count their rows, and `_LANES` starts empty, so none is
+    made before."""
+    folds = []
+    make = circulant._fold
+
+    def counting_fold(gf, d, tables):
+        fold = make(gf, d, tables)
+
+        def counted(row):
+            folds.append((row, d))
+            return fold(row)
+        return counted
+
+    monkeypatch.setattr(circulant, "_LANES", {})
+    monkeypatch.setattr(circulant, "_fold", counting_fold)
+    return folds
 
 
 def index_to_row(index: int, q: int, n: int) -> tuple:

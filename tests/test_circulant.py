@@ -286,39 +286,62 @@ def test_lanes_match_the_root_by_root_reference(name):
     assert (census["mu=1 only"], census["mu!=1"], census["none"]) == FOLD_CENSUS[name]
 
 
-def test_lane_tables_keep_only_the_entries_a_row_meets():
+def test_lane_tables_keep_only_the_entries_a_row_meets(monkeypatch):
     # the tables fill an entry on first use: one classify of a GF(2^16) row
     # of order 15 (d = 15, and a zero entry, so is_mds stops at once) meets
     # a few of the 15 x 65,536 slots, where whole tables would fill them all
-    circulant._LANES.pop((GF65536.poly, 15), None)
+    monkeypatch.setattr(circulant, "_LANES", {})
     row = list(_seeded_rows(GF65536, 15, 1, random.Random(15))[0])
     row[7] = 0
     assert diag_trace(row) and classify(GF65536, row).mds.is_mds is False
-    tables, _, _ = circulant._lanes(GF65536, 15)
+    _, tables = circulant._lanes(GF65536, 15)
     filled = sum(map(len, tables))
     assert 0 < filled < 0.01 * 15 * 65536, filled
 
 
 def test_lane_tables_stay_within_their_bound(monkeypatch):
-    # a scan sends every sampled row into the fold, and each residue table
-    # of a (field, d) keeps at most lane_room(m, d) entries, LANE_BYTES in
-    # all; an entry met after that is made again on each use.  A bound
-    # lowered to 64 KiB fills up in a 2,048-row scan of GF(2^16) rows at
-    # d = 15, and the roots read past it stay right.  At the real bound the
-    # benchmark's tables, GF(2^8) and GF(4) at d = 3, are kept whole
-    assert circulant.lane_room(8, 3) >= 255 and circulant.lane_room(2, 3) >= 3
+    # a scan sends every sampled row into the fold, and the tables of every
+    # (field, d) together keep entries while lane_bytes() stays within
+    # LANE_BYTES; an entry met after that is made again on each use.  At
+    # the real bound the benchmark's tables, GF(2^8) and GF(4) at d = 3,
+    # are kept whole.  A bound lowered to 64 KiB fills up in a 2,048-row
+    # scan of GF(2^16) rows at d = 15, and the roots read past it stay right
+    monkeypatch.setattr(circulant, "_LANES", {})
+    for gf in (F11D, GF4):
+        _, tables = circulant._lanes(gf, 3)
+        for table in tables:
+            for x in range(1, gf.order):
+                table[x]
+        assert [len(table) for table in tables] == [gf.order - 1] * 3
     monkeypatch.setattr(circulant, "LANE_BYTES", 1 << 16)
     monkeypatch.setattr(circulant, "_LANES", {})
-    room = circulant.lane_room(16, 15)
-    assert 0 < 15 * room * (128 + 15 * 17 // 8) <= 1 << 16
+    size = circulant.lane_entry_bytes(16, 15)
+    assert size == 128 + 15 * 17 // 8
     report = run_suite(ScanConfig(field=GF65536, order=15, suites=("SO-ODD-EXIST",),
                                   mode=RANDOM, seed=15, sample_count=2048))
     assert report.examined == 2048
-    tables, _, _ = circulant._lanes(GF65536, 15)
-    assert [len(table) for table in tables] == [room] * 15
+    assert list(circulant._LANES) == [(GF65536.poly, 15)]
+    held = circulant.lane_bytes()
+    assert (1 << 16) - size < held <= 1 << 16
     rng = random.Random(16)
     rows = _seeded_rows(GF65536, 15, 20, rng)
     rows += [row for _ in range(5) for row in planted_semi_orthogonal_row(GF65536, 15, rng)]
     for row in rows:
         assert autocorrelation_roots(GF65536, row, 15) == roots_by_root(GF65536, row, 15), row
-    assert [len(table) for table in tables] == [room] * 15
+    assert circulant.lane_bytes() == held
+    # the bound is for the whole process: folding GF(2^16) rows at d = 3,
+    # 5, 15 and 17 in turn under a bound of 32 KiB keeps every entry met at
+    # d = 3, then entries at d = 5 until the entries of all of them reach
+    # the bound, and none at d = 15 and 17; the roots read past it stay right
+    monkeypatch.setattr(circulant, "LANE_BYTES", 1 << 15)
+    monkeypatch.setattr(circulant, "_LANES", {})
+    rng = random.Random(28)
+    kept = []
+    for n in (3, 5, 15, 17):
+        for row in _seeded_rows(GF65536, n, 60, rng):
+            assert autocorrelation_roots(GF65536, row, n) == roots_by_root(GF65536, row, n), row
+        kept.append(sum(map(len, circulant._lanes(GF65536, n)[1])))
+    assert kept[0] and kept[1] and kept[2:] == [0, 0]
+    total = circulant.lane_bytes()
+    assert total == sum(circulant.lane_entry_bytes(16, d) * k for d, k in zip((3, 5, 15, 17), kept))
+    assert (1 << 15) - circulant.lane_entry_bytes(16, 17) < total <= 1 << 15

@@ -16,7 +16,7 @@ from circmds.field import get_field
 from circmds.matgf import diag_trace
 from circmds.props import Properties, classify
 from circmds.verify import DEFAULT_SEED, random_rows
-from reference import index_to_row
+from reference import count_folds, index_to_row
 
 
 def run_cli(capsys, *argv):
@@ -376,14 +376,7 @@ def test_search_folds_only_the_rows_that_pass_the_xor_tests(capsys, monkeypatch)
     # with products, whatever order --require names them in.  So the
     # autocorrelation folds only the semi-involutory rows with a nonzero row
     # sum, 69 of 20,000, where testing semi-orthogonal first folded 18,745
-    folds = []
-
-    def counting(gf, row, d):
-        folds.append(row)
-        return fold(gf, row, d)
-
-    fold = props.autocorrelation_roots
-    monkeypatch.setattr(props, "autocorrelation_roots", counting)
+    folds = count_folds(monkeypatch)
     gf = get_field(4, 0x13)
     rows = random_rows(DEFAULT_SEED, 16, 6, 0, 20000)
     want = sum(1 for row in rows if diag_trace(row) and Properties(gf, row).semi("involutory").found)

@@ -47,6 +47,7 @@ from circmds.verify import random_rows
 from reference import (
     class_rows,
     component_first_rows,
+    count_folds,
     dense_semi_pair,
     disconnected_rows,
     gcd_block,
@@ -65,6 +66,7 @@ GF16 = get_field(4, 0x13)
 GF32 = get_field(5, 0x25)
 F11D = get_field(8, 0x11D)
 F11B = get_field(8, 0x11B)
+GF65536 = get_field(16, 0x1002B)
 
 EX1_ROW = (0x02, 0x03, 0x06)
 EX2_ROW = (0x01, 0x0B, 0x0B, 0x0A, 0x99)
@@ -953,14 +955,7 @@ def _fold_census(gf, rows, searches) -> Counter:
 
 def test_geometric_pair_folds_the_per_root_loop(monkeypatch):
     assert F11B.generator == 0x03
-    searches = []
-
-    def counting(gf, row, d):
-        searches.append(row)
-        return fold(gf, row, d)
-
-    fold = props.autocorrelation_roots
-    monkeypatch.setattr(props, "autocorrelation_roots", counting)
+    searches = count_folds(monkeypatch)
     rng = random.Random(17)
     for m, poly, n, count in FOLD_SPACES:
         gf = get_field(m, poly)
@@ -1003,14 +998,7 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     # root read from it, A*A^T == (b(y)*b(y^-1))(x^g), equals the d = 1 fold
     # of `scalar_gram_root` on the whole row: at d = 3 on the connected rows
     # of GF(4) n = 6, and on every disconnected row of GF(16) n = 6
-    folds = []
-
-    def counting(gf, row, d):
-        folds.append((row, d))
-        return fold(gf, row, d)
-
-    fold = props.autocorrelation_roots
-    monkeypatch.setattr(props, "autocorrelation_roots", counting)
+    folds = count_folds(monkeypatch)
     gf8_rows = [(GF8, row) for row in product(range(8), repeat=4)]
     for gf, row in [(GF16, (1,) + tail) for tail in product(range(16), repeat=4)] + gf8_rows:
         folds.clear()
@@ -1019,6 +1007,7 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     disconnected = 0
     for gf, row in (gf8_rows + [(GF4, row) for row in product(range(4), repeat=6)]
                     + [(GF16, row) for row in disconnected_rows(GF16, 6)]):
+        gram_root = scalar_gram_root(gf, row)  # the reference folds too: before the count
         folds.clear()
         p = Properties(gf, row)
         p.semi("orthogonal")
@@ -1028,10 +1017,59 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
             disconnected += g > 1
         else:
             assert folds == [], row
-        assert p.gram_root() == scalar_gram_root(gf, row), row
+        assert p.gram_root() == gram_root, row
         assert len(folds) <= 1
     # the rows folded on a block with g > 1, most of them of GF(16) n = 6
     assert disconnected == 8536
+
+
+def test_pair_gate_folds_a_dense_row_with_no_block_step(monkeypatch):
+    # a row with fewer than n/2 zero entries is its own block, and the gate
+    # folds it at d = gcd(n, q - 1) with no block step; any other row goes
+    # through block_roots.  Either way the gate passes exactly the rows with
+    # a nonzero row sum and a non-empty block_roots, gives them those roots
+    # and folds each row with a nonzero row sum once: on every row of GF(4)
+    # n <= 6, GF(8) n <= 4 and GF(16) n = 4, and on seeded GF(2^8) and
+    # GF(2^16) rows with floor(n/2) and ceil(n/2) zero entries, at even n
+    # half of them on one coset of 2*Z_n, so that the block has order n/2,
+    # and order-6 rows on such a coset whose block has a planted root: its
+    # whole-row fold at d = 3 keeps the root e of the block as 2e mod 3
+    rng = random.Random(28)
+    rows = [(gf, row) for gf, top in ((GF4, 6), (GF8, 4)) for n in range(1, top + 1)
+            for row in product(range(gf.order), repeat=n)]
+    rows += [(GF16, row) for row in product(range(16), repeat=4)]
+    for gf in (F11D, GF65536):
+        for n in (6, 8, 9, 15):
+            for zeros in sorted({n // 2, (n + 1) // 2}):
+                for i in range(40):
+                    if n % 2 == 0 and i % 2:
+                        zero_at = range(i // 2 % 2, n, 2)
+                    else:
+                        zero_at = rng.sample(range(n), zeros)
+                    rows.append((gf, tuple(0 if j in zero_at else rng.randrange(1, gf.order)
+                                           for j in range(n))))
+        for _ in range(10):  # blocks of order 3 with roots mu = 1 and mu != 1
+            for b in planted_semi_orthogonal_row(gf, 3, rng):
+                s0 = rng.randrange(2)
+                rows.append((gf, tuple(0 if (j - s0) % 2 else b[(j - s0) // 2] for j in range(6))))
+    gates = {}
+    folds = count_folds(monkeypatch)
+    census = Counter()
+    for gf, row in rows:
+        n = len(row)
+        if (gf, n) not in gates:
+            gates[gf, n] = props.pair_gate(gf, {"orthogonal"}, n)
+        want = props.block_roots(gf, row) if diag_trace(row) else []
+        folds.clear()
+        p = gates[gf, n](row)
+        assert len(folds) == (diag_trace(row) != 0), row
+        if want:
+            assert p is not None and p.row == row and p.autocorrelation() == want, (gf, row)
+            census["dense" if 2 * row.count(0) < n else "block"] += 1
+        else:
+            assert p is None, (gf, row)
+        assert len(folds) <= 1
+    assert census == {"dense": 8621, "block": 763}
 
 
 # (m, poly, n, lead_one, rows, orthogonal pairs, those with mu != 1): every

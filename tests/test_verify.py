@@ -44,6 +44,7 @@ from circmds.verify import (
 from census import GATE_SPACES
 from reference import (
     class_rows,
+    count_folds,
     decided,
     dense_semi_pair,
     disconnected_rows,
@@ -126,8 +127,17 @@ def test_next_below_refuses_bounds_above_two_to_the_64():
 
 def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
     # up to 2^64 rows a draw is the rejection draw of `next_below`; above, it
-    # takes more words, and the high word reaches the last entries
-    for q, n in ((8, 3), (4, 12), (256, 8), (256, 9), (1 << 16, 9), (32, 13), (2, 65)):
+    # takes more words, and the high word reaches the last entries.  Up to
+    # q = 2^12 the digits are read 12 // m at a time from a table: every m
+    # from 1 to 16, orders that end partway through such a chunk (GF(4)
+    # n = 5 and 13, GF(8) n = 5, GF(32) n = 3 and 13, GF(2^6) n = 7), m = 12
+    # and 13 either side of the table, and draws of two and three words at
+    # small m (GF(2) n = 65 and 150, GF(4) n = 33, GF(8) n = 22 and 50)
+    spaces = [(1 << m, n) for m in range(1, 17) for n in (1, 4)] + [
+        (8, 3), (4, 12), (4, 5), (4, 13), (8, 5), (64, 7), (256, 8), (256, 9), (1 << 16, 9),
+        (32, 3), (32, 13), (1 << 12, 6), (1 << 12, 7), (1 << 13, 5), (1 << 13, 6),
+        (2, 65), (2, 150), (4, 33), (8, 22), (8, 50)]
+    for q, n in spaces:
         rows = list(random_rows(99, q, n, 0, 40))
         assert all(len(row) == n and max(row) < q for row in rows)
         if q ** n <= 1 << 64:
@@ -289,19 +299,12 @@ def test_orthogonal_relation_folds_once_per_representative(monkeypatch):
     # SO-POW2 and ORTH-NONE declare the orthogonal relation: the gate folds
     # each evaluated representative with a nonzero row sum once, and both
     # suites read that fold; a zero row sum folds nothing
-    calls = []
-
-    def fold(gf, row, d):
-        calls.append(row)
-        return real_fold(gf, row, d)
-
-    real_fold = props.autocorrelation_roots
-    monkeypatch.setattr(props, "autocorrelation_roots", fold)
+    folds = count_folds(monkeypatch)
     report = run_suite(ScanConfig(field=GF8, order=4, suites=("SO-POW2", "ORTH-NONE")))
     assert report.ok() and report.examined == 8 ** 4
     kept = [rep for rep, _, _ in verify.orbit_representatives(GF8, 4, 0, class_count(8, 4))]
     # 117 orbits and the zero row, 100 of them with a nonzero row sum
-    assert len(kept) == 118 and len(calls) == sum(1 for rep in kept if diag_trace(rep)) == 100
+    assert len(kept) == 118 and len(folds) == sum(1 for rep in kept if diag_trace(rep)) == 100
 
 
 def test_scan_builds_a_matrix_only_for_mds_and_the_solver(monkeypatch):
