@@ -136,12 +136,14 @@ class _Lane(dict):
     """Residue r's table of `_lanes`: product x -> the int that holds
     x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use
     while the entries of every table in `_LANES` stay within LANE_BYTES
-    (`lane_bytes`); an entry met after that is made again on each use."""
+    (`lane_bytes`); an entry met after that is made again on each use.
+    `held` is [lane_bytes()], one count that every table of `_LANES`
+    shares and adds each kept entry to."""
 
-    __slots__ = ("gf", "d", "r", "keep")
+    __slots__ = ("gf", "d", "r", "keep", "held")
 
-    def __init__(self, gf: GF2m, d: int, r: int):
-        self.gf, self.d, self.r, self.keep = gf, d, r, True
+    def __init__(self, gf: GF2m, d: int, r: int, held: list):
+        self.gf, self.d, self.r, self.keep, self.held = gf, d, r, True, held
 
     def __missing__(self, x: int) -> int:
         gf, d, r = self.gf, self.d, self.r
@@ -151,8 +153,10 @@ class _Lane(dict):
         for e in range(d):
             packed |= exp[lx + step * (e * r % d)] << (e * width)
         if self.keep:
-            if lane_bytes() + lane_entry_bytes(gf.m, d) <= LANE_BYTES:
+            held, size = self.held, lane_entry_bytes(gf.m, d)
+            if held[0] + size <= LANE_BYTES:
                 self[x] = packed
+                held[0] += size
             else:  # no entry is ever dropped, so the tables stay full
                 self.keep = False
         return packed
@@ -187,7 +191,10 @@ def _lanes(gf: GF2m, d: int) -> tuple:
     key = (gf.poly, d)  # the polynomial fixes the field; a GF2m hashes in Python
     lanes = _LANES.get(key)
     if lanes is None:
-        tables = [_Lane(gf, d, r) for r in range(d)]
+        # [lane_bytes()], one count shared by every table of `_LANES`, new
+        # when `_LANES` is empty
+        held = next(iter(_LANES.values()))[1][0].held if _LANES else [0]
+        tables = [_Lane(gf, d, r, held) for r in range(d)]
         lanes = _LANES[key] = (_fold(gf, d, tables), tables)
     return lanes
 

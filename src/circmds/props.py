@@ -117,14 +117,20 @@ lie on T - t_1 and M_in on T - {t_1, t_k}, which are seldom necklaces.
 A minor on a row set R equals the one on its necklace R - t, at
 (R - t, C - t), and only the least pair of each orbit was computed, so
 all five are read through the slot of their orbit (`_condensation`).
+The test of a first row walks one plan per order (`_row_plan`): each size
+holds its kept-minor count, and once reached, the five positions of every
+computed minor in one flat tuple, with a table that names a zero minor's
+pair by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations, count
 from math import comb, gcd
+from operator import itemgetter
 from typing import Optional
 
 from .circulant import (
@@ -257,6 +263,10 @@ def _visited(n: int, size: int) -> list:
     return [rows + (r,) for rows, ends in _plan(n, size, True) for r in ends]
 
 
+# one int object for each position value, shared by the plans of every size
+_POSITIONS: list[int] = []
+
+
 @lru_cache(maxsize=3)
 def _orbits(n: int, size: int) -> tuple:
     """(computed, slots) of a circulant's MDS test at `size` >= 1.
@@ -309,7 +319,9 @@ def _orbits(n: int, size: int) -> tuple:
             if least < j:
                 mine.append(mine[least])
             else:
-                mine.append(made)
+                if made == len(_POSITIONS):
+                    _POSITIONS.append(made)
+                mine.append(_POSITIONS[made])
                 made += 1
                 own.append(table[j])
         slots.append(mine)
@@ -341,34 +353,49 @@ def _reader(n: int, size: int) -> tuple:
     return rank, at
 
 
-@cache
 def _condensation(n: int, size: int) -> tuple:
-    """(T, steps) for each row set T that a circulant's MDS test visits at
-    `size` >= 2, in order, where steps lists, for each column set C that
-    `_orbits` computes on T, C and five positions: those of
-    (T - t_1, C - c_1), (T - t_k, C - c_k), (T - t_1, C - c_k) and
-    (T - t_k, C - c_1) in the list computed at size k - 1, and that of
-    (T - {t_1, t_k}, C - {c_1, c_k}) in the list at k - 2."""
+    """(reads, table) of a circulant's MDS test at `size` >= 2.  reads
+    holds five positions for each pair (T, C) that `_orbits` computes, in
+    order: those of (T - t_1, C - c_1), (T - t_k, C - c_k),
+    (T - t_1, C - c_k) and (T - t_k, C - c_1) in the list computed at size
+    k - 1, and that of (T - {t_1, t_k}, C - {c_1, c_k}) in the list at
+    k - 2.  table holds, for each row set T that the test visits, in
+    order, the position of its first computed minor, T and its computed
+    column sets."""
     rank1, at1 = _reader(n, size - 1)
     rank2, at2 = _reader(n, size - 2)
-    plan = []
+    reads, table = [], []
     for rows, computed in zip(_visited(n, size), _orbits(n, size)[0]):
+        table.append((len(reads) // 5, rows, computed))
         (first, by_first), (last, by_last), (inner, by_inner) = (
             at1(rows[1:]), at1(rows[:-1]), at2(rows[1:-1]))
-        steps = []
         for cols in computed:
             head, tail = rank1[cols[1:]], rank1[cols[:-1]]
-            steps += (cols, first[by_first[head]], last[by_last[tail]],
+            reads += (first[by_first[head]], last[by_last[tail]],
                       first[by_first[tail]], last[by_last[head]],
                       inner[by_inner[rank2[cols[1:-1]]]])
-        plan.append((rows, tuple(steps)))
-    return tuple(plan)
+    return tuple(reads), tuple(table)
 
 
-def _refuse_large_layer(n: int, size: int, circulant: bool) -> None:
+def _layer(n: int, size: int) -> list:
+    """[kept, None, None]: a size of `_row_plan` that no row has reached,
+    with how many minors it keeps (`_kept_count`)."""
+    return [_kept_count(n, size, True) * comb(n, size), None, None]
+
+
+@cache
+def _row_plan(n: int) -> list:
+    """A first row's MDS plan at order n: [kept, reads, table] for each
+    size k = 2, 3, ... that a row has reached within MAX_LAYER_MINORS,
+    where reads and table are `_condensation(n, k)`, and then the next
+    size, as `_layer`, if k < n.  `is_mds` builds a size and appends the
+    next."""
+    return [_layer(n, 2)] if n > 1 else []
+
+
+def _refuse_large_layer(n: int, size: int, kept: int) -> None:
     # bound first: the tables of a refused size can be large (450 MiB at
     # n = 200, size 3), and the cache would keep them
-    kept = _kept_count(n, size, circulant) * comb(n, size)
     if kept > MAX_LAYER_MINORS:
         raise MinorLayerTooLarge(
             f"the MDS test of an order-{n} matrix would keep {kept} minors of "
@@ -411,6 +438,11 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     condensation (the module docstring) from four minors a size smaller
     and one two sizes smaller, read through their orbits' slots
     (`_condensation`): two products, one sum and one division per minor.
+    The plan of the order (`_row_plan`) gives each size its kept-minor
+    count, compared with MAX_LAYER_MINORS on every call, and its five
+    positions per minor as one flat tuple, walked by one `zip`; the minor
+    at position i of a size is zero only in the witness, whose row set and
+    column set the size's table gives by bisection on i.
 
     Removing the last row of a necklace T leaves a necklace, so the
     necklaces of one size extend those a size smaller.  Write a row set by
@@ -434,7 +466,8 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     pairs, about twice the minors it computes (`_kept_count`).
     MinorLayerTooLarge is raised before that exceeds MAX_LAYER_MINORS,
     which can happen from order 15 (17 for a first row), and only when
-    every smaller minor is nonzero.
+    every smaller minor is nonzero; a refused size keeps no plan, and a
+    limit lowered after a size's plan was built still refuses it.
     """
     exp, log = gf.exp_table, gf.log_table
     if A and isinstance(A[0], int):  # A is a circulant's first row
@@ -443,16 +476,23 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
             return MdsVerdict(False, ((0,), (A.index(0),)))
         q1 = gf.order - 1
         lower, upper = [0], [log[v] for v in A]  # the minors of sizes 0 and 1
-        for size in range(2, n + 1):
-            _refuse_large_layer(n, size, True)
+        plan = _row_plan(n)
+        for size, layer in enumerate(plan, 2):
+            kept, reads, table = layer
+            if kept > MAX_LAYER_MINORS:  # before the plan: a refused size keeps none
+                _refuse_large_layer(n, size, kept)
+            if reads is None:
+                reads, table = layer[1:] = _condensation(n, size)
+                if size < n:  # the loop reads it next
+                    plan.append(_layer(n, size + 1))
             grown = []
-            for rows, steps in _condensation(n, size):
-                it = iter(steps)
-                for cols, a, b, c, d, e in zip(it, it, it, it, it, it):
-                    v = exp[upper[a] + upper[b]] ^ exp[upper[c] + upper[d]]
-                    if not v:
-                        return MdsVerdict(False, (rows, cols))
-                    grown.append((log[v] - lower[e]) % q1)
+            it = iter(reads)
+            for a, b, c, d, e in zip(it, it, it, it, it):
+                v = exp[upper[a] + upper[b]] ^ exp[upper[c] + upper[d]]
+                if not v:  # the minor at position len(grown) is the witness
+                    start, rows, computed = table[bisect(table, len(grown), key=itemgetter(0)) - 1]
+                    return MdsVerdict(False, (rows, computed[len(grown) - start]))
+                grown.append((log[v] - lower[e]) % q1)
             lower, upper = upper, grown
         return MdsVerdict(True, None)
     n = require_square(A)
@@ -462,7 +502,7 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     logs = [[log[v] for v in row] for row in A]
     vals = [v for row in logs[:n - 1] for v in row]  # every row but the last
     for size in range(2, n + 1):
-        _refuse_large_layer(n, size, False)
+        _refuse_large_layer(n, size, _kept_count(n, size, False) * comb(n, size))
         table = _expansion(n, size)
         width = comb(n, size - 1)
         grown = []

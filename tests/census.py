@@ -17,6 +17,11 @@ record count:
   autocorrelation_roots     `circulant.autocorrelation_roots` of the seeded
                             rows of `_fold_rows` at d = gcd(n, q - 1) and at
                             d = 1; records: folds
+  is_mds                    the verdict and witness of `props.is_mds` on each
+                            row of `_mds_rows`, read from `classify`;
+                            records: rows
+  classify                  `classification_json(classify(row))` of each row
+                            of `_mds_rows`, as sorted-key JSON; records: rows
 
 A change that keeps every output keeps every digest, which
 tests/test_census.py checks.  One that changes an output on purpose
@@ -39,8 +44,9 @@ from pathlib import Path
 from circmds import cli, verify
 from circmds.circulant import autocorrelation_roots
 from circmds.field import get_field
+from circmds.props import classification_json, classify
 
-from reference import decided, planted_semi_orthogonal_row
+from reference import decided, planted_semi_orthogonal_row, planted_singular_minor_row
 
 CENSUS = Path(__file__).with_name("census.json")
 
@@ -123,6 +129,41 @@ def fold_roots() -> dict:
     return {"records": len(lines), "sha256": _digest("".join(lines))}
 
 
+MDS_FIELDS = [get_field(2, 0x7), get_field(3, 0xB), get_field(4, 0x13), get_field(8, 0x11D),
+              get_field(16, 0x1002B)]
+
+
+def _mds_rows() -> list:
+    """(field, row) pairs at every order n = 1 .. 10 of MDS_FIELDS: 16
+    seeded rows, every fourth one with up to 30 % zero entries, and for
+    each k = 1 .. n two rows with a planted singular k x k minor.  Over
+    GF(2^16) most rows are MDS, and the first singular minor of most
+    planted rows has size k; over the small fields it lies lower."""
+    rng = random.Random(29)
+    pairs = []
+    for gf in MDS_FIELDS:
+        for n in range(1, 11):
+            for i in range(16):
+                zeros = 0.3 * rng.random() if i % 4 == 3 else 0.0
+                pairs.append((gf, tuple(rng.randrange(1, gf.order) if rng.random() >= zeros else 0
+                                        for _ in range(n))))
+            pairs += [(gf, planted_singular_minor_row(gf, n, k, rng))
+                      for k in range(1, n + 1) for _ in range(2)]
+    return pairs
+
+
+def mds_and_classify() -> dict:
+    """The is_mds and classify entries, from one `classify` per row: its
+    `mds` field is `is_mds` of the row."""
+    verdicts, records = [], []
+    for gf, row in _mds_rows():
+        cls = classify(gf, row)
+        verdicts.append(f"{gf.poly:x} {row} {cls.mds.is_mds} {cls.mds.witness}\n")
+        records.append(json.dumps(classification_json(gf, cls), sort_keys=True) + "\n")
+    return {name: {"records": len(lines), "sha256": _digest("".join(lines))}
+            for name, lines in (("is_mds", verdicts), ("classify", records))}
+
+
 def census() -> dict:
     return {
         "verify_paper_full_jobs1": verify_paper(1),
@@ -130,6 +171,7 @@ def census() -> dict:
         "gate_spaces_decided": gate_spaces(),
         "random_rows": random_row_stream(),
         "autocorrelation_roots": fold_roots(),
+        **mds_and_classify(),
     }
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 from circmds import circulant, verify
 from circmds.circulant import autocorrelation_roots
-from circmds.matgf import diag_trace, inverse, transpose
+from circmds.matgf import Singular, diag_trace, inverse, transpose
 from circmds.props import DiagonalPair, Properties, diagonal_scaling_solve
 from circmds.verify import RANDOM, SUITES, BudgetExceeded, ScanReport, random_rows, run_suite
 
@@ -146,6 +146,42 @@ def planted_semi_orthogonal_row(gf, n: int, rng) -> tuple:
     nu = rng.randrange(1, n) * w  # the log of nu
     b = tuple(exp[(log[v] + j * nu) % q1] if v else 0 for j, v in enumerate(a))
     return tuple(a), b
+
+
+def planted_singular_minor_row(gf, n: int, k: int, rng) -> tuple:
+    """A row of order n whose circulant has a singular k x k minor, its
+    other entries random.  On random row and column sets T and C, weights
+    x_c != 0 make the columns of A[T, C] dependent when, for every r in T,
+    the sum over c in C of x_c * a_(c - r) is 0: k equations linear in the
+    row, solved for k random entries.  At k == n the row sum is made 0.
+    Over a large field every smaller minor is nonzero in most draws, so
+    the first singular minor has size k."""
+    mul = gf.mul
+    row = [rng.randrange(1, gf.order) for _ in range(n)]
+    if k == n:
+        row[0] = diag_trace(row[1:])
+        return tuple(row)
+    while True:
+        T, C, pivots = (sorted(rng.sample(range(n), k)) for _ in range(3))
+        x = [rng.randrange(1, gf.order) for _ in C]
+        M = [[0] * n for _ in T]  # M[i][j]: the weight of a_j in equation i
+        for i, r in enumerate(T):
+            for c, w in zip(C, x):
+                M[i][(c - r) % n] ^= w
+        try:
+            solve = inverse(gf, [[M[i][p] for p in pivots] for i in range(k)])
+        except Singular:
+            continue
+        rest = [0] * k
+        for i in range(k):
+            for j in range(n):
+                if j not in pivots:
+                    rest[i] ^= mul(M[i][j], row[j])
+        for p, s in zip(pivots, solve):
+            row[p] = 0
+            for v, b in zip(s, rest):
+                row[p] ^= mul(v, b)
+        return tuple(row)
 
 
 def roots_by_root(gf, first_row, d: int) -> list:

@@ -323,6 +323,7 @@ def test_lane_tables_stay_within_their_bound(monkeypatch):
     assert list(circulant._LANES) == [(GF65536.poly, 15)]
     held = circulant.lane_bytes()
     assert (1 << 16) - size < held <= 1 << 16
+    assert circulant._lanes(GF65536, 15)[1][0].held == [held]  # the running count
     rng = random.Random(16)
     rows = _seeded_rows(GF65536, 15, 20, rng)
     rows += [row for _ in range(5) for row in planted_semi_orthogonal_row(GF65536, 15, rng)]
@@ -345,3 +346,4 @@ def test_lane_tables_stay_within_their_bound(monkeypatch):
     total = circulant.lane_bytes()
     assert total == sum(circulant.lane_entry_bytes(16, d) * k for d, k in zip((3, 5, 15, 17), kept))
     assert (1 << 15) - circulant.lane_entry_bytes(16, 17) < total <= 1 << 15
+    assert all(tables[0].held == [total] for _, tables in circulant._LANES.values())

@@ -378,24 +378,26 @@ def test_a_circulant_condensation_reads_the_orbits_of_its_five_minors():
     # each computed minor det(T, C) of size k reads det(T - t_1, C - c_1),
     # det(T - t_k, C - c_k), det(T - t_1, C - c_k) and det(T - t_k, C - c_1)
     # from the minors computed at k - 1, and det(T - {t_1, t_k},
-    # C - {c_1, c_k}) from those at k - 2, each at a pair of its orbit
+    # C - {c_1, c_k}) from those at k - 2, each at a pair of its orbit; the
+    # table gives each visited row set the position of its first minor
     for n in range(2, 10):
         below = [computed_pairs(n, 0), computed_pairs(n, 1)]
         for k in range(2, n + 1):
-            plan = props._condensation(n, k)
-            assert [rows for rows, _ in plan] == visited_row_sets(n, k, True)
+            reads, table = props._condensation(n, k)
+            assert [rows for _, rows, _ in table] == visited_row_sets(n, k, True)
+            assert len(reads) % 5 == 0
             pairs = []
-            for rows, steps in plan:
-                assert len(steps) % 6 == 0
-                for i in range(0, len(steps), 6):
-                    cols, *reads = steps[i:i + 6]
-                    pairs.append((rows, cols))
-                    wanted = [(rows[1:], cols[1:]), (rows[:-1], cols[:-1]),
-                              (rows[1:], cols[:-1]), (rows[:-1], cols[1:])]
-                    for (r, c), position in zip(wanted, reads[:4]):
-                        assert below[-1][position] in minor_orbit(n, r, c)
-                    inner = (rows[1:-1], cols[1:-1])
-                    assert below[-2][reads[4]] in (minor_orbit(n, *inner) if k > 2 else {inner})
+            for start, rows, computed in table:
+                assert start == len(pairs)
+                pairs += [(rows, cols) for cols in computed]
+            for (rows, cols), i in zip(pairs, range(0, len(reads), 5), strict=True):
+                reads_of = reads[i:i + 5]
+                wanted = [(rows[1:], cols[1:]), (rows[:-1], cols[:-1]),
+                          (rows[1:], cols[:-1]), (rows[:-1], cols[1:])]
+                for (r, c), position in zip(wanted, reads_of[:4]):
+                    assert below[-1][position] in minor_orbit(n, r, c)
+                inner = (rows[1:-1], cols[1:-1])
+                assert below[-2][reads_of[4]] in (minor_orbit(n, *inner) if k > 2 else {inner})
             assert pairs == computed_pairs(n, k)
             below.append(pairs)
 
@@ -426,32 +428,25 @@ def test_condensation_holds_over_gf8_and_gf256():
     assert singular_interiors[3] > 0 and singular_interiors[8] > 0
 
 
-def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit(monkeypatch):
+def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit():
     # an order-8 MDS circulant is tested on 8 + 929 = 937 minors, the 8
     # entries of row 0 and one minor per orbit of each larger size under the
     # translations and the reflection (R, C) -> (-C, -R), each by
     # condensation with two products, 1,858 in all; its necklace row sets
     # hold sum over k of necklaces(8, k) * C(8, k) = 1,725 minors, and the
     # row sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
-    minors = {1: comb(8, 1)}
-    real = props._condensation
-
-    def condensation(n, size):
-        plan = real(n, size)
-        minors[size] = sum(len(steps) // 6 for _, steps in plan)
-        return plan
-
-    monkeypatch.setattr(props, "_condensation", condensation)
     assert is_mds(F11D, WHIRLPOOL_ROW)
-    assert len(minors) == 8 and sum(minors.values()) == 937
+    minors = [comb(8, 1)] + [len(reads) // 5 for _, reads, _ in props._row_plan(8)]
+    assert minors == [8, 64, 224, 344, 224, 64, 8, 1]
+    assert len(minors) == 8 and sum(minors) == 937
     assert sum(comb(7, k - 1) * comb(8, k) for k in range(1, 9)) == 6435
 
 
 def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypatch):
     # the Whirlpool circulant keeps necklaces(8, k) * C(8, k) minors of size
     # k: 112, 392 and 700 for k = 2, 3, 4, so a limit of 392 refuses size 4
-    # before its plan is asked for; a first row never asks for an
-    # expansion table
+    # before its plan is asked for, and the order's plan keeps none for it;
+    # a first row never asks for an expansion table
     asked = []
 
     def recording(name):
@@ -462,16 +457,39 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
             return real(n, size, *rest)
         monkeypatch.setattr(props, name, wrapper)
 
-    for name in ("_expansion", "_plan", "_orbits", "_condensation"):
+    props._row_plan.cache_clear()
+    for name in ("_expansion", "_plan", "_orbits"):
         getattr(props, name).cache_clear()
         recording(name)
+    recording("_condensation")
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
     with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
         is_mds(F11D, WHIRLPOOL_ROW)
     assert sorted(set(asked)) == [("_condensation", 2), ("_condensation", 3), ("_orbits", 1),
                                   ("_orbits", 2), ("_orbits", 3), ("_plan", 2), ("_plan", 3)]
+    assert [reads is not None for _, reads, _ in props._row_plan(8)] == [True, True, False]
     kept = [rows for rows in visited_row_sets(8, 4, True) if rows[-1] < 7]
     assert len(kept) * comb(8, 4) == 700
+
+
+def test_a_lowered_limit_refuses_a_size_whose_plan_is_kept(monkeypatch):
+    # the limit is compared on every call, not only when a size's plan is
+    # built: at 392 the Whirlpool row refuses size 4 with one message
+    # before and after a call at the full limit has kept every size's
+    # plan, and a refused size keeps no plan
+    message = ("the MDS test of an order-8 matrix would keep 700 minors of size 4, "
+               "above the limit of 392")
+    props._row_plan.cache_clear()
+    full = props.MAX_LAYER_MINORS
+    for limit, built in ((392, [True, True, False]), (full, [True] * 7), (392, [True] * 7)):
+        monkeypatch.setattr(props, "MAX_LAYER_MINORS", limit)
+        if limit < full:
+            with pytest.raises(MinorLayerTooLarge) as refused:
+                is_mds(F11D, WHIRLPOOL_ROW)
+            assert str(refused.value) == message
+        else:
+            assert is_mds(F11D, WHIRLPOOL_ROW)
+        assert [reads is not None for _, reads, _ in props._row_plan(8)] == built
 
 
 def test_is_mds_checks_every_row_set_of_a_non_circulant():
