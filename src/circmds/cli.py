@@ -187,6 +187,11 @@ def cmd_search(args) -> int:
             )
         # every row in index order: c_0 is the fastest digit
         candidates = (digits[::-1] for digits in product(range(q), repeat=n))
+    elif args.samples > args.budget:  # the rule and words of `ScanConfig.validate`
+        raise UsageError(
+            f"random sample count {args.samples} exceeds budget {args.budget}; "
+            "raise --budget to draw more"
+        )
     else:
         candidates = random_rows(args.seed, q, n, 0, args.samples)
     found = 0

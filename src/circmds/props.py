@@ -116,11 +116,13 @@ M = A[T, C], M_kk and M_k1 lie on T - t_k, a necklace, but M_11 and M_1k
 lie on T - t_1 and M_in on T - {t_1, t_k}, which are seldom necklaces.
 A minor on a row set R equals the one on its necklace R - t, at
 (R - t, C - t), and only the least pair of each orbit was computed, so
-all five are read through the slot of their orbit (`_condensation`).
-The test of a first row walks one plan per order (`_row_plan`): each size
-holds its kept-minor count, and once reached, the five positions of every
-computed minor in one flat tuple, with a table that names a zero minor's
-pair by bisection.
+all five are read through the slot of their orbit (`_orbits`).  The
+necklaces of each size are listed once, each extending one a size smaller
+(`_visited`).  The test of a first row walks one plan per order
+(`_row_plan`): each size holds its kept-minor count, in closed form, and
+once reached, the five positions of every computed minor in one flat
+tuple, with a table that names a zero minor's pair by bisection
+(`_condensation`).
 """
 
 from __future__ import annotations
@@ -221,13 +223,10 @@ def _necklace(rows: tuple, n: int) -> tuple:
     return min((tuple(sorted((x - t) % n for x in rows)), t) for t in rows)
 
 
-@cache
-def _kept_count(n: int, size: int, circulant: bool) -> int:
-    """How many row sets of `size` the MDS test keeps, counted without
-    listing them: C(n-1, size), or for a circulant the necklaces below
-    size n, (1/n) * sum over d | gcd(n, size) of phi(d) * C(n/d, size/d)."""
-    if not circulant:
-        return comb(n - 1, size)
+def _necklace_count(n: int, size: int) -> int:
+    """How many row sets of `size` a first row's MDS test keeps, counted
+    without listing them: the necklaces below size n,
+    (1/n) * sum over d | gcd(n, size) of phi(d) * C(n/d, size/d)."""
     if size == n:
         return 0
     g = gcd(n, size)
@@ -238,29 +237,14 @@ def _kept_count(n: int, size: int, circulant: bool) -> int:
 
 
 @cache
-def _plan(n: int, size: int, circulant: bool) -> tuple:
-    """(R, (r, ...)) for each row set R that the MDS test keeps at
-    `size - 1`, in lexicographic order, with the rows r > max(R) for which
-    it visits R + (r,): every one, or for a circulant those that make a
-    necklace.  A row set is kept when its last row is below n-1, and a
-    size-1 row set is visited when it is (0,) or A is not circulant."""
-    if size == 2:
-        kept = [(0,)] if circulant else [(i,) for i in range(n - 1)]
-    else:
-        kept = [rows + (r,) for rows, ends in _plan(n, size - 1, circulant)
-                for r in ends if r < n - 1]
-    return tuple(
-        (rows, tuple(r for r in range(rows[-1] + 1, n)
-                     if not circulant or _necklace(rows + (r,), n)[0] == rows + (r,)))
-        for rows in kept
-    )
-
-
-def _visited(n: int, size: int) -> list:
-    """The row sets a circulant's MDS test visits at `size` >= 1, in order."""
+def _visited(n: int, size: int) -> tuple:
+    """The row sets a circulant's MDS test visits at `size` >= 1, in
+    lexicographic order: the necklaces, each one a necklace a size smaller
+    extended by a later row (`is_mds`)."""
     if size == 1:
-        return [(0,)]
-    return [rows + (r,) for rows, ends in _plan(n, size, True) for r in ends]
+        return ((0,),)
+    return tuple(rows + (r,) for rows in _visited(n, size - 1) for r in range(rows[-1] + 1, n)
+                 if _necklace(rows + (r,), n)[0] == rows + (r,))
 
 
 # one int object for each position value, shared by the plans of every size
@@ -269,24 +253,28 @@ _POSITIONS: list[int] = []
 
 @lru_cache(maxsize=3)
 def _orbits(n: int, size: int) -> tuple:
-    """(computed, slots) of a circulant's MDS test at `size` >= 1.
+    """(computed, rank, at) of a circulant's MDS test at `size` >= 0.
 
     computed holds, for each row set T of `_visited`, the column sets C in
     lexicographic order for which (T, C) is the least of its orbit.  The
-    minors computed at one size form one list in that order, and slots
-    holds, for each kept row set T in the same order, the position in it
-    of the minor of each (T, C), by the rank of C.  At size 1 that is row
-    0's entries, a_c at position c.
+    minors computed at one size form one list in that order.  rank maps a
+    column set to its rank, and at(R), for any row set R, gives
+    (slot, shift) with the position in that list of the minor of (R, C) at
+    slot[shift[rank[C]]]: R is read on its necklace R - t, at the slot of
+    (R - t, C - t).  At size 1 row 0's entries are computed, a_c at
+    position c, and size 0 is the empty minor, at 0.
 
     The orbit of (T, C) meets the necklaces in T and in U, the least
     translate s - C of -C.  If U < T it was met first, at (U, s - T).  If
     not, its members on T are (T, C + d) for the d with T + d == T, and
     when U == T also (T, s + d - T); (T, C) is computed when C is least.
 
-    Only the plans of the next two sizes read the slots (`_condensation`),
-    so the last three sizes asked for are kept: building the sizes in turn
+    Only the plans of the next two sizes read a size (`_condensation`), so
+    the last three sizes asked for are kept: building the sizes in turn
     runs this once for each.
     """
+    if size == 0:
+        return (), {(): 0}, lambda rows: ((0,), (0,))
     table = list(combinations(range(n), size))
     rank = {cols: j for j, cols in enumerate(table)}
 
@@ -324,33 +312,17 @@ def _orbits(n: int, size: int) -> tuple:
                 mine.append(_POSITIONS[made])
                 made += 1
                 own.append(table[j])
-        slots.append(mine)
-        computed.append(own)
-    # every necklace below size n is kept, and the one row set of size n is not
-    return tuple(map(tuple, computed)), tuple(map(tuple, slots)) if size < n else ()
-
-
-def _reader(n: int, size: int) -> tuple:
-    """(rank, at) for reading a circulant's minors of `size` from the list
-    the MDS test computes at that size: rank maps a column set to its rank,
-    and at(R), for any row set R, gives (slot, shift) with the position of
-    (R, C) at slot[shift[rank[C]]].  R is read on its necklace R - t, at
-    the slot of (R - t, C - t).  Size 0 is the empty minor, at 0."""
-    if size == 0:
-        return {(): 0}, lambda rows: ((0,), (0,))
-    table = list(combinations(range(n), size))
-    rank = {cols: j for j, cols in enumerate(table)}
-    down = [rank[tuple(sorted((c - 1) % n for c in cols))] for cols in table]
+        slots.append(tuple(mine))
+        computed.append(tuple(own))
+    down = [ranked(c - 1 for c in cols) for cols in table]
     moved = [range(len(table))]  # moved[t][rank of C] == rank of C - t
     for _ in range(1, n):
         moved.append([down[j] for j in moved[-1]])
-    index = {rows: i for i, rows in enumerate(_visited(n, size))}
-    slots = _orbits(n, size)[1]
 
     def at(rows):
         neck, t = _necklace(rows, n)
         return slots[index[neck]], moved[t]
-    return rank, at
+    return tuple(computed), rank, at
 
 
 def _condensation(n: int, size: int) -> tuple:
@@ -362,8 +334,8 @@ def _condensation(n: int, size: int) -> tuple:
     k - 2.  table holds, for each row set T that the test visits, in
     order, the position of its first computed minor, T and its computed
     column sets."""
-    rank1, at1 = _reader(n, size - 1)
-    rank2, at2 = _reader(n, size - 2)
+    _, rank1, at1 = _orbits(n, size - 1)
+    _, rank2, at2 = _orbits(n, size - 2)
     reads, table = [], []
     for rows, computed in zip(_visited(n, size), _orbits(n, size)[0]):
         table.append((len(reads) // 5, rows, computed))
@@ -379,8 +351,8 @@ def _condensation(n: int, size: int) -> tuple:
 
 def _layer(n: int, size: int) -> list:
     """[kept, None, None]: a size of `_row_plan` that no row has reached,
-    with how many minors it keeps (`_kept_count`)."""
-    return [_kept_count(n, size, True) * comb(n, size), None, None]
+    with how many minors it keeps (`_necklace_count`)."""
+    return [_necklace_count(n, size) * comb(n, size), None, None]
 
 
 @cache
@@ -427,8 +399,9 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     the row set T: det(T, C) = sum over c in C of A[r][c] * det(T - r, C - c),
     with every sign 1 in characteristic 2.  T - r reads its minors as one
     slice of the list a size smaller, by column-set rank.  A row set is
-    kept only when a larger one can extend it (its last row is below n-1);
-    `_plan` gives the row sets of each size.
+    kept only when a larger one can extend it (its last row is below n-1),
+    so the row sets T - r of one size are those of range(n-1) a size
+    smaller, each extended by every later row r.
 
     A first row has only its necklaces visited: the row sets that are the
     least of their n translates R - t (mod n).  On them `_orbits` picks
@@ -445,14 +418,14 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     column set the size's table gives by bisection on i.
 
     Removing the last row of a necklace T leaves a necklace, so the
-    necklaces of one size extend those a size smaller.  Write a row set by
-    its gaps: the steps from each row to the next, and from the last round
-    to n.  Among row sets of one size, lexicographic order is that of the
-    gap sequences, and a necklace is a row set whose gaps no rotation makes
-    smaller.  T - r has T's gaps with the last two, g_k and g_(k+1),
-    merged.  A rotation of those either differs from them before the
-    merged gap, where it is larger as the same rotation of T's gaps is,
-    or it reaches the merged gap first, where it holds
+    necklaces of one size extend those a size smaller (`_visited`).  Write
+    a row set by its gaps: the steps from each row to the next, and from
+    the last round to n.  Among row sets of one size, lexicographic order
+    is that of the gap sequences, and a necklace is a row set whose gaps no
+    rotation makes smaller.  T - r has T's gaps with the last two, g_k and
+    g_(k+1), merged.  A rotation of those either differs from them before
+    the merged gap, where it is larger as the same rotation of T's gaps
+    is, or it reaches the merged gap first, where it holds
     g_k + g_(k+1) > g_k, and g_k is at least the gap it is compared with,
     again as T is a necklace.  A necklace below size n also avoids row
     n-1 (a last gap of 1 would force every gap to 1), so every one is
@@ -463,11 +436,12 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
 
     One size keeps C(n-1, k)*C(n, k) minors of a matrix, and a plan for a
     first row is built from a slot for each of the necklaces(n, k)*C(n, k)
-    pairs, about twice the minors it computes (`_kept_count`).
-    MinorLayerTooLarge is raised before that exceeds MAX_LAYER_MINORS,
-    which can happen from order 15 (17 for a first row), and only when
-    every smaller minor is nonzero; a refused size keeps no plan, and a
-    limit lowered after a size's plan was built still refuses it.
+    pairs, about twice the minors it computes; the necklaces are counted
+    without listing them (`_necklace_count`).  MinorLayerTooLarge is
+    raised before that exceeds MAX_LAYER_MINORS, which can happen from
+    order 15 (17 for a first row), and only when every smaller minor is
+    nonzero; a refused size keeps no plan, and a limit lowered after a
+    size's plan was built still refuses it.
     """
     exp, log = gf.exp_table, gf.log_table
     if A and isinstance(A[0], int):  # A is a circulant's first row
@@ -502,13 +476,13 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     logs = [[log[v] for v in row] for row in A]
     vals = [v for row in logs[:n - 1] for v in row]  # every row but the last
     for size in range(2, n + 1):
-        _refuse_large_layer(n, size, _kept_count(n, size, False) * comb(n, size))
+        _refuse_large_layer(n, size, comb(n - 1, size) * comb(n, size))
         table = _expansion(n, size)
         width = comb(n, size - 1)
         grown = []
-        for i, (rows, ends) in zip(count(0, width), _plan(n, size, False)):
+        for i, rows in zip(count(0, width), combinations(range(n - 1), size - 1)):
             prev = vals[i:i + width]
-            for r in ends:
+            for r in range(rows[-1] + 1, n):
                 last = logs[r]
                 minors = grown if r < n - 1 else []  # no row set through n-1 is kept
                 for cols, terms in table:

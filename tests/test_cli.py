@@ -400,6 +400,29 @@ def test_search_random_above_two_to_the_64_rows_finishes(capsys):
     assert "found 0" in err
 
 
+def test_search_random_samples_above_the_budget_are_refused(capsys, monkeypatch):
+    # as `scan` does, with its words: refused before the first draw
+    from circmds import cli
+
+    def drawn(*args):
+        raise AssertionError("the search drew a row")
+
+    monkeypatch.setattr(cli, "random_rows", drawn)
+    argv = ("--field", "8:0x11D", "--order", "4", "--mode", "random",
+            "--samples", "100000000", "--budget", "10")
+    code, out, err = run_cli(capsys, "search", "--require", "orthogonal,mds", *argv)
+    assert code == 2 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--budget" in lines[0]
+    assert "Traceback" not in err
+    assert run_cli(capsys, "scan", "--suite", "SO-POW2", *argv)[2] == err
+    # within the budget the same search runs
+    monkeypatch.undo()
+    code, out, err = run_cli(capsys, "search", "--require", "orthogonal,mds",
+                             *argv[:-4], "--samples", "10", "--budget", "10")
+    assert code == 0 and out == "" and "found 0" in err
+
+
 def test_search_unknown_predicate(capsys):
     code, _, err = run_cli(capsys, "search", "--field", "2:0x7", "--order", "2",
                            "--require", "shiny")

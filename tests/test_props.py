@@ -304,15 +304,10 @@ def test_the_row_mds_test_agrees_with_the_matrix_one_at_orders_11_and_12():
     assert all(census[n, size] for n in (11, 12) for size in (1, 2, 3, 4)), census
 
 
-def visited_row_sets(n, size, circulant):
-    """The row sets `is_mds` tries at `size` >= 2, in the order it tries them."""
-    return [rows + (r,) for rows, ends in props._plan(n, size, circulant) for r in ends]
-
-
 def test_a_circulant_plan_holds_one_necklace_per_translation_orbit():
     for n in range(2, 13):
         for k in range(2, n + 1):
-            visited = visited_row_sets(n, k, True)
+            visited = list(props._visited(n, k))
             assert visited == sorted(visited)
             # the orbits of the visited row sets are disjoint and cover every
             # row set, and each visited row set is the least of its orbit
@@ -323,30 +318,22 @@ def test_a_circulant_plan_holds_one_necklace_per_translation_orbit():
             # the kept ones are the necklaces below size n: (1/n) * sum over
             # d | gcd(n, k) of phi(d) * C(n/d, k/d) of them
             kept = [rows for rows in visited if rows[-1] < n - 1]
-            assert len(kept) == props._kept_count(n, k, True) == (len(visited) if k < n else 0)
+            assert len(kept) == props._necklace_count(n, k) == (len(visited) if k < n else 0)
+            # removing the last row of a necklace leaves a kept necklace
             if k < n:
-                assert [rows for rows, _ in props._plan(n, k + 1, True)] == kept
-
-
-def test_a_general_plan_holds_every_row_set():
-    for n in range(2, 9):
-        for k in range(2, n + 1):
-            visited = visited_row_sets(n, k, False)
-            assert visited == list(combinations(range(n), k))
-            kept = sum(rows[-1] < n - 1 for rows in visited)
-            assert kept == props._kept_count(n, k, False) == comb(n - 1, k)
+                assert {rows[:-1] for rows in props._visited(n, k + 1)} <= set(kept)
 
 
 def test_a_circulant_mds_test_computes_the_least_pair_of_each_orbit():
     # the pairs (T, C) computed at a size are the least of their orbits
     # under the translations and the reflection (R, C) -> (-C, -R), in the
     # order of the test; each orbit's least pair lies on a visited necklace,
-    # and there are Burnside's count of them; each kept row set reads each
-    # column set's minor from a computed pair of its own orbit
+    # and there are Burnside's count of them; each row set reads each
+    # column set's minor through `at` from a computed pair of its own orbit
     for n in range(2, 11):
         for k in range(2, n + 1):
-            computed, slots = props._orbits(n, k)
-            visited = visited_row_sets(n, k, True)
+            computed, rank, at = props._orbits(n, k)
+            visited = props._visited(n, k)
             pairs = [(rows, cols) for rows, own in zip(visited, computed, strict=True)
                      for cols in own]
             orbits = {}  # each pair on a visited row set -> its orbit
@@ -357,11 +344,11 @@ def test_a_circulant_mds_test_computes_the_least_pair_of_each_orbit():
                         orbits.update(dict.fromkeys(orbit, orbit))
             assert pairs == sorted({min(orbit) for orbit in orbits.values()})
             assert len(pairs) == minor_orbit_count(n, k)
-            kept = [rows for rows in visited if rows[-1] < n - 1]
-            assert len(slots) == len(kept)
-            for rows, slot in zip(kept, slots):
-                for cols, position in zip(combinations(range(n), k), slot, strict=True):
-                    assert pairs[position] in orbits[rows, cols]
+            assert len(orbits) == comb(n, k) ** 2  # every pair's orbit meets a necklace
+            for rows in combinations(range(n), k):
+                slot, shift = at(rows)
+                for cols in combinations(range(n), k):
+                    assert pairs[slot[shift[rank[cols]]]] in orbits[rows, cols]
     assert [minor_orbit_count(8, k) for k in range(2, 9)] == [64, 224, 344, 224, 64, 8, 1]
 
 
@@ -370,7 +357,7 @@ def computed_pairs(n, size):
     row 0's entries at size 1, and the empty minor at size 0."""
     if size < 2:
         return [((0,) * size, (c,) * size) for c in range(n if size else 1)]
-    return [(rows, cols) for rows, own in zip(visited_row_sets(n, size, True),
+    return [(rows, cols) for rows, own in zip(props._visited(n, size),
                                              props._orbits(n, size)[0]) for cols in own]
 
 
@@ -384,7 +371,7 @@ def test_a_circulant_condensation_reads_the_orbits_of_its_five_minors():
         below = [computed_pairs(n, 0), computed_pairs(n, 1)]
         for k in range(2, n + 1):
             reads, table = props._condensation(n, k)
-            assert [rows for _, rows, _ in table] == visited_row_sets(n, k, True)
+            assert tuple(rows for _, rows, _ in table) == props._visited(n, k)
             assert len(reads) % 5 == 0
             pairs = []
             for start, rows, computed in table:
@@ -458,17 +445,18 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
         monkeypatch.setattr(props, name, wrapper)
 
     props._row_plan.cache_clear()
-    for name in ("_expansion", "_plan", "_orbits"):
+    for name in ("_expansion", "_visited", "_orbits"):
         getattr(props, name).cache_clear()
         recording(name)
     recording("_condensation")
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
     with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
         is_mds(F11D, WHIRLPOOL_ROW)
-    assert sorted(set(asked)) == [("_condensation", 2), ("_condensation", 3), ("_orbits", 1),
-                                  ("_orbits", 2), ("_orbits", 3), ("_plan", 2), ("_plan", 3)]
+    assert sorted(set(asked)) == [("_condensation", 2), ("_condensation", 3), ("_orbits", 0),
+                                  ("_orbits", 1), ("_orbits", 2), ("_orbits", 3),
+                                  ("_visited", 1), ("_visited", 2), ("_visited", 3)]
     assert [reads is not None for _, reads, _ in props._row_plan(8)] == [True, True, False]
-    kept = [rows for rows in visited_row_sets(8, 4, True) if rows[-1] < 7]
+    kept = [rows for rows in props._visited(8, 4) if rows[-1] < 7]
     assert len(kept) * comb(8, 4) == 700
 
 
@@ -490,6 +478,34 @@ def test_a_lowered_limit_refuses_a_size_whose_plan_is_kept(monkeypatch):
         else:
             assert is_mds(F11D, WHIRLPOOL_ROW)
         assert [reads is not None for _, reads, _ in props._row_plan(8)] == built
+
+
+def test_a_huge_first_row_is_refused_without_listing_its_necklaces():
+    # the kept count of a size is Burnside's closed form: listing the
+    # order-200,000 necklaces of size 2 to count them would take seconds
+    # and tens of MB before the refusal
+    import time
+    import tracemalloc
+
+    row = (1,) * 200_000
+    message = ("order-200000 matrix would keep 1999990000000000 minors of size 2, "
+               "above the limit")
+    for traced in (False, True):
+        props._row_plan.cache_clear()
+        if traced:
+            tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(MinorLayerTooLarge, match=message):
+                is_mds(F11D, row)
+            elapsed = time.perf_counter() - started
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if traced:
+            assert peak < 4 << 20, peak
+        else:
+            assert elapsed < 0.1, elapsed
 
 
 def test_is_mds_checks_every_row_set_of_a_non_circulant():
