@@ -27,6 +27,7 @@ from .verify import (
     EXHAUSTIVE,
     RANDOM,
     ScanConfig,
+    check_space,
     random_rows,
     run_suite,
     verification_plan,
@@ -43,14 +44,9 @@ def parse_field(text: str) -> GF2m:
     parts = text.split(":")
     if len(parts) != 2:
         raise UsageError(f"--field expects m:POLYHEX, got {text!r}")
-    try:
-        m = int(parts[0])
-        poly = int(parts[1], 16)
+    try:  # a FieldError is a ValueError
+        return get_field(int(parts[0]), int(parts[1], 16))
     except ValueError as exc:
-        raise UsageError(f"bad field spec {text!r}: {exc}") from None
-    try:
-        return get_field(m, poly)
-    except FieldError as exc:
         raise UsageError(f"bad field spec {text!r}: {exc}") from None
 
 
@@ -121,14 +117,11 @@ def _validated(config: ScanConfig) -> ScanConfig:
 
 def cmd_scan(args) -> int:
     gf = parse_field(args.field)
-    suites = _split_csv(args.suite)
-    if not suites:
-        raise UsageError("at least one --suite required")
     extra = tuple(parse_row(gf, t) for t in args.include_row or ())
     config = ScanConfig(
         field=gf,
         order=args.order,
-        suites=suites,
+        suites=_split_csv(args.suite),
         mode=args.mode,
         seed=args.seed,
         sample_count=args.samples,
@@ -171,27 +164,18 @@ def cmd_search(args) -> int:
         raise UsageError(f"order must be at least 1, got {args.order}")
     if args.limit < 0:
         raise UsageError(f"limit must not be negative, got {args.limit}")
-    if args.samples < 0:
-        raise UsageError(f"sample count must not be negative, got {args.samples}")
+    n = args.order
+    q = gf.order
+    try:
+        check_space(args.mode, q ** n, args.samples, args.budget)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     tests = [test for name, test in _SEARCH_PREDICATES.items() if name in wanted]
     relations = tuple(r for r in ("orthogonal", "involutory") if "semi-" + r in wanted)
     relations = relations or ("orthogonal", "involutory")
-    n = args.order
-    q = gf.order
-    space = q ** n
     if args.mode == EXHAUSTIVE:
-        if space > args.budget:
-            raise UsageError(
-                f"exhaustive space {space} exceeds budget {args.budget}; "
-                "use --mode random or raise --budget"
-            )
         # every row in index order: c_0 is the fastest digit
         candidates = (digits[::-1] for digits in product(range(q), repeat=n))
-    elif args.samples > args.budget:  # the rule and words of `ScanConfig.validate`
-        raise UsageError(
-            f"random sample count {args.samples} exceeds budget {args.budget}; "
-            "raise --budget to draw more"
-        )
     else:
         candidates = random_rows(args.seed, q, n, 0, args.samples)
     found = 0
@@ -271,30 +255,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int)
     p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("scan", help="run theorem suites over a candidate space")
-    p.add_argument("--field", required=True)
-    p.add_argument("--order", type=int, required=True)
+    # the candidate space of `scan` and `search`
+    space = argparse.ArgumentParser(add_help=False)
+    space.add_argument("--field", required=True)
+    space.add_argument("--order", type=int, required=True)
+    space.add_argument("--mode", choices=(EXHAUSTIVE, RANDOM), default=EXHAUSTIVE)
+    space.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    space.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    space.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+
+    p = sub.add_parser("scan", parents=[space],
+                       help="run theorem suites over a candidate space")
     p.add_argument("--suite", action="append", required=True,
                    help="suite name; repeatable or comma-separated")
-    p.add_argument("--mode", choices=(EXHAUSTIVE, RANDOM), default=EXHAUSTIVE)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--include-row", action="append",
                    help="force a first row into the candidate stream; repeatable")
     p.set_defaults(fn=cmd_scan)
 
-    p = sub.add_parser("search", help="stream first rows matching predicates")
-    p.add_argument("--field", required=True)
-    p.add_argument("--order", type=int, required=True)
+    p = sub.add_parser("search", parents=[space], help="stream first rows matching predicates")
     p.add_argument("--require", action="append", required=True,
                    help=f"predicates from: {', '.join(_SEARCH_PREDICATES)}")
     p.add_argument("--limit", type=int, default=1)
-    p.add_argument("--mode", choices=(EXHAUSTIVE, RANDOM), default=EXHAUSTIVE)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("verify-paper",

@@ -62,11 +62,10 @@ scalar square gives the pair (1, ..., 1), (k^-1, ..., k^-1), and any
 other row has none.  For A^-T the gcd(m, q-1) roots of unity are tried
 together, in one fold of b that tests them all at once (the lane identity
 of the `circulant` module docstring), once the row sum is nonzero.  No
-circulant builds a matrix or runs the generic solver: that runs for a
-matrix that is not circulant, on the dense inverse
-(`dense_classification`), and in `verify.verify_example`; the tests
-check the shortcut against it and it against a brute-force search over
-diagonal pairs.
+circulant builds a matrix or runs the generic solver: that runs only for
+a matrix that is not circulant, on the dense inverse
+(`dense_classification`); the tests check the shortcut against it and it
+against a brute-force search over diagonal pairs.
 
 The traces of a semi-orthogonal pair follow from its form.  The map
 j -> ((j - s0) mod n) div g takes each beta < m exactly g times, so

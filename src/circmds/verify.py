@@ -174,17 +174,11 @@ from typing import Optional
 
 from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
-from .matgf import Singular, diag_trace, inverse, sandwich, transpose
-from .props import (
-    SCHEMA_VERSION,
-    Properties,
-    diagonal_scaling_solve,
-    is_mds,
-    is_power_of_two,
-    pair_gate,
-)
+from .matgf import diag_trace, identity, mat_mul, sandwich, transpose
+from .props import SCHEMA_VERSION, Properties, classify, is_power_of_two, pair_gate
 # unused here; perfbench/tracing.py wraps these verify attributes by name
-from .props import is_involutory, is_orthogonal, power_scalar
+from .matgf import inverse
+from .props import diagonal_scaling_solve, is_involutory, is_mds, is_orthogonal, power_scalar
 
 EXHAUSTIVE = "exhaustive"
 RANDOM = "random"
@@ -527,6 +521,25 @@ SUITES: dict[str, SuiteDef] = {
 # -- scan configuration and report ---------------------------------------------
 
 
+def check_space(mode: str, space: int, samples: int, budget: int) -> None:
+    """Refuse a candidate space that may not be drawn: a negative sample
+    count, an exhaustive `space` of more than `budget` rows, or a random
+    draw of more than `budget` samples.  `ScanConfig.validate` and `search`
+    both ask it, so `scan` and `search` refuse alike, in the same words."""
+    if samples < 0:
+        raise ValueError(f"sample count must not be negative, got {samples}")
+    if mode == EXHAUSTIVE and space > budget:
+        raise BudgetExceeded(
+            f"exhaustive space {space} exceeds budget {budget}; "
+            "use --mode random or raise --budget"
+        )
+    if mode == RANDOM and samples > budget:
+        raise BudgetExceeded(
+            f"random sample count {samples} exceeds budget {budget}; "
+            "raise --budget to draw more"
+        )
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     field: GF2m
@@ -548,8 +561,6 @@ class ScanConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.worker_count < 1:
             raise ValueError(f"worker count must be at least 1, got {self.worker_count}")
-        if self.sample_count < 0:
-            raise ValueError(f"sample count must not be negative, got {self.sample_count}")
         if not self.suites:
             raise IncompatibleSuite("at least one suite required")
         for name in self.suites:
@@ -560,15 +571,7 @@ class ScanConfig:
                 raise IncompatibleSuite(
                     f"suite {name} needs {suite.order_note}, got order {self.order}"
                 )
-        if self.mode == EXHAUSTIVE and self.space_size > self.budget:
-            raise BudgetExceeded(
-                f"exhaustive space {self.space_size} exceeds budget {self.budget}"
-            )
-        if self.mode == RANDOM and self.sample_count > self.budget:
-            raise BudgetExceeded(
-                f"random sample count {self.sample_count} exceeds budget "
-                f"{self.budget}; raise --budget to draw more"
-            )
+        check_space(self.mode, self.space_size, self.sample_count, self.budget)
         for row in self.extra_rows:
             if len(row) != self.order:
                 raise ValueError(f"extra row {row} does not match order {self.order}")
@@ -885,25 +888,26 @@ def verify_example(example_id: int) -> ExampleRecord:
     """Re-derive one golden instance over GF(2^8)/REFERENCE_POLY and check
     all six stated assertions.
 
-    (a) nonsingular, (b) MDS, (c) semi-orthogonal, (d) the recorded pair
-    satisfies A^-T == D1*A*D2 verbatim, (e) the solver's canonical pair is
-    a scalar multiple of the recorded one, (f) both recorded diagonals have
-    nonzero trace.  REFERENCE_POLY is read at call time, so a test can
-    swap the field as a negative control: the recorded pairs are tied to
-    0x11D and fail (d) elsewhere.
+    (a) nonsingular, (b) MDS, (c) semi-orthogonal and (e) the canonical
+    pair is a scalar multiple of the recorded one are read from `classify`
+    of the first row, the record `check --circulant` prints; (d) the
+    recorded pair satisfies A^-T == D1*A*D2 verbatim, checked as
+    D1*A*D2*A^T == I by dense products, which share nothing with the ring
+    path that found the canonical pair; (f) both recorded diagonals have
+    nonzero trace.  REFERENCE_POLY is read at call time, so a test can swap
+    the field as a negative control: the recorded pairs are tied to 0x11D
+    and fail (d) elsewhere.
     """
     spec = EXAMPLES[example_id]
     gf = get_field(8, REFERENCE_POLY)
     row = spec["row"]
     d1p = spec["d1"]
     d2p = spec["d2"]
-    A = build(row)
+    cls = classify(gf, row)
     record = ExampleRecord(example_id, gf.m, gf.poly, [])
     asserts = record.assertions
 
-    try:
-        ainv_t = transpose(inverse(gf, A))
-    except Singular:
+    if cls.singular:
         asserts.append(("nonsingular", False, "matrix is singular"))
         for name in ("mds", "semi_orthogonal", "stated_pair_verbatim",
                      "canonical_matches_stated", "nonzero_traces"):
@@ -911,28 +915,29 @@ def verify_example(example_id: int) -> ExampleRecord:
         return record
     asserts.append(("nonsingular", True, None))
 
-    verdict = is_mds(gf, row)
+    verdict = cls.mds
     asserts.append(("mds", verdict.is_mds,
                     None if verdict.is_mds else f"singular minor {verdict.witness}"))
 
-    pair = diagonal_scaling_solve(gf, A, ainv_t)
+    pair = cls.semi_orthogonal.pair
     asserts.append(("semi_orthogonal", pair is not None,
                     None if pair is not None else "no diagonal pair exists"))
 
-    stated = sandwich(gf, d1p, A, d2p)
-    if stated == ainv_t:
+    A = build(row)
+    stated = mat_mul(gf, sandwich(gf, d1p, A, d2p), transpose(A))
+    want = identity(len(row))
+    if stated == want:
         asserts.append(("stated_pair_verbatim", True, None))
     else:
-        diff = next(
+        i, j = next(
             (i, j) for i in range(len(A)) for j in range(len(A))
-            if stated[i][j] != ainv_t[i][j]
+            if stated[i][j] != want[i][j]
         )
-        i, j = diff
         asserts.append((
             "stated_pair_verbatim", False,
             f"first differing entry ({i},{j}): "
-            f"D1*A*D2 gives {gf.format_element(stated[i][j])}, "
-            f"A^-T has {gf.format_element(ainv_t[i][j])}",
+            f"D1*A*D2*A^T gives {gf.format_element(stated[i][j])}, "
+            f"I has {gf.format_element(want[i][j])}",
         ))
 
     if pair is None:

@@ -1,0 +1,150 @@
+"""The mutation census: named changes to the package that named tests must catch.
+
+    python tests/mutants.py [NAME ...]
+
+Each mutant is a file of `src/circmds`, an exact snippet of it, the
+replacement, and the tests that must fail on it.  For every mutant (or
+only those named), the script copies the repository's `src/` and `tests/`
+to a temporary directory, makes that one replacement there, and runs only
+the mutant's tests on the copy.  It prints one line per mutant: killed
+when some of its tests fail, alive when all pass, with the number of
+failed tests and the time.  Before the mutants it runs every named test
+on an unchanged copy, which must pass.  It exits 1 if a mutant is alive
+or a run errs.
+
+Tier-1 checks only that each snippet occurs exactly once in its file
+(`tests/test_mutants.py`), so a refactor that moves the code must update
+this list.  A change that deletes the code of a mutant deletes the mutant
+too.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    Mutant(
+        "gate-folds-at-half-zeros", "src/circmds/props.py",
+        "fold(row) if 2 * row.count(0) < n else",
+        "fold(row) if 2 * row.count(0) <= n else",
+        ("tests/test_props.py::test_pair_gate_folds_a_dense_row_with_no_block_step",),
+    ),
+    Mutant(
+        "rejected-weight-without-transpose", "src/circmds/verify.py",
+        "part.examined += len(scalars) * size << transposed",
+        "part.examined += len(scalars) * size",
+        ("tests/test_census.py::test_outputs_keep_the_committed_census",),
+    ),
+    Mutant(
+        "layer-limit-only-when-built", "src/circmds/props.py",
+        "            if kept > MAX_LAYER_MINORS:  # before the plan: a refused size keeps none\n"
+        "                _refuse_large_layer(n, size, kept)\n"
+        "            if reads is None:\n",
+        "            if reads is None:\n"
+        "                _refuse_large_layer(n, size, kept)\n",
+        ("tests/test_props.py::test_a_lowered_limit_refuses_a_size_whose_plan_is_kept",),
+    ),
+    Mutant(
+        "layer-counted-by-listing", "src/circmds/props.py",
+        "return [_necklace_count(n, size) * comb(n, size), None, None]",
+        "return [len(_visited(n, size)) * comb(n, size), None, None]",
+        ("tests/test_props.py::test_a_huge_first_row_is_refused_without_listing_its_necklaces",),
+    ),
+    Mutant(
+        "lane-count-per-key", "src/circmds/circulant.py",
+        "held = next(iter(_LANES.values()))[1][0].held if _LANES else [0]",
+        "held = [0]",
+        ("tests/test_circulant.py::test_lane_tables_stay_within_their_bound",),
+    ),
+    Mutant(
+        "space-budget-inclusive", "src/circmds/verify.py",
+        "if mode == EXHAUSTIVE and space > budget:",
+        "if mode == EXHAUSTIVE and space >= budget:",
+        ("tests/test_cli.py::test_search_and_scan_refuse_a_space_in_the_same_words"
+         "[exhaustive-above-budget]",),
+    ),
+    Mutant(
+        "stated-pair-against-a", "src/circmds/verify.py",
+        "want = identity(len(row))",
+        "want = A",
+        ("tests/test_verify.py::test_example1_all_assertions_pass",
+         "tests/test_verify.py::test_the_ring_path_record_agrees_with_the_dense_references"),
+    ),
+)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _pytest(copy: Path, tests) -> tuple[int, int, float]:
+    """(exit code, failed count, seconds) of `tests` run on `copy`."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - started
+    failed = re.search(r"(\d+) failed", proc.stdout)
+    return proc.returncode, int(failed.group(1)) if failed else 0, elapsed
+
+
+def run(mutants) -> bool:
+    """Run the census on `mutants`; True when every mutant is killed."""
+    with tempfile.TemporaryDirectory(prefix="circmds-mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy(base)
+        every = sorted({test for mutant in mutants for test in mutant.tests})
+        code, failed, elapsed = _pytest(base, every)
+        print(f"{'unchanged':36} {'passes' if code == 0 else f'exit {code}':>10} "
+              f"{failed} failed  {elapsed:6.2f} s")
+        if code != 0:
+            return False
+        all_killed = True
+        for mutant in mutants:
+            copy = Path(tmp) / mutant.name
+            _copy(copy)
+            path = copy / mutant.file
+            path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement, 1))
+            code, failed, elapsed = _pytest(copy, mutant.tests)
+            status = {0: "alive", 1: "killed"}.get(code, f"exit {code}")
+            all_killed = all_killed and code == 1
+            print(f"{mutant.name:36} {status:>10} {failed} failed  {elapsed:6.2f} s")
+            shutil.rmtree(copy)
+    return all_killed
+
+
+def main(argv) -> int:
+    names = set(argv)
+    unknown = names - {mutant.name for mutant in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant.name in names]
+    return 0 if run(chosen) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

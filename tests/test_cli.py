@@ -400,27 +400,37 @@ def test_search_random_above_two_to_the_64_rows_finishes(capsys):
     assert "found 0" in err
 
 
-def test_search_random_samples_above_the_budget_are_refused(capsys, monkeypatch):
-    # as `scan` does, with its words: refused before the first draw
+@pytest.mark.parametrize("mode, refused, allowed, examined", [
+    ((), ("--budget", "4095"), ("--budget", "4096"), 4096),  # GF(8) n = 4 has 4,096 rows
+    (("--mode", "random"), ("--samples", "100000000", "--budget", "10"),
+     ("--samples", "10", "--budget", "10"), 10),
+    (("--mode", "random"), ("--samples", "-5"), ("--samples", "0"), 0),
+], ids=["exhaustive-above-budget", "random-above-budget", "negative-samples"])
+def test_search_and_scan_refuse_a_space_in_the_same_words(capsys, monkeypatch, mode, refused,
+                                                           allowed, examined):
+    # one rule and one `error:` line for both commands, before a row is drawn
     from circmds import cli
 
-    def drawn(*args):
-        raise AssertionError("the search drew a row")
+    def started(*args, **kwargs):
+        raise AssertionError("the command started")
 
-    monkeypatch.setattr(cli, "random_rows", drawn)
-    argv = ("--field", "8:0x11D", "--order", "4", "--mode", "random",
-            "--samples", "100000000", "--budget", "10")
-    code, out, err = run_cli(capsys, "search", "--require", "orthogonal,mds", *argv)
+    for name in ("random_rows", "product", "run_suite"):
+        monkeypatch.setattr(cli, name, started)
+    space = ("--field", "3:0xB", "--order", "4", *mode)
+    search = ("search", "--require", "orthogonal,mds", *space)
+    scan = ("scan", "--suite", "SO-POW2", *space)
+    code, out, err = run_cli(capsys, *search, *refused)
     assert code == 2 and out == ""
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "--budget" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
-    assert run_cli(capsys, "scan", "--suite", "SO-POW2", *argv)[2] == err
-    # within the budget the same search runs
+    assert run_cli(capsys, *scan, *refused) == (2, "", err)
+    # at the bound both commands run
     monkeypatch.undo()
-    code, out, err = run_cli(capsys, "search", "--require", "orthogonal,mds",
-                             *argv[:-4], "--samples", "10", "--budget", "10")
+    code, out, err = run_cli(capsys, *search, *allowed)
     assert code == 0 and out == "" and "found 0" in err
+    code, doc, _ = run_json(capsys, *scan, *allowed)
+    assert code == 0 and doc["examined"] == examined
 
 
 def test_search_unknown_predicate(capsys):

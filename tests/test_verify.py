@@ -16,7 +16,7 @@ import circmds
 from circmds import props, verify
 from circmds.field import get_field
 from circmds.circulant import build, is_singular_row, scalar_square_root
-from circmds.matgf import Singular, diag_trace, sandwich
+from circmds.matgf import Singular, diag_trace, inverse, sandwich, transpose
 from circmds.props import (
     Properties,
     circulant_semi_pair,
@@ -1013,6 +1013,60 @@ def test_example1_negative_control_in_aes_field(monkeypatch):
     outcomes = {name: ok for name, ok, _ in record.assertions}
     assert not outcomes["stated_pair_verbatim"]
     assert not record.ok
+
+
+def test_verify_paper_reaches_neither_the_dense_inverse_nor_the_generic_solver(
+        monkeypatch, capsys):
+    # the golden records come from `classify` on the ring and from dense
+    # products, so with the dense inverse and the generic solver gone every
+    # outcome stays, and `verify-paper` still exits 1 on the known red
+    from circmds import matgf
+    from circmds.cli import main
+
+    def records():
+        return [verify_example(1).to_dict(), verify_example(2).to_dict()]
+
+    def paper():
+        code = main(["verify-paper", "--scale", "small"])
+        doc = json.loads(capsys.readouterr().out)
+        for scan in doc["scans"]:
+            del scan["report"]["elapsed_seconds"]
+        return code, doc
+
+    before = records(), paper()
+
+    def dense(*args):
+        raise AssertionError("the dense path ran")
+
+    for module, name in ((matgf, "inverse"), (props, "inverse"), (verify, "inverse"),
+                         (props, "diagonal_scaling_solve"),
+                         (verify, "diagonal_scaling_solve")):
+        monkeypatch.setattr(module, name, dense)
+    assert (records(), paper()) == before
+    assert before[1][0] == 1
+
+
+@pytest.mark.parametrize("example_id, poly", [(1, 0x11D), (2, 0x11D), (1, 0x11B), (2, 0x11B)])
+def test_the_ring_path_record_agrees_with_the_dense_references(monkeypatch, example_id, poly):
+    # 0x11B is the negative control: there example 1 has a pair off the
+    # recorded orbit and example 2 has none, and neither recorded pair holds
+    monkeypatch.setattr(verify, "REFERENCE_POLY", poly)
+    gf = get_field(8, poly)
+    spec = EXAMPLES[example_id]
+    d1, d2 = spec["d1"], spec["d2"]
+    A = build(spec["row"])
+    outcomes = {name: ok for name, ok, _ in verify_example(example_id).assertions}
+    assert outcomes["nonsingular"]  # (a): the dense inverse exists
+    ainv_t = transpose(inverse(gf, A))
+    pair = dense_semi_pair(gf, A, "orthogonal")
+    assert classify(gf, spec["row"]).semi_orthogonal.pair == pair
+    assert outcomes["semi_orthogonal"] == (pair is not None)
+    on_orbit = pair is not None and any(
+        pair.d1 == tuple(gf.mul(c, v) for v in d1)
+        and pair.d2 == tuple(gf.mul(gf.inv(c), v) for v in d2) for c in range(1, gf.order))
+    assert outcomes["canonical_matches_stated"] == on_orbit
+    assert outcomes["stated_pair_verbatim"] == (sandwich(gf, d1, A, d2) == ainv_t)
+    assert (on_orbit, outcomes["stated_pair_verbatim"]) == ((poly == 0x11D,) * 2)
 
 
 def test_example_record_json():
