@@ -11,15 +11,17 @@ Determinism contract: given equal (field, order, suites, mode, seed,
 sample_count, extra_rows), the report payload is bit-identical across runs
 and across worker counts.  Candidates are enumerated as base-q counters
 with c_0 in the least significant position; random mode draws them from
-one seeded SplitMix64 stream.  A chunk is the config's forced rows or a
-(start, end) span of at most CHUNK draws of the stream, or of at most
-CHUNK class representatives of an exhaustive scan, which goes by orbits
-(below); each chunk returns a partial `ScanReport`, and the partials are
-merged in order, forced rows first.  A scan by orbits meets its failing
-rows out of enumeration order, so `run_suite` sorts its merged span lists
-(counterexamples, power-scalar and interleaved failures) by enumeration
-index, stably, which keeps the entries of one row in the order they were
-found; the forced rows' entries stay first, unsorted.  Every payload thus
+one seeded SplitMix64 stream, computed a block of up to 4,096 outputs at
+a time in the 128-bit lanes of one int (`_outputs`).  A chunk is the
+config's forced rows or a (start, end) span of at most CHUNK draws of the
+stream, or of at most CHUNK class representatives of an exhaustive scan,
+which goes by orbits (below); each chunk returns a partial `ScanReport`,
+and the partials are merged in order, forced rows first.  A scan by
+orbits meets its failing rows out of enumeration order, so `run_suite`
+sorts its merged span lists (counterexamples, power-scalar and
+interleaved failures) by enumeration index, stably, which keeps the
+entries of one row in the order they were found; the forced rows'
+entries stay first, unsorted.  Every payload thus
 equals that of a scan that tallies each row on its own, which the tests
 build in tests/reference.py from the same config with every row forced,
 and that of one that runs every suite on every row, with no gate.
@@ -166,10 +168,11 @@ nonzero; failures of these side invariants are reported separately.
 from __future__ import annotations
 
 import os
+import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cache
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from typing import Optional
 
 from .circulant import build, interleaved_sums
@@ -201,60 +204,70 @@ class IncompatibleSuite(ValueError):
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_BLOCK = 4096  # outputs per block; each lane constant is 64 KiB
+# one 128-bit lane per output: 1, the low 64 bits set, and k * gamma mod 2^64
+_ONES = int.from_bytes(b"\1".ljust(16, b"\0") * _BLOCK, "little")
+_MASKS = _ONES * _MASK64
+_STEPS = _GAMMA * int.from_bytes(
+    b"".join(k.to_bytes(16, "little") for k in range(1, _BLOCK + 1)), "little") & _MASKS
+_LOW = 2 if sys.byteorder == "little" else -2  # the low halves, lane 0 first
 
 
-class SplitMix64:
-    """SplitMix64 stream: same seed gives the same u64 sequence everywhere.
+def _outputs(state: int, count: int):
+    """The `count` outputs of SplitMix64 that follow `state`, in lists of
+    at most _BLOCK, each computed as one block.
 
-    The state advances by a fixed step per output, so output k of seed s
-    is the first output of seed s + k * 0x9E3779B97F4A7C15 (mod 2^64).
+    Output k mixes the state state + (k + 1) * gamma (mod 2^64) alone, so
+    a block puts its states in the low halves of the 128-bit lanes of one
+    int and runs each step of the mix as one big-int operation on every
+    lane: a lane times a 64-bit constant stays in its lane, and `mask`
+    clears what a right shift pulls in from the next lane before each
+    multiply.  The last shift leaves that in the high halves, which are
+    not read.  A shorter block masks the constants down to its lanes.
     """
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+    for lo in range(0, count, _BLOCK):
+        lanes = min(count - lo, _BLOCK)
+        keep = (1 << 128 * lanes) - 1
+        mask = _MASKS & keep
+        z = ((state + lo * _GAMMA) & _MASK64) * (_ONES & keep) + (_STEPS & keep) & mask
+        z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
+        z = (z ^ z >> 27 & mask) * 0x94D049BB133111EB & mask
+        z ^= z >> 31
+        yield memoryview(z.to_bytes(16 * lanes, sys.byteorder)).cast("Q")[::_LOW].tolist()
 
 
 def random_rows(seed: int, q: int, n: int, start: int, end: int):
     """Draws start .. end-1 of the seeded row stream of a q^n space.
 
     q^n is a power of two, so a draw is ceil(log2(q^n) / 64) outputs of
-    SplitMix64(seed), low word first, and its low log2(q^n) bits are the
-    row's base-q digits, least significant digit = c_0: q = 2^m, so digit i
-    is bits i*m .. i*m + m - 1, and no bit above n*m is read.  No draw is
-    rejected.  Draw k therefore starts at state seed + k * words * gamma,
-    and a chunk starts its own stream there.  For q^n <= 2^64 a draw is one
-    output.  Up to q = 2^12 the digits are read k = 12 // m at a time, each
-    k of them as one entry of `_digit_table(m)`, and the digits read past
-    c_(n-1) are dropped; above, each digit is read by its own shift.
+    the SplitMix64 stream of `seed`, low word first, and its low
+    log2(q^n) bits are the row's base-q digits, least significant digit =
+    c_0: q = 2^m, so digit i is bits i*m .. i*m + m - 1, and no bit above
+    n*m is read.  No draw is rejected.  Draw k therefore starts at state
+    seed + k * words * gamma, and a chunk computes its span of the stream
+    from there, _BLOCK outputs at a time (`_outputs`): a caller that stops
+    early has computed at most one block past its last row, and the rows
+    are the same.  For q^n <= 2^64 a draw is one output.  Up to q = 2^12
+    the digits are read k = 12 // m at a time, each k of them as one entry
+    of `_digit_table(m)`, and the digits read past c_(n-1) are dropped;
+    above, each digit is read by its own shift.
     """
     m = q.bit_length() - 1
     words = -(-n * m // 64)
-    rng = SplitMix64(seed + start * words * _GAMMA)
-    draw = rng.next_u64
+    draws = chain.from_iterable(_outputs(seed + start * words * _GAMMA, (end - start) * words))
+    if words > 1:
+        draws = (sum(w << 64 * i for i, w in enumerate(draw)) for draw in zip(*[draws] * words))
     if m > 12:
         shifts = range(0, n * m, m)
         digit = q - 1
-        for _ in range(start, end):
-            r = draw()
-            for w in range(1, words):
-                r |= draw() << (64 * w)
+        for r in draws:
             yield tuple([r >> s & digit for s in shifts])
         return
     table = _digit_table(m)
     mask = len(table) - 1
     width = mask.bit_length()  # k*m bits
     shifts = range(width, n * m, width)
-    for _ in range(start, end):
-        r = draw()
-        for w in range(1, words):
-            r |= draw() << (64 * w)
+    for r in draws:
         row = table[r & mask]
         for s in shifts:
             row += table[r >> s & mask]

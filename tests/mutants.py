@@ -89,6 +89,24 @@ MUTANTS = (
         ("tests/test_verify.py::test_example1_all_assertions_pass",
          "tests/test_verify.py::test_the_ring_path_record_agrees_with_the_dense_references"),
     ),
+    Mutant(
+        "span-state-without-words", "src/circmds/verify.py",
+        "_outputs(seed + start * words * _GAMMA,",
+        "_outputs(seed + start * _GAMMA,",
+        ("tests/test_verify.py::test_random_rows_match_the_scalar_stream_across_block_edges",),
+    ),
+    Mutant(
+        "block-state-not-advanced", "src/circmds/verify.py",
+        "z = ((state + lo * _GAMMA) & _MASK64)",
+        "z = (state & _MASK64)",
+        ("tests/test_verify.py::test_random_rows_match_the_scalar_stream_across_block_edges",),
+    ),
+    Mutant(
+        "lane-mask-dropped-before-multiply", "src/circmds/verify.py",
+        "z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask",
+        "z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask",
+        ("tests/test_verify.py::test_random_rows_match_the_scalar_stream_across_block_edges",),
+    ),
 )
 
 

@@ -250,6 +250,29 @@ def minor_orbit_count(n: int, k: int) -> int:
     return (fixed + n * comb(n, k)) // (2 * n)
 
 
+_MASK64 = _TWO_TO_THE_64 - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """The scalar SplitMix64 stream, one output per call: the oracle of
+    `verify._outputs`, which computes a block of outputs at a time.
+
+    The state advances by a fixed step per output, so output k of seed s
+    is the first output of seed s + k * 0x9E3779B97F4A7C15 (mod 2^64).
+    """
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + _GAMMA) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+
 def next_below(rng, bound: int) -> int:
     """Uniform draw in [0, bound) from a SplitMix64 stream by rejection
     (0 < bound <= 2^64)."""

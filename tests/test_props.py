@@ -9,7 +9,7 @@ from math import comb, gcd
 import pytest
 
 from circmds import props
-from circmds.circulant import OddOrder, build, is_circulant, is_singular_row
+from circmds.circulant import OddOrder, build, is_circulant, is_singular_row, scalar_square_root
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -1230,6 +1230,27 @@ def test_semi_involutory_rows_have_a_closed_count():
             found = sum(Properties(gf, row).semi("involutory").found
                         for row in product(range(gf.order), repeat=n))
             assert found == semi_involutory_count(gf.order, n), (m, n)
+
+
+def test_no_semi_involutory_row_is_mds():
+    # the lemma that empties SI-GEN and SI-POW2 with MDS: a semi-involutory
+    # row (a nonzero scalar square root, in number `semi_involutory_count`)
+    # has a singular minor of size at most 2.  At odd n it is (r, 0, ..., 0);
+    # at even n = 2h it has a_j == a_(j+h) for 0 < j < h, so rows {0, h} and
+    # columns {j, j + h} give the minor (a_j + a_(j+h))^2 == 0
+    for gf, orders in ((GF4, (3, 4, 6)), (GF8, (3, 4, 5, 6))):
+        for n in orders:
+            h = n // 2
+            rows = [row for row in product(range(gf.order), repeat=n)
+                    if scalar_square_root(row)]
+            assert len(rows) == semi_involutory_count(gf.order, n), (gf.order, n)
+            for row in rows:
+                verdict = is_mds(gf, row)
+                assert not verdict and len(verdict.witness[0]) <= 2, row
+                if n % 2 == 0:
+                    A = build(row)
+                    assert all(det(gf, submatrix(A, (0, h), (j, j + h))) == 0
+                               for j in range(1, h)), row
 
 
 def test_circulant_semi_pair_rejects_unknown_relation():

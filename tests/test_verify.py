@@ -34,7 +34,6 @@ from circmds.verify import (
     IncompatibleSuite,
     ScanConfig,
     ScanReport,
-    SplitMix64,
     class_count,
     random_rows,
     run_suite,
@@ -43,6 +42,7 @@ from circmds.verify import (
 )
 from census import GATE_SPACES
 from reference import (
+    SplitMix64,
     class_rows,
     count_folds,
     decided,
@@ -152,6 +152,29 @@ def test_random_rows_extend_the_one_word_stream_and_split_anywhere():
                             for _ in range(40)]
             assert any(row[-1] for row in rows)
         assert list(random_rows(99, q, n, 13, 40)) == rows[13:]
+
+
+def test_random_rows_match_the_scalar_stream_across_block_edges():
+    # a span computes _BLOCK outputs per block, so spans that start just
+    # before, at and just after draw _BLOCK // words and run over two block
+    # edges read every draw of a block's tail, the next block's state, and,
+    # at three words, draws split between two blocks: one word (GF(2^8)
+    # n = 3), two and three words (GF(4) n = 33, GF(2) n = 150), and two
+    # words above the digit table (GF(2^13) n = 5)
+    for q, n in ((256, 3), (4, 33), (2, 150), (1 << 13, 5)):
+        words = -(-n * (q.bit_length() - 1) // 64)
+        edge = verify._BLOCK // words
+        span = 2 * verify._BLOCK // words + 2
+        rng = SplitMix64(7)
+        want = [index_to_row(sum(rng.next_u64() << 64 * w for w in range(words)), q, n)
+                for _ in range(edge + 1 + span)]
+        assert span * words > 2 * verify._BLOCK
+        for start in (edge - 1, edge, edge + 1):
+            assert list(random_rows(7, q, n, start, start + span)) == want[start:start + span]
+    # the published seed-0 outputs, each one row of GF(2^16) n = 4
+    vectors = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+    assert list(random_rows(0, 1 << 16, 4, 0, 3)) == [index_to_row(v, 1 << 16, 4) for v in vectors]
+    assert [v for block in verify._outputs(0, 3) for v in block] == list(vectors)
 
 
 def test_random_scan_above_two_to_the_64_rows_finishes():
