@@ -27,6 +27,7 @@ from .verify import (
     EXHAUSTIVE,
     RANDOM,
     ScanConfig,
+    check_order,
     check_space,
     random_rows,
     run_suite,
@@ -160,13 +161,12 @@ def cmd_search(args) -> int:
             raise UsageError(
                 f"unknown predicate {name!r}; choose from {', '.join(_SEARCH_PREDICATES)}"
             )
-    if args.order < 1:
-        raise UsageError(f"order must be at least 1, got {args.order}")
     if args.limit < 0:
         raise UsageError(f"limit must not be negative, got {args.limit}")
     n = args.order
     q = gf.order
     try:
+        check_order(n)
         check_space(args.mode, q ** n, args.samples, args.budget)
     except ValueError as exc:
         raise UsageError(str(exc)) from None

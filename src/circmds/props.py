@@ -102,26 +102,27 @@ or a translate of it would be smaller.  The first singular minor is the
 least of its orbit, as every member is singular, so computing each
 orbit's least member alone keeps the witness.
 
-Each computed minor of a first row is found by condensation.  For a
-k x k matrix M, k >= 2, the Desnanot-Jacobi identity reads, with every
-sign 1 in characteristic 2,
+Every minor `is_mds` computes is found by condensation.  For a k x k
+matrix M, k >= 2, the Desnanot-Jacobi identity reads, with every sign 1
+in characteristic 2,
 det(M) * det(M_in) == det(M_11) * det(M_kk) + det(M_1k) * det(M_k1),
 where M_ij lacks row i and column j, and M_in lacks rows and columns 1
 and k (at k == 2 it is empty, with det 1).  The test reaches size k only
 when every minor of a smaller size is nonzero, and M_in is one of them.
 So det(M) is zero exactly when the two-product right side is, and its log
-is that side's log minus the log of det(M_in), mod q - 1.  For
-M = A[T, C], M_kk and M_k1 lie on T - t_k, a necklace, but M_11 and M_1k
-lie on T - t_1 and M_in on T - {t_1, t_k}, which are seldom necklaces.
-A minor on a row set R equals the one on its necklace R - t, at
-(R - t, C - t), and only the least pair of each orbit was computed, so
-all five are read through the slot of their orbit (`_orbits`).  The
-necklaces of each size are listed once, each extending one a size smaller
-(`_visited`).  The test of a first row walks one plan per order
-(`_row_plan`): each size holds its kept-minor count, in closed form, and
-once reached, the five positions of every computed minor in one flat
-tuple, with a table that names a zero minor's pair by bisection
-(`_condensation`).
+is that side's log minus the log of det(M_in), mod q - 1.  A matrix keeps
+the minors of every row set, and reads the five by the ranks of their
+row and column sets (`_ranks`).  For a first row's M = A[T, C], M_kk and
+M_k1 lie on T - t_k, a necklace, but M_11 and M_1k lie on T - t_1 and
+M_in on T - {t_1, t_k}, which are seldom necklaces.  A minor on a row set
+R equals the one on its necklace R - t, at (R - t, C - t), and only the
+least pair of each orbit was computed, so all five are read through the
+slot of their orbit (`_orbits`).  The necklaces of each size are listed
+once, each extending one a size smaller (`_visited`).  The test of a
+first row reads one plan per order and size (`_condensation`): the
+size's kept-minor count, in closed form (`_kept_minors`), the five
+positions of every computed minor in one flat tuple, and a table that
+names a zero minor's pair by bisection.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations, count
+from itertools import combinations, islice
 from math import comb, gcd
 from operator import itemgetter
 from typing import Optional
@@ -205,14 +206,15 @@ MAX_LAYER_MINORS = 1 << 24
 
 
 @cache
-def _expansion(n: int, size: int) -> tuple:
-    """(cols, ((c, rank of cols - c), ...)) for each size-`size` column set
-    of range(n), both listed in lexicographic order."""
-    rank = {cols: i for i, cols in enumerate(combinations(range(n), size - 1))}
-    return tuple(
-        (cols, tuple((c, rank[cols[:i] + cols[i + 1:]]) for i, c in enumerate(cols)))
-        for cols in combinations(range(n), size)
-    )
+def _ranks(n: int, size: int) -> tuple:
+    """For each size-`size` index set S of range(n), in lexicographic order:
+    the ranks of S - s_1 and S - s_k among the index sets a size smaller,
+    and of S - {s_1, s_k} among those two sizes smaller, each set listed in
+    lexicographic order; size >= 2."""
+    rank1, rank2 = ({s: j for j, s in enumerate(combinations(range(n), k))}
+                    for k in (size - 1, size - 2))
+    return tuple((rank1[s[1:]], rank1[s[:-1]], rank2[s[1:-1]])
+                 for s in combinations(range(n), size))
 
 
 def _necklace(rows: tuple, n: int) -> tuple:
@@ -222,17 +224,19 @@ def _necklace(rows: tuple, n: int) -> tuple:
     return min((tuple(sorted((x - t) % n for x in rows)), t) for t in rows)
 
 
-def _necklace_count(n: int, size: int) -> int:
-    """How many row sets of `size` a first row's MDS test keeps, counted
-    without listing them: the necklaces below size n,
-    (1/n) * sum over d | gcd(n, size) of phi(d) * C(n/d, size/d)."""
+@cache
+def _kept_minors(n: int, size: int) -> int:
+    """How many minors of `size` a first row's MDS test keeps, counted
+    without listing them: C(n, size) on each necklace below size n, of
+    which there are (1/n) * sum over d | gcd(n, size) of
+    phi(d) * C(n/d, size/d)."""
     if size == n:
         return 0
     g = gcd(n, size)
     return sum(
         sum(gcd(d, j) == 1 for j in range(1, d + 1)) * comb(n // d, size // d)
         for d in range(1, g + 1) if g % d == 0
-    ) // n
+    ) // n * comb(n, size)
 
 
 @cache
@@ -324,15 +328,19 @@ def _orbits(n: int, size: int) -> tuple:
     return tuple(computed), rank, at
 
 
+@cache
 def _condensation(n: int, size: int) -> tuple:
-    """(reads, table) of a circulant's MDS test at `size` >= 2.  reads
-    holds five positions for each pair (T, C) that `_orbits` computes, in
-    order: those of (T - t_1, C - c_1), (T - t_k, C - c_k),
-    (T - t_1, C - c_k) and (T - t_k, C - c_1) in the list computed at size
-    k - 1, and that of (T - {t_1, t_k}, C - {c_1, c_k}) in the list at
-    k - 2.  table holds, for each row set T that the test visits, in
-    order, the position of its first computed minor, T and its computed
-    column sets."""
+    """(kept, reads, table) of a circulant's MDS test at `size` >= 2.  kept
+    is `_kept_minors`, and a size that keeps more than MAX_LAYER_MINORS is
+    refused before anything is built.  reads holds five positions for each
+    pair (T, C) that `_orbits` computes, in order: those of
+    (T - t_1, C - c_1), (T - t_k, C - c_k), (T - t_1, C - c_k) and
+    (T - t_k, C - c_1) in the list computed at size k - 1, and that of
+    (T - {t_1, t_k}, C - {c_1, c_k}) in the list at k - 2.  table holds,
+    for each row set T that the test visits, in order, the position of its
+    first computed minor, T and its computed column sets."""
+    kept = _kept_minors(n, size)
+    _refuse_large_layer(n, size, kept)
     _, rank1, at1 = _orbits(n, size - 1)
     _, rank2, at2 = _orbits(n, size - 2)
     reads, table = [], []
@@ -345,23 +353,7 @@ def _condensation(n: int, size: int) -> tuple:
             reads += (first[by_first[head]], last[by_last[tail]],
                       first[by_first[tail]], last[by_last[head]],
                       inner[by_inner[rank2[cols[1:-1]]]])
-    return tuple(reads), tuple(table)
-
-
-def _layer(n: int, size: int) -> list:
-    """[kept, None, None]: a size of `_row_plan` that no row has reached,
-    with how many minors it keeps (`_necklace_count`)."""
-    return [_necklace_count(n, size) * comb(n, size), None, None]
-
-
-@cache
-def _row_plan(n: int) -> list:
-    """A first row's MDS plan at order n: [kept, reads, table] for each
-    size k = 2, 3, ... that a row has reached within MAX_LAYER_MINORS,
-    where reads and table are `_condensation(n, k)`, and then the next
-    size, as `_layer`, if k < n.  `is_mds` builds a size and appends the
-    next."""
-    return [_layer(n, 2)] if n > 1 else []
+    return kept, tuple(reads), tuple(table)
 
 
 def _refuse_large_layer(n: int, size: int, kept: int) -> None:
@@ -394,26 +386,26 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     in lexicographic order, so the first zero met is the first singular
     minor among the pairs computed.
 
-    A matrix has every pair computed, by expansion along the last row r of
-    the row set T: det(T, C) = sum over c in C of A[r][c] * det(T - r, C - c),
-    with every sign 1 in characteristic 2.  T - r reads its minors as one
-    slice of the list a size smaller, by column-set rank.  A row set is
-    kept only when a larger one can extend it (its last row is below n-1),
-    so the row sets T - r of one size are those of range(n-1) a size
-    smaller, each extended by every later row r.
+    Every minor is computed by condensation (the module docstring) from
+    four minors a size smaller and one two sizes smaller: two products, one
+    sum and one division per minor.  A matrix has every pair computed.  Its
+    minors of one size form one list by row-set rank, then column-set
+    rank, so T - t_1 and T - t_k read theirs as two slices of the list a
+    size smaller, and T - {t_1, t_k} as one slice of the list two sizes
+    smaller; one table of the ranks of S - s_1, S - s_k and S - {s_1, s_k}
+    for each index set S serves rows and columns alike (`_ranks`).
 
     A first row has only its necklaces visited: the row sets that are the
     least of their n translates R - t (mod n).  On them `_orbits` picks
     the least pair of each orbit of the dihedral group of the module
     docstring; by the lemma there the first singular minor is among them,
-    and the witness is the one of the definition.  Each is computed by
-    condensation (the module docstring) from four minors a size smaller
-    and one two sizes smaller, read through their orbits' slots
-    (`_condensation`): two products, one sum and one division per minor.
-    The plan of the order (`_row_plan`) gives each size its kept-minor
-    count, compared with MAX_LAYER_MINORS on every call, and its five
-    positions per minor as one flat tuple, walked by one `zip`; the minor
-    at position i of a size is zero only in the witness, whose row set and
+    and the witness is the one of the definition.  Each reads its five
+    minors through their orbits' slots.  The plan of a size
+    (`_condensation`, cached per order and size) holds five positions per
+    minor as one flat tuple, walked by one `zip`, and the size's kept-minor
+    count (`_kept_minors`), compared with MAX_LAYER_MINORS before the plan
+    is built and again on every call before it is walked; the minor at
+    position i of a size is zero only in the witness, whose row set and
     column set the size's table gives by bisection on i.
 
     Removing the last row of a necklace T leaves a necklace, so the
@@ -429,35 +421,30 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     again as T is a necklace.  A necklace below size n also avoids row
     n-1 (a last gap of 1 would force every gap to 1), so every one is
     kept.  An order-8 circulant that passes is tested on 937 minors, the
-    8 entries of row 0 and 929 orbits, with 1,858 products, where expansion
-    took 3,744; its necklaces hold 1,725 pairs, and the row sets through
-    row 0 would give 6,435.
+    8 entries of row 0 and 929 orbits, with 1,858 products; its necklaces
+    hold 1,725 pairs, the row sets through row 0 would give 6,435, and its
+    built matrix has 12,869.
 
-    One size keeps C(n-1, k)*C(n, k) minors of a matrix, and a plan for a
-    first row is built from a slot for each of the necklaces(n, k)*C(n, k)
-    pairs, about twice the minors it computes; the necklaces are counted
-    without listing them (`_necklace_count`).  MinorLayerTooLarge is
-    raised before that exceeds MAX_LAYER_MINORS, which can happen from
-    order 15 (17 for a first row), and only when every smaller minor is
-    nonzero; a refused size keeps no plan, and a limit lowered after a
-    size's plan was built still refuses it.
+    One size keeps C(n, k)^2 minors of a matrix, and a plan for a first
+    row is built from a slot for each of the necklaces(n, k)*C(n, k) pairs,
+    about twice the minors it computes; the necklaces are counted without
+    listing them (`_kept_minors`).  MinorLayerTooLarge is raised before
+    that exceeds MAX_LAYER_MINORS, which can happen from order 15 (17 for
+    a first row), and only when every smaller minor is nonzero; a refused
+    size builds no plan or rank table, and a limit lowered after a size's
+    plan was built still refuses it.
     """
     exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
     if A and isinstance(A[0], int):  # A is a circulant's first row
         n = len(A)
         if 0 in A:  # every row holds the same entries, so row 0 meets a zero first
             return MdsVerdict(False, ((0,), (A.index(0),)))
-        q1 = gf.order - 1
         lower, upper = [0], [log[v] for v in A]  # the minors of sizes 0 and 1
-        plan = _row_plan(n)
-        for size, layer in enumerate(plan, 2):
-            kept, reads, table = layer
-            if kept > MAX_LAYER_MINORS:  # before the plan: a refused size keeps none
+        for size in range(2, n + 1):
+            kept, reads, table = _condensation(n, size)
+            if kept > MAX_LAYER_MINORS:  # a plan built under a higher limit
                 _refuse_large_layer(n, size, kept)
-            if reads is None:
-                reads, table = layer[1:] = _condensation(n, size)
-                if size < n:  # the loop reads it next
-                    plan.append(_layer(n, size + 1))
             grown = []
             it = iter(reads)
             for a, b, c, d, e in zip(it, it, it, it, it):
@@ -472,26 +459,23 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     for i, row in enumerate(A):
         if 0 in row:
             return MdsVerdict(False, ((i,), (row.index(0),)))
-    logs = [[log[v] for v in row] for row in A]
-    vals = [v for row in logs[:n - 1] for v in row]  # every row but the last
+    # the minor on (T, C) of size k at position rank(T) * C(n, k) + rank(C)
+    lower, upper = [0], [log[v] for row in A for v in row]
     for size in range(2, n + 1):
-        _refuse_large_layer(n, size, comb(n - 1, size) * comb(n, size))
-        table = _expansion(n, size)
-        width = comb(n, size - 1)
+        _refuse_large_layer(n, size, comb(n, size) ** 2)
+        ranks = _ranks(n, size)
+        w1, w2 = comb(n, size - 1), comb(n, size - 2)
         grown = []
-        for i, rows in zip(count(0, width), combinations(range(n - 1), size - 1)):
-            prev = vals[i:i + width]
-            for r in range(rows[-1] + 1, n):
-                last = logs[r]
-                minors = grown if r < n - 1 else []  # no row set through n-1 is kept
-                for cols, terms in table:
-                    d = 0
-                    for c, s in terms:
-                        d ^= exp[last[c] + prev[s]]
-                    if not d:
-                        return MdsVerdict(False, (rows + (r,), cols))
-                    minors.append(log[d])
-        vals = grown
+        for rows, (f, l, i) in zip(combinations(range(n), size), ranks):
+            first, last = upper[f * w1:(f + 1) * w1], upper[l * w1:(l + 1) * w1]
+            inner = lower[i * w2:(i + 1) * w2]
+            for a, b, e in ranks:
+                v = exp[first[a] + last[b]] ^ exp[first[b] + last[a]]
+                if not v:  # the column set's rank is the minor's position within T's
+                    cols = islice(combinations(range(n), size), len(grown) % comb(n, size), None)
+                    return MdsVerdict(False, (rows, next(cols)))
+                grown.append((log[v] - inner[e]) % q1)
+        lower, upper = upper, grown
     return MdsVerdict(True, None)
 
 

@@ -534,6 +534,12 @@ SUITES: dict[str, SuiteDef] = {
 # -- scan configuration and report ---------------------------------------------
 
 
+def check_order(order: int) -> None:
+    """Refuse an order below 1, for `ScanConfig.validate` and `search` alike."""
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+
+
 def check_space(mode: str, space: int, samples: int, budget: int) -> None:
     """Refuse a candidate space that may not be drawn: a negative sample
     count, an exhaustive `space` of more than `budget` rows, or a random
@@ -570,6 +576,7 @@ class ScanConfig:
         return self.field.order ** self.order
 
     def validate(self) -> None:
+        check_order(self.order)
         if self.mode not in (EXHAUSTIVE, RANDOM):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.worker_count < 1:

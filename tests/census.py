@@ -22,6 +22,8 @@ record count:
                             records: rows
   classify                  `classification_json(classify(row))` of each row
                             of `_mds_rows`, as sorted-key JSON; records: rows
+  is_mds_matrix             the verdict and witness of `props.is_mds` on each
+                            matrix of `_mds_matrices`; records: matrices
 
 A change that keeps every output keeps every digest, which
 tests/test_census.py checks.  One that changes an output on purpose
@@ -44,9 +46,10 @@ from pathlib import Path
 from circmds import cli, verify
 from circmds.circulant import autocorrelation_roots
 from circmds.field import get_field
-from circmds.props import classification_json, classify
+from circmds.props import classification_json, classify, is_mds
 
-from reference import decided, planted_semi_orthogonal_row, planted_singular_minor_row
+from reference import (decided, planted_semi_orthogonal_row, planted_singular_minor_matrix,
+                       planted_singular_minor_row)
 
 CENSUS = Path(__file__).with_name("census.json")
 
@@ -164,6 +167,35 @@ def mds_and_classify() -> dict:
             for name, lines in (("is_mds", verdicts), ("classify", records))}
 
 
+def _mds_matrices() -> list:
+    """(field, matrix) pairs at every order n = 1 .. 8 of MDS_FIELDS: 16
+    seeded matrices, every fourth one with up to 30 % zero entries, a
+    Cauchy matrix 1/(x_i + y_j) on 2n distinct elements where the field
+    has them, and for each k = 1 .. n two matrices with a planted singular
+    k x k minor.  Past order 1 a seeded matrix is circulant with
+    negligible odds, so these take the matrix path of `is_mds`."""
+    rng = random.Random(33)
+    pairs = []
+    for gf in MDS_FIELDS:
+        for n in range(1, 9):
+            for i in range(16):
+                zeros = 0.3 * rng.random() if i % 4 == 3 else 0.0
+                pairs.append((gf, [[rng.randrange(1, gf.order) if rng.random() >= zeros else 0
+                                    for _ in range(n)] for _ in range(n)]))
+            if 2 * n <= gf.order:
+                xs = rng.sample(range(gf.order), 2 * n)
+                pairs.append((gf, [[gf.inv(x ^ y) for y in xs[n:]] for x in xs[:n]]))
+            pairs += [(gf, planted_singular_minor_matrix(gf, n, k, rng))
+                      for k in range(1, n + 1) for _ in range(2)]
+    return pairs
+
+
+def mds_matrices() -> dict:
+    lines = [f"{gf.poly:x} {A} {verdict.is_mds} {verdict.witness}\n"
+             for gf, A in _mds_matrices() for verdict in [is_mds(gf, A)]]
+    return {"records": len(lines), "sha256": _digest("".join(lines))}
+
+
 def census() -> dict:
     return {
         "verify_paper_full_jobs1": verify_paper(1),
@@ -172,6 +204,7 @@ def census() -> dict:
         "random_rows": random_row_stream(),
         "autocorrelation_roots": fold_roots(),
         **mds_and_classify(),
+        "is_mds_matrix": mds_matrices(),
     }
 
 

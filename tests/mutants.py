@@ -56,18 +56,23 @@ MUTANTS = (
     ),
     Mutant(
         "layer-limit-only-when-built", "src/circmds/props.py",
-        "            if kept > MAX_LAYER_MINORS:  # before the plan: a refused size keeps none\n"
-        "                _refuse_large_layer(n, size, kept)\n"
-        "            if reads is None:\n",
-        "            if reads is None:\n"
+        "            if kept > MAX_LAYER_MINORS:  # a plan built under a higher limit\n"
         "                _refuse_large_layer(n, size, kept)\n",
+        "",
         ("tests/test_props.py::test_a_lowered_limit_refuses_a_size_whose_plan_is_kept",),
     ),
     Mutant(
         "layer-counted-by-listing", "src/circmds/props.py",
-        "return [_necklace_count(n, size) * comb(n, size), None, None]",
-        "return [len(_visited(n, size)) * comb(n, size), None, None]",
+        "kept = _kept_minors(n, size)",
+        "kept = len(_visited(n, size)) * comb(n, size)",
         ("tests/test_props.py::test_a_huge_first_row_is_refused_without_listing_its_necklaces",),
+    ),
+    Mutant(
+        "matrix-inner-minor-a-size-too-big", "src/circmds/props.py",
+        "inner = lower[i * w2:(i + 1) * w2]",
+        "inner = upper[i * w2:(i + 1) * w2]",
+        ("tests/test_census.py::test_outputs_keep_the_committed_census",
+         "tests/test_props.py::test_is_mds_matches_definition_and_witness"),
     ),
     Mutant(
         "lane-count-per-key", "src/circmds/circulant.py",
@@ -100,6 +105,18 @@ MUTANTS = (
         "z = ((state + lo * _GAMMA) & _MASK64)",
         "z = (state & _MASK64)",
         ("tests/test_verify.py::test_random_rows_match_the_scalar_stream_across_block_edges",),
+    ),
+    Mutant(
+        "draw-words-rounded-down", "src/circmds/verify.py",
+        "words = -(-n * m // 64)",
+        "words = max(1, n * m // 64)",
+        ("tests/test_verify.py::test_random_rows_extend_the_one_word_stream_and_split_anywhere",),
+    ),
+    Mutant(
+        "digit-table-high-digit-first", "src/circmds/verify.py",
+        "return [digits[::-1] for digits in product(range(1 << m), repeat=12 // m)]",
+        "return [digits for digits in product(range(1 << m), repeat=12 // m)]",
+        ("tests/test_verify.py::test_random_rows_extend_the_one_word_stream_and_split_anywhere",),
     ),
     Mutant(
         "lane-mask-dropped-before-multiply", "src/circmds/verify.py",

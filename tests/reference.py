@@ -184,6 +184,22 @@ def planted_singular_minor_row(gf, n: int, k: int, rng) -> tuple:
         return tuple(row)
 
 
+def planted_singular_minor_matrix(gf, n: int, k: int, rng) -> list:
+    """A random n x n matrix, entries nonzero, with a singular k x k minor
+    on random row and column sets T and C: on C, the last row of T is a
+    sum of nonzero multiples of the other rows of T, and at k == 1 the
+    entry is 0.  Over a large field every smaller minor is nonzero in most
+    draws, so the first singular minor has size k."""
+    A = [[rng.randrange(1, gf.order) for _ in range(n)] for _ in range(n)]
+    T, C = (sorted(rng.sample(range(n), k)) for _ in range(2))
+    weights = [rng.randrange(1, gf.order) for _ in T[:-1]]
+    for c in C:
+        A[T[-1]][c] = 0
+        for r, w in zip(T, weights):
+            A[T[-1]][c] ^= gf.mul(w, A[r][c])
+    return A
+
+
 def roots_by_root(gf, first_row, d: int) -> list:
     """`autocorrelation_roots` one root of unity at a time: the e < d for
     which every coefficient t = 1 .. n-1 of a(x^-1)*a(mu*x) mod x^n - 1,

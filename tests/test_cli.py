@@ -148,7 +148,7 @@ def test_check_matrix_needs_consistent_shape(capsys):
 
 
 def test_check_refuses_an_mds_test_above_the_minor_limit(capsys, monkeypatch):
-    # a 4x4 Cauchy matrix, whose largest layer keeps 18 minors
+    # a 4x4 Cauchy matrix, whose largest layer keeps 36 minors
     gf = get_field(8, 0x11D)
     entries = ",".join(f"{gf.inv(x ^ y):X}" for x in range(4) for y in range(4, 8))
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 17)
@@ -280,12 +280,23 @@ SCAN_GF4_N3 = ("scan", "--field", "2:0x7", "--order", "3", "--suite", "INV-NONE"
     ("check", "--field", "2:0x7", "--matrix", "1,2,3,1", "--rows", "-2", "--cols", "-2"),
     ("search", "--field", "2:0x7", "--order", "3", "--require", ",,,"),
     ("search", "--field", "2:0x7", "--order", "3", "--require", "mds", "--limit", "-1"),
+    ("scan", "--field", "2:0x7", "--order", "0", "--suite", "SO-MOD4"),
+    ("scan", "--field", "2:0x7", "--order", "-4", "--suite", "SO-MOD4"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_scan_and_search_refuse_an_order_below_one_in_the_same_words(capsys):
+    # orders 0 and -4 pass SO-MOD4's order test (both are 0 mod 4), so only
+    # the order rule, asked first, refuses them
+    for order in ("0", "-4"):
+        search = run_cli(capsys, "search", "--field", "2:0x7", "--order", order, "--require", "mds")
+        scan = run_cli(capsys, "scan", "--field", "2:0x7", "--order", order, "--suite", "SO-MOD4")
+        assert search == scan == (2, "", f"error: order must be at least 1, got {order}\n")
 
 
 # -- search --------------------------------------------------------------------------------

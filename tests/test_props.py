@@ -318,7 +318,8 @@ def test_a_circulant_plan_holds_one_necklace_per_translation_orbit():
             # the kept ones are the necklaces below size n: (1/n) * sum over
             # d | gcd(n, k) of phi(d) * C(n/d, k/d) of them
             kept = [rows for rows in visited if rows[-1] < n - 1]
-            assert len(kept) == props._necklace_count(n, k) == (len(visited) if k < n else 0)
+            assert len(kept) * comb(n, k) == props._kept_minors(n, k)
+            assert len(kept) == (len(visited) if k < n else 0)
             # removing the last row of a necklace leaves a kept necklace
             if k < n:
                 assert {rows[:-1] for rows in props._visited(n, k + 1)} <= set(kept)
@@ -370,7 +371,7 @@ def test_a_circulant_condensation_reads_the_orbits_of_its_five_minors():
     for n in range(2, 10):
         below = [computed_pairs(n, 0), computed_pairs(n, 1)]
         for k in range(2, n + 1):
-            reads, table = props._condensation(n, k)
+            _, reads, table = props._condensation(n, k)
             assert tuple(rows for _, rows, _ in table) == props._visited(n, k)
             assert len(reads) % 5 == 0
             pairs = []
@@ -423,7 +424,7 @@ def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit():
     # hold sum over k of necklaces(8, k) * C(8, k) = 1,725 minors, and the
     # row sets through row 0 would give sum of C(7, k-1) * C(8, k) = 6,435
     assert is_mds(F11D, WHIRLPOOL_ROW)
-    minors = [comb(8, 1)] + [len(reads) // 5 for _, reads, _ in props._row_plan(8)]
+    minors = [comb(8, 1)] + [len(props._condensation(8, k)[1]) // 5 for k in range(2, 9)]
     assert minors == [8, 64, 224, 344, 224, 64, 8, 1]
     assert len(minors) == 8 and sum(minors) == 937
     assert sum(comb(7, k - 1) * comb(8, k) for k in range(1, 9)) == 6435
@@ -432,8 +433,9 @@ def test_a_circulant_mds_test_visits_one_row_set_per_translation_orbit():
 def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypatch):
     # the Whirlpool circulant keeps necklaces(8, k) * C(8, k) minors of size
     # k: 112, 392 and 700 for k = 2, 3, 4, so a limit of 392 refuses size 4
-    # before its plan is asked for, and the order's plan keeps none for it;
-    # a first row never asks for an expansion table
+    # before its plan is built: neither its necklaces nor its orbits are
+    # asked for, and no plan of size 4 is kept; a first row never asks for
+    # a matrix's rank table
     asked = []
 
     def recording(name):
@@ -444,18 +446,18 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
             return real(n, size, *rest)
         monkeypatch.setattr(props, name, wrapper)
 
-    props._row_plan.cache_clear()
-    for name in ("_expansion", "_visited", "_orbits"):
+    plans = props._condensation
+    for name in ("_ranks", "_visited", "_orbits", "_condensation"):
         getattr(props, name).cache_clear()
         recording(name)
-    recording("_condensation")
     monkeypatch.setattr(props, "MAX_LAYER_MINORS", 392)
     with pytest.raises(MinorLayerTooLarge, match="order-8 matrix would keep 700 minors of size 4"):
         is_mds(F11D, WHIRLPOOL_ROW)
-    assert sorted(set(asked)) == [("_condensation", 2), ("_condensation", 3), ("_orbits", 0),
+    assert sorted(set(asked)) == [("_condensation", 2), ("_condensation", 3),
+                                  ("_condensation", 4), ("_orbits", 0),
                                   ("_orbits", 1), ("_orbits", 2), ("_orbits", 3),
                                   ("_visited", 1), ("_visited", 2), ("_visited", 3)]
-    assert [reads is not None for _, reads, _ in props._row_plan(8)] == [True, True, False]
+    assert plans.cache_info().currsize == 2
     kept = [rows for rows in props._visited(8, 4) if rows[-1] < 7]
     assert len(kept) * comb(8, 4) == 700
 
@@ -463,13 +465,13 @@ def test_a_circulant_mds_test_refuses_a_layer_before_building_its_plan(monkeypat
 def test_a_lowered_limit_refuses_a_size_whose_plan_is_kept(monkeypatch):
     # the limit is compared on every call, not only when a size's plan is
     # built: at 392 the Whirlpool row refuses size 4 with one message
-    # before and after a call at the full limit has kept every size's
-    # plan, and a refused size keeps no plan
+    # before and after a call at the full limit has kept the plans of sizes
+    # 2 .. 8, and a refused size builds no plan
     message = ("the MDS test of an order-8 matrix would keep 700 minors of size 4, "
                "above the limit of 392")
-    props._row_plan.cache_clear()
+    props._condensation.cache_clear()
     full = props.MAX_LAYER_MINORS
-    for limit, built in ((392, [True, True, False]), (full, [True] * 7), (392, [True] * 7)):
+    for limit, built in ((392, 2), (full, 7), (392, 7)):
         monkeypatch.setattr(props, "MAX_LAYER_MINORS", limit)
         if limit < full:
             with pytest.raises(MinorLayerTooLarge) as refused:
@@ -477,7 +479,7 @@ def test_a_lowered_limit_refuses_a_size_whose_plan_is_kept(monkeypatch):
             assert str(refused.value) == message
         else:
             assert is_mds(F11D, WHIRLPOOL_ROW)
-        assert [reads is not None for _, reads, _ in props._row_plan(8)] == built
+        assert props._condensation.cache_info().currsize == built
 
 
 def test_a_huge_first_row_is_refused_without_listing_its_necklaces():
@@ -491,7 +493,7 @@ def test_a_huge_first_row_is_refused_without_listing_its_necklaces():
     message = ("order-200000 matrix would keep 1999990000000000 minors of size 2, "
                "above the limit")
     for traced in (False, True):
-        props._row_plan.cache_clear()
+        props._kept_minors.cache_clear()
         if traced:
             tracemalloc.start()
         started = time.perf_counter()
@@ -522,31 +524,31 @@ def test_is_mds_checks_every_row_set_of_a_non_circulant():
 
 
 def test_is_mds_refuses_a_layer_above_the_limit(monkeypatch):
-    # the largest layer of a non-circulant 4x4 keeps C(3, 2)*C(4, 2) = 18
-    # minors of size 2
+    # the largest layer of a non-circulant 4x4 keeps C(4, 2)^2 = 36 minors
+    # of size 2
     A = cauchy_matrix(F11D, range(4), range(4, 8))
-    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 18)
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 36)
     assert is_mds(F11D, A).is_mds
-    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 17)
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 35)
     with pytest.raises(MinorLayerTooLarge, match="size 2"):
         is_mds(F11D, A)
 
 
 def test_is_mds_refuses_a_layer_before_building_its_table(monkeypatch):
-    # an 8x8 MDS matrix keeps C(7, k)*C(8, k) minors of size k: 588, 1,960
-    # and 2,450 for k = 2, 3, 4; the expansion table of the refused size 4
-    # is never asked for, so the cache cannot keep it
+    # an 8x8 MDS matrix keeps C(8, k)^2 minors of size k: 784, 3,136 and
+    # 4,900 for k = 2, 3, 4; the rank table of the refused size 4 is never
+    # asked for, so the cache cannot keep it
     A = cauchy_matrix(F11D, range(8), range(8, 16))
     built = []
 
-    def expansion(n, size):
+    def ranks(n, size):
         built.append((n, size))
         return real(n, size)
 
-    real = props._expansion
-    monkeypatch.setattr(props, "_expansion", expansion)
-    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 1960)
-    with pytest.raises(MinorLayerTooLarge, match="2450 minors of size 4"):
+    real = props._ranks
+    monkeypatch.setattr(props, "_ranks", ranks)
+    monkeypatch.setattr(props, "MAX_LAYER_MINORS", 3136)
+    with pytest.raises(MinorLayerTooLarge, match="4900 minors of size 4"):
         is_mds(F11D, A)
     assert built == [(8, 2), (8, 3)]
 

@@ -234,9 +234,10 @@ def test_bad_extra_rows_rejected():
 
 @pytest.mark.parametrize("changes", [
     {"worker_count": 0}, {"worker_count": -3}, {"mode": RANDOM, "sample_count": -5},
+    {"order": 0}, {"order": -4},
 ])
 def test_out_of_range_counts_rejected(changes):
-    config = ScanConfig(field=GF4, order=3, suites=("INV-NONE",), **changes)
+    config = ScanConfig(**{"field": GF4, "order": 3, "suites": ("INV-NONE",), **changes})
     with pytest.raises(ValueError):
         config.validate()
     with pytest.raises(ValueError):
@@ -1007,6 +1008,19 @@ def test_example1_all_assertions_pass():
         "nonsingular", "mds", "semi_orthogonal", "stated_pair_verbatim",
         "canonical_matches_stated", "nonzero_traces",
     ]
+
+
+def test_a_singular_example_fails_nonsingular_and_skips_the_rest(monkeypatch):
+    # entries summing to 0 make A*(1, ..., 1) == 0, so A is singular: (a)
+    # fails with its reason, and each later assertion fails as skipped
+    monkeypatch.setattr(verify, "EXAMPLES", {
+        1: {"row": (0x02, 0x03, 0x01), "d1": (1, 1, 1), "d2": (1, 1, 1)}})
+    record = verify_example(1)
+    assert record.assertions == [("nonsingular", False, "matrix is singular")] + [
+        (name, False, "skipped: singular")
+        for name in ("mds", "semi_orthogonal", "stated_pair_verbatim",
+                     "canonical_matches_stated", "nonzero_traces")]
+    assert not record.ok
 
 
 def test_example2_honest_outcome():
