@@ -47,7 +47,7 @@ once the entries of every (field, d) of the process take LANE_BYTES
 from __future__ import annotations
 
 from .field import GF2m
-from .matgf import Matrix, require_square
+from .matgf import Matrix, diag_trace, require_square
 
 
 class OddOrder(ValueError):
@@ -246,11 +246,4 @@ def interleaved_sums(first_row) -> tuple[int, int]:
     row = list(first_row)
     if len(row) % 2 != 0:
         raise OddOrder(f"interleaved sums need an even order, got {len(row)}")
-    even = 0
-    odd = 0
-    for i, c in enumerate(row):
-        if i % 2 == 0:
-            even ^= c
-        else:
-            odd ^= c
-    return even, odd
+    return diag_trace(row[0::2]), diag_trace(row[1::2])

@@ -7,8 +7,10 @@ polynomial and the log/antilog tables used for fast multiplication; all of
 its operations are pure functions of their int arguments, so instances are
 safe to share across processes.
 
-Polynomials over GF(2) (used for the irreducibility test) are also encoded
-as ints, e.g. 0x11D = x^8 + x^4 + x^3 + x^2 + 1.
+Polynomials over GF(2) are also encoded as ints, e.g. 0x11D =
+x^8 + x^4 + x^3 + x^2 + 1; `is_irreducible` decides the reduction
+polynomial by trial division, and `GF2m.mul_raw` is the one
+shift-and-reduce product, which builds the tables.
 """
 
 from __future__ import annotations
@@ -41,36 +43,11 @@ class BadSyntax(FieldError):
 MAX_DEGREE = 16
 
 
-def _poly_degree(p: int) -> int:
-    return p.bit_length() - 1
-
-
 def _poly_mod(a: int, mod: int) -> int:
     """Remainder of polynomial division over GF(2)."""
-    dm = _poly_degree(mod)
-    while a.bit_length() - 1 >= dm and a:
-        a ^= mod << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    """Carry-less product of a and b, reduced mod `mod`."""
-    dm = _poly_degree(mod)
-    r = 0
-    a = _poly_mod(a, mod)
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if (a >> dm) & 1:
-            a ^= mod
-    return r
-
-
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_mod(a, b)
+    width = mod.bit_length()
+    while a.bit_length() >= width:
+        a ^= mod << (a.bit_length() - width)
     return a
 
 
@@ -89,21 +66,12 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def is_irreducible(poly: int, m: int) -> bool:
-    """Rabin test: x^(2^m) == x mod poly, and gcd(x^(2^(m/p)) - x, poly) = 1
-    for every prime p dividing m."""
-    x = _poly_mod(2, poly)
-    t = x
-    for _ in range(m):
-        t = _poly_mulmod(t, t, poly)
-    if t != x:
-        return False
-    for p in _prime_factors(m):
-        t = x
-        for _ in range(m // p):
-            t = _poly_mulmod(t, t, poly)
-        if _poly_gcd(t ^ x, poly) != 1:
-            return False
-    return True
+    """Whether poly, of degree m, is irreducible over GF(2): a reducible
+    poly has a factor of degree 1 .. m // 2, and every polynomial of those
+    degrees is a bit pattern in 2 .. 2^(m // 2 + 1) - 1, so trial division
+    by each decides it (Lidl and Niederreiter, Finite Fields, ch. 3); at
+    m = 16 that is at most 510 remainders."""
+    return all(_poly_mod(poly, d) for d in range(2, 1 << (m // 2 + 1)))
 
 
 class GF2m:
@@ -111,7 +79,7 @@ class GF2m:
 
     `poly` is the reduction polynomial as a bit pattern with bit m set.
     Multiplication uses log/antilog tables built on a primitive element;
-    `mul_raw` is the shift-and-reduce reference used to build the tables
+    `mul_raw` is the shift-and-reduce product used to build the tables
     and kept separate so the two strategies can be cross-checked.  The
     tables are public for loops that multiply many nonzero elements:
     `exp_table[i]` is generator^i for 0 <= i < 2(q-1), so the product of

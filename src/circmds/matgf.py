@@ -6,6 +6,8 @@ mutate their arguments and always return fresh matrices, so values can be
 shared freely between scan workers.  Operations that need field
 multiplication take the owning `GF2m` as their first argument; the ones
 that only add (diag_trace) or only rearrange (transpose, submatrix) do not.
+`det` and `inverse` share one elimination, a Gauss-Jordan on discrete logs
+(`_gauss_jordan`).
 """
 
 from __future__ import annotations
@@ -82,67 +84,63 @@ def submatrix(A: Matrix, rows, cols) -> Matrix:
     return [[A[i][j] for j in cols] for i in rows]
 
 
-def det(gf: GF2m, A: Matrix) -> int:
-    """Determinant by forward elimination; 0 iff singular.
+def _gauss_jordan(gf: GF2m, M: Matrix) -> int:
+    """Reduce the n x w rows M, w >= n, in place until their left n x n
+    block is I, and return the log of the product of the pivots; raises
+    Singular at the first column with no pivot.
 
     Char-2 spares the sign bookkeeping of row swaps, and the pivot is
-    simply the first nonzero entry (no magnitude ordering exists).  The
-    elimination runs on discrete logs: clearing entry f below pivot p adds
-    (f/p)*v for each nonzero v of the pivot row, that is
-    exp[log f - log p + log v].  The index lies in (-(q-1), 2(q-1)), where
-    the doubled `exp_table` reads correctly, negative indices included.
+    simply the first nonzero entry at or below the diagonal (no magnitude
+    ordering exists).  The elimination runs on discrete logs: the pivot
+    row is divided by its pivot p, v -> exp[log v - log p], and clearing
+    entry f of another row adds f*v for each nonzero v of the pivot row,
+    exp[log f + log v].  The indices lie in (-(q-1), 2(q-1)), where the
+    doubled `exp_table` reads correctly, negative indices included.  The
+    rows below a pivot gain (f/p) times its row, as in forward
+    elimination, so the pivots are those of A's LU form and their product
+    is det(A).
     """
-    n = require_square(A)
     exp, log = gf.exp_table, gf.log_table
-    M = [row[:] for row in A]
+    n = len(M)
     log_d = 0
     for col in range(n):
         for r in range(col, n):
             if M[r][col]:
                 break
         else:
-            return 0
-        prow = M[r]
-        if r != col:
-            M[col], M[r] = prow, M[col]
+            raise Singular(f"no pivot in column {col}")
+        M[col], M[r] = M[r], M[col]
+        prow = M[col]
         log_p = log[prow[col]]
         log_d += log_p
-        tail = [(j, log[prow[j]]) for j in range(col + 1, n) if prow[j]]
-        for rrow in M[col + 1:]:
-            f = rrow[col]
-            if f:
-                s = log[f] - log_p
+        tail = [(j, log[prow[j]] - log_p) for j in range(col, len(prow)) if prow[j]]
+        for j, lv in tail:
+            prow[j] = exp[lv]
+        for r, rrow in enumerate(M):
+            if r != col and rrow[col]:
+                lf = log[rrow[col]]
                 for j, lv in tail:
-                    rrow[j] ^= exp[s + lv]
-    return exp[log_d % (gf.order - 1)]
+                    rrow[j] ^= exp[lf + lv]
+    return log_d
+
+
+def det(gf: GF2m, A: Matrix) -> int:
+    """Determinant, the product of the pivots of `_gauss_jordan`; 0 iff
+    singular."""
+    require_square(A)
+    try:
+        log_d = _gauss_jordan(gf, [row[:] for row in A])
+    except Singular:
+        return 0
+    return gf.exp_table[log_d % (gf.order - 1)]
 
 
 def inverse(gf: GF2m, A: Matrix) -> Matrix:
-    """Gauss-Jordan inverse; raises Singular when some column has no pivot."""
+    """The right half of [A | I] reduced by `_gauss_jordan`; raises
+    Singular when some column has no pivot."""
     n = require_square(A)
-    mul = gf.mul
-    inv = gf.inv
     aug = [A[i][:] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise Singular(f"no pivot in column {col}")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-        pinv = inv(aug[col][col])
-        prow = aug[col]
-        for j in range(col, 2 * n):
-            prow[j] = mul(pinv, prow[j])
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                rrow = aug[r]
-                for j in range(col, 2 * n):
-                    rrow[j] ^= mul(f, prow[j])
+    _gauss_jordan(gf, aug)
     return [row[n:] for row in aug]
 
 

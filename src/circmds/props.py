@@ -13,10 +13,14 @@ classified from its first row, and any other matrix by
 
 A recovered pair is canonical: within each connected component of the
 bipartite nonzero-pattern graph, the d-entry at the component's smallest
-row index is normalized to 1.  On a connected pattern the full solution
-set is exactly the one-parameter orbit {(c*D1, c^-1*D2)}, so the
-trace-zero, nonperiodicity, and scalar-power predicates reported here do
-not depend on the anchor choice.
+row index is normalized to 1, and an all-zero column gets e = 1.  The
+solver (`diagonal_scaling_solve`) walks that graph as one node list, rows
+then columns, on the logs of the ratios B[i][j]/A[i][j].  On a connected
+pattern the full solution set is exactly the one-parameter orbit
+{(c*D1, c^-1*D2)}, so the trace-zero, nonperiodicity, and scalar-power
+predicates reported here do not depend on the anchor choice.  The dense
+involutory and orthogonal checks share one early-exit test that A times a
+given set of columns is I (`_times_is_identity`).
 
 Circulants take a shortcut (`circulant_semi_pair`).  Let B = D1*A*D2 with A
 and B circulant, and let S be the support of A's first row a.  For s in
@@ -479,97 +483,74 @@ def is_mds(gf: GF2m, A) -> MdsVerdict:
     return MdsVerdict(True, None)
 
 
-def is_involutory(gf: GF2m, A: Matrix) -> bool:
-    """A*A == I, computed entrywise with early exit."""
-    n = require_square(A)
+def _times_is_identity(gf: GF2m, A: Matrix, cols) -> bool:
+    """Whether A times the matrix whose column j is cols[j] is I, entry by
+    entry with early exit."""
+    require_square(A)
     mul = gf.mul
-    for i in range(n):
-        arow = A[i]
-        for j in range(n):
+    for i, arow in enumerate(A):
+        for j, col in enumerate(cols):
             s = 0
-            for k in range(n):
-                s ^= mul(arow[k], A[k][j])
-            if s != (1 if i == j else 0):
+            for a, b in zip(arow, col):
+                s ^= mul(a, b)
+            if s != (i == j):
                 return False
     return True
+
+
+def is_involutory(gf: GF2m, A: Matrix) -> bool:
+    """A*A == I."""
+    return _times_is_identity(gf, A, transpose(A))
 
 
 def is_orthogonal(gf: GF2m, A: Matrix) -> bool:
     """A*A^T == I (which over a field already forces A^T*A == I)."""
-    n = require_square(A)
-    mul = gf.mul
-    for i in range(n):
-        arow = A[i]
-        for j in range(n):
-            brow = A[j]
-            s = 0
-            for k in range(n):
-                s ^= mul(arow[k], brow[k])
-            if s != (1 if i == j else 0):
-                return False
-    return True
+    return _times_is_identity(gf, A, A)
 
 
 def diagonal_scaling_solve(gf: GF2m, A: Matrix, B: Matrix) -> Optional[DiagonalPair]:
     """Find nonsingular diagonal D1, D2 with B == D1*A*D2, or None.
 
     The zero patterns of A and B must coincide.  On nonzero positions the
-    ratio B[i][j]/A[i][j] must factor as d_i*e_j; the factorization is
-    recovered by spanning-tree propagation over the bipartite row/column
-    graph, with d = 1 at the first row of each component, and then
-    verified on every position.
+    ratio B[i][j]/A[i][j] must factor as d_i*e_j, that is
+    log d_i + log e_j == log of the ratio (mod q - 1).  The bipartite
+    row/column graph is one node list, row i at node i and column j at
+    node n + j, each node holding the log of its diagonal entry, and each
+    edge its ratio's log.  A depth-first walk from every node not yet
+    reached sets each node it meets from the edge it came by and checks
+    every other edge when it meets it.  Nodes are started in order, so a
+    component starts at its least row, which gets d = 1, and an all-zero
+    column is a component of its own, with e = 1.
     """
     n = require_square(A)
     if dims(B) != (n, n):
         raise DimensionMismatch("A and B must have identical shapes")
-    mul = gf.mul
-    inv = gf.inv
-
-    ratio = [[0] * n for _ in range(n)]
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(n)]
+    exp, log = gf.exp_table, gf.log_table
+    q1 = gf.order - 1
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
-            a = A[i][j]
-            b = B[i][j]
+            a, b = A[i][j], B[i][j]
             if (a == 0) != (b == 0):
                 return None
             if a:
-                ratio[i][j] = mul(b, inv(a))
-                row_adj[i].append(j)
-                col_adj[j].append(i)
-
-    d: list[Optional[int]] = [None] * n
-    e: list[Optional[int]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = 1
-        queue = [("r", start)]
-        while queue:
-            kind, idx = queue.pop()
-            if kind == "r":
-                di = d[idx]
-                for j in row_adj[idx]:
-                    if e[j] is None:
-                        e[j] = mul(ratio[idx][j], inv(di))
-                        queue.append(("c", j))
-            else:
-                ej = e[idx]
-                for i in col_adj[idx]:
-                    if d[i] is None:
-                        d[i] = mul(ratio[i][idx], inv(ej))
-                        queue.append(("r", i))
-
-    # all-zero columns leave free entries; pin them to 1
-    e_full = [v if v is not None else 1 for v in e]
-
-    # verify every nonzero position (covers all non-tree edges)
-    for i in range(n):
-        for j in row_adj[i]:
-            if mul(d[i], e_full[j]) != ratio[i][j]:
-                return None
-    return DiagonalPair(tuple(d), tuple(e_full))
+                ratio = log[b] - log[a]
+                edges[i].append((n + j, ratio))
+                edges[n + j].append((i, ratio))
+    logs: list[Optional[int]] = [None] * (2 * n)
+    for start in range(2 * n):
+        if logs[start] is None:
+            logs[start] = 0
+            stack = [start]
+            while stack:
+                u = stack.pop()
+                for v, ratio in edges[u]:
+                    if logs[v] is None:
+                        logs[v] = (ratio - logs[u]) % q1
+                        stack.append(v)
+                    elif (logs[u] + logs[v] - ratio) % q1:
+                        return None
+    return DiagonalPair(tuple(exp[x] for x in logs[:n]), tuple(exp[x] for x in logs[n:]))
 
 
 def row_block(a) -> tuple[int, int, tuple[int, ...]]:

@@ -24,6 +24,16 @@ record count:
                             of `_mds_rows`, as sorted-key JSON; records: rows
   is_mds_matrix             the verdict and witness of `props.is_mds` on each
                             matrix of `_mds_matrices`; records: matrices
+  dense_path                `det`, `inverse` or its Singular message, the
+                            solver's pairs, `is_involutory`, `is_orthogonal`
+                            and `matrix_properties_json` of each matrix of
+                            `_mds_matrices` (solved against its inverse and
+                            inverse transpose) and of each A and B of
+                            `_planted_scalings` (solved against the other);
+                            records: matrices
+  irreducible               `field.is_irreducible` of every polynomial of
+                            degree 1 .. 12 and of HIGH_POLYS; records:
+                            polynomials
 
 A change that keeps every output keeps every digest, which
 tests/test_census.py checks.  One that changes an output on purpose
@@ -45,8 +55,10 @@ from pathlib import Path
 
 from circmds import cli, verify
 from circmds.circulant import autocorrelation_roots
-from circmds.field import get_field
-from circmds.props import classification_json, classify, is_mds
+from circmds.field import get_field, is_irreducible
+from circmds.matgf import Singular, det, inverse, sandwich, transpose
+from circmds.props import (classification_json, classify, diagonal_scaling_solve,
+                           is_involutory, is_mds, is_orthogonal, matrix_properties_json)
 
 from reference import (decided, planted_semi_orthogonal_row, planted_singular_minor_matrix,
                        planted_singular_minor_row)
@@ -196,6 +208,76 @@ def mds_matrices() -> dict:
     return {"records": len(lines), "sha256": _digest("".join(lines))}
 
 
+SCALING_FIELDS = [get_field(1, 0x3), get_field(2, 0x7), get_field(3, 0xB)]
+
+
+def _planted_scalings() -> list:
+    """(field, A, B) triples over SCALING_FIELDS at orders 2 .. 7, 12 per
+    field and order.  A's rows and columns get 2 or 3 labels, and an entry
+    is nonzero, with odds 0.7, only where its row and column labels agree,
+    so its pattern has several components in most draws; then one row and
+    one column of A are zeroed.  B is D1*A*D2 for random nonzero diagonals,
+    and every other B has one nonzero entry replaced by another nonzero
+    value (by 0 over GF(2)), which leaves no pair when the entry lies off
+    the spanning tree."""
+    rng = random.Random(34)
+    triples = []
+    for gf in SCALING_FIELDS:
+        for n in range(2, 8):
+            for i in range(12):
+                labels = rng.randrange(2, 4)
+                rows, cols = ([rng.randrange(labels) for _ in range(n)] for _ in range(2))
+                A = [[rng.randrange(1, gf.order) if rows[r] == cols[c] and rng.random() < 0.7
+                      else 0 for c in range(n)] for r in range(n)]
+                zero_row, zero_col = rng.randrange(n), rng.randrange(n)
+                A[zero_row] = [0] * n
+                for row in A:
+                    row[zero_col] = 0
+                d1, d2 = ([rng.randrange(1, gf.order) for _ in range(n)] for _ in range(2))
+                B = sandwich(gf, d1, A, d2)
+                nonzero = [(r, c) for r in range(n) for c in range(n) if B[r][c]]
+                if i % 2 and nonzero:
+                    r, c = rng.choice(nonzero)
+                    B[r][c] = rng.choice([v for v in range(1, gf.order) if v != B[r][c]] or [0])
+                triples.append((gf, A, B))
+    return triples
+
+
+def _dense_line(gf, A, targets) -> str:
+    try:
+        inv = inverse(gf, A)
+    except Singular as exc:
+        inv = f"Singular({exc})"
+    pairs = [diagonal_scaling_solve(gf, A, B) for B in targets]
+    record = json.dumps(matrix_properties_json(gf, A), sort_keys=True)
+    return (f"{gf.poly:x} {A} {det(gf, A)} {inv} {pairs} "
+            f"{is_involutory(gf, A)} {is_orthogonal(gf, A)} {record}\n")
+
+
+def dense_path() -> dict:
+    lines = []
+    for gf, A in _mds_matrices():
+        try:
+            inv = inverse(gf, A)
+        except Singular:
+            lines.append(_dense_line(gf, A, []))
+        else:
+            lines.append(_dense_line(gf, A, [inv, transpose(inv)]))
+    for gf, A, B in _planted_scalings():
+        lines += [_dense_line(gf, A, [B]), _dense_line(gf, B, [A])]
+    return {"records": len(lines), "sha256": _digest("".join(lines))}
+
+
+# the polynomials of degree 13 .. 16 that the tests build fields on
+HIGH_POLYS = ((16, 0x1002B), (16, 0x1100B))
+
+
+def irreducible() -> dict:
+    polys = [(m, poly) for m in range(1, 13) for poly in range(1 << m, 2 << m)] + list(HIGH_POLYS)
+    lines = [f"{m} {poly:x} {is_irreducible(poly, m)}\n" for m, poly in polys]
+    return {"records": len(lines), "sha256": _digest("".join(lines))}
+
+
 def census() -> dict:
     return {
         "verify_paper_full_jobs1": verify_paper(1),
@@ -205,6 +287,8 @@ def census() -> dict:
         "autocorrelation_roots": fold_roots(),
         **mds_and_classify(),
         "is_mds_matrix": mds_matrices(),
+        "dense_path": dense_path(),
+        "irreducible": irreducible(),
     }
 
 

@@ -124,6 +124,72 @@ MUTANTS = (
         "z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask",
         ("tests/test_verify.py::test_random_rows_match_the_scalar_stream_across_block_edges",),
     ),
+    Mutant(
+        "irreducible-divisors-a-degree-short", "src/circmds/field.py",
+        "range(2, 1 << (m // 2 + 1))",
+        "range(2, 1 << (m // 2))",
+        ("tests/test_field.py::test_irreducible_counts_follow_gauss",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "elimination-without-row-swap", "src/circmds/matgf.py",
+        "        M[col], M[r] = M[r], M[col]\n",
+        "",
+        ("tests/test_matgf.py::test_det_matches_cofactor_expansion",
+         "tests/test_matgf.py::test_inverse_round_trip_random",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "solver-without-off-tree-check", "src/circmds/props.py",
+        "                    elif (logs[u] + logs[v] - ratio) % q1:\n"
+        "                        return None\n",
+        "",
+        ("tests/test_props.py::test_solve_anchors_each_component_and_checks_the_entry_off_its_tree",
+         "tests/test_props.py::test_solve_rejects_non_factorable_ratio",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "product-test-zero-diagonal", "src/circmds/props.py",
+        "if s != (i == j):",
+        "if s != 0:",
+        ("tests/test_props.py::test_identity_is_involutory_and_orthogonal",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "singular-by-row-sum-alone", "src/circmds/circulant.py",
+        "odd = n // (n & -n)  # n'",
+        "odd = 1  # n'",
+        ("tests/test_circulant.py::test_even_order_inverse_agrees_with_the_dense_inverse",
+         "tests/test_props.py::test_classify_asks_for_the_inverse_only_off_mds",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "orbit-size-ignores-stabilizer", "src/circmds/verify.py",
+        "size = m // (1 + tied.bit_count())",
+        "size = m",
+        ("tests/test_verify.py::test_frobenius_orbits_match_the_explicit_images",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "image-as-c-times-frobenius", "src/circmds/verify.py",
+        "exp[((lc + log[v]) << f) % q1]",
+        "exp[(lc + (log[v] << f)) % q1]",
+        ("tests/test_verify.py::test_image_scales_the_row_before_the_frobenius_power",),
+    ),
+    Mutant(
+        "fold-residue-2j", "src/circmds/circulant.py",
+        "tables[j % d]",
+        "tables[2 * j % d]",
+        ("tests/test_props.py::test_planted_semi_orthogonal_pairs_at_large_d",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "semi-report-k-swapped", "src/circmds/props.py",
+        "k1=power_scalar(gf, pair.d1, n), k2=power_scalar(gf, pair.d2, n)",
+        "k1=power_scalar(gf, pair.d2, n), k2=power_scalar(gf, pair.d1, n)",
+        ("tests/test_props.py::test_classify_example1",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
 )
 
 

@@ -60,6 +60,28 @@ def test_is_irreducible(m, poly, expect):
     assert is_irreducible(poly, m) is expect
 
 
+def _mobius(d: int) -> int:
+    mu, p = 1, 2
+    while d > 1:
+        if d % p == 0:
+            d //= p
+            if d % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return mu
+
+
+def test_irreducible_counts_follow_gauss():
+    # Gauss: (1/m) * sum over d | m of mu(d) * 2^(m/d) polynomials of
+    # degree m are irreducible over GF(2)
+    gauss = [sum(_mobius(d) << m // d for d in range(1, m + 1) if m % d == 0) // m
+             for m in range(1, 13)]
+    assert gauss == [2, 1, 2, 3, 6, 9, 18, 30, 56, 99, 186, 335]
+    counts = [sum(is_irreducible(poly, m) for poly in range(1 << m, 2 << m)) for m in range(1, 13)]
+    assert counts == gauss
+
+
 # -- multiplication --------------------------------------------------------------
 
 

@@ -596,6 +596,41 @@ def test_solve_identity_to_identity():
     assert all(pair.d1[r] == 1 for r in component_first_rows(identity(3)))
 
 
+def test_solve_anchors_each_component_and_checks_the_entry_off_its_tree():
+    # components {rows 0, 2; cols 1, 3} (a cycle), {rows 1, 4; cols 0, 4}
+    # (a tree) and {row 5; col 5}; row 3 and column 2 are all zero
+    A = [[0, 3, 0, 5, 0, 0],
+         [2, 0, 0, 0, 7, 0],
+         [0, 6, 0, 1, 0, 0],
+         [0, 0, 0, 0, 0, 0],
+         [4, 0, 0, 0, 0, 0],
+         [0, 0, 0, 0, 0, 3]]
+    assert component_first_rows(A) == [0, 1, 3, 5]
+    first_row = [0, 1, 0, 3, 1, 5]  # the least row of each row's component
+    first_row_of_col = [1, 0, None, 0, 1, 5]
+    d1, d2 = [3, 5, 7, 2, 6, 4], [6, 2, 3, 5, 7, 1]
+    B = sandwich(GF8, d1, A, d2)
+    pair = diagonal_scaling_solve(GF8, A, B)
+    mul, inv = GF8.mul, GF8.inv
+    # the planted pair rescaled so that d = 1 at each component's least row
+    # and e = 1 on the all-zero column
+    assert pair.d1 == tuple(mul(d1[i], inv(d1[first_row[i]])) for i in range(6))
+    assert pair.d2 == tuple(1 if r is None else mul(d2[j], d1[r])
+                            for j, r in enumerate(first_row_of_col))
+    assert all(pair.d1[r] == 1 for r in component_first_rows(A)) and pair.d2[2] == 1
+    assert sandwich(GF8, pair.d1, A, pair.d2) == B
+    # the walk from row 0 reaches row 2 through column 3, so entry (2, 1)
+    # closes the cycle off the tree: changing it leaves no pair
+    off_tree = [row[:] for row in B]
+    off_tree[2][1] = mul(off_tree[2][1], 2)
+    assert diagonal_scaling_solve(GF8, A, off_tree) is None
+    # on a tree every entry is free: changing one moves its column's e
+    on_tree = [row[:] for row in B]
+    on_tree[1][4] = mul(on_tree[1][4], 2)
+    moved = diagonal_scaling_solve(GF8, A, on_tree)
+    assert moved.d1 == pair.d1 and moved.d2 == pair.d2[:4] + (mul(pair.d2[4], 2), pair.d2[5])
+
+
 def test_solve_zero_pattern_mismatch():
     A = [[1, 0], [1, 1]]
     B = [[1, 1], [1, 1]]

@@ -740,6 +740,18 @@ _ORBIT_SPACES = [(gf, n) for gf, top in ((GF2, 10), (GF4, 6), (GF8, 4), (GF16, 3
                  for n in range(1, top + 1)]
 
 
+def test_image_scales_the_row_before_the_frobenius_power():
+    # _image(c, f, row) is sigma^f(c*row), not c*sigma^f(row): the two
+    # differ once sigma^f moves c.  A scan lists the images over all q - 1
+    # scalars and sorts them, where both give one set, so only this pins it
+    for gf in (GF16, F11D):
+        for c in (1, 3, 0x1D % gf.order, gf.order - 1):
+            for row in ((1, 0, 2), (5, 7, 0, 9), (0, 0, 1)):
+                for f in range(gf.m):
+                    want = _images(gf, tuple(gf.mul(c, v) for v in row))[f]
+                    assert verify._image(gf, c, f, row) == want, (gf.m, c, row, f)
+
+
 def test_frobenius_orbits_match_the_explicit_images(monkeypatch):
     # the generator yields, in class order, exactly the representatives that
     # are least among the representatives of their images under sigma^f and
