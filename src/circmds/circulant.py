@@ -11,10 +11,11 @@ first row (c_0, ..., c_{n-1}) standing for c_0 + c_1*x + ... + c_{n-1}*x^{n-1};
 `is_singular_row` decides singularity in that ring
 R = GF(q)[x]/(x^n - 1) instead of on a dense matrix, `scalar_square_root`
 whether A^2 is a scalar matrix (A^2 == I among them), and
-`autocorrelation_roots` for which roots of unity mu the product
+`props.pair_screen` for which roots of unity mu the product
 a(x^-1)*a(mu*x) is a constant, as identities in it, testing all of them in
-one pass (the lane identity below); at mu = 1 that product is A*A^T,
-which `props.Properties.gram_root` reads from the same fold.
+one pass over the tables kept here (the lane identity below); at mu = 1
+that product is A*A^T, which `props.Properties.gram_root` reads from the
+same fold.
 
 The gcd lemma.  A is nonsingular exactly when a(x) is a unit of R (A^-1
 is a polynomial in A, so circulant), that is when gcd(a(x), x^n - 1) == 1.
@@ -37,9 +38,10 @@ coefficient t at every root at once.  With low holding 2^m - 1 in every
 lane, x + 2^m - 1 < 2^(m+1) sets bit m of its lane exactly when x != 0,
 and no lane carries into the next; so bit m of lane e of v + low is 1
 exactly when coefficient t is nonzero at the e-th root, and one AND with
-its complement drops those roots.  `_lanes` keeps, per (field, d), the
-fold that runs this loop with its tables.  The tables fill an entry on
-first use, so a row of GF(2^16) keeps only the entries it meets, and stop
+its complement drops those roots.  `_lanes` keeps the d tables per
+(field, d); the one loop that reads them is `props.pair_screen`, which
+folds a scan chunk's rows in place.  The tables fill an entry on first
+use, so a row of GF(2^16) keeps only the entries it meets, and stop
 once the entries of every (field, d) of the process take LANE_BYTES
 (`lane_bytes`); an entry met after that is made again on each use.
 """
@@ -87,51 +89,6 @@ def scalar_square_root(first_row) -> int:
     return first_row[0] ^ first_row[h] if first_row[1:h] == first_row[h + 1:] else 0
 
 
-def autocorrelation_roots(gf: GF2m, first_row, d: int) -> list[int]:
-    """The e < d, in increasing order, for which a(x^-1)*a(mu*x) mod x^n - 1
-    is a constant, with mu = g^(e*(q-1)/d) for the field generator g; d
-    divides gcd(n, q - 1), so these mu are the d-th roots of unity.  The
-    fold kept with the lane tables of (gf, d) decides it (`_lanes`)."""
-    return _lanes(gf, d)[0](first_row)
-
-
-def _fold(gf: GF2m, d: int, tables: list[_Lane]):
-    """The fold of `autocorrelation_roots` at d over the residue `tables`:
-    row -> the e of the roots of unity that survive.
-
-    Coefficient t is the sum over j of a_j*a_(j-t)*mu^j, which is mu^t
-    times coefficient n - t; at even n = 2h the terms j and j + h of
-    coefficient h differ by mu^h, which is 1 (mu has odd order dividing
-    n), and cancel.  So only t = 1 .. (n-1)//2 are tested.  As mu^d == 1,
-    mu^j depends only on j mod d, and every root is tested at once by the
-    lane identity of the module docstring: the XOR v of the entries the
-    tables hold for the terms' residues and products is coefficient t at
-    every mu, lane by lane, and `alive &= ~(v + low)` keeps the mu whose
-    lane is 0, where low holds 2^m - 1 and top 2^m in each of the d lanes
-    of m + 1 bits.  A mu drops at its first nonzero coefficient, and the
-    fold stops when none is alive.
-    """
-    exp, log = gf.exp_table, gf.log_table
-    m = gf.m
-    ones = sum(1 << (e * (m + 1)) for e in range(d))
-    low, top = ones * ((1 << m) - 1), ones << m
-
-    def fold(row) -> list[int]:
-        alive = top
-        for t in range(1, (len(row) - 1) // 2 + 1):
-            v = 0
-            for j, u in enumerate(row):
-                if u:
-                    w = row[j - t]  # a negative index wraps around
-                    if w:
-                        v ^= tables[j % d][exp[log[u] + log[w]]]
-            alive &= ~(v + low)
-            if not alive:
-                return []
-        return [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
-    return fold
-
-
 class _Lane(dict):
     """Residue r's table of `_lanes`: product x -> the int that holds
     x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use
@@ -168,8 +125,8 @@ class _Lane(dict):
 # A field up to GF(2^8) keeps its whole tables at any one d but 255.
 LANE_BYTES = 1 << 23
 
-# (field polynomial, d) -> (the fold, its d residue tables)
-_LANES: dict[tuple[int, int], tuple] = {}
+# (field polynomial, d) -> its d residue tables
+_LANES: dict[tuple[int, int], list] = {}
 
 
 def lane_entry_bytes(m: int, d: int) -> int:
@@ -181,22 +138,21 @@ def lane_bytes() -> int:
     """The bytes the entries kept in `_LANES` take, as LANE_BYTES counts
     them."""
     return sum(lane_entry_bytes(poly.bit_length() - 1, d) * sum(map(len, tables))
-               for (poly, d), (_, tables) in _LANES.items())
+               for (poly, d), tables in _LANES.items())
 
 
-def _lanes(gf: GF2m, d: int) -> tuple:
-    """(the fold, its d residue tables) of the lane identity for the d-th
-    roots of unity of gf (`_fold`), kept per (field, d); no entry is made
-    here."""
+def _lanes(gf: GF2m, d: int) -> list[_Lane]:
+    """The d residue tables of the lane identity for the d-th roots of
+    unity of gf, table r for residue r, kept per (field, d); no entry is
+    made here."""
     key = (gf.poly, d)  # the polynomial fixes the field; a GF2m hashes in Python
-    lanes = _LANES.get(key)
-    if lanes is None:
+    tables = _LANES.get(key)
+    if tables is None:
         # [lane_bytes()], one count shared by every table of `_LANES`, new
         # when `_LANES` is empty
-        held = next(iter(_LANES.values()))[1][0].held if _LANES else [0]
-        tables = [_Lane(gf, d, r, held) for r in range(d)]
-        lanes = _LANES[key] = (_fold(gf, d, tables), tables)
-    return lanes
+        held = next(iter(_LANES.values()))[0].held if _LANES else [0]
+        tables = _LANES[key] = [_Lane(gf, d, r, held) for r in range(d)]
+    return tables
 
 
 def is_singular_row(gf: GF2m, first_row) -> bool:

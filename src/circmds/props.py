@@ -65,7 +65,9 @@ kappa^-1.  So one XOR fold over the first row decides the relation: a
 scalar square gives the pair (1, ..., 1), (k^-1, ..., k^-1), and any
 other row has none.  For A^-T the gcd(m, q-1) roots of unity are tried
 together, in one fold of b that tests them all at once (the lane identity
-of the `circulant` module docstring), once the row sum is nonzero.  No
+of the `circulant` module docstring), once the row sum is nonzero.  That
+fold has one loop, in `pair_screen`, which screens a scan chunk's rows in
+place; `block_roots` hands it a as a one-row chunk.  No
 circulant builds a matrix or runs the generic solver: that runs only for
 a matrix that is not circulant, on the dense inverse
 (`dense_classification`); the tests check the shortcut against it and it
@@ -142,7 +144,6 @@ from typing import Optional
 from .circulant import (
     OddOrder,
     _lanes,
-    autocorrelation_roots,
     is_circulant,
     is_singular_row,
     scalar_square_root,
@@ -558,9 +559,10 @@ def row_block(a) -> tuple[int, int, tuple[int, ...]]:
     s' in the support S), s0 = min(S) mod g, and the block
     b = (a_(s0 + g*beta)) for beta < n/g, so a(x) == x^s0 * b(x^g) and b's
     support is connected.  A row of more than n/2 nonzero entries is its
-    own block (the count lemma of the module docstring).  Not cached: the
-    fold `block_roots` takes it once per row, and `_geometric_pair` again
-    only when a root of unity survives."""
+    own block (the count lemma of the module docstring).  Not cached:
+    `pair_screen` asks it once of a row with a nonzero row sum and at
+    least n/2 zero entries, and `_geometric_pair` again only when a root
+    of unity survives."""
     n = len(a)
     if 2 * a.count(0) < n:
         return 0, 1, a
@@ -571,12 +573,14 @@ def row_block(a) -> tuple[int, int, tuple[int, ...]]:
 
 
 def block_roots(gf: GF2m, a) -> list[int]:
-    """`autocorrelation_roots` of the block b of the nonzero row a at
-    d = gcd(m, q-1), m = len(b): the e for which b(y^-1)*b(mu*y) is a
-    constant, mu = w^(e*(q-1)/d) for the field generator w.  A
-    semi-orthogonal pair needs one of them, and a nonzero row sum."""
-    b = row_block(a)[2]
-    return autocorrelation_roots(gf, b, gcd(len(b), gf.order - 1))
+    """The e < d, in increasing order, for which b(y^-1)*b(mu*y) mod
+    y^m - 1 is a constant, for the block b of the nonzero row a, m = len(b),
+    d = gcd(m, q-1) and mu = w^(e*(q-1)/d) for the field generator w; [] at
+    a zero row sum.  A semi-orthogonal pair needs one of them, and a nonzero
+    row sum.  a goes through `pair_screen` as a one-row chunk, which folds
+    b."""
+    admitted = pair_screen(gf, ("orthogonal",), len(a), ((a, (), 0, False),))[0]
+    return admitted[0][2] if admitted else []
 
 
 def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
@@ -828,34 +832,96 @@ def classify(gf: GF2m, first_row) -> Classification:
     return Properties(gf, first_row).classification()
 
 
-def pair_gate(gf: GF2m, relations, n: int):
-    """callable(row) -> the `Properties` of the order-n row, with the folds
-    made here in place, or None when by those folds the row has the pair of
-    none of the semi `relations` ("involutory", "orthogonal").
+@cache
+def _fold_plan(m: int, n: int) -> tuple:
+    """(d, low, top, terms) of the lane fold of order-n rows over GF(2^m):
+    d = gcd(n, 2^m - 1) lanes of m + 1 bits, low and top holding 2^m - 1
+    and 2^m in each lane, and per shift t = 1 .. (n-1)//2 the
+    (j, j - t mod n) of the terms a_j*a_(j-t) of coefficient t, j < n."""
+    d = gcd(n, (1 << m) - 1)
+    ones = ((1 << d * (m + 1)) - 1) // ((2 << m) - 1)  # 1 in each lane
+    terms = tuple(tuple((j, (j - t) % n) for j in range(n)) for t in range(1, (n - 1) // 2 + 1))
+    return d, ones * ((1 << m) - 1), ones << m, terms
 
-    The semi-involutory pair exists exactly when `scalar_square_root` is
+
+def pair_screen(gf: GF2m, relations, n: int, items) -> tuple[list, int]:
+    """(admitted, rejected) of a scan chunk's `items`, each (row, scalars,
+    size, transposed) with a row of order n: admitted holds, in the order of
+    `items`, (item, root, roots) for each row that by its folds may have the
+    pair of one of the semi `relations` ("involutory", "orthogonal"), with
+    root its `scalar_square_root` and roots its `block_roots` where they
+    were folded, else None; rejected is the sum of
+    len(scalars) * size << transposed over the other rows.
+
+    The semi-involutory pair exists exactly when the scalar square root is
     nonzero, and a semi-orthogonal pair needs a nonzero row sum and a root
-    of unity from `block_roots` (`circulant_semi_pair`).  A row with fewer
-    than n/2 zero entries is its own block (`row_block`), so its roots come
-    from the fold at d = gcd(n, q - 1), looked up here once and called
-    with no block step.  A row that passes the involutory fold is not
-    folded for the other relation here, and no fold is made twice."""
+    of unity of the block's autocorrelation (`circulant_semi_pair`).  A row
+    that passes the involutory fold is not folded for the other relation.
+    One loop over the items runs both folds in place, with the lane tables
+    of d = gcd(n, q - 1), the terms of each shift t (`_fold_plan`) and
+    each position's residue table bound once; a row of more than n/2
+    nonzero entries, or any with a connected support, is its own block
+    (`row_block`) and is folded here, and any other row's block goes
+    through `block_roots`, a one-row chunk at its order.
+
+    The lane fold (the `circulant` module docstring): coefficient t of
+    a(x^-1)*a(mu*x) is the sum over j of a_j*a_(j-t)*mu^j, which is mu^t
+    times coefficient n - t; at even n = 2h the terms j and j + h of
+    coefficient h differ by mu^h, which is 1 (mu has odd order dividing n),
+    and cancel.  So only t = 1 .. (n-1)//2 are tested.  The XOR v of the
+    entries the residue tables hold for the terms' products is coefficient
+    t at every mu, lane by lane, and `alive &= ~(v + low)` keeps the mu
+    whose lane is 0, where low holds 2^m - 1 and top 2^m in each of the d
+    lanes of m + 1 bits.  A mu drops at its first nonzero coefficient, and
+    the fold stops when none is alive.
+    """
     involutory = "involutory" in relations
     orthogonal = "orthogonal" in relations
-    fold = _lanes(gf, gcd(n, gf.order - 1))[0]
-
-    def gate(row) -> Optional[Properties]:
+    exp, log = gf.exp_table, gf.log_table
+    m = gf.m
+    d, low, top, shifts = _fold_plan(m, n)
+    residue = _lanes(gf, d) * (n // d)  # position j's table, of residue j mod d
+    h = n >> 1
+    admitted, rejected = [], 0
+    for item in items:
+        row = item[0]
+        zeros = row.count(0)
         root = None
-        if involutory:
-            root = scalar_square_root(row)
+        if involutory:  # `scalar_square_root`
+            if n & 1:
+                root = row[0] if zeros == n - 1 else 0
+            else:
+                root = row[0] ^ row[h] if row[1:h] == row[h + 1:] else 0
             if root:
-                return Properties(gf, row, root)
-        if orthogonal and diag_trace(row):
-            roots = fold(row) if 2 * row.count(0) < n else block_roots(gf, row)
-            if roots:
-                return Properties(gf, row, root, roots)
-        return None
-    return gate
+                admitted.append((item, root, None))
+                continue
+        if orthogonal:
+            total = 0  # the row sum
+            for u in row:
+                total ^= u
+            if total:
+                b = row if 2 * zeros < n else row_block(row)[2]
+                if len(b) == n:
+                    alive = top
+                    for terms in shifts:
+                        v = 0
+                        for j, i in terms:
+                            u = row[j]
+                            if u:
+                                w = row[i]
+                                if w:
+                                    v ^= residue[j][exp[log[u] + log[w]]]
+                        alive &= ~(v + low)
+                        if not alive:
+                            break
+                    roots = alive and [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
+                else:
+                    roots = block_roots(gf, b)
+                if roots:
+                    admitted.append((item, root, roots))
+                    continue
+        rejected += len(item[1]) * item[2] << item[3]
+    return admitted, rejected
 
 
 def dense_classification(gf: GF2m, A: Matrix) -> Classification:

@@ -133,15 +133,19 @@ runner asks that relation first and stops when the pair is missing,
 before it evaluates anything a tally counts: no hypothesis holds, no pair
 is found and no MDS verdict is made, so such a row adds its weight to
 `examined` and nothing else.  When every suite of a scan declares a
-relation, the scan decides this on the relations' folds alone
-(`props.pair_gate`), before the row gets a `Properties`: the scalar
-square for the involutory pair, and the row sum and the roots of unity of
-its block's autocorrelation for the orthogonal one, folded at
-gcd(n, q - 1) with no block step when the row is its own block.  Whether
-a row has a pair is the same on its whole orbit, so a rejected
-representative stands for the orbit.  A row that passes takes its folds
-into its `Properties`, so no row folds a relation twice.  A suite that
-declares none, such as a test's probe, makes the scan see every row.
+relation, the scan decides this on the relations' folds alone, a chunk
+at a time, before any row gets a `Properties`: `props.pair_screen` runs
+one loop over the chunk's rows that folds, in place, the scalar square
+for the involutory pair, and the row sum and the roots of unity of the
+block's autocorrelation for the orthogonal one, at gcd(n, q - 1) with no
+block step when the row is its own block; that loop is the package's one
+lane fold.  It hands back the admitted rows in chunk order, which keeps
+the unsorted failure lists of a random scan in draw order, and the
+weight of the others.  Whether a row has a pair is the same on its whole
+orbit, so a rejected representative stands for the orbit.  A row that
+passes takes its folds into its `Properties`, so no row folds a relation
+twice.  A suite that declares none, such as a test's probe, makes the
+scan see every row.
 
 Suites:
   INV-NONE      a multiple involutory, and MDS: expected empty (n >= 3)
@@ -178,7 +182,7 @@ from typing import Optional
 from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
 from .matgf import diag_trace, identity, mat_mul, sandwich, transpose
-from .props import SCHEMA_VERSION, Properties, classify, is_power_of_two, pair_gate
+from .props import SCHEMA_VERSION, Properties, classify, is_power_of_two, pair_screen
 # unused here; perfbench/tracing.py wraps these verify attributes by name
 from .matgf import inverse
 from .props import diagonal_scaling_solve, is_involutory, is_mds, is_orthogonal, power_scalar
@@ -778,21 +782,17 @@ def _scan_chunk(args) -> ScanReport:
     Each row stands for the rows sigma^f(c*row), c in `scalars`, f < `size`,
     and their transposes when `transposed`: a forced or seeded row for
     itself alone, a representative for its orbit, the zero row for itself.
-    When every suite declares a relation, the row first goes through
-    `pair_gate` on those relations, the gate of the module docstring: a
-    rejected row only adds its weight to `examined`; one that passes gets
-    its `Properties` with the folds in place, and one `_tally`."""
+    When every suite declares a relation, the chunk first goes through
+    `pair_screen` on those relations, the gate of the module docstring: the
+    rejected rows only add their weight to `examined`; each row that passes
+    gets its `Properties` with the folds in place, and one `_tally`, in
+    chunk order."""
     config, span = args
     gf = config.field
     part = ScanReport(config)
     suites = [SUITES[name] for name in config.suites]
     runners = [(suite.run, part.suites[name]) for name, suite in zip(config.suites, suites)]
     relations = {suite.relation for suite in suites}
-    if None in relations:  # a suite that declares no relation sees every row
-        def admit(row):
-            return Properties(gf, row)
-    else:
-        admit = pair_gate(gf, relations, config.order)
     if span is None or config.mode == RANDOM:
         rows = config.extra_rows if span is None else random_rows(
             config.seed, gf.order, config.order, *span)
@@ -802,12 +802,13 @@ def _scan_chunk(args) -> ScanReport:
         nonzero = tuple(range(1, gf.order))
         items = ((rep, nonzero if any(rep) else _ONE, size, transposed)
                  for rep, size, transposed in orbit_representatives(gf, config.order, *span))
-    for row, scalars, size, transposed in items:
-        p = admit(row)
-        if p is None:  # no row it stands for has a pair of a declared relation
-            part.examined += len(scalars) * size << transposed
-        else:
-            _tally(part, runners, p, scalars, size, transposed)
+    if None in relations:  # a suite that declares no relation sees every row
+        admitted = ((item, None, None) for item in items)
+    else:
+        admitted, rejected = pair_screen(gf, relations, config.order, items)
+        part.examined += rejected  # no row they stand for has a declared pair
+    for (row, scalars, size, transposed), root, roots in admitted:
+        _tally(part, runners, Properties(gf, row, root, roots), scalars, size, transposed)
     return part
 
 

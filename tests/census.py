@@ -14,9 +14,10 @@ record count:
                             `_draw_orders`, seeds 0, 1 and 99, each from
                             draw 0 and from the split starts 7 and 33 to
                             draw 50; records: rows
-  autocorrelation_roots     `circulant.autocorrelation_roots` of the seeded
-                            rows of `_fold_rows` at d = gcd(n, q - 1) and at
-                            d = 1; records: folds
+  autocorrelation_roots     `autocorrelation_roots` (tests/reference.py, the
+                            lane fold's oracle) of the seeded rows of
+                            `_fold_rows` at d = gcd(n, q - 1) and at d = 1;
+                            records: folds
   is_mds                    the verdict and witness of `props.is_mds` on each
                             row of `_mds_rows`, read from `classify`;
                             records: rows
@@ -54,14 +55,13 @@ from math import gcd
 from pathlib import Path
 
 from circmds import cli, verify
-from circmds.circulant import autocorrelation_roots
 from circmds.field import get_field, is_irreducible
 from circmds.matgf import Singular, det, inverse, sandwich, transpose
 from circmds.props import (classification_json, classify, diagonal_scaling_solve,
                            is_involutory, is_mds, is_orthogonal, matrix_properties_json)
 
-from reference import (decided, planted_semi_orthogonal_row, planted_singular_minor_matrix,
-                       planted_singular_minor_row)
+from reference import (autocorrelation_roots, decided, planted_semi_orthogonal_row,
+                       planted_singular_minor_matrix, planted_singular_minor_row)
 
 CENSUS = Path(__file__).with_name("census.json")
 

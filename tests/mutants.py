@@ -4,8 +4,8 @@
 
 Each mutant is a file of `src/circmds`, an exact snippet of it, the
 replacement, and the tests that must fail on it.  For every mutant (or
-only those named), the script copies the repository's `src/` and `tests/`
-to a temporary directory, makes that one replacement there, and runs only
+only those named), the script copies the repository's `src/`, `tests/`,
+`pyproject.toml` and `perfbench/tracing.py` to a temporary directory, makes that one replacement there, and runs only
 the mutant's tests on the copy.  It prints one line per mutant: killed
 when some of its tests fail, alive when all pass, with the number of
 failed tests and the time.  Before the mutants it runs every named test
@@ -44,15 +44,38 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "gate-folds-at-half-zeros", "src/circmds/props.py",
-        "fold(row) if 2 * row.count(0) < n else",
-        "fold(row) if 2 * row.count(0) <= n else",
-        ("tests/test_props.py::test_pair_gate_folds_a_dense_row_with_no_block_step",),
+        "b = row if 2 * zeros < n else row_block(row)[2]",
+        "b = row if 2 * zeros <= n else row_block(row)[2]",
+        ("tests/test_props.py::test_pair_gate_folds_a_dense_row_with_no_block_step",
+         "tests/test_props.py::test_pair_screen_matches_the_per_row_gate"),
     ),
     Mutant(
-        "rejected-weight-without-transpose", "src/circmds/verify.py",
-        "part.examined += len(scalars) * size << transposed",
-        "part.examined += len(scalars) * size",
-        ("tests/test_census.py::test_outputs_keep_the_committed_census",),
+        "rejected-weight-without-transpose", "src/circmds/props.py",
+        "rejected += len(item[1]) * item[2] << item[3]",
+        "rejected += len(item[1]) * item[2]",
+        ("tests/test_census.py::test_outputs_keep_the_committed_census",
+         "tests/test_props.py::test_pair_screen_matches_the_per_row_gate"),
+    ),
+    Mutant(
+        "screen-without-row-sum", "src/circmds/props.py",
+        "            if total:\n",
+        "            if any(row):\n",
+        ("tests/test_props.py::test_pair_screen_matches_the_per_row_gate",),
+    ),
+    Mutant(
+        "screen-residue-reversed", "src/circmds/props.py",
+        "residue = _lanes(gf, d) * (n // d)",
+        "residue = _lanes(gf, d)[::-1] * (n // d)",
+        ("tests/test_props.py::test_pair_screen_matches_the_per_row_gate",
+         "tests/test_props.py::test_planted_semi_orthogonal_pairs_at_large_d",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "screen-admits-block-rows-last", "src/circmds/props.py",
+        "    return admitted, rejected\n",
+        "    return sorted(admitted, key=lambda a: 2 * a[0][0].count(0) >= n), rejected\n",
+        ("tests/test_verify.py::"
+         "test_random_mode_tallies_dense_block_and_involutory_rows_in_draw_order",),
     ),
     Mutant(
         "layer-limit-only-when-built", "src/circmds/props.py",
@@ -76,7 +99,7 @@ MUTANTS = (
     ),
     Mutant(
         "lane-count-per-key", "src/circmds/circulant.py",
-        "held = next(iter(_LANES.values()))[1][0].held if _LANES else [0]",
+        "held = next(iter(_LANES.values()))[0].held if _LANES else [0]",
         "held = [0]",
         ("tests/test_circulant.py::test_lane_tables_stay_within_their_bound",),
     ),
@@ -177,11 +200,17 @@ MUTANTS = (
         ("tests/test_verify.py::test_image_scales_the_row_before_the_frobenius_power",),
     ),
     Mutant(
-        "fold-residue-2j", "src/circmds/circulant.py",
-        "tables[j % d]",
-        "tables[2 * j % d]",
+        "fold-residue-2j", "src/circmds/props.py",
+        "residue[j][",
+        "residue[2 * j % n][",
         ("tests/test_props.py::test_planted_semi_orthogonal_pairs_at_large_d",
          "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "tracer-import-dropped", "src/circmds/verify.py",
+        "is_involutory, is_mds, is_orthogonal, power_scalar\n",
+        "is_involutory, is_mds, is_orthogonal\n",
+        ("tests/test_verify.py::test_every_traced_attribute_resolves",),
     ),
     Mutant(
         "semi-report-k-swapped", "src/circmds/props.py",
@@ -198,6 +227,9 @@ def _copy(dest: Path) -> None:
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    # test_every_traced_attribute_resolves reads the tracer's table
+    (dest / "perfbench").mkdir()
+    shutil.copy(ROOT / "perfbench" / "tracing.py", dest / "perfbench" / "tracing.py")
 
 
 def _pytest(copy: Path, tests) -> tuple[int, int, float]:

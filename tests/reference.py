@@ -9,8 +9,8 @@ from itertools import product
 from math import comb, gcd
 from typing import Optional
 
-from circmds import circulant, verify
-from circmds.circulant import autocorrelation_roots
+from circmds import circulant, props, verify
+from circmds.circulant import scalar_square_root
 from circmds.matgf import Singular, diag_trace, inverse, transpose
 from circmds.props import DiagonalPair, Properties, diagonal_scaling_solve
 from circmds.verify import RANDOM, SUITES, BudgetExceeded, ScanReport, random_rows, run_suite
@@ -109,6 +109,77 @@ def per_root_geometric_pair(gf, row) -> Optional[DiagonalPair]:
                     tuple(exp[(j * s - log_k) % q1] for j in range(n)),
                 )
     return None
+
+
+def autocorrelation_roots(gf, first_row, d: int) -> list:
+    """The e < d, in increasing order, for which a(x^-1)*a(mu*x) mod x^n - 1
+    is a constant, with mu = g^(e*(q-1)/d) for the field generator g; d
+    divides gcd(n, q - 1), so these mu are the d-th roots of unity.
+
+    The lane fold of `props.pair_screen` on its own, over the lane tables of
+    `circulant._lanes` (d, m + 1 bits per lane), at any d and with no
+    row-sum test: for t = 1 .. (n-1)//2 the XOR v of the residue tables'
+    entries for the terms a_j*a_(j-t) is coefficient t at every mu, and
+    `alive &= ~(v + low)` keeps the mu whose lane is 0.
+    """
+    tables = circulant._lanes(gf, d)
+    exp, log = gf.exp_table, gf.log_table
+    m = gf.m
+    ones = sum(1 << (e * (m + 1)) for e in range(d))
+    low, top = ones * ((1 << m) - 1), ones << m
+    alive = top
+    for t in range(1, (len(first_row) - 1) // 2 + 1):
+        v = 0
+        for j, u in enumerate(first_row):
+            if u:
+                w = first_row[j - t]  # a negative index wraps around
+                if w:
+                    v ^= tables[j % d][exp[log[u] + log[w]]]
+        alive &= ~(v + low)
+        if not alive:
+            return []
+    return [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
+
+
+def pair_gate(gf, relations, n: int):
+    """The per-row gate that `props.pair_screen` runs in place over a chunk:
+    callable(row) -> (root, roots) of the order-n row, or None when by its
+    folds the row has the pair of none of the semi `relations`.  root is
+    `scalar_square_root` when "involutory" is asked, roots the
+    `autocorrelation_roots` of the row's block by the support gcd
+    (`gcd_block`) at d = gcd(len(b), q - 1) when the row sum is nonzero and
+    "orthogonal" is asked; a row whose root is nonzero is not folded again.
+    """
+    involutory = "involutory" in relations
+    orthogonal = "orthogonal" in relations
+
+    def gate(row):
+        root = roots = None
+        if involutory:
+            root = scalar_square_root(row)
+            if root:
+                return root, roots
+        if orthogonal and diag_trace(row):
+            b = gcd_block(row)[2]
+            roots = autocorrelation_roots(gf, b, gcd(len(b), gf.order - 1))
+            if roots:
+                return root, roots
+        return None
+    return gate
+
+
+def screen_by_gate(gf, relations, n: int, items) -> tuple:
+    """(admitted, rejected) of `props.pair_screen`, one row at a time
+    through `pair_gate`."""
+    gate = pair_gate(gf, relations, n)
+    admitted, rejected = [], 0
+    for item in items:
+        folds = gate(item[0])
+        if folds is None:
+            rejected += len(item[1]) * item[2] * (2 if item[3] else 1)
+        else:
+            admitted.append((item, *folds))
+    return admitted, rejected
 
 
 def scalar_gram_root(gf, first_row) -> int:
@@ -324,24 +395,43 @@ def component_first_rows(A) -> list:
 
 
 def count_folds(monkeypatch) -> list:
-    """The (row, d) of every autocorrelation fold made from here on, through
-    `autocorrelation_roots` or a fold `circulant._lanes` hands out: the
-    folds it makes count their rows, and `_LANES` starts empty, so none is
-    made before."""
+    """The (row, d) of every autocorrelation fold made from here on.  Each
+    call of `props.pair_screen`, on a scan chunk or on the one-row chunk of
+    `props.block_roots`, folds in place, at d = gcd(n, q - 1), each row of
+    the chunk asked for the orthogonal relation that the involutory fold
+    did not admit, with a nonzero row sum and a connected support
+    (`gcd_block`); the block of any other row with a nonzero row sum goes
+    through `block_roots`, a call of its own that folds it.  The calls through
+    `props` and `verify` are counted so, the nested ones first, and
+    `_LANES` starts empty."""
     folds = []
-    make = circulant._fold
+    screen = props.pair_screen
 
-    def counting_fold(gf, d, tables):
-        fold = make(gf, d, tables)
-
-        def counted(row):
-            folds.append((row, d))
-            return fold(row)
-        return counted
+    def counting(gf, relations, n, items):
+        items = list(items)
+        admitted, rejected = screen(gf, relations, n, items)
+        if "orthogonal" in relations:
+            square_roots = {id(item): root for item, root, _ in admitted}
+            d = gcd(n, gf.order - 1)
+            folds.extend((item[0], d) for item in items
+                         if diag_trace(item[0]) and gcd_block(item[0])[1] == 1
+                         and not square_roots.get(id(item)))
+        return admitted, rejected
 
     monkeypatch.setattr(circulant, "_LANES", {})
-    monkeypatch.setattr(circulant, "_fold", counting_fold)
+    monkeypatch.setattr(props, "pair_screen", counting)
+    monkeypatch.setattr(verify, "pair_screen", counting)
     return folds
+
+
+def block_roots_by_root(gf, row) -> list:
+    """What `props.block_roots` gives for the nonzero row: `roots_by_root`
+    of its block b by the support gcd (`gcd_block`) at d = gcd(len(b),
+    q - 1), and [] at a zero row sum."""
+    if not diag_trace(row):
+        return []
+    b = gcd_block(row)[2]
+    return roots_by_root(gf, b, gcd(len(b), gf.order - 1))
 
 
 def index_to_row(index: int, q: int, n: int) -> tuple:

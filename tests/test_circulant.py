@@ -10,7 +10,6 @@ import pytest
 from circmds import circulant
 from circmds.circulant import (
     OddOrder,
-    autocorrelation_roots,
     build,
     interleaved_sums,
     is_circulant,
@@ -19,9 +18,15 @@ from circmds.circulant import (
 )
 from circmds.field import get_field
 from circmds.matgf import Singular, det, diag_trace, identity, inverse, mat_mul, transpose
-from circmds.props import classify, is_involutory, is_mds, is_orthogonal
+from circmds.props import block_roots, classify, is_involutory, is_mds, is_orthogonal
 from circmds.verify import RANDOM, ScanConfig, run_suite
-from reference import planted_semi_orthogonal_row, roots_by_root, scalar_gram_root
+from reference import (
+    autocorrelation_roots,
+    block_roots_by_root,
+    planted_semi_orthogonal_row,
+    roots_by_root,
+    scalar_gram_root,
+)
 
 GF4 = get_field(2, 0x7)
 GF8 = get_field(3, 0xB)
@@ -275,14 +280,22 @@ FOLD_CENSUS = {
 @pytest.mark.parametrize("name", FOLD_CENSUS)
 def test_lanes_match_the_root_by_root_reference(name):
     # the lanes test every d-th root of unity in one XOR per term; the
-    # reference sums every coefficient at one root at a time, at
-    # d = gcd(n, q-1) and at d = 1
+    # reference sums every coefficient at one root at a time.  The plain
+    # lane fold (reference.autocorrelation_roots) agrees with it at
+    # d = gcd(n, q-1) and at d = 1, and so does the screen's fold of the
+    # row's block at d = gcd(len(b), q-1), which `block_roots` runs as a
+    # one-row chunk: on a row that is its own block, the first of those
     census = Counter()
     for gf, row in _fold_rows(name):
+        whole = {}
         for d in {gcd(len(row), gf.order - 1), 1}:
-            roots = autocorrelation_roots(gf, row, d)
+            whole[d] = roots = autocorrelation_roots(gf, row, d)
             assert roots == roots_by_root(gf, row, d), (gf, row, d)
             census["mu=1 only" if roots == [0] else "mu!=1" if roots else "none"] += 1
+        if any(row):
+            want = (whole[gcd(len(row), gf.order - 1)] if 0 not in row and diag_trace(row)
+                    else block_roots_by_root(gf, row))
+            assert block_roots(gf, row) == want, (gf, row)
     assert (census["mu=1 only"], census["mu!=1"], census["none"]) == FOLD_CENSUS[name]
 
 
@@ -294,7 +307,7 @@ def test_lane_tables_keep_only_the_entries_a_row_meets(monkeypatch):
     row = list(_seeded_rows(GF65536, 15, 1, random.Random(15))[0])
     row[7] = 0
     assert diag_trace(row) and classify(GF65536, row).mds.is_mds is False
-    _, tables = circulant._lanes(GF65536, 15)
+    tables = circulant._lanes(GF65536, 15)
     filled = sum(map(len, tables))
     assert 0 < filled < 0.01 * 15 * 65536, filled
 
@@ -305,10 +318,11 @@ def test_lane_tables_stay_within_their_bound(monkeypatch):
     # LANE_BYTES; an entry met after that is made again on each use.  At
     # the real bound the benchmark's tables, GF(2^8) and GF(4) at d = 3,
     # are kept whole.  A bound lowered to 64 KiB fills up in a 2,048-row
-    # scan of GF(2^16) rows at d = 15, and the roots read past it stay right
+    # scan of GF(2^16) rows at d = 15, and the roots `block_roots` reads
+    # past it stay right
     monkeypatch.setattr(circulant, "_LANES", {})
     for gf in (F11D, GF4):
-        _, tables = circulant._lanes(gf, 3)
+        tables = circulant._lanes(gf, 3)
         for table in tables:
             for x in range(1, gf.order):
                 table[x]
@@ -323,12 +337,12 @@ def test_lane_tables_stay_within_their_bound(monkeypatch):
     assert list(circulant._LANES) == [(GF65536.poly, 15)]
     held = circulant.lane_bytes()
     assert (1 << 16) - size < held <= 1 << 16
-    assert circulant._lanes(GF65536, 15)[1][0].held == [held]  # the running count
+    assert circulant._lanes(GF65536, 15)[0].held == [held]  # the running count
     rng = random.Random(16)
     rows = _seeded_rows(GF65536, 15, 20, rng)
     rows += [row for _ in range(5) for row in planted_semi_orthogonal_row(GF65536, 15, rng)]
-    for row in rows:
-        assert autocorrelation_roots(GF65536, row, 15) == roots_by_root(GF65536, row, 15), row
+    for row in filter(any, rows):
+        assert block_roots(GF65536, row) == block_roots_by_root(GF65536, row), row
     assert circulant.lane_bytes() == held
     # the bound is for the whole process: folding GF(2^16) rows at d = 3,
     # 5, 15 and 17 in turn under a bound of 32 KiB keeps every entry met at
@@ -339,11 +353,11 @@ def test_lane_tables_stay_within_their_bound(monkeypatch):
     rng = random.Random(28)
     kept = []
     for n in (3, 5, 15, 17):
-        for row in _seeded_rows(GF65536, n, 60, rng):
-            assert autocorrelation_roots(GF65536, row, n) == roots_by_root(GF65536, row, n), row
-        kept.append(sum(map(len, circulant._lanes(GF65536, n)[1])))
+        for row in filter(any, _seeded_rows(GF65536, n, 60, rng)):
+            assert block_roots(GF65536, row) == block_roots_by_root(GF65536, row), row
+        kept.append(sum(map(len, circulant._lanes(GF65536, n))))
     assert kept[0] and kept[1] and kept[2:] == [0, 0]
     total = circulant.lane_bytes()
     assert total == sum(circulant.lane_entry_bytes(16, d) * k for d, k in zip((3, 5, 15, 17), kept))
     assert (1 << 15) - circulant.lane_entry_bytes(16, 17) < total <= 1 << 15
-    assert all(tables[0].held == [total] for _, tables in circulant._LANES.values())
+    assert all(tables[0].held == [total] for tables in circulant._LANES.values())

@@ -3,7 +3,8 @@
 import dataclasses
 import random
 from collections import Counter
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations, groupby, product
 from math import comb, gcd
 
 import pytest
@@ -42,6 +43,7 @@ from circmds.props import (
     matrix_properties_json,
     order_category,
     power_scalar,
+    row_block,
 )
 from circmds.verify import random_rows
 from reference import (
@@ -57,6 +59,7 @@ from reference import (
     per_root_geometric_pair,
     planted_semi_orthogonal_row,
     scalar_gram_root,
+    screen_by_gate,
     semi_involutory_count,
 )
 
@@ -1094,17 +1097,14 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     assert disconnected == 8536
 
 
-def test_pair_gate_folds_a_dense_row_with_no_block_step(monkeypatch):
-    # a row with fewer than n/2 zero entries is its own block, and the gate
-    # folds it at d = gcd(n, q - 1) with no block step; any other row goes
-    # through block_roots.  Either way the gate passes exactly the rows with
-    # a nonzero row sum and a non-empty block_roots, gives them those roots
-    # and folds each row with a nonzero row sum once: on every row of GF(4)
-    # n <= 6, GF(8) n <= 4 and GF(16) n = 4, and on seeded GF(2^8) and
-    # GF(2^16) rows with floor(n/2) and ceil(n/2) zero entries, at even n
-    # half of them on one coset of 2*Z_n, so that the block has order n/2,
-    # and order-6 rows on such a coset whose block has a planted root: its
-    # whole-row fold at d = 3 keeps the root e of the block as 2e mod 3
+@cache
+def _gate_rows() -> tuple:
+    """(field, row) pairs, grouped by field and order: every row of GF(4)
+    n <= 6, GF(8) n <= 4 and GF(16) n = 4, and seeded GF(2^8) and GF(2^16)
+    rows with floor(n/2) and ceil(n/2) zero entries, at even n half of them
+    on one coset of 2*Z_n, so that the block has order n/2, and order-6 rows
+    on such a coset whose block has a planted root: its whole-row fold at
+    d = 3 keeps the root e of the block as 2e mod 3."""
     rng = random.Random(28)
     rows = [(gf, row) for gf, top in ((GF4, 6), (GF8, 4)) for n in range(1, top + 1)
             for row in product(range(gf.order), repeat=n)]
@@ -1123,24 +1123,78 @@ def test_pair_gate_folds_a_dense_row_with_no_block_step(monkeypatch):
             for b in planted_semi_orthogonal_row(gf, 3, rng):
                 s0 = rng.randrange(2)
                 rows.append((gf, tuple(0 if (j - s0) % 2 else b[(j - s0) // 2] for j in range(6))))
-    gates = {}
+    return tuple(rows)
+
+
+def _gate_chunks():
+    """(field, order, rows) of each chunk of `_gate_rows`."""
+    for (gf, n), group in groupby(_gate_rows(), key=lambda pair: (pair[0], len(pair[1]))):
+        yield gf, n, [row for _, row in group]
+
+
+def test_pair_gate_folds_a_dense_row_with_no_block_step(monkeypatch):
+    # the gate of a scan chunk (`pair_screen`) folds a row with fewer than
+    # n/2 zero entries, its own block, in place at d = gcd(n, q - 1), with
+    # no block step; it asks `row_block` of any other row, and hands the
+    # block of one whose support is disconnected to block_roots.  Either way
+    # it admits
+    # exactly the rows with a nonzero row sum and a non-empty block_roots,
+    # in chunk order, gives them those roots, counts each other row's weight
+    # as rejected and folds each row with a nonzero row sum once, on its
+    # block: on the rows of `_gate_rows`
+    wants = {(gf, row): props.block_roots(gf, row) if diag_trace(row) else []
+             for gf, row in _gate_rows()}
     folds = count_folds(monkeypatch)
+    asked = []
+
+    def counting_block(row):
+        asked.append(row)
+        return row_block(row)
+
+    monkeypatch.setattr(props, "row_block", counting_block)
     census = Counter()
-    for gf, row in rows:
-        n = len(row)
-        if (gf, n) not in gates:
-            gates[gf, n] = props.pair_gate(gf, {"orthogonal"}, n)
-        want = props.block_roots(gf, row) if diag_trace(row) else []
+    for gf, n, rows in _gate_chunks():
         folds.clear()
-        p = gates[gf, n](row)
-        assert len(folds) == (diag_trace(row) != 0), row
-        if want:
-            assert p is not None and p.row == row and p.autocorrelation() == want, (gf, row)
-            census["dense" if 2 * row.count(0) < n else "block"] += 1
-        else:
-            assert p is None, (gf, row)
-        assert len(folds) <= 1
+        asked.clear()
+        admitted, rejected = props.pair_screen(gf, {"orthogonal"}, n,
+                                               [(row, (1,), 1, False) for row in rows])
+        assert [(item[0], roots) for item, _, roots in admitted] == [
+            (row, wants[gf, row]) for row in rows if wants[gf, row]]
+        assert rejected == len(rows) - len(admitted)
+        blocks = [gcd_block(row)[2] for row in rows if diag_trace(row)]
+        assert Counter(folds) == Counter((b, gcd(len(b), gf.order - 1)) for b in blocks)
+        assert {row for row in asked if len(row) == n} == {
+            row for row in rows if diag_trace(row) and 2 * row.count(0) >= n}
+        for item, _, _ in admitted:
+            census["dense" if 2 * item[0].count(0) < n else "block"] += 1
     assert census == {"dense": 8621, "block": 763}
+
+
+# the admitted rows of `_gate_rows` with a nonzero square root and with
+# roots of unity: 4,619 rows have a scalar square, 9,384 an orthogonal
+# root, 4,547 of them both
+@pytest.mark.parametrize("relations, admitted_census", [
+    (("involutory",), {"root": 4619}),
+    (("orthogonal",), {"roots": 9384}),
+    (("involutory", "orthogonal"), {"root": 4619, "roots": 4837}),
+], ids=("involutory", "orthogonal", "both"))
+def test_pair_screen_matches_the_per_row_gate(relations, admitted_census):
+    # one loop over a chunk against the per-row gate it replaced
+    # (reference.pair_gate: `scalar_square_root`, then the plain lane fold
+    # of the support-gcd block): the same admitted rows, in chunk order,
+    # with the same root and roots, and the same rejected weight, with
+    # weights of 1 to 3 scalars, orbits of 1 to 3 and transposes, on every
+    # row of `_gate_rows`
+    rng = random.Random(35)
+    census = Counter()
+    for gf, n, rows in _gate_chunks():
+        items = [(row, (1,) * rng.randrange(1, 4), rng.randrange(1, 4), rng.random() < 0.5)
+                 for row in rows]
+        admitted, rejected = props.pair_screen(gf, relations, n, items)
+        assert (admitted, rejected) == screen_by_gate(gf, relations, n, items), (gf.poly, n)
+        for _, root, roots in admitted:
+            census["root" if root else "roots"] += 1
+    assert census == admitted_census
 
 
 # (m, poly, n, lead_one, rows, orthogonal pairs, those with mu != 1): every

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from math import gcd
 from pathlib import Path
@@ -280,14 +281,21 @@ def test_one_euclidean_inverse_per_row(monkeypatch):
 
 
 def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypatch):
-    # the scan goes by orbits: INV-NONE and SI-GEN share one fold per
-    # evaluated representative, which stands for its whole orbit; no mu is
-    # tried for the involutory relation, and no row, on any support, asks
-    # the gcd test
-    calls = {"fold": 0, "geometric": 0, "singular": []}
+    # the scan goes by orbits: INV-NONE and SI-GEN share the one fold that
+    # the chunk screen makes in place of each evaluated representative,
+    # which stands for its whole orbit, and hands to the row it admits, so
+    # no `scalar_square_root` runs again; no mu is tried for the involutory
+    # relation (no lane fold, no geometric pair), and no row, on any
+    # support, asks the gcd test
+    calls = {"screened": [], "square_root": 0, "geometric": 0, "singular": []}
 
-    def fold(row):
-        calls["fold"] += 1
+    def screen(gf, relations, n, items):
+        items = list(items)
+        calls["screened"] += [item[0] for item in items]
+        return real_screen(gf, relations, n, items)
+
+    def square_root(row):
+        calls["square_root"] += 1
         return scalar_square_root(row)
 
     def geometric(*args):
@@ -298,8 +306,10 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
         calls["singular"].append(tuple(row))
         return is_singular_row(gf, row)
 
-    real_geometric = props._geometric_pair
-    monkeypatch.setattr(props, "scalar_square_root", fold)
+    folds = count_folds(monkeypatch)
+    real_screen, real_geometric = verify.pair_screen, props._geometric_pair
+    monkeypatch.setattr(verify, "pair_screen", screen)
+    monkeypatch.setattr(props, "scalar_square_root", square_root)
     monkeypatch.setattr(props, "_geometric_pair", geometric)
     monkeypatch.setattr(props, "is_singular_row", gcd_test)
     report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
@@ -311,8 +321,9 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # 805 nonzero orbits under sigma and tau, and the zero row; at odd n
     # only the rows (r, 0, 0, 0, 0) have a scalar square, the orbit of the
     # representative (1, 0, 0, 0, 0)
-    assert classes == 4682 and len(kept) == 806 and calls["fold"] == len(kept)
-    assert calls["geometric"] == 0
+    assert classes == 4682 and len(kept) == 806
+    assert sorted(calls["screened"]) == sorted(kept)
+    assert calls["square_root"] == 0 and folds == [] and calls["geometric"] == 0
     # the representatives x^s with s != 0 (4 shifts paired by tau) have a
     # disconnected support and no scalar square, and ask nothing more
     assert (0, 1, 0, 0, 0) in kept and (0, 0, 1, 0, 0) in kept
@@ -704,6 +715,39 @@ def test_failure_lists_by_classes_equal_the_row_by_row_lists(monkeypatch):
         for workers in (1, 2):
             reduced = decided(run_suite(dataclasses.replace(config, worker_count=workers)))
             assert reduced == plain, (config.field.m, workers)
+
+
+def test_random_mode_tallies_dense_block_and_involutory_rows_in_draw_order(monkeypatch):
+    # a random scan does not sort its failure lists, so a chunk must tally
+    # the rows its screen admits in draw order.  A probe that declares the
+    # orthogonal relation fails on every row with a semi-orthogonal pair;
+    # beside SI-GEN, which declares the involutory one, such a row is
+    # admitted by the lane fold of a dense row, by `block_roots` of a row
+    # with at least n/2 zero entries, or by the involutory fold.  Over four
+    # spans of seeded GF(16) n = 6 draws and three forced rows (a block
+    # row, an involutory row and a dense row), the probe's counterexamples
+    # are the paired rows in draw order, forced rows first, and the payload
+    # equals the tally of each row on its own, at 1 and 2 workers
+    def probe(p):
+        return p.semi("orthogonal").found, False, None
+
+    monkeypatch.setitem(verify.SUITES, "PROBE", verify.SuiteDef(
+        "PROBE", lambda n: True, "any order", probe, relation="orthogonal"))
+    monkeypatch.setattr(verify, "CHUNK", 1024)
+    forced = ((1, 0, 2, 0, 10, 0), (0, 3, 9, 4, 3, 9), (1, 14, 2, 3, 5, 4))
+    config = ScanConfig(field=GF16, order=6, suites=("PROBE", "SI-GEN"), mode=RANDOM, seed=0,
+                        sample_count=4000, extra_rows=forced)
+    assert len(verify._chunk_spans(config)) == 1 + 4
+    want = every_row_tally(config)
+    paired = [row for row in forced + tuple(random_rows(0, 16, 6, 0, 4000))
+              if Properties(GF16, row).semi("orthogonal").found]
+    assert want["suites"]["PROBE"]["counterexamples"] == [
+        [GF16.format_element(v) for v in row] for row in paired]
+    kinds = Counter("involutory" if scalar_square_root(row) else
+                    "block" if 2 * row.count(0) >= 6 else "dense" for row in paired)
+    assert paired[:3] == list(forced) and kinds == {"dense": 38, "block": 2, "involutory": 3}
+    for workers in (1, 2):
+        assert decided(run_suite(dataclasses.replace(config, worker_count=workers))) == want
 
 
 def test_transposed_rows_list_their_power_scalar_failures_swapped(monkeypatch):
