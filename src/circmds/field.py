@@ -100,6 +100,7 @@ class GF2m:
         self.order = 1 << m
         self._mult_order = self.order - 1
         self._hex_width = (m + 3) // 4
+        self._names: dict[int, str] = {}
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -196,9 +197,16 @@ class GF2m:
         return v
 
     def format_element(self, a: int) -> str:
-        if not 0 <= a < self.order:
-            raise OutOfRange(f"{a} does not fit in GF(2^{self.m})")
-        return f"0x{a:0{self._hex_width}X}"
+        """The hex name of a, kept in `_names` from the first time a is
+        formatted: the cache holds at most the 2^m names, and a field that
+        formats nothing builds none."""
+        try:
+            return self._names[a]
+        except KeyError:
+            if not 0 <= a < self.order:
+                raise OutOfRange(f"{a} does not fit in GF(2^{self.m})") from None
+            name = self._names[a] = f"0x{a:0{self._hex_width}X}"
+            return name
 
     # -- identity and sharing ----------------------------------------------
 

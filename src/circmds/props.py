@@ -83,7 +83,11 @@ m/r full periods of the sum of mu^beta over beta < r, which is
 (mu^r - 1)/(mu - 1) == 0.  So at even n every semi-orthogonal circulant,
 MDS or not, has trace(d1) == trace(d2) == 0, on a connected support
 (g == 1) or not.  At odd n, g and m are odd, and both traces are nonzero
-exactly when mu == 1.
+exactly when mu == 1.  Corollary: at odd n with gcd(n, q - 1) == 1, the
+one mu in GF(q)* with mu^m == 1, m | n, is 1, so A*A^T == t^2 * I for
+the row sum t != 0: every semi-orthogonal circulant is t times an
+orthogonal one, and both of its traces are nonzero.  In GF(2^8) that
+holds at n = 7, 11, 13, 19, ....
 
 A first row is decided in R = GF(q)[x]/(x^n - 1) without its n x n
 matrix.  `is_mds` takes the row and logs its entries once, as the minors
@@ -134,12 +138,11 @@ names a zero minor's pair by bisection.
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations, islice
 from math import comb, gcd
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circulant import (
     OddOrder,
@@ -185,8 +188,11 @@ def order_category(n: int) -> str:
     return MOD4_ZERO if n % 4 == 0 else MOD4_TWO
 
 
-@dataclass(frozen=True)
-class MdsVerdict:
+# The records are named tuples, immutable and copied by `_replace`, as
+# `check` builds one Classification per row and a frozen dataclass costs
+# four to seven times as much to build; each equals a plain tuple of its
+# fields.
+class MdsVerdict(NamedTuple):
     is_mds: bool
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = None
 
@@ -194,8 +200,7 @@ class MdsVerdict:
         return self.is_mds
 
 
-@dataclass(frozen=True)
-class DiagonalPair:
+class DiagonalPair(NamedTuple):
     """Associated diagonal pair (D1, D2), all entries nonzero."""
 
     d1: tuple[int, ...]
@@ -654,12 +659,14 @@ def power_scalar(gf: GF2m, d, n: int) -> Optional[int]:
 
     Returns None when the powers differ or when k would be 0 (the scalar
     is required to be nonzero, so a zero entry disqualifies the diagonal).
+    The powers of nonzero entries are compared by their logs,
+    n*log(d_i) mod q-1, as exp_table is one-to-one on 0 .. q-2.
     """
-    powers = {gf.pow(v, n) for v in d}
-    if len(powers) != 1:
+    if 0 in d:  # log_table[0] is a placeholder, not a log
         return None
-    k = powers.pop()
-    return k if k != 0 else None
+    log, q1 = gf.log_table, gf.order - 1
+    powers = {n * log[v] % q1 for v in d}
+    return gf.exp_table[powers.pop()] if len(powers) == 1 else None
 
 
 def is_nonperiodic(d) -> bool:
@@ -671,8 +678,7 @@ def is_nonperiodic(d) -> bool:
     return all(d[i] != d[i + h] for i in range(h))
 
 
-@dataclass(frozen=True)
-class SemiReport:
+class SemiReport(NamedTuple):
     """Outcome of one semi-property check on a nonsingular matrix."""
 
     found: bool
@@ -704,8 +710,7 @@ def _nonperiodic(report: SemiReport, n: int) -> tuple[Optional[bool], Optional[b
     return is_nonperiodic(report.pair.d1), is_nonperiodic(report.pair.d2)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Everything `check` reports about one square matrix."""
 
     order: int

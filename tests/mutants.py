@@ -219,6 +219,37 @@ MUTANTS = (
         ("tests/test_props.py::test_classify_example1",
          "tests/test_census.py::test_outputs_keep_the_committed_census"),
     ),
+    Mutant(
+        "format-element-cache-unchecked", "src/circmds/field.py",
+        "            if not 0 <= a < self.order:\n"
+        "                raise OutOfRange(f\"{a} does not fit in GF(2^{self.m})\") from None\n",
+        "",
+        ("tests/test_field.py::"
+         "test_format_element_refuses_out_of_range_before_and_after_names_are_cached",),
+    ),
+    Mutant(
+        "power-scalar-keeps-zero", "src/circmds/props.py",
+        "    if 0 in d:  # log_table[0] is a placeholder, not a log\n"
+        "        return None\n",
+        "",
+        ("tests/test_props.py::test_power_scalar_matches_the_entrywise_powers_exhaustively",),
+    ),
+    Mutant(
+        "euclid-stops-a-step-early", "src/circmds/circulant.py",
+        "if len(r1) <= 1:",
+        "if len(r1) <= 2:",
+        ("tests/test_circulant.py::test_even_order_inverse_agrees_with_the_dense_inverse",
+         "tests/test_props.py::test_circulant_semi_pair_agrees_with_dense_path_exhaustively",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "square-root-accepts-every-row-at-n4", "src/circmds/circulant.py",
+        "if first_row[1:h] == first_row[h + 1:] else 0",
+        "if n == 4 or first_row[1:h] == first_row[h + 1:] else 0",
+        ("tests/test_circulant.py::test_scalar_square_root_matches_the_dense_square_exhaustively",
+         "tests/test_circulant.py::test_first_row_identities_match_dense_checks_exhaustively",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
 )
 
 

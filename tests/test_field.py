@@ -230,6 +230,19 @@ def test_round_trip_all_elements(gf):
         assert gf.parse_element(gf.format_element(a)) == a
 
 
+def test_format_element_refuses_out_of_range_before_and_after_names_are_cached():
+    # names are kept per field from their first use; every miss is range
+    # checked, so -1 and q raise with the cache empty and with it full, and
+    # the cache never holds more than the q names
+    gf = GF2m(3, 0xB)  # a fresh instance: get_field's is shared
+    for _ in range(2):
+        for bad in (-1, gf.order):
+            with pytest.raises(OutOfRange):
+                gf.format_element(bad)
+        assert [gf.format_element(a) for a in range(gf.order)] == [f"0x{a:X}" for a in range(gf.order)]
+    assert len(gf._names) == gf.order
+
+
 def test_format_width_follows_degree():
     assert GF4.format_element(3) == "0x3"
     assert GF16.format_element(3) == "0x3"

@@ -1,6 +1,5 @@
 """Decision procedures: MDS, identity checks, diagonal solving, classification."""
 
-import dataclasses
 import random
 from collections import Counter
 from functools import cache
@@ -751,6 +750,18 @@ def test_power_scalar_absent_cases():
     assert power_scalar(GF8, [0, 0], 2) is None  # zero scalar disallowed
 
 
+@pytest.mark.parametrize("gf", [GF4, GF8])
+def test_power_scalar_matches_the_entrywise_powers_exhaustively(gf):
+    # every diagonal of length <= 3, zeros included, at every exponent up to
+    # q: the logs compared mod q - 1 against the powers themselves
+    for length in range(1, 4):
+        for d in product(range(gf.order), repeat=length):
+            for n in range(1, gf.order + 1):
+                powers = {gf.pow(v, n) for v in d}
+                want = powers.pop() if len(powers) == 1 else None
+                assert power_scalar(gf, d, n) == (want or None), (d, n)
+
+
 # -- nonperiodicity ----------------------------------------------------------------------------
 
 
@@ -792,6 +803,27 @@ def test_classify_example1():
     so = cls.semi_orthogonal
     assert (so.k1, so.k2) == (1, F11D.pow(0x3E, 3)) != (so.k2, so.k1)
     assert cls.nonperiodic_d1 is None  # odd order
+
+
+def test_records_are_immutable_tuples_with_the_dataclass_repr():
+    # what callers rely on: the verdict's truth, no assignment, copies by
+    # _replace, hashing, and the repr the frozen dataclasses printed
+    assert bool(MdsVerdict(False, ((0,), (1,)))) is False and bool(MdsVerdict(True)) is True
+    cls = classify(F11D, EX1_ROW)
+    for record in (cls, cls.mds, cls.semi_orthogonal, cls.semi_orthogonal.pair):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    changed = cls._replace(first_row=None)
+    assert changed.first_row is None and cls.first_row == EX1_ROW
+    assert changed._replace(first_row=EX1_ROW) == cls
+    assert hash(changed._replace(first_row=EX1_ROW)) == hash(cls)
+    assert repr(cls) == (
+        "Classification(order=3, category='ODD', first_row=(2, 3, 6), singular=False, "
+        "mds=MdsVerdict(is_mds=True, witness=None), involutory=False, orthogonal=False, "
+        "semi_involutory=SemiReport(found=False, pair=None, k1=None, k2=None, "
+        "trace_d1=None, trace_d2=None), semi_orthogonal=SemiReport(found=True, "
+        "pair=DiagonalPair(d1=(1, 1, 1), d2=(62, 62, 62)), k1=1, k2=127, trace_d1=1, "
+        "trace_d2=62), nonperiodic_d1=None, nonperiodic_d2=None)")
 
 
 def test_classify_example2_has_zero_trace_pair():
@@ -897,7 +929,7 @@ def test_row_and_matrix_records_agree_exhaustively():
                 want = classify(gf, row)
                 got = dense_classification(gf, build(row))
                 assert want.first_row == row and got.first_row is None
-                assert got == dataclasses.replace(want, first_row=None), (gf.m, row)
+                assert got == want._replace(first_row=None), (gf.m, row)
                 with_flags += want.nonperiodic_d1 is not None
     assert with_flags == 1060
 
@@ -1273,7 +1305,10 @@ def test_block_takes_the_support_gcd_only_on_rows_with_half_their_entries_zero(m
 
 @pytest.mark.parametrize("gf, n, scalar, other", [
     (GF16, 3, 13, 24), (GF16, 5, 213, 848), (GF8, 5, 61, 0), (GF32, 3, 31, 0),
-    (GF8, 9, 189, 0), (GF4, 15, 225, 0), (GF16, 9, 675, 1080)])
+    (GF8, 9, 189, 0), (GF4, 15, 225, 0), (GF16, 9, 675, 1080),
+    # gcd(n, q - 1) == 1, as at (GF8, 5) and (GF32, 3): only mu == 1, so
+    # every pair is scalar-orthogonal
+    (GF8, 3, 7, 0), (GF4, 5, 17, 0), (GF4, 7, 55, 0)])
 def test_odd_order_traces_vanish_exactly_off_scalar_orthogonal(gf, n, scalar, other):
     # at odd n a semi-orthogonal pair has trace c*g*(sum of mu^-u over u < n/g)
     # for runs of g entries: c when mu == 1, that is when A*A^T is scalar,

@@ -761,8 +761,8 @@ def test_transposed_rows_list_their_power_scalar_failures_swapped(monkeypatch):
     def semi(p, relation):
         rep = real_semi(p, relation)
         if rep.found:
-            rep = p.semi_reports[relation] = dataclasses.replace(
-                rep, k1=None if p.row[1] == 0 else rep.k1, k2=None if p.row[-1] == 0 else rep.k2)
+            rep = p.semi_reports[relation] = rep._replace(
+                k1=None if p.row[1] == 0 else rep.k1, k2=None if p.row[-1] == 0 else rep.k2)
         return rep
 
     monkeypatch.setattr(Properties, "semi", semi)
