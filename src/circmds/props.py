@@ -65,13 +65,29 @@ kappa^-1.  So one XOR fold over the first row decides the relation: a
 scalar square gives the pair (1, ..., 1), (k^-1, ..., k^-1), and any
 other row has none.  For A^-T the gcd(m, q-1) roots of unity are tried
 together, in one fold of b that tests them all at once (the lane identity
-of the `circulant` module docstring), once the row sum is nonzero.  That
-fold has one loop, in `pair_screen`, which screens a scan chunk's rows in
-place; `block_roots` hands it a as a one-row chunk.  No
-circulant builds a matrix or runs the generic solver: that runs only for
-a matrix that is not circulant, on the dense inverse
-(`dense_classification`); the tests check the shortcut against it and it
-against a brute-force search over diagonal pairs.
+below), once the row sum is nonzero.  Both folds have one loop,
+`pair_screen`, which screens a scan chunk's rows in place; `block_roots`
+hands it one row as a one-row chunk.  No circulant builds a matrix or
+runs the generic solver: that runs only for a matrix that is not
+circulant, on the dense inverse (`dense_classification`); the tests check
+the shortcut against it and it against a brute-force search over diagonal
+pairs.
+
+The lane identity.  Coefficient t of a(x^-1)*a(mu*x) is the sum over j of
+a_j*a_(j-t)*mu^j, and for a d-th root of unity mu, mu^j depends only on
+r = j mod d.  `_lanes(gf, d)` maps a residue r and a product x to one int
+that holds x*mu^r for every root mu = g^(e*(q-1)/d), e < d, in lane e:
+bits e*(m+1) .. e*(m+1) + m - 1, with bit e*(m+1) + m left 0.  XOR acts
+lane by lane, so the XOR v of the entries of the terms a_j*a_(j-t) is
+coefficient t at every root at once.  With low holding 2^m - 1 in every
+lane, x + 2^m - 1 < 2^(m+1) sets bit m of its lane exactly when x != 0,
+and no lane carries into the next; so bit m of lane e of v + low is 1
+exactly when coefficient t is nonzero at the e-th root, and one AND with
+its complement drops those roots.  `_lanes` keeps the d tables per
+(field, d), which only `pair_screen` reads.  The tables fill an entry on
+first use, so a row of GF(2^16) keeps only the entries it meets, and stop
+once the entries of every (field, d) of the process take LANE_BYTES
+(`lane_bytes`); an entry met after that is made again on each use.
 
 The traces of a semi-orthogonal pair follow from its form.  The map
 j -> ((j - s0) mod n) div g takes each beta < m exactly g times, so
@@ -144,13 +160,7 @@ from math import comb, gcd
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .circulant import (
-    OddOrder,
-    _lanes,
-    is_circulant,
-    is_singular_row,
-    scalar_square_root,
-)
+from .circulant import OddOrder, is_circulant, is_singular_row
 from .field import GF2m
 from .matgf import (
     DimensionMismatch,
@@ -577,15 +587,20 @@ def row_block(a) -> tuple[int, int, tuple[int, ...]]:
     return s0, g, a[s0::g]
 
 
-def block_roots(gf: GF2m, a) -> list[int]:
-    """The e < d, in increasing order, for which b(y^-1)*b(mu*y) mod
-    y^m - 1 is a constant, for the block b of the nonzero row a, m = len(b),
-    d = gcd(m, q-1) and mu = w^(e*(q-1)/d) for the field generator w; [] at
-    a zero row sum.  A semi-orthogonal pair needs one of them, and a nonzero
-    row sum.  a goes through `pair_screen` as a one-row chunk, which folds
-    b."""
-    admitted = pair_screen(gf, ("orthogonal",), len(a), ((a, (), 0, False),))[0]
-    return admitted[0][2] if admitted else []
+def block_roots(gf: GF2m, a, relations) -> tuple:
+    """(root, roots) of the row a, from `pair_screen` on a as a one-row
+    chunk for the semi `relations`: root, when "involutory" is asked, is
+    the r with circulant(a)^2 == r^2 * I, or 0; roots, when "orthogonal" is
+    asked and root is 0 or not asked, are the e < d, in increasing order, for
+    which b(y^-1)*b(mu*y) mod y^m - 1 is a constant, for the block b of a
+    (`row_block`), m = len(b), d = gcd(m, q-1) and mu = w^(e*(q-1)/d) for
+    the field generator w, and [] at a zero row sum.  A semi-orthogonal
+    pair needs one of them, and a nonzero row sum.  A fold not made is
+    None."""
+    admitted = pair_screen(gf, relations, len(a), ((a, (), 0, False),))[0]
+    if admitted:
+        return admitted[0][1:]
+    return 0 if "involutory" in relations else None, [] if "orthogonal" in relations else None
 
 
 def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
@@ -615,12 +630,12 @@ def circulant_semi_pair(p: Properties, relation: str) -> Optional[DiagonalPair]:
         return DiagonalPair((1,) * p.n, (k_inv,) * p.n)
     if relation != "orthogonal":
         raise ValueError(f"unknown relation {relation!r}")
-    return _geometric_pair(p) if diag_trace(p.row) else None
+    return _geometric_pair(p)
 
 
 def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
-    """The pair of `circulant_semi_pair` for A^-T, or None, for a row
-    a = p.row with a nonzero row sum, from its block b (`row_block`).
+    """The pair of `circulant_semi_pair` for A^-T, or None, for the row
+    a = p.row, from its block b (`row_block`).
 
     The mu = w^s for the field generator w, s = 0, (q-1)/d, ..., for which
     b(y^-1)*b(mu*y) is a constant come from one fold that tests all
@@ -629,8 +644,8 @@ def _geometric_pair(p: Properties) -> Optional[DiagonalPair]:
     of b_j^2*mu^j, is nonzero gives the pair, d1_i = mu^-(i div g) and
     d2_j = k^-1 * mu^(((j - s0) mod n) div g); on a nonsingular A that is
     the first survivor, so k is summed about once.  At y = 1 the identity
-    reads b(1)*b(mu) == k, and b(1) is the row sum, so a zero row sum,
-    which the caller rules out, leaves none."""
+    reads b(1)*b(mu) == k, and b(1) is the row sum, so a zero row sum
+    leaves none, and its screen folds nothing and gives no roots."""
     roots = p.autocorrelation()
     if not roots:  # most rows: no mu survives
         return None
@@ -736,7 +751,10 @@ class Properties:
     (`square_root`) shared by the involutory test and the semi-involutory
     pair, and one autocorrelation fold of the row's block (`row_block`,
     `autocorrelation`) shared by the orthogonal test and the
-    semi-orthogonal pair.  No dense matrix is built and the generic solver
+    semi-orthogonal pair.  Both come from `pair_screen`: a scan hands in
+    those of its chunk's screen, `classify` those of one screen of the row
+    for both relations, and any other fold is screened on first use
+    (`block_roots`).  No dense matrix is built and the generic solver
     never runs; the gcd test `is_singular_row` serves only the `singular`
     field of `classification`.  `semi_reports` (relation -> SemiReport) and
     `mds_verdict` hold what has been evaluated so far, in evaluation order;
@@ -772,17 +790,17 @@ class Properties:
         return self.mds_verdict
 
     def square_root(self) -> int:
-        """`scalar_square_root` of the row, folded once for the involutory
-        test, the semi-involutory pair and INV-NONE."""
+        """The r with A^2 == r^2 * I, or 0 (`block_roots`), folded once for
+        the involutory test, the semi-involutory pair and INV-NONE."""
         if self._root is None:
-            self._root = scalar_square_root(self.row)
+            self._root = block_roots(self.gf, self.row, ("involutory",))[0]
         return self._root
 
     def autocorrelation(self) -> list[int]:
-        """`block_roots` of the row, folded once for the orthogonal test, the
-        semi-orthogonal pair and ORTH-NONE."""
+        """The roots of unity of the row's block (`block_roots`), folded once
+        for the orthogonal test, the semi-orthogonal pair and ORTH-NONE."""
         if self._roots is None:
-            self._roots = block_roots(self.gf, self.row)
+            self._roots = block_roots(self.gf, self.row, ("orthogonal",))[1]
         return self._roots
 
     def gram_root(self) -> int:
@@ -833,8 +851,76 @@ class Properties:
 
 
 def classify(gf: GF2m, first_row) -> Classification:
-    """Run the full property battery on circulant(first_row)."""
-    return Properties(gf, first_row).classification()
+    """Run the full property battery on circulant(first_row), from one
+    screen of the row for both relations (`block_roots`)."""
+    row = tuple(first_row)
+    return Properties(gf, row, *block_roots(gf, row, ("involutory", "orthogonal"))).classification()
+
+
+class _Lane(dict):
+    """Residue r's table of `_lanes`: product x -> the int that holds
+    x*mu^r in lane e for each root mu = g^(e*(q-1)/d), filled on first use
+    while the entries of every table in `_LANES` stay within LANE_BYTES
+    (`_lanes_held`); an entry met after that is made again on each use."""
+
+    __slots__ = ("gf", "d", "r", "keep")
+
+    def __init__(self, gf: GF2m, d: int, r: int):
+        self.gf, self.d, self.r, self.keep = gf, d, r, True
+
+    def __missing__(self, x: int) -> int:
+        global _lanes_held
+        gf, d, r = self.gf, self.d, self.r
+        exp, lx = gf.exp_table, gf.log_table[x]
+        step, width = (gf.order - 1) // d, gf.m + 1
+        packed = 0
+        for e in range(d):
+            packed |= exp[lx + step * (e * r % d)] << (e * width)
+        if self.keep:
+            size = lane_entry_bytes(gf.m, d)
+            if _lanes_held + size <= LANE_BYTES:
+                self[x] = packed
+                _lanes_held += size
+            else:  # no entry is ever dropped, so the tables stay full
+                self.keep = False
+        return packed
+
+
+# The most bytes the kept entries of every (field, d) take together, each
+# entry counted as its d*(m+1) packed bits and 128 bytes of int headers, key
+# and dict slot (tracemalloc reads 90 to 113 bytes besides the packed bits).
+# A field up to GF(2^8) keeps its whole tables at any one d but 255.
+LANE_BYTES = 1 << 23
+
+# (field polynomial, d) -> its d residue tables
+_LANES: dict[tuple[int, int], list] = {}
+
+# the bytes LANE_BYTES counts for the entries kept in `_LANES`, one count
+# for the process: `lane_bytes()`, kept as the tables fill
+_lanes_held = 0
+
+
+def lane_entry_bytes(m: int, d: int) -> int:
+    """The bytes LANE_BYTES counts for one entry of GF(2^m) at d."""
+    return 128 + d * (m + 1) // 8
+
+
+def lane_bytes() -> int:
+    """The bytes the entries kept in `_LANES` take, as LANE_BYTES counts
+    them."""
+    return sum(lane_entry_bytes(poly.bit_length() - 1, d) * sum(map(len, tables))
+               for (poly, d), tables in _LANES.items())
+
+
+def _lanes(gf: GF2m, d: int) -> list[_Lane]:
+    """The d residue tables of the lane identity for the d-th roots of
+    unity of gf, table r for residue r, kept per (field, d); no entry is
+    made here."""
+    key = (gf.poly, d)  # the polynomial fixes the field; a GF2m hashes in Python
+    tables = _LANES.get(key)
+    if tables is None:
+        tables = _LANES[key] = [_Lane(gf, d, r) for r in range(d)]
+    return tables
 
 
 @cache
@@ -842,7 +928,12 @@ def _fold_plan(m: int, n: int) -> tuple:
     """(d, low, top, terms) of the lane fold of order-n rows over GF(2^m):
     d = gcd(n, 2^m - 1) lanes of m + 1 bits, low and top holding 2^m - 1
     and 2^m in each lane, and per shift t = 1 .. (n-1)//2 the
-    (j, j - t mod n) of the terms a_j*a_(j-t) of coefficient t, j < n."""
+    (j, j - t mod n) of the terms a_j*a_(j-t) of coefficient t, j < n.
+
+    Those are n*((n-1)//2) pairs, 53 MiB at n = 1,000, so an order whose
+    MDS test refuses a row with no zero entry at size 2 (`is_mds`, from
+    order 408) is refused here too, before the plan is built."""
+    _refuse_large_layer(n, 2, _kept_minors(n, 2))
     d = gcd(n, (1 << m) - 1)
     ones = ((1 << d * (m + 1)) - 1) // ((2 << m) - 1)  # 1 in each lane
     terms = tuple(tuple((j, (j - t) % n) for j in range(n)) for t in range(1, (n - 1) // 2 + 1))
@@ -854,9 +945,10 @@ def pair_screen(gf: GF2m, relations, n: int, items) -> tuple[list, int]:
     size, transposed) with a row of order n: admitted holds, in the order of
     `items`, (item, root, roots) for each row that by its folds may have the
     pair of one of the semi `relations` ("involutory", "orthogonal"), with
-    root its `scalar_square_root` and roots its `block_roots` where they
-    were folded, else None; rejected is the sum of
-    len(scalars) * size << transposed over the other rows.
+    root the scalar square root (below) and roots the block's roots of
+    unity (`block_roots`) where they were folded, else None; rejected is
+    the sum of len(scalars) * size << transposed over the other rows.  It
+    is the one loop in the package that folds a first row.
 
     The semi-involutory pair exists exactly when the scalar square root is
     nonzero, and a semi-orthogonal pair needs a nonzero row sum and a root
@@ -869,16 +961,26 @@ def pair_screen(gf: GF2m, relations, n: int, items) -> tuple[list, int]:
     (`row_block`) and is folded here, and any other row's block goes
     through `block_roots`, a one-row chunk at its order.
 
-    The lane fold (the `circulant` module docstring): coefficient t of
-    a(x^-1)*a(mu*x) is the sum over j of a_j*a_(j-t)*mu^j, which is mu^t
-    times coefficient n - t; at even n = 2h the terms j and j + h of
-    coefficient h differ by mu^h, which is 1 (mu has odd order dividing n),
-    and cancel.  So only t = 1 .. (n-1)//2 are tested.  The XOR v of the
-    entries the residue tables hold for the terms' products is coefficient
-    t at every mu, lane by lane, and `alive &= ~(v + low)` keeps the mu
-    whose lane is 0, where low holds 2^m - 1 and top 2^m in each of the d
-    lanes of m + 1 bits.  A mu drops at its first nonzero coefficient, and
-    the fold stops when none is alive.
+    The scalar square: in characteristic 2, a(x)^2 == sum of
+    a_j^2 * x^(2j) mod x^n - 1, so its coefficient at t is r_t^2, where r_t
+    is the sum (XOR) of the a_j with 2j == t (mod n).  So A^2 is the
+    constant r_0^2 exactly when r_t == 0 for every t != 0, and it is
+    nonzero exactly when r_0 is; the fold needs no field arithmetic.  At
+    odd n, j -> 2j mod n is a bijection, so r_t is a single a_j and the row
+    must be (r, 0, ..., 0).  At even n = 2h, r_t is 0 at odd t and
+    a_i + a_(i+h) at t = 2i, so a_i == a_(i+h) for 0 < i < h and
+    r = a_0 + a_h.  A is involutory exactly when r == 1.
+
+    The lane fold (the module docstring): coefficient t of a(x^-1)*a(mu*x)
+    is the sum over j of a_j*a_(j-t)*mu^j, which is mu^t times coefficient
+    n - t; at even n = 2h the terms j and j + h of coefficient h differ by
+    mu^h, which is 1 (mu has odd order dividing n), and cancel.  So only
+    t = 1 .. (n-1)//2 are tested.  The XOR v of the entries the residue
+    tables hold for the terms' products is coefficient t at every mu, lane
+    by lane, and `alive &= ~(v + low)` keeps the mu whose lane is 0, where
+    low holds 2^m - 1 and top 2^m in each of the d lanes of m + 1 bits.  A
+    mu drops at its first nonzero coefficient, and the fold stops when
+    none is alive.
     """
     involutory = "involutory" in relations
     orthogonal = "orthogonal" in relations
@@ -892,7 +994,7 @@ def pair_screen(gf: GF2m, relations, n: int, items) -> tuple[list, int]:
         row = item[0]
         zeros = row.count(0)
         root = None
-        if involutory:  # `scalar_square_root`
+        if involutory:  # the scalar square
             if n & 1:
                 root = row[0] if zeros == n - 1 else 0
             else:
@@ -921,7 +1023,7 @@ def pair_screen(gf: GF2m, relations, n: int, items) -> tuple[list, int]:
                             break
                     roots = alive and [e for e in range(d) if alive >> (e * (m + 1) + m) & 1]
                 else:
-                    roots = block_roots(gf, b)
+                    roots = block_roots(gf, b, ("orthogonal",))[1]
                 if roots:
                     admitted.append((item, root, roots))
                     continue

@@ -37,7 +37,7 @@ Scalar classes.  Take A = circulant(a), c != 0, and the member c*a:
                member, and d2 only scales by c^-2, which keeps whether
                k2 is None and whether trace(d2) == 0.
   interleaved  both sums scale by c, so whether one is zero is the same.
-  involutory   with r = scalar_square_root(a), (cA)^2 == c^2*r^2*I, so c*a
+  involutory   with r = Properties.square_root(), (cA)^2 == c^2*r^2*I, so c*a
                has the root c*r, and a member (c = r^-1) is involutory
                exactly when r != 0.
   orthogonal   with t = Properties.gram_root(), (cA)*(cA)^T == c^2*t^2*I, so

@@ -98,9 +98,9 @@ MUTANTS = (
          "tests/test_props.py::test_is_mds_matches_definition_and_witness"),
     ),
     Mutant(
-        "lane-count-per-key", "src/circmds/circulant.py",
-        "held = next(iter(_LANES.values()))[0].held if _LANES else [0]",
-        "held = [0]",
+        "lane-count-per-key", "src/circmds/props.py",
+        "if _lanes_held + size <= LANE_BYTES:",
+        "if size * (1 + sum(map(len, _LANES[gf.poly, d]))) <= LANE_BYTES:",
         ("tests/test_circulant.py::test_lane_tables_stay_within_their_bound",),
     ),
     Mutant(
@@ -243,11 +243,32 @@ MUTANTS = (
          "tests/test_census.py::test_outputs_keep_the_committed_census"),
     ),
     Mutant(
-        "square-root-accepts-every-row-at-n4", "src/circmds/circulant.py",
-        "if first_row[1:h] == first_row[h + 1:] else 0",
-        "if n == 4 or first_row[1:h] == first_row[h + 1:] else 0",
-        ("tests/test_circulant.py::test_scalar_square_root_matches_the_dense_square_exhaustively",
+        "square-root-accepts-every-row-at-n4", "src/circmds/props.py",
+        "root = row[0] ^ row[h] if row[1:h] == row[h + 1:] else 0",
+        "root = row[0] ^ row[h] if n == 4 or row[1:h] == row[h + 1:] else 0",
+        ("tests/test_props.py::test_pair_screen_matches_the_per_row_gate",
          "tests/test_circulant.py::test_first_row_identities_match_dense_checks_exhaustively",
+         "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "classify-drops-the-screen-roots", "src/circmds/props.py",
+        "Properties(gf, row, *block_roots(gf, row, (\"involutory\", \"orthogonal\")))",
+        "Properties(gf, row, block_roots(gf, row, (\"involutory\", \"orthogonal\"))[0])",
+        ("tests/test_props.py::test_classify_screens_a_row_once_for_both_relations",
+         "tests/test_props.py::test_a_row_folds_its_autocorrelation_at_most_once"),
+    ),
+    Mutant(
+        "fold-plan-without-order-limit", "src/circmds/props.py",
+        "    _refuse_large_layer(n, 2, _kept_minors(n, 2))\n",
+        "",
+        ("tests/test_cli.py::test_check_refuses_a_first_row_from_the_order_the_mds_test_refuses",),
+    ),
+    Mutant(
+        "generator-is-x", "src/circmds/field.py",
+        "            if all(self._pow_raw(g, q1 // p) != 1 for p in primes):\n",
+        "            if True:  # x, primitive or not\n",
+        ("tests/test_verify.py::test_field_isomorphisms_carry_classify_and_the_scan_counts",
+         "tests/test_field.py::test_mul_matches_shift_reduce_sampled",
          "tests/test_census.py::test_outputs_keep_the_committed_census"),
     ),
 )

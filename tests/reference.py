@@ -9,8 +9,7 @@ from itertools import product
 from math import comb, gcd
 from typing import Optional
 
-from circmds import circulant, props, verify
-from circmds.circulant import scalar_square_root
+from circmds import props, verify
 from circmds.matgf import Singular, diag_trace, inverse, transpose
 from circmds.props import DiagonalPair, Properties, diagonal_scaling_solve
 from circmds.verify import RANDOM, SUITES, BudgetExceeded, ScanReport, random_rows, run_suite
@@ -111,18 +110,32 @@ def per_root_geometric_pair(gf, row) -> Optional[DiagonalPair]:
     return None
 
 
+def scalar_square_root(first_row) -> int:
+    """The r with circulant(first_row)^2 == r^2 * I, or 0 when that square
+    is not a nonzero scalar matrix, by the XOR fold that `props.pair_screen`
+    runs in place: r_t, the sum of the a_j with 2j == t (mod n), must be 0
+    at every t != 0, and r = r_0.  At odd n that leaves the rows
+    (r, 0, ..., 0); at even n = 2h the rows with a_i == a_(i+h) for
+    0 < i < h, and r = a_0 + a_h."""
+    n = len(first_row)
+    h = n >> 1
+    if n & 1:
+        return 0 if any(first_row[1:]) else first_row[0]
+    return first_row[0] ^ first_row[h] if first_row[1:h] == first_row[h + 1:] else 0
+
+
 def autocorrelation_roots(gf, first_row, d: int) -> list:
     """The e < d, in increasing order, for which a(x^-1)*a(mu*x) mod x^n - 1
     is a constant, with mu = g^(e*(q-1)/d) for the field generator g; d
     divides gcd(n, q - 1), so these mu are the d-th roots of unity.
 
     The lane fold of `props.pair_screen` on its own, over the lane tables of
-    `circulant._lanes` (d, m + 1 bits per lane), at any d and with no
+    `props._lanes` (d, m + 1 bits per lane), at any d and with no
     row-sum test: for t = 1 .. (n-1)//2 the XOR v of the residue tables'
     entries for the terms a_j*a_(j-t) is coefficient t at every mu, and
     `alive &= ~(v + low)` keeps the mu whose lane is 0.
     """
-    tables = circulant._lanes(gf, d)
+    tables = props._lanes(gf, d)
     exp, log = gf.exp_table, gf.log_table
     m = gf.m
     ones = sum(1 << (e * (m + 1)) for e in range(d))
@@ -193,6 +206,36 @@ def scalar_gram_root(gf, first_row) -> int:
     """
     t = diag_trace(first_row)
     return t if t and autocorrelation_roots(gf, first_row, 1) else 0
+
+
+def isomorphism(gf, gf2) -> tuple:
+    """phi[v] for each v of gf: the isomorphism from gf onto gf2, two
+    fields of one order, that takes x to beta, the least root in gf2 of
+    gf's defining polynomial, so phi(sum of c_i*x^i) is the sum of
+    c_i*beta^i (Lidl and Niederreiter, *Finite Fields*, ch. 2).  It is
+    additive by its form and multiplicative as beta is a root.  Products
+    go through `mul_raw`, the shift-and-reduce product, so no log table of
+    either field is read."""
+    m = gf.m
+
+    def at(beta):  # gf's polynomial at beta, by Horner's rule
+        value = 0
+        for i in range(m, -1, -1):
+            value = gf2.mul_raw(value, beta) ^ (gf.poly >> i & 1)
+        return value
+
+    beta = next(b for b in range(gf2.order) if at(b) == 0)
+    powers = [1]
+    for _ in range(1, m):
+        powers.append(gf2.mul_raw(powers[-1], beta))
+    phi = []
+    for v in range(gf.order):
+        image = 0
+        for i, power in enumerate(powers):
+            if v >> i & 1:
+                image ^= power
+        phi.append(image)
+    return tuple(phi)
 
 
 def planted_semi_orthogonal_row(gf, n: int, rng) -> tuple:
@@ -304,7 +347,7 @@ def semi_involutory_count(q: int, n: int) -> int:
     circulant, in closed form: q^(n/2)*(q-1) at even n and q-1 at odd n.
 
     The relation is A^2 == k*I with k != 0 (the `props` module docstring),
-    and `circulant.scalar_square_root` reads it from the row: at odd n the
+    and `scalar_square_root` reads it from the row: at odd n the
     rows (r, 0, ..., 0), r != 0; at even n = 2h the rows with
     a_i == a_(i+h) for 0 < i < h, q^(h-1) choices, and a_0 != a_h, q*(q-1).
     """
@@ -403,7 +446,7 @@ def count_folds(monkeypatch) -> list:
     (`gcd_block`); the block of any other row with a nonzero row sum goes
     through `block_roots`, a call of its own that folds it.  The calls through
     `props` and `verify` are counted so, the nested ones first, and
-    `_LANES` starts empty."""
+    the lane tables start empty (`fresh_lanes`)."""
     folds = []
     screen = props.pair_screen
 
@@ -418,14 +461,20 @@ def count_folds(monkeypatch) -> list:
                          and not square_roots.get(id(item)))
         return admitted, rejected
 
-    monkeypatch.setattr(circulant, "_LANES", {})
+    fresh_lanes(monkeypatch)
     monkeypatch.setattr(props, "pair_screen", counting)
     monkeypatch.setattr(verify, "pair_screen", counting)
     return folds
 
 
+def fresh_lanes(monkeypatch) -> None:
+    """Empty `props._LANES` and its byte count, `props._lanes_held`."""
+    monkeypatch.setattr(props, "_LANES", {})
+    monkeypatch.setattr(props, "_lanes_held", 0)
+
+
 def block_roots_by_root(gf, row) -> list:
-    """What `props.block_roots` gives for the nonzero row: `roots_by_root`
+    """The roots `props.block_roots` gives for the nonzero row: `roots_by_root`
     of its block b by the support gcd (`gcd_block`) at d = gcd(len(b),
     q - 1), and [] at a zero row sum."""
     if not diag_trace(row):

@@ -7,25 +7,20 @@ from math import gcd
 
 import pytest
 
-from circmds import circulant
-from circmds.circulant import (
-    OddOrder,
-    build,
-    interleaved_sums,
-    is_circulant,
-    is_singular_row,
-    scalar_square_root,
-)
+from circmds import props
+from circmds.circulant import OddOrder, build, interleaved_sums, is_circulant, is_singular_row
 from circmds.field import get_field
 from circmds.matgf import Singular, det, diag_trace, identity, inverse, mat_mul, transpose
-from circmds.props import block_roots, classify, is_involutory, is_mds, is_orthogonal
+from circmds.props import Properties, block_roots, classify, is_involutory, is_mds, is_orthogonal
 from circmds.verify import RANDOM, ScanConfig, run_suite
 from reference import (
     autocorrelation_roots,
     block_roots_by_root,
+    fresh_lanes,
     planted_semi_orthogonal_row,
     roots_by_root,
     scalar_gram_root,
+    scalar_square_root,
 )
 
 GF4 = get_field(2, 0x7)
@@ -84,7 +79,7 @@ def test_first_row_identities_match_dense_checks_exhaustively():
             for row in product(range(gf.order), repeat=n):
                 A = build(row)
                 inv, orth = is_involutory(gf, A), is_orthogonal(gf, A)
-                assert (scalar_square_root(row) == 1) == inv, (m, row)
+                assert Properties(gf, row).involutory() == inv, (m, row)
                 assert (scalar_gram_root(gf, row) == 1) == orth, (m, row)
                 rows += 1
                 involutory += inv
@@ -94,7 +89,8 @@ def test_first_row_identities_match_dense_checks_exhaustively():
 
 def test_scalar_square_root_matches_the_dense_square_exhaustively():
     # A^2 == r^2 * I exactly when the fold returns r != 0, on every first row
-    # of each space, rows with zero entries and singular rows among them
+    # of each space, rows with zero entries and singular rows among them;
+    # the screen's fold of the row (`block_roots`) gives the same r
     scalars = 0
     for (m, poly), top in (((2, 0x7), 6), ((3, 0xB), 4), ((4, 0x13), 3)):
         gf = get_field(m, poly)
@@ -102,6 +98,7 @@ def test_scalar_square_root_matches_the_dense_square_exhaustively():
             for row in product(range(gf.order), repeat=n):
                 A = build(row)
                 r = scalar_square_root(row)
+                assert block_roots(gf, row, ("involutory",)) == (r, None), (m, row)
                 square = mat_mul(gf, A, A)
                 k = square[0][0]
                 scalar = k != 0 and square == [
@@ -246,6 +243,11 @@ def _seeded_rows(gf, n, count, rng):
     return rows
 
 
+def _orthogonal_roots(gf, row) -> list:
+    """The roots `block_roots` screens for the orthogonal relation alone."""
+    return block_roots(gf, row, ("orthogonal",))[1]
+
+
 def _fold_rows(name):
     """(field, row) pairs of the named set of `test_lanes_match_the_root_by_root_reference`."""
     if name == "gf4-n<=7":
@@ -295,7 +297,7 @@ def test_lanes_match_the_root_by_root_reference(name):
         if any(row):
             want = (whole[gcd(len(row), gf.order - 1)] if 0 not in row and diag_trace(row)
                     else block_roots_by_root(gf, row))
-            assert block_roots(gf, row) == want, (gf, row)
+            assert _orthogonal_roots(gf, row) == want, (gf, row)
     assert (census["mu=1 only"], census["mu!=1"], census["none"]) == FOLD_CENSUS[name]
 
 
@@ -303,61 +305,62 @@ def test_lane_tables_keep_only_the_entries_a_row_meets(monkeypatch):
     # the tables fill an entry on first use: one classify of a GF(2^16) row
     # of order 15 (d = 15, and a zero entry, so is_mds stops at once) meets
     # a few of the 15 x 65,536 slots, where whole tables would fill them all
-    monkeypatch.setattr(circulant, "_LANES", {})
+    fresh_lanes(monkeypatch)
     row = list(_seeded_rows(GF65536, 15, 1, random.Random(15))[0])
     row[7] = 0
     assert diag_trace(row) and classify(GF65536, row).mds.is_mds is False
-    tables = circulant._lanes(GF65536, 15)
+    tables = props._lanes(GF65536, 15)
     filled = sum(map(len, tables))
     assert 0 < filled < 0.01 * 15 * 65536, filled
 
 
 def test_lane_tables_stay_within_their_bound(monkeypatch):
     # a scan sends every sampled row into the fold, and the tables of every
-    # (field, d) together keep entries while lane_bytes() stays within
-    # LANE_BYTES; an entry met after that is made again on each use.  At
+    # (field, d) together keep entries while their one count,
+    # _lanes_held == lane_bytes(), stays within LANE_BYTES; an entry met
+    # after that is made again on each use.  At
     # the real bound the benchmark's tables, GF(2^8) and GF(4) at d = 3,
     # are kept whole.  A bound lowered to 64 KiB fills up in a 2,048-row
     # scan of GF(2^16) rows at d = 15, and the roots `block_roots` reads
     # past it stay right
-    monkeypatch.setattr(circulant, "_LANES", {})
+    fresh_lanes(monkeypatch)
     for gf in (F11D, GF4):
-        tables = circulant._lanes(gf, 3)
+        tables = props._lanes(gf, 3)
         for table in tables:
             for x in range(1, gf.order):
                 table[x]
         assert [len(table) for table in tables] == [gf.order - 1] * 3
-    monkeypatch.setattr(circulant, "LANE_BYTES", 1 << 16)
-    monkeypatch.setattr(circulant, "_LANES", {})
-    size = circulant.lane_entry_bytes(16, 15)
+    monkeypatch.setattr(props, "LANE_BYTES", 1 << 16)
+    fresh_lanes(monkeypatch)
+    size = props.lane_entry_bytes(16, 15)
     assert size == 128 + 15 * 17 // 8
     report = run_suite(ScanConfig(field=GF65536, order=15, suites=("SO-ODD-EXIST",),
                                   mode=RANDOM, seed=15, sample_count=2048))
     assert report.examined == 2048
-    assert list(circulant._LANES) == [(GF65536.poly, 15)]
-    held = circulant.lane_bytes()
+    assert list(props._LANES) == [(GF65536.poly, 15)]
+    held = props.lane_bytes()
     assert (1 << 16) - size < held <= 1 << 16
-    assert circulant._lanes(GF65536, 15)[0].held == [held]  # the running count
+    assert props._lanes_held == held  # the running count
     rng = random.Random(16)
     rows = _seeded_rows(GF65536, 15, 20, rng)
     rows += [row for _ in range(5) for row in planted_semi_orthogonal_row(GF65536, 15, rng)]
     for row in filter(any, rows):
-        assert block_roots(GF65536, row) == block_roots_by_root(GF65536, row), row
-    assert circulant.lane_bytes() == held
+        assert _orthogonal_roots(GF65536, row) == block_roots_by_root(GF65536, row), row
+    assert props.lane_bytes() == held
     # the bound is for the whole process: folding GF(2^16) rows at d = 3,
     # 5, 15 and 17 in turn under a bound of 32 KiB keeps every entry met at
     # d = 3, then entries at d = 5 until the entries of all of them reach
     # the bound, and none at d = 15 and 17; the roots read past it stay right
-    monkeypatch.setattr(circulant, "LANE_BYTES", 1 << 15)
-    monkeypatch.setattr(circulant, "_LANES", {})
+    monkeypatch.setattr(props, "LANE_BYTES", 1 << 15)
+    fresh_lanes(monkeypatch)
     rng = random.Random(28)
     kept = []
     for n in (3, 5, 15, 17):
         for row in filter(any, _seeded_rows(GF65536, n, 60, rng)):
-            assert block_roots(GF65536, row) == block_roots_by_root(GF65536, row), row
-        kept.append(sum(map(len, circulant._lanes(GF65536, n))))
+            assert _orthogonal_roots(GF65536, row) == block_roots_by_root(GF65536, row), row
+        kept.append(sum(map(len, props._lanes(GF65536, n))))
     assert kept[0] and kept[1] and kept[2:] == [0, 0]
-    total = circulant.lane_bytes()
-    assert total == sum(circulant.lane_entry_bytes(16, d) * k for d, k in zip((3, 5, 15, 17), kept))
-    assert (1 << 15) - circulant.lane_entry_bytes(16, 17) < total <= 1 << 15
-    assert all(tables[0].held == [total] for tables in circulant._LANES.values())
+    total = props.lane_bytes()
+    assert total == sum(props.lane_entry_bytes(16, d) * k for d, k in zip((3, 5, 15, 17), kept))
+    assert (1 << 15) - props.lane_entry_bytes(16, 17) < total <= 1 << 15
+    assert props._lanes_held == total

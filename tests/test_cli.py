@@ -170,6 +170,32 @@ def test_check_refuses_a_circulant_mds_test_above_the_minor_limit(capsys, monkey
     assert "700 minors of size 4" in err
 
 
+def test_check_refuses_a_first_row_from_the_order_the_mds_test_refuses(capsys):
+    # the lane fold's plan holds n*((n-1)//2) pairs, 53 MiB at n = 1,000, so
+    # every first row is refused, before that plan is built, from order 408,
+    # where `is_mds` refuses a row with no zero entry at size 2.  A row with
+    # one zero entry, which `is_mds` drops at size 1, and a nonzero row sum
+    # exits 2 with one error line at orders 408 and 4,000, the latter within
+    # a tracemalloc peak of 16 MiB, and 0 at order 407
+    import tracemalloc
+
+    for n, want in ((408, 2), (4000, 2), (407, 0)):
+        row = ",".join(["0"] + ["1"] * (n - 2) + ["2"])
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "check", "--field", "8:0x11D", "--circulant", row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == want, (n, err)
+        if want == 2:
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith(f"error: the MDS test of an order-{n} matrix would keep ")
+            assert peak < 16 << 20, (n, peak)
+        else:
+            assert json.loads(out)["order"] == n and err == ""
+
+
 def test_check_empty_circulant_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "check", "--field", "8:0x11D", "--circulant", "")
     assert code == 2
@@ -282,6 +308,7 @@ SCAN_GF4_N3 = ("scan", "--field", "2:0x7", "--order", "3", "--suite", "INV-NONE"
     ("search", "--field", "2:0x7", "--order", "3", "--require", "mds", "--limit", "-1"),
     ("scan", "--field", "2:0x7", "--order", "0", "--suite", "SO-MOD4"),
     ("scan", "--field", "2:0x7", "--order", "-4", "--suite", "SO-MOD4"),
+    ("check", "--field", "2:0x7", "--matrix", "1,2,3,1,2,3", "--rows", "2", "--cols", "3"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -9,7 +9,7 @@ from math import comb, gcd
 import pytest
 
 from circmds import props
-from circmds.circulant import OddOrder, build, is_circulant, is_singular_row, scalar_square_root
+from circmds.circulant import OddOrder, build, is_circulant, is_singular_row
 from circmds.field import get_field
 from circmds.matgf import (
     Singular,
@@ -58,6 +58,7 @@ from reference import (
     per_root_geometric_pair,
     planted_semi_orthogonal_row,
     scalar_gram_root,
+    scalar_square_root,
     screen_by_gate,
     semi_involutory_count,
 )
@@ -1129,6 +1130,35 @@ def test_a_row_folds_its_autocorrelation_at_most_once(monkeypatch):
     assert disconnected == 8536
 
 
+def test_classify_screens_a_row_once_for_both_relations(monkeypatch):
+    # `classify` takes the square root and the roots of unity from one
+    # screen of the row for both relations; only a row with a nonzero square
+    # root, which that screen admits before its lane fold, is screened again,
+    # for the orthogonal relation alone.  The nested screen of a block row's
+    # block is not on the row, so not counted.  On every row of GF(8) n = 4,
+    # GF(4) n = 6 and GF(16) n = 3
+    screened = []
+    real = props.pair_screen
+
+    def counting(gf, relations, n, items):
+        items = list(items)
+        screened.extend((item[0], tuple(sorted(relations))) for item in items)
+        return real(gf, relations, n, items)
+
+    monkeypatch.setattr(props, "pair_screen", counting)
+    twice = 0
+    for gf, n in ((GF8, 4), (GF4, 6), (GF16, 3)):
+        for row in product(range(gf.order), repeat=n):
+            screened.clear()
+            classify(gf, row)
+            want = [(row, ("involutory", "orthogonal"))]
+            if scalar_square_root(row):
+                want.append((row, ("orthogonal",)))
+                twice += 1
+            assert [s for s in screened if s[0] == row] == want, row
+    assert twice == 448 + 192 + 15  # semi_involutory_count of each space
+
+
 @cache
 def _gate_rows() -> tuple:
     """(field, row) pairs, grouped by field and order: every row of GF(4)
@@ -1174,7 +1204,7 @@ def test_pair_gate_folds_a_dense_row_with_no_block_step(monkeypatch):
     # in chunk order, gives them those roots, counts each other row's weight
     # as rejected and folds each row with a nonzero row sum once, on its
     # block: on the rows of `_gate_rows`
-    wants = {(gf, row): props.block_roots(gf, row) if diag_trace(row) else []
+    wants = {(gf, row): props.block_roots(gf, row, ("orthogonal",))[1]
              for gf, row in _gate_rows()}
     folds = count_folds(monkeypatch)
     asked = []

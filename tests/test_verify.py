@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -15,10 +16,12 @@ import pytest
 
 import circmds
 from circmds import props, verify
-from circmds.field import get_field
-from circmds.circulant import build, is_singular_row, scalar_square_root
+from circmds.field import get_field, is_irreducible
+from circmds.circulant import build, is_singular_row
 from circmds.matgf import Singular, diag_trace, inverse, sandwich, transpose
 from circmds.props import (
+    Classification,
+    DiagonalPair,
     Properties,
     circulant_semi_pair,
     classify,
@@ -51,9 +54,12 @@ from reference import (
     disconnected_rows,
     every_row_tally,
     index_to_row,
+    isomorphism,
     next_below,
     oracle_semi_search,
+    planted_semi_orthogonal_row,
     row_by_row,
+    scalar_square_root,
     semi_involutory_count,
 )
 
@@ -284,19 +290,19 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # the scan goes by orbits: INV-NONE and SI-GEN share the one fold that
     # the chunk screen makes in place of each evaluated representative,
     # which stands for its whole orbit, and hands to the row it admits, so
-    # no `scalar_square_root` runs again; no mu is tried for the involutory
+    # no row is screened again (`block_roots`); no mu is tried for the involutory
     # relation (no lane fold, no geometric pair), and no row, on any
     # support, asks the gcd test
-    calls = {"screened": [], "square_root": 0, "geometric": 0, "singular": []}
+    calls = {"screened": [], "block_roots": 0, "geometric": 0, "singular": []}
 
     def screen(gf, relations, n, items):
         items = list(items)
         calls["screened"] += [item[0] for item in items]
         return real_screen(gf, relations, n, items)
 
-    def square_root(row):
-        calls["square_root"] += 1
-        return scalar_square_root(row)
+    def screen_row(*args):
+        calls["block_roots"] += 1
+        return real_block_roots(*args)
 
     def geometric(*args):
         calls["geometric"] += 1
@@ -307,9 +313,10 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
         return is_singular_row(gf, row)
 
     folds = count_folds(monkeypatch)
-    real_screen, real_geometric = verify.pair_screen, props._geometric_pair
+    real_screen, real_geometric, real_block_roots = (
+        verify.pair_screen, props._geometric_pair, props.block_roots)
     monkeypatch.setattr(verify, "pair_screen", screen)
-    monkeypatch.setattr(props, "scalar_square_root", square_root)
+    monkeypatch.setattr(props, "block_roots", screen_row)
     monkeypatch.setattr(props, "_geometric_pair", geometric)
     monkeypatch.setattr(props, "is_singular_row", gcd_test)
     report = run_suite(ScanConfig(field=GF8, order=5, suites=("INV-NONE", "SI-GEN")))
@@ -323,7 +330,7 @@ def test_involutory_relation_folds_once_and_never_tries_a_root_of_unity(monkeypa
     # representative (1, 0, 0, 0, 0)
     assert classes == 4682 and len(kept) == 806
     assert sorted(calls["screened"]) == sorted(kept)
-    assert calls["square_root"] == 0 and folds == [] and calls["geometric"] == 0
+    assert calls["block_roots"] == 0 and folds == [] and calls["geometric"] == 0
     # the representatives x^s with s != 0 (4 shifts paired by tau) have a
     # disconnected support and no scalar square, and ask nothing more
     assert (0, 1, 0, 0, 0) in kept and (0, 0, 1, 0, 0) in kept
@@ -1002,6 +1009,79 @@ def test_the_nonexistence_runners_meet_their_hypothesis_at_other_orders(monkeypa
                 counts[gf.order, n] = count
     assert counts == {(4, 2): 6, (8, 2): 42, (16, 2): 210, **{
         "involutory": {}, "orthogonal": {(8, 3): 42, (16, 3): 180}}[relation]}
+
+
+
+def _mapped(phi, cls):
+    """The Classification `cls` with every field element v read as phi[v]."""
+    def semi(rep):
+        if not rep.found:
+            return rep
+        elements = ("k1", "k2", "trace_d1", "trace_d2")
+        return rep._replace(
+            pair=DiagonalPair(*(tuple(phi[v] for v in d) for d in rep.pair)),
+            **{name: phi[getattr(rep, name)] for name in elements
+               if getattr(rep, name) is not None})
+    return cls._replace(first_row=tuple(phi[v] for v in cls.first_row),
+                        semi_involutory=semi(cls.semi_involutory),
+                        semi_orthogonal=semi(cls.semi_orthogonal))
+
+
+def test_field_isomorphisms_carry_classify_and_the_scan_counts():
+    # every field of one order is one field: an isomorphism phi of two
+    # defining polynomials (reference.isomorphism) takes each record of
+    # `classify` to that of the image row, field by field, canonical pairs
+    # included as phi(1) == 1, and leaves every scan count as it is.  x is
+    # not primitive at 0x11B and 0x1F, so the tables there rest on another
+    # generator.  On every row of GF(16) n <= 3 and on seeded GF(2^8) rows
+    # of orders 4 to 8 with planted semi-orthogonal ones
+    rng = random.Random(37)
+    spaces = (
+        (get_field(4, 0x13), (get_field(4, 0x19), get_field(4, 0x1F)),
+         [row for n in range(1, 4) for row in product(range(16), repeat=n)]),
+        (F11D, (get_field(8, 0x11B), get_field(8, 0x14D)),
+         [tuple(rng.randrange(1, 256) if i % 2 == 0 or rng.random() < 0.7 else 0
+                for _ in range(4 + i % 5)) for i in range(200)]
+         + [row for _ in range(5) for row in planted_semi_orthogonal_row(F11D, 5, rng)]),
+    )
+    found = Counter()
+    for gf, images, rows in spaces:
+        for gf2 in images:
+            phi = isomorphism(gf, gf2)
+            assert sorted(phi) == list(range(gf.order)) and phi[1] == 1
+            for row in rows:
+                want = _mapped(phi, classify(gf, row))
+                got = classify(gf2, tuple(phi[v] for v in row))
+                for name in Classification._fields:
+                    assert getattr(got, name) == getattr(want, name), (gf2, row, name)
+                found[gf.m, "si"] += got.semi_involutory.found
+                found[gf.m, "so"] += got.semi_orthogonal.found
+    # per image: 270 and 840 GF(16) rows with a pair; one seeded GF(2^8)
+    # row (a, 0, b, 0) with A^2 scalar, and the 10 planted and 5 seeded rows
+    # with A^-T == D1*A*D2
+    assert found == {(4, "si"): 2 * 270, (4, "so"): 2 * 840, (8, "si"): 2 * 1, (8, "so"): 2 * 15}
+    # so every scan count is a function of (m, n, suites) alone: the decided
+    # payload is one at all 30 polynomials of degree 8, x primitive in 16 of
+    # them but not in 0x11B, and at the three of degree 4, x of order 5 in 0x1F
+    degree8 = [poly for poly in range(0x101, 0x200, 2) if is_irreducible(poly, 8)]
+    assert len(degree8) == 30
+    assert sum(get_field(8, poly).x_is_primitive() for poly in degree8) == 16
+    assert not get_field(8, 0x11B).x_is_primitive() and not get_field(4, 0x1F).x_is_primitive()
+    degree4 = (0x13, 0x19, 0x1F)
+    # (m, polys, n, suites, the hypothesis counts, SO-ODD-EXIST's nonzero traces)
+    for m, polys, n, suites, hypotheses, nonzero in (
+            (8, degree8, 3, ("SO-ODD-EXIST",), [192_780], 64_260),
+            (4, degree4, 5, ("SO-ODD-EXIST",), [7_500], 1_500),
+            (4, degree4, 4, ("INV-NONE", "ORTH-NONE", "SO-POW2", "SI-POW2"), [0, 0, 7_680, 3_840],
+             None)):
+        payloads = [decided(run_suite(ScanConfig(field=get_field(m, poly), order=n, suites=suites,
+                                                 budget=1 << 24)))
+                    for poly in polys]
+        assert all(payload == payloads[0] for payload in payloads), (m, n)
+        counts = payloads[0]["suites"]
+        assert [counts[name]["hypothesis_count"] for name in suites] == hypotheses, (m, n)
+        if nonzero is not None:
+            assert counts["SO-ODD-EXIST"]["extras"]["nonzero_trace"] == nonzero, (m, n)
 
 
 # -- brute-force oracle ------------------------------------------------------------------
