@@ -1,9 +1,13 @@
 """Circulant matrix analysis over GF(2^m).
 
 Decides MDS, involutory, orthogonal, semi-involutory and semi-orthogonal
-properties of matrices over binary extension fields, recovers the diagonal
-pairs behind the semi-properties, and verifies the trace relations between
-those diagonals and the MDS property by exhaustive and seeded-random scans.
+properties of matrices over binary extension fields and recovers the
+diagonal pairs behind the semi-properties.  The scans that verify the trace
+relations between those diagonals and the MDS property, exhaustive and
+seeded-random, are `circmds.verify` (`ScanConfig`, `ScanReport`,
+`run_suite`, `verification_plan`, `verify_example`), which this package
+does not import: `import circmds` loads `field`, `matgf`, `circulant` and
+`props` only.
 """
 
 from .circulant import build, interleaved_sums, is_circulant, is_singular_row
@@ -23,13 +27,6 @@ from .props import (
     is_orthogonal,
     power_scalar,
 )
-from .verify import (
-    ScanConfig,
-    ScanReport,
-    run_suite,
-    verification_plan,
-    verify_example,
-)
 
 __version__ = "0.1.0"
 
@@ -42,5 +39,4 @@ __all__ = [
     "is_mds", "is_involutory", "is_orthogonal",
     "diagonal_scaling_solve", "circulant_semi_pair",
     "power_scalar", "is_nonperiodic", "classify",
-    "ScanConfig", "ScanReport", "run_suite", "verify_example", "verification_plan",
 ]

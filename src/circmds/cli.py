@@ -6,6 +6,10 @@ All commands print JSON to stdout and diagnostics to stderr.  Exit codes:
 by its reader.  Randomized commands take an explicit --seed and fall back
 to a fixed documented default (never entropy), so every run is
 reproducible; report timing fields are the only non-deterministic output.
+
+`field-info` and `check` load `field`, `matgf`, `circulant` and `props`
+only; `scan`, `search` and `verify-paper` import the scan engine, `verify`,
+when they run, so a process that checks one row does not compile it.
 """
 
 from __future__ import annotations
@@ -19,21 +23,8 @@ from itertools import product
 from . import props
 from .field import FieldError, GF2m, get_field
 from .matgf import DimensionMismatch
+from .props import DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, EXHAUSTIVE, RANDOM
 from .props import Properties, classification_json, classify, matrix_properties_json
-from .verify import (
-    DEFAULT_BUDGET,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    EXHAUSTIVE,
-    RANDOM,
-    ScanConfig,
-    check_order,
-    check_space,
-    random_rows,
-    run_suite,
-    verification_plan,
-    verify_example,
-)
 
 
 class UsageError(Exception):
@@ -85,6 +76,8 @@ def cmd_field_info(args) -> int:
 def cmd_check(args) -> int:
     gf = parse_field(args.field)
     if args.circulant is not None:
+        if args.rows is not None or args.cols is not None:
+            raise UsageError("--rows and --cols apply to --matrix only")
         row = parse_row(gf, args.circulant)
         emit(classification_json(gf, classify(gf, row)))
         return 0
@@ -107,8 +100,9 @@ def _split_csv(values) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _validated(config: ScanConfig) -> ScanConfig:
-    """`config` once `ScanConfig.validate` accepts it; a rejection is a usage error."""
+def _validated(config):
+    """The `verify.ScanConfig` `config` once its `validate` accepts it; a
+    rejection is a usage error."""
     try:
         config.validate()
     except ValueError as exc:
@@ -117,6 +111,8 @@ def _validated(config: ScanConfig) -> ScanConfig:
 
 
 def cmd_scan(args) -> int:
+    from .verify import ScanConfig, run_suite
+
     gf = parse_field(args.field)
     extra = tuple(parse_row(gf, t) for t in args.include_row or ())
     config = ScanConfig(
@@ -152,6 +148,8 @@ _SEARCH_PREDICATES = {
 
 
 def cmd_search(args) -> int:
+    from .verify import check_order, check_space, random_rows
+
     gf = parse_field(args.field)
     wanted = _split_csv(args.require)
     if not wanted:
@@ -191,6 +189,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .verify import run_suite, verification_plan, verify_example
+
     configs = [_validated(c) for c in verification_plan(args.scale, worker_count=args.jobs)]
     records = []
     all_ok = True

@@ -155,7 +155,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from functools import cache, lru_cache
-from itertools import combinations, islice
+from itertools import combinations, count, islice
 from math import comb, gcd
 from operator import itemgetter
 from typing import NamedTuple, Optional
@@ -184,6 +184,14 @@ MOD4_ZERO = "MOD4_ZERO"
 MOD4_TWO = "MOD4_TWO"
 
 SCHEMA_VERSION = 1
+
+# The scan modes and defaults of `scan` and `search`, here beside the
+# schema so that `cli` parses its options without importing `verify`
+EXHAUSTIVE = "exhaustive"
+RANDOM = "random"
+DEFAULT_BUDGET = 1 << 24
+DEFAULT_SAMPLES = 4096
+DEFAULT_SEED = 0x5EED
 
 
 def is_power_of_two(n: int) -> bool:
@@ -932,8 +940,15 @@ def _fold_plan(m: int, n: int) -> tuple:
 
     Those are n*((n-1)//2) pairs, 53 MiB at n = 1,000, so an order whose
     MDS test refuses a row with no zero entry at size 2 (`is_mds`, from
-    order 408) is refused here too, before the plan is built."""
-    _refuse_large_layer(n, 2, _kept_minors(n, 2))
+    order 408) is refused here too, before the plan is built, in words
+    that name the first refused order, as the row's own MDS test may stop
+    at size 1."""
+    if _kept_minors(n, 2) > MAX_LAYER_MINORS:
+        first = next(k for k in count(2) if _kept_minors(k, 2) > MAX_LAYER_MINORS)
+        raise MinorLayerTooLarge(
+            f"a first row of order {n} is refused: every first row is refused from "
+            f"order {first}, where a row with no zero entry keeps more than "
+            f"{MAX_LAYER_MINORS} minors of size 2")
     d = gcd(n, (1 << m) - 1)
     ones = ((1 << d * (m + 1)) - 1) // ((2 << m) - 1)  # 1 in each lane
     terms = tuple(tuple((j, (j - t) % n) for j in range(n)) for t in range(1, (n - 1) // 2 + 1))

@@ -182,17 +182,12 @@ from typing import Optional
 from .circulant import build, interleaved_sums
 from .field import GF2m, get_field
 from .matgf import diag_trace, identity, mat_mul, sandwich, transpose
+from .props import DEFAULT_BUDGET, DEFAULT_SAMPLES, DEFAULT_SEED, EXHAUSTIVE, RANDOM
 from .props import SCHEMA_VERSION, Properties, classify, is_power_of_two, pair_screen
 # unused here; perfbench/tracing.py wraps these verify attributes by name
 from .matgf import inverse
 from .props import diagonal_scaling_solve, is_involutory, is_mds, is_orthogonal, power_scalar
 
-EXHAUSTIVE = "exhaustive"
-RANDOM = "random"
-
-DEFAULT_BUDGET = 1 << 24
-DEFAULT_SAMPLES = 4096
-DEFAULT_SEED = 0x5EED
 CHUNK = 16384
 
 

@@ -259,8 +259,8 @@ MUTANTS = (
     ),
     Mutant(
         "fold-plan-without-order-limit", "src/circmds/props.py",
-        "    _refuse_large_layer(n, 2, _kept_minors(n, 2))\n",
-        "",
+        "    if _kept_minors(n, 2) > MAX_LAYER_MINORS:\n",
+        "    if False:\n",
         ("tests/test_cli.py::test_check_refuses_a_first_row_from_the_order_the_mds_test_refuses",),
     ),
     Mutant(
@@ -270,6 +270,18 @@ MUTANTS = (
         ("tests/test_verify.py::test_field_isomorphisms_carry_classify_and_the_scan_counts",
          "tests/test_field.py::test_mul_matches_shift_reduce_sampled",
          "tests/test_census.py::test_outputs_keep_the_committed_census"),
+    ),
+    Mutant(
+        "package-imports-the-scan-engine", "src/circmds/__init__.py",
+        "__version__ = \"0.1.0\"\n",
+        "from . import verify\n\n__version__ = \"0.1.0\"\n",
+        ("tests/test_cli.py::test_check_and_field_info_import_no_scan_engine",),
+    ),
+    Mutant(
+        "cli-imports-the-scan-engine", "src/circmds/cli.py",
+        "from . import props\n",
+        "from . import props, verify\n",
+        ("tests/test_cli.py::test_check_and_field_info_import_no_scan_engine",),
     ),
 )
 

@@ -175,8 +175,10 @@ def test_check_refuses_a_first_row_from_the_order_the_mds_test_refuses(capsys):
     # every first row is refused, before that plan is built, from order 408,
     # where `is_mds` refuses a row with no zero entry at size 2.  A row with
     # one zero entry, which `is_mds` drops at size 1, and a nonzero row sum
-    # exits 2 with one error line at orders 408 and 4,000, the latter within
-    # a tracemalloc peak of 16 MiB, and 0 at order 407
+    # exits 2 with one error line, which names the row's order and the first
+    # refused order, not an MDS layer the row never reaches, at orders 408
+    # and 4,000, the latter within a tracemalloc peak of 16 MiB, and 0 at
+    # order 407
     import tracemalloc
 
     for n, want in ((408, 2), (4000, 2), (407, 0)):
@@ -190,7 +192,8 @@ def test_check_refuses_a_first_row_from_the_order_the_mds_test_refuses(capsys):
         assert code == want, (n, err)
         if want == 2:
             assert out == "" and err.count("\n") == 1
-            assert err.startswith(f"error: the MDS test of an order-{n} matrix would keep ")
+            assert err.startswith(f"error: a first row of order {n} is refused: every first "
+                                  "row is refused from order 408, where ")
             assert peak < 16 << 20, (n, peak)
         else:
             assert json.loads(out)["order"] == n and err == ""
@@ -243,12 +246,13 @@ def test_scan_random_samples_above_the_budget_are_refused(capsys, monkeypatch):
     # instead of allocating them
     import tracemalloc
 
-    from circmds import cli
+    from circmds import verify
 
     def started(config):
         raise AssertionError("the scan started")
 
-    monkeypatch.setattr(cli, "run_suite", started)
+    # `cli` imports the scan engine when a scan runs, so it reads this
+    monkeypatch.setattr(verify, "run_suite", started)
     tracemalloc.start()
     try:
         code, out, err = run_cli(capsys, "scan", "--field", "3:0xB", "--order", "12",
@@ -309,6 +313,7 @@ SCAN_GF4_N3 = ("scan", "--field", "2:0x7", "--order", "3", "--suite", "INV-NONE"
     ("scan", "--field", "2:0x7", "--order", "0", "--suite", "SO-MOD4"),
     ("scan", "--field", "2:0x7", "--order", "-4", "--suite", "SO-MOD4"),
     ("check", "--field", "2:0x7", "--matrix", "1,2,3,1,2,3", "--rows", "2", "--cols", "3"),
+    ("check", "--field", "8:0x11D", "--circulant", "2,3,1,1", "--rows", "7", "--cols", "9"),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -367,6 +372,30 @@ def test_the_package_runs_as_a_module():
     assert bad_row.stderr.startswith("error:") and bad_row.stderr.count("\n") == 1
     proc = run("field-info", "--field", "8:0x11D")
     assert proc.returncode == 0 and json.loads(proc.stdout)["poly"] == "0x11D"
+
+
+def test_check_and_field_info_import_no_scan_engine():
+    # `import circmds`, `check` and `field-info` load field, matgf,
+    # circulant and props only: no `verify`, and no `dataclasses` (about
+    # 10 ms with its `inspect`, compiled from source when no bytecode is
+    # written) unless the bare interpreter already imports it
+    env = {**os.environ, "PYTHONPATH": str(Path(circmds.__file__).parents[1])}
+
+    def imported(*argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        return {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines() if line.startswith("import time:")}
+
+    bare = imported("-c", "pass")
+    for argv in (("-c", "import circmds"),
+                 ("-m", "circmds", "check", "--field", "8:0x11D",
+                  "--circulant", "0x02,0x03,0x01,0x01"),
+                 ("-m", "circmds", "field-info", "--field", "8:0x11D")):
+        names = imported(*argv)
+        assert "circmds.props" in names and "circmds.verify" not in names, argv
+        assert "dataclasses" not in names - bare, argv
 
 
 def test_search_prints_the_first_matches_in_index_order(capsys):
@@ -447,13 +476,14 @@ def test_search_random_above_two_to_the_64_rows_finishes(capsys):
 def test_search_and_scan_refuse_a_space_in_the_same_words(capsys, monkeypatch, mode, refused,
                                                            allowed, examined):
     # one rule and one `error:` line for both commands, before a row is drawn
-    from circmds import cli
+    from circmds import cli, verify
 
     def started(*args, **kwargs):
         raise AssertionError("the command started")
 
-    for name in ("random_rows", "product", "run_suite"):
-        monkeypatch.setattr(cli, name, started)
+    monkeypatch.setattr(cli, "product", started)
+    for name in ("random_rows", "run_suite"):
+        monkeypatch.setattr(verify, name, started)
     space = ("--field", "3:0xB", "--order", "4", *mode)
     search = ("search", "--require", "orthogonal,mds", *space)
     scan = ("scan", "--suite", "SO-POW2", *space)

@@ -1033,13 +1033,16 @@ def test_field_isomorphisms_carry_classify_and_the_scan_counts():
     # `classify` to that of the image row, field by field, canonical pairs
     # included as phi(1) == 1, and leaves every scan count as it is.  x is
     # not primitive at 0x11B and 0x1F, so the tables there rest on another
-    # generator.  On every row of GF(16) n <= 3 and on seeded GF(2^8) rows
-    # of orders 4 to 8 with planted semi-orthogonal ones
+    # generator.  On every row of GF(16) n <= 3, from 0x13 to the two other
+    # polynomials of degree 4, and on seeded GF(2^8) rows of orders 4 to 8
+    # with planted semi-orthogonal ones, from 0x11D to the 29 others of
+    # degree 8
+    degree8 = [poly for poly in range(0x101, 0x200, 2) if is_irreducible(poly, 8)]
     rng = random.Random(37)
     spaces = (
         (get_field(4, 0x13), (get_field(4, 0x19), get_field(4, 0x1F)),
          [row for n in range(1, 4) for row in product(range(16), repeat=n)]),
-        (F11D, (get_field(8, 0x11B), get_field(8, 0x14D)),
+        (F11D, [get_field(8, poly) for poly in degree8 if poly != 0x11D],
          [tuple(rng.randrange(1, 256) if i % 2 == 0 or rng.random() < 0.7 else 0
                 for _ in range(4 + i % 5)) for i in range(200)]
          + [row for _ in range(5) for row in planted_semi_orthogonal_row(F11D, 5, rng)]),
@@ -1059,11 +1062,10 @@ def test_field_isomorphisms_carry_classify_and_the_scan_counts():
     # per image: 270 and 840 GF(16) rows with a pair; one seeded GF(2^8)
     # row (a, 0, b, 0) with A^2 scalar, and the 10 planted and 5 seeded rows
     # with A^-T == D1*A*D2
-    assert found == {(4, "si"): 2 * 270, (4, "so"): 2 * 840, (8, "si"): 2 * 1, (8, "so"): 2 * 15}
+    assert found == {(4, "si"): 2 * 270, (4, "so"): 2 * 840, (8, "si"): 29 * 1, (8, "so"): 29 * 15}
     # so every scan count is a function of (m, n, suites) alone: the decided
     # payload is one at all 30 polynomials of degree 8, x primitive in 16 of
     # them but not in 0x11B, and at the three of degree 4, x of order 5 in 0x1F
-    degree8 = [poly for poly in range(0x101, 0x200, 2) if is_irreducible(poly, 8)]
     assert len(degree8) == 30
     assert sum(get_field(8, poly).x_is_primitive() for poly in degree8) == 16
     assert not get_field(8, 0x11B).x_is_primitive() and not get_field(4, 0x1F).x_is_primitive()
